@@ -17,37 +17,39 @@ measures both so the discrepancy stays visible rather than patched over.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
+from . import kinds
 from .controllers import (
     FullStateGains,
     ObserverGains,
     OutputFeedbackGains,
     full_state_torque,
-    hysteresis_update,
-    joint_jump,
     output_feedback_torque,
 )
 from .quat import (
     Array,
+    axis_pow,
     chord_gap,
     chord_potential,
     chord_pow,
+    e_matrix,
     flip_drop,
     quat_mul,
     quat_normalize,
     rotation_matrix,
     sat_pow,
     sgn_pow,
-    skew,
 )
 from .rigid_body import (
     DesiredTrajectory,
     Inertia,
     error_dynamics_rate,
     feedforward_torque,
+    xi_matrix,
 )
 
 # ---------------------------------------------------------------------------
@@ -240,7 +242,7 @@ def full_state_reduced_field(inertia: Inertia, gains: FullStateGains, h: int = 1
         q_v, w_e = x[:3], x[3:]
         dq = 0.5 * h * w_e
         dw = -inertia.inverse @ (
-            gains.k1 * h * axis_pow_vec(q_v, 1.0 - gains.alpha1)
+            gains.k1 * h * axis_pow(_embed_error_quat(q_v, h), 1.0 - gains.alpha1)
             + gains.k2 * sgn_pow(w_e, gains.alpha2)
         )
         return np.concatenate([dq, dw])
@@ -253,8 +255,9 @@ def observer_reduced_field(gains: ObserverGains, h_tilde: int = 1):
 
     def field(x: Array) -> Array:
         q_v, b_e = x[:3], x[3:]
-        dq = -0.5 * h_tilde * b_e - 0.5 * gains.mu1 * axis_pow_vec(q_v, 1.0 - gains.beta1)
-        db = gains.mu2 * h_tilde * axis_pow_vec(q_v, 1.0 - gains.beta2)
+        q = _embed_error_quat(q_v, h_tilde)
+        dq = -0.5 * h_tilde * b_e - 0.5 * gains.mu1 * axis_pow(q, 1.0 - gains.beta1)
+        db = gains.mu2 * h_tilde * axis_pow(q, 1.0 - gains.beta2)
         return np.concatenate([dq, db])
 
     return field
@@ -268,22 +271,15 @@ def output_feedback_reduced_field(
     def field(x: Array) -> Array:
         q_l, q_v, w_e = x[:3], x[3:6], x[6:]
         a = 1.0 - gains.alpha1
-        dql = 0.5 * h_tilde * w_e - 0.5 * gains.k3 * axis_pow_vec(q_l, 1.0 - gains.alpha3)
+        ql, qe = _embed_error_quat(q_l, h_tilde), _embed_error_quat(q_v, h)
+        dql = 0.5 * h_tilde * w_e - 0.5 * gains.k3 * axis_pow(ql, 1.0 - gains.alpha3)
         dq = 0.5 * h * w_e
         dw = -inertia.inverse @ (
-            gains.k1 * h * axis_pow_vec(q_v, a) + gains.k2 * h_tilde * axis_pow_vec(q_l, a)
+            gains.k1 * h * axis_pow(qe, a) + gains.k2 * h_tilde * axis_pow(ql, a)
         )
         return np.concatenate([dql, dq, dw])
 
     return field
-
-
-def axis_pow_vec(v: Array, alpha: float) -> Array:
-    """v / ||v||^alpha with 0 at the origin; the R^3 chart of axis_pow."""
-    n = float(np.linalg.norm(v))
-    if n <= 1e-300:
-        return np.zeros_like(v)
-    return v / n**alpha
 
 
 def homogeneity_check(
@@ -334,6 +330,11 @@ def _embed_error_quat(q_v: Array, h: int) -> Array:
     return np.concatenate(([q0], q_v))
 
 
+def _e_minus(q: Array, h: int) -> Array:
+    """E(q) - h*I, the kinematics operator less its value at the h-equilibrium."""
+    return e_matrix(np.concatenate(([q[0] - h], q[1:])))
+
+
 def full_state_perturbations(
     inertia: Inertia,
     gains: FullStateGains,
@@ -345,18 +346,14 @@ def full_state_perturbations(
     def f_kin(x: Array, t: float) -> Array:
         q_v, w_e = x[:3], x[3:]
         q = _embed_error_quat(q_v, h)
-        e_minus = skew(q_v) + (q[0] - h) * np.eye(3)
-        return 0.5 * e_minus @ w_e
+        return 0.5 * _e_minus(q, h) @ w_e
 
     def f_dyn(x: Array, t: float) -> Array:
         q_v, w_e = x[:3], x[3:]
         q = _embed_error_quat(q_v, h)
         w_d_body = rotation_matrix(q) @ trajectory.omega_fn(t)
-        j = inertia.matrix
-        xi = skew(j @ (w_e + w_d_body)) - skew(w_d_body) @ j - j @ skew(w_d_body)
-        return inertia.inverse @ (
-            xi @ w_e - gains.k1 * chord_gap(h * q, 1.0 - gains.alpha1)
-        )
+        xi = xi_matrix(inertia, w_e, w_d_body)
+        return inertia.inverse @ (xi @ w_e - gains.k1 * chord_gap(h * q, 1.0 - gains.alpha1))
 
     return [PerturbationField("kinematic", f_kin, 0), PerturbationField("dynamic", f_dyn, 3)]
 
@@ -369,11 +366,10 @@ def observer_perturbations(
     def f_q(x: Array, t: float) -> Array:
         q_v, b_e = x[:3], x[3:]
         q = _embed_error_quat(q_v, h_tilde)
-        e_minus = skew(q_v) + (q[0] - h_tilde) * np.eye(3)
         corr = (q[0] - h_tilde) * chord_pow(h_tilde * q, 1.0 - gains.beta1) + h_tilde * chord_gap(
             h_tilde * q, 1.0 - gains.beta1
         )
-        return -0.5 * e_minus @ b_e - 0.5 * gains.mu1 * corr
+        return -0.5 * _e_minus(q, h_tilde) @ b_e - 0.5 * gains.mu1 * corr
 
     def f_b(x: Array, t: float) -> Array:
         q_v = x[:3]
@@ -396,25 +392,22 @@ def output_feedback_perturbations(
     def f_lag(x: Array, t: float) -> Array:
         q_l, w_e = x[:3], x[6:]
         q = _embed_error_quat(q_l, h_tilde)
-        e_minus = skew(q_l) + (q[0] - h_tilde) * np.eye(3)
         corr = (q[0] - h_tilde) * chord_pow(h_tilde * q, 1.0 - gains.alpha3) + h_tilde * chord_gap(
             h_tilde * q, 1.0 - gains.alpha3
         )
-        return 0.5 * e_minus @ w_e - 0.5 * gains.k3 * corr
+        return 0.5 * _e_minus(q, h_tilde) @ w_e - 0.5 * gains.k3 * corr
 
     def f_kin(x: Array, t: float) -> Array:
         q_v, w_e = x[3:6], x[6:]
         q = _embed_error_quat(q_v, h)
-        e_minus = skew(q_v) + (q[0] - h) * np.eye(3)
-        return 0.5 * e_minus @ w_e
+        return 0.5 * _e_minus(q, h) @ w_e
 
     def f_dyn(x: Array, t: float) -> Array:
         q_l, q_v, w_e = x[:3], x[3:6], x[6:]
         qe = _embed_error_quat(q_v, h)
         ql = _embed_error_quat(q_l, h_tilde)
         w_d_body = rotation_matrix(qe) @ trajectory.omega_fn(t)
-        j = inertia.matrix
-        xi = skew(j @ (w_e + w_d_body)) - skew(w_d_body) @ j - j @ skew(w_d_body)
+        xi = xi_matrix(inertia, w_e, w_d_body)
         return inertia.inverse @ (
             xi @ w_e
             - gains.k1 * chord_gap(h * qe, a)
@@ -478,14 +471,7 @@ class ConvergenceReport:
     threshold: float
 
     def to_dict(self) -> dict:
-        return {
-            "settling_time_s": self.settling_time_s,
-            "converged": self.converged,
-            "steady_state_error": self.steady_state_error,
-            "jump_count": self.jump_count,
-            "max_torque_inf_nm": self.max_torque_inf_nm,
-            "threshold": self.threshold,
-        }
+        return asdict(self)
 
 
 def error_norm(trace) -> Array:
@@ -654,6 +640,105 @@ class FlowCheckReport:
     fd_rel_error: dict[str, float]
 
 
+@dataclass(frozen=True)
+class ErrorSystem:
+    """One hybrid error system and its Lyapunov certificate.
+
+    Callables take the system's own gains g (the observer's for the observer
+    system, else the controller's), inertia j and trajectory tr.
+    """
+
+    layout: str  # the error state y, in R^size
+    size: int
+    quat_blocks: tuple[slice, ...]  # unit-quaternion blocks of y
+    scalars: tuple[int, int]  # indices in y of the scalars h and h_tilde jump on
+    jump: Callable  # jump rule, see attkit.kinds
+    flow: Callable  # (g, j, tr) -> (t, y, h, h_tilde) -> ydot
+    coords: Callable  # (q_e, w_e, q_est_err, b_err) -> y
+    candidates: Callable  # (y, h, h_tilde, g, j) -> {candidate: V}
+    rates: Callable  # (y, h, h_tilde, g) -> {candidate: closed-form dV/dt}
+    governing: str  # the certified candidate
+    sigma: Callable  # (g, delta) -> guaranteed drop of the governing candidate per jump
+    counts: Callable  # event -> whether a run's jump budget counts it
+    weights: Callable  # g -> DilationWeights of the reduced field
+    reduced_field: Callable  # (g, j) -> field
+    perturbations: Callable  # (g, j, tr) -> remainder blocks
+    budget: tuple[str, Callable] | None = None  # (candidate, sigma); None: governing's
+    observer: bool = False  # autonomous: needs no inertia or trajectory
+
+
+def _on_h(flow):
+    return lambda t, y, h, h_tilde: flow(t, y, h)
+
+
+def _on_h_tilde(flow):
+    return lambda t, y, h, h_tilde: flow(t, y, h_tilde)
+
+
+ERROR_SYSTEMS = {
+    "full_state": ErrorSystem(
+        layout="[Q_e, w_e]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
+        jump=kinds.jump_h,
+        flow=lambda g, j, tr: _on_h(full_state_error_flow(j, g, tr)),
+        coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_e, w_e]),
+        candidates=lambda y, h, ht, g, j: {
+            "v1": lyapunov_v1(y[0:4], y[4:7], h, j, g.k1, g.alpha1)
+        },
+        rates=lambda y, h, ht, g: {"v1": v1_flow_rate(y[4:7], g)},
+        governing="v1",
+        sigma=lambda g, delta: min_jump_decrease(g.k1, g.alpha1, delta),
+        counts=lambda ev: ev.h_post != ev.h_pre,
+        weights=lambda g: full_state_weights(g.alpha1),
+        reduced_field=lambda g, j: full_state_reduced_field(j, g),
+        perturbations=lambda g, j, tr: full_state_perturbations(j, g, tr),
+    ),
+    "observer": ErrorSystem(
+        layout="[Q_err, b_err]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
+        jump=kinds.jump_h_tilde,
+        flow=lambda g, j, tr: _on_h_tilde(observer_error_flow(g)),
+        coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_est_err, b_err]),
+        candidates=lambda y, h, ht, g, j: {
+            "v2": lyapunov_v2(y[0:4], y[4:7], ht, g.mu2, g.beta1),
+            "v2_matched": lyapunov_v2_matched(y[0:4], y[4:7], ht, g.mu2, g.beta1),
+        },
+        rates=lambda y, h, ht, g: {
+            "v2": v2_reference_flow_rate(y[0:4], ht, g),
+            "v2_matched": v2_matched_flow_rate(y[0:4], ht, g),
+        },
+        governing="v2_matched",
+        sigma=lambda g, delta: min_jump_decrease(g.mu2, g.beta2, delta),
+        counts=lambda ev: ev.ht_post != ev.ht_pre,
+        weights=lambda g: observer_weights(g.beta1),
+        reduced_field=lambda g, j: observer_reduced_field(g),
+        perturbations=lambda g, j, tr: observer_perturbations(g),
+        # the run budget keeps the reference candidate and exponent
+        budget=("v2", lambda g, delta: min_jump_decrease(g.mu2, g.beta1, delta)),
+        observer=True,
+    ),
+    "attitude_only": ErrorSystem(
+        layout="[Q_lag, Q_e, w_e]", size=11, quat_blocks=(slice(0, 4), slice(4, 8)),
+        scalars=(4, 0),
+        jump=kinds.jump_joint,
+        flow=lambda g, j, tr: output_feedback_error_flow(j, g, tr),
+        coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_est_err, q_e, w_e]),
+        candidates=lambda y, h, ht, g, j: {
+            "v3": lyapunov_v3(y[0:4], y[4:8], y[8:11], h, ht, j, g),
+            "v3_matched": lyapunov_v3_matched(y[0:4], y[4:8], y[8:11], h, ht, j, g),
+        },
+        rates=lambda y, h, ht, g: {
+            "v3": v3_reference_flow_rate(y[0:4], ht, g),
+            "v3_matched": v3_matched_flow_rate(y[0:4], ht, g),
+        },
+        governing="v3_matched",
+        sigma=lambda g, delta: min_joint_jump_decrease(g),
+        counts=lambda ev: True,
+        weights=lambda g: output_feedback_weights(g.alpha3),
+        reduced_field=lambda g, j: output_feedback_reduced_field(j, g),
+        perturbations=lambda g, j, tr: output_feedback_perturbations(j, g, tr),
+    ),
+}
+
+
 def lyapunov_flow_report(
     kind: str,
     gains,
@@ -671,132 +756,58 @@ def lyapunov_flow_report(
 ) -> FlowCheckReport:
     """Integrate one hybrid error system and check every Lyapunov claim on it.
 
-    kind selects the flow, the state layout, and the candidates measured:
-
-      "full_state"     y = [Q_e, w_e]         candidates v1
-      "observer"       y = [Q_err, b_err]     candidates v2, v2_matched
-      "attitude_only"  y = [Q_lag, Q_e, w_e]  candidates v3, v3_matched
-
-    delta is only read for the observer kind (whose gain set carries no
-    hysteresis width); the other kinds take it from their gains.  Reference
-    candidates are finite-differenced against the rate they were reported to
-    satisfy, matched candidates against their own exact rate.
+    kind, a key of ERROR_SYSTEMS ("full_state", "observer", "attitude_only"),
+    selects the flow, the state layout, and the candidates measured.  delta
+    is only read for the observer kind (whose gain set carries no hysteresis
+    width); the other kinds take it from their gains.  Reference candidates
+    are finite-differenced against the rate they were reported to satisfy,
+    matched candidates against their own exact rate.
     """
     from .sim import rk4_step  # deferred: sim imports this module at load time
 
-    y = np.asarray(y0, dtype=float).copy()
-    if kind == "full_state":
-        if inertia is None or trajectory is None:
-            raise ValueError("full_state flow check needs inertia and trajectory")
-        if y.shape != (7,):
-            raise ValueError("full_state flow state is [Q_e, w_e] in R^7")
-        flow = full_state_error_flow(inertia, gains, trajectory)
-        quat_blocks = (slice(0, 4),)
-        delta = gains.delta
-
-        def lyap(yy, h, ht):
-            return {"v1": lyapunov_v1(yy[0:4], yy[4:7], h, inertia, gains.k1, gains.alpha1)}
-
-        def rates(yy, h, ht):
-            return {"v1": v1_flow_rate(yy[4:7], gains)}
-
-        def resolve(yy, h, ht):
-            h, jumped = hysteresis_update(h, float(yy[0]), delta)
-            return h, ht, jumped
-
-        def flow_args(h, ht):
-            return (h,)
-
-    elif kind == "observer":
-        if y.shape != (7,):
-            raise ValueError("observer flow state is [Q_err, b_err] in R^7")
-        flow = observer_error_flow(gains)
-        quat_blocks = (slice(0, 4),)
-
-        def lyap(yy, h, ht):
-            q_err, b_err = yy[0:4], yy[4:7]
-            return {
-                "v2": lyapunov_v2(q_err, b_err, ht, gains.mu2, gains.beta1),
-                "v2_matched": lyapunov_v2_matched(q_err, b_err, ht, gains.mu2, gains.beta1),
-            }
-
-        def rates(yy, h, ht):
-            return {
-                "v2": v2_reference_flow_rate(yy[0:4], ht, gains),
-                "v2_matched": v2_matched_flow_rate(yy[0:4], ht, gains),
-            }
-
-        def resolve(yy, h, ht):
-            ht, jumped = hysteresis_update(ht, float(yy[0]), delta)
-            return h, ht, jumped
-
-        def flow_args(h, ht):
-            return (ht,)
-
-    elif kind == "attitude_only":
-        if inertia is None or trajectory is None:
-            raise ValueError("attitude_only flow check needs inertia and trajectory")
-        if y.shape != (11,):
-            raise ValueError("attitude_only flow state is [Q_lag, Q_e, w_e] in R^11")
-        flow = output_feedback_error_flow(inertia, gains, trajectory)
-        quat_blocks = (slice(0, 4), slice(4, 8))
-        delta = gains.delta
-
-        def lyap(yy, h, ht):
-            q_lag, q_e, w_e = yy[0:4], yy[4:8], yy[8:11]
-            return {
-                "v3": lyapunov_v3(q_lag, q_e, w_e, h, ht, inertia, gains),
-                "v3_matched": lyapunov_v3_matched(q_lag, q_e, w_e, h, ht, inertia, gains),
-            }
-
-        def rates(yy, h, ht):
-            return {
-                "v3": v3_reference_flow_rate(yy[0:4], ht, gains),
-                "v3_matched": v3_matched_flow_rate(yy[0:4], ht, gains),
-            }
-
-        def resolve(yy, h, ht):
-            if h * yy[4] <= -delta or ht * yy[0] <= -delta:
-                h, ht = joint_jump(float(yy[4]), float(yy[0]), h, ht, delta)
-                return h, ht, True
-            return h, ht, False
-
-        def flow_args(h, ht):
-            return (h, ht)
-
-    else:
+    if kind not in ERROR_SYSTEMS:
         raise ValueError("unknown flow-check kind %r" % kind)
+    es = ERROR_SYSTEMS[kind]
+    y = np.asarray(y0, dtype=float).copy()
+    if not es.observer:
+        if inertia is None or trajectory is None:
+            raise ValueError("%s flow check needs inertia and trajectory" % kind)
+        delta = gains.delta
+    if y.shape != (es.size,):
+        raise ValueError("%s flow state is %s in R^%d" % (kind, es.layout, es.size))
+    flow = es.flow(gains, inertia, trajectory)
+    s, s_tilde = es.scalars
 
     n = int(round(t_final / dt))
     if n < 4:
         raise ValueError("horizon too short for the finite-difference checks")
-    for sl in quat_blocks:
+    for sl in es.quat_blocks:
         y[sl] = quat_normalize(y[sl])
     h, ht = int(h0), int(h_tilde0)
-    names = tuple(lyap(y, h, ht))
+    names = tuple(es.candidates(y, h, ht, gains, inertia))
     v = {nm: np.empty(n + 1) for nm in names}
     rate = {nm: np.empty(n + 1) for nm in names}
     drops: dict[str, list[float]] = {nm: [] for nm in names}
     jump_steps: list[int] = []
 
     for i in range(n + 1):
-        vals = lyap(y, h, ht)
-        h2, ht2, jumped = resolve(y, h, ht)
+        vals = es.candidates(y, h, ht, gains, inertia)
+        h2, ht2, jumped = es.jump(h, ht, float(y[s]), float(y[s_tilde]), delta)
         if jumped:
             jump_steps.append(i)
-            post = lyap(y, h2, ht2)
+            post = es.candidates(y, h2, ht2, gains, inertia)
             for nm in names:
                 drops[nm].append(vals[nm] - post[nm])
             vals, h, ht = post, h2, ht2
         for nm in names:
             v[nm][i] = vals[nm]
-        r = rates(y, h, ht)
+        r = es.rates(y, h, ht, gains)
         for nm in names:
             rate[nm][i] = r[nm]
         if i == n:
             break
-        y = rk4_step(lambda tt, yy: flow(tt, yy, *flow_args(h, ht)), i * dt, y, dt)
-        for sl in quat_blocks:
+        y = rk4_step(lambda tt, yy: flow(tt, yy, h, ht), i * dt, y, dt)
+        for sl in es.quat_blocks:
             y[sl] = quat_normalize(y[sl])
 
     # step i -> i+1 is a pure flow transition unless a jump fired at i+1
@@ -869,18 +880,7 @@ class BoundReport:
     gronwall_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "torque_bound_nm": self.torque_bound_nm,
-            "torque_bound_alt_nm": self.torque_bound_alt_nm,
-            "max_torque_inf_nm": self.max_torque_inf_nm,
-            "torque_ok": self.torque_ok,
-            "jump_bound": self.jump_bound,
-            "jump_count": self.jump_count,
-            "jump_ok": self.jump_ok,
-            "gronwall_margin": self.gronwall_margin,
-            "gronwall_ok": self.gronwall_ok,
-        }
+        return asdict(self)
 
 
 def _pre_jump_logic(trace) -> tuple[int, int]:
@@ -909,41 +909,29 @@ def bound_checks(
     Lyapunov decrease for bias convergence, so v1 is only envelope-bounded
     there; for the dissipative kinds the same envelope holds trivially.
 
-    Jump counting per kind: full_state counts h flips against v1(0)/sigma1;
-    biased_gyro counts h_tilde flips against v2(0)/sigma2 (its h flips are
-    governed by the envelope, not by a monotone candidate); attitude_only
-    counts joint events against v3_matched(0)/min_joint_jump_decrease.
+    Jumps are counted against the budget of the kind's error system: full_state
+    counts h flips against v1(0)/sigma1; biased_gyro counts h_tilde flips
+    against v2(0)/sigma2 (its h flips are governed by the envelope, not by a
+    monotone candidate); attitude_only counts joint events against
+    v3_matched(0)/min_joint_jump_decrease.
     """
+    kind = kinds.get(trace.kind)
+    es = ERROR_SYSTEMS[kind.error_system]
+    es_gains = observer_gains if es.observer else gains
+    if es_gains is None:
+        raise ValueError("%s bound check needs observer gains" % trace.kind)
     w1, w2 = trajectory.omega_bound, trajectory.omega_dot_bound
     jn = inertia.spectral_norm
-    quad = gains.k1 + gains.k2 + (w1**2 + w2) * jn
-    lin = gains.k1 + gains.k2 + (w1 + w2) * jn
-    bound, alt = (lin, quad) if trace.kind == "attitude_only" else (quad, lin)
+    bound, alt = (gains.k1 + gains.k2 + (w1**p + w2) * jn for p in kind.torque_bounds)
     u_max = float(np.abs(trace.u_cmd).max())
 
     h0, ht0 = _pre_jump_logic(trace)
     v1_0 = lyapunov_v1(trace.q_e[0], trace.w_e[0], h0, inertia, gains.k1, gains.alpha1)
-    if trace.kind == "full_state":
-        v0 = v1_0
-        sigma = min_jump_decrease(gains.k1, gains.alpha1, gains.delta)
-        count = sum(1 for ev in trace.events if ev.h_post != ev.h_pre)
-    elif trace.kind == "biased_gyro":
-        if observer_gains is None:
-            raise ValueError("biased_gyro bound check needs observer gains")
-        b_err0 = trace.b[0] - trace.b_hat[0]
-        v0 = lyapunov_v2(
-            trace.q_est_err[0], b_err0, ht0, observer_gains.mu2, observer_gains.beta1
-        )
-        sigma = min_jump_decrease(observer_gains.mu2, observer_gains.beta1, gains.delta)
-        count = sum(1 for ev in trace.events if ev.ht_post != ev.ht_pre)
-    elif trace.kind == "attitude_only":
-        v0 = lyapunov_v3_matched(
-            trace.q_est_err[0], trace.q_e[0], trace.w_e[0], h0, ht0, inertia, gains
-        )
-        sigma = min_joint_jump_decrease(gains)
-        count = len(trace.events)
-    else:
-        raise ValueError("unknown trace kind %r" % trace.kind)
+    y0 = es.coords(trace.q_e[0], trace.w_e[0], trace.q_est_err[0], trace.b[0] - trace.b_hat[0])
+    candidate, budget_sigma = es.budget or (es.governing, es.sigma)
+    v0 = es.candidates(y0, h0, ht0, es_gains, inertia)[candidate]
+    sigma = budget_sigma(es_gains, gains.delta)
+    count = sum(1 for ev in trace.events if es.counts(ev))
 
     c0 = 2.0 * gains.k2 / inertia.lambda_min
     offset = 3.0 * gains.k2 / c0

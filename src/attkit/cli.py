@@ -3,7 +3,7 @@
 Verbs:
 
   run <config> [--out DIR] [--seed N]      simulate, write trace + summary
-  sweep <config> --param P --values LIST   one run per value, worker threads
+  sweep <config> --param P --values LIST   one run per value, in order
   verify <config> [--samples N]            analysis suite only, no trace files
   presets [name] [--out FILE]              list or emit the bundled presets
 
@@ -20,13 +20,11 @@ import copy
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, config, sim
-from .quat import quat_normalize
+from . import analysis, config, kinds, sim
 from .rigid_body import error_quaternion, error_velocity
 
 
@@ -89,8 +87,7 @@ def sweep(
         sub = _set_param(cfg, param, value)
         sub.name = "%s_%s_%s" % (cfg.name, leaf, value)
         jobs.append((sub, root / ("%s_%s" % (leaf, value))))
-    with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-        summaries = list(pool.map(lambda job: run(*job), jobs))
+    summaries = [run(*job) for job in jobs]
     result = {"sweep": param, "values": values, "runs": summaries}
     root.mkdir(parents=True, exist_ok=True)
     (root / "sweep.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
@@ -99,24 +96,16 @@ def sweep(
 
 def _verify_initial_state(cfg: config.ScenarioConfig) -> np.ndarray:
     """Noise-free error-coordinate initial state for the config's flow check."""
-    kind = cfg.controller.kind
+    kind = kinds.get(cfg.controller.kind)
     traj = cfg.trajectory.build()
     q0 = cfg.initial_quat()
     w0 = np.asarray(cfg.plant.omega0_rad_s, dtype=float)
     q_e0 = error_quaternion(traj.q_d0, q0)
     w_e0, _ = error_velocity(q_e0, w0, traj.omega_fn(0.0))
-    if kind == "full_state":
-        return np.concatenate([q_e0, w_e0])
-    if kind == "biased_gyro":
-        oc = cfg.observer
-        q_hat0 = q0 if oc.q_hat0 is None else quat_normalize(np.asarray(oc.q_hat0, float))
-        q_err0 = error_quaternion(q_hat0, q0)
-        b_err0 = np.asarray(cfg.plant.bias0_rad_s, float) - np.asarray(oc.b_hat0_rad_s, float)
-        return np.concatenate([q_err0, b_err0])
-    fc = cfg.filter
-    q_f0 = q_e0 if fc.q_f0 is None else quat_normalize(np.asarray(fc.q_f0, float))
-    q_lag0 = error_quaternion(q_f0, q_e0)
-    return np.concatenate([q_lag0, q_e0, w_e0])
+    est, _ = kind.start(cfg, q0, q_e0)
+    b_err0 = np.asarray(cfg.plant.bias0_rad_s, float) - kind.bias(est)
+    es = analysis.ERROR_SYSTEMS[kind.error_system]
+    return es.coords(q_e0, w_e0, kind.lag(est, q0, q_e0), b_err0)
 
 
 def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
@@ -125,62 +114,38 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     Degenerate exponents (alpha1 = 1, beta1 = 1, alpha3 = 1) have no negative
     homogeneity degree, so those checks report null instead of failing.
     """
-    kind = cfg.controller.kind
+    error_system = kinds.get(cfg.controller.kind).error_system
+    es = analysis.ERROR_SYSTEMS[error_system]
     gains = cfg.controller.build()
+    es_gains = cfg.observer.build() if es.observer else gains
     inertia = cfg.inertia()
     traj = cfg.trajectory.build()
     eps_values = (1e-1, 1e-2, 1e-3, 1e-4)
 
-    weights = field = fields = None
     try:
-        if kind == "full_state":
-            weights = analysis.full_state_weights(gains.alpha1)
-            field = analysis.full_state_reduced_field(inertia, gains)
-            fields = analysis.full_state_perturbations(inertia, gains, traj)
-        elif kind == "biased_gyro":
-            obs = cfg.observer.build()
-            weights = analysis.observer_weights(obs.beta1)
-            field = analysis.observer_reduced_field(obs)
-            fields = analysis.observer_perturbations(obs)
-        else:
-            weights = analysis.output_feedback_weights(gains.alpha3)
-            field = analysis.output_feedback_reduced_field(inertia, gains)
-            fields = analysis.output_feedback_perturbations(inertia, gains, traj)
-    except ValueError:
-        pass  # exponent at its degenerate limit
+        weights = es.weights(es_gains)
+    except ValueError:  # exponent at its degenerate limit
+        weights = None
 
     if weights is None:
         deviation, homogeneous_ok, monotone = None, None, None
     else:
+        field = es.reduced_field(es_gains, inertia)
         deviation = analysis.homogeneity_check(field, weights, n_samples=n_samples)
         homogeneous_ok = deviation < 1e-9
         ratios = analysis.perturbation_vanishing_check(
-            fields, weights, n_samples=max(n_samples // 10, 20), eps_values=eps_values
+            es.perturbations(es_gains, inertia, traj), weights,
+            n_samples=max(n_samples // 10, 20), eps_values=eps_values,
         )
         monotone = all(
             all(a > b for a, b in zip(row, row[1:])) for row in ratios.values()
         )
 
-    if kind == "biased_gyro":
-        flow_gains = cfg.observer.build()
-        flow_kind = "observer"
-        sigma = analysis.min_jump_decrease(
-            flow_gains.mu2, flow_gains.beta2, cfg.controller.delta
-        )
-        governing = "v2_matched"
-    elif kind == "full_state":
-        flow_gains = gains
-        flow_kind = "full_state"
-        sigma = analysis.min_jump_decrease(gains.k1, gains.alpha1, gains.delta)
-        governing = "v1"
-    else:
-        flow_gains = gains
-        flow_kind = "attitude_only"
-        sigma = analysis.min_joint_jump_decrease(gains)
-        governing = "v3_matched"
+    sigma = es.sigma(es_gains, cfg.controller.delta)
+    governing = es.governing
     dt = 1e-3
     report = analysis.lyapunov_flow_report(
-        flow_kind, flow_gains,
+        error_system, es_gains,
         y0=_verify_initial_state(cfg),
         inertia=inertia, trajectory=traj,
         h0=cfg.controller.h0, delta=cfg.controller.delta,
@@ -195,7 +160,7 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     ok = all(x is not False for x in (homogeneous_ok, monotone, flow_ok, drops_ok))
     return {
         "ok": bool(ok),
-        "kind": kind,
+        "kind": cfg.controller.kind,
         "homogeneity_deviation": deviation,
         "homogeneity_ok": homogeneous_ok,
         "perturbations_monotone": monotone,

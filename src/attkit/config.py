@@ -7,14 +7,15 @@ are rejected so typos fail loudly instead of silently running defaults.
 from __future__ import annotations
 
 import json
-import warnings
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .controllers import FullStateGains, ObserverGains, OutputFeedbackGains
-from .quat import Array
+from . import kinds
+from .controllers import ObserverGains
+from .quat import Array, unit_or_warn
 from .rigid_body import (
     DesiredTrajectory,
     Inertia,
@@ -23,7 +24,7 @@ from .rigid_body import (
 )
 from .sensors import DisturbanceConfig, NoiseConfig
 
-CONTROLLER_KINDS = ("full_state", "biased_gyro", "attitude_only")
+CONTROLLER_KINDS = tuple(kinds.KINDS)
 
 
 @dataclass
@@ -48,7 +49,7 @@ class TrajectoryConfig:
             traj = regulation_trajectory()
         else:
             raise ValueError("unknown trajectory kind %r" % self.kind)
-        traj.q_d0 = _unit_or_warn(np.asarray(self.q_d0, dtype=float), "trajectory.q_d0")
+        traj.q_d0 = unit_or_warn(np.asarray(self.q_d0, dtype=float), "trajectory.q_d0")
         return traj
 
 
@@ -64,15 +65,12 @@ class ControllerConfig:
     h0: int = 1
 
     def build(self):
-        if self.kind in ("full_state", "biased_gyro"):
-            if self.alpha1 is None:
-                raise ValueError("controller kind %r requires alpha1" % self.kind)
-            return FullStateGains(self.k1, self.k2, self.alpha1, self.delta)
-        if self.kind == "attitude_only":
-            if self.alpha3 is None or self.k3 is None:
-                raise ValueError("attitude_only controller requires alpha3 and k3")
-            return OutputFeedbackGains(self.k1, self.k2, self.k3, self.alpha3, self.delta)
-        raise ValueError("unknown controller kind %r" % self.kind)
+        gains = kinds.get(self.kind).gains
+        names = [f.name for f in fields(gains)]
+        needs = [f.name for f in fields(self) if f.default is None and f.name in names]
+        if any(getattr(self, name) is None for name in needs):
+            raise ValueError("controller kind %r requires %s" % (self.kind, " and ".join(needs)))
+        return gains(**{name: getattr(self, name) for name in names})
 
 
 @dataclass
@@ -99,7 +97,6 @@ class SimConfig:
     dt_s: float = 0.01
     t_final_s: float = 100.0
     max_consecutive_jumps: int = 4
-    renormalize: bool = True
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0.0 or self.t_final_s <= 0.0:
@@ -123,27 +120,31 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.controller.kind not in CONTROLLER_KINDS:
-            raise ValueError("unknown controller kind %r" % self.controller.kind)
-        if self.controller.kind == "biased_gyro" and self.observer is None:
-            raise ValueError("biased_gyro scenario requires an observer section")
-        if self.controller.kind == "attitude_only" and self.filter is None:
-            raise ValueError("attitude_only scenario requires a filter section")
+        kind = self.controller.kind
+        section = kinds.get(kind).section
+        if section is not None and getattr(self, section) is None:
+            raise ValueError("%s scenario requires the %s section" % (kind, section))
+        numbers = [("torque_limit_nm", self.torque_limit_nm)]
+        for key in _SECTIONS:
+            sec = getattr(self, key)
+            if sec is not None:
+                numbers += [("%s.%s" % (key, f.name), getattr(sec, f.name)) for f in fields(sec)]
+        for label, value in numbers:
+            if not _finite(value):
+                raise ValueError("%s must be finite, got %r" % (label, value))
 
     def initial_quat(self) -> Array:
-        return _unit_or_warn(np.asarray(self.plant.q0, dtype=float), "plant.q0")
+        return unit_or_warn(np.asarray(self.plant.q0, dtype=float), "plant.q0")
 
     def inertia(self) -> Inertia:
         return Inertia(self.plant.inertia_kgm2)
 
 
-def _unit_or_warn(q: Array, label: str) -> Array:
-    n = float(np.linalg.norm(q))
-    if n <= 1e-12:
-        raise ValueError("%s has zero norm" % label)
-    if abs(n - 1.0) > 1e-9:
-        warnings.warn("%s not unit norm (|Q| = %.6f); renormalizing" % (label, n))
-    return q / n
+def _finite(value) -> bool:
+    """False for a NaN or infinite float, also inside (nested) lists."""
+    if isinstance(value, (list, tuple)):
+        return all(_finite(v) for v in value)
+    return not isinstance(value, float) or math.isfinite(value)
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +224,9 @@ _Q0 = [0.0, 0.6, -0.8, 0.0]
 _W0 = [0.3, -0.4, 0.0]
 
 
-def _plant(bias0=None) -> PlantConfig:
+def _plant() -> PlantConfig:
     return PlantConfig(
-        inertia_kgm2=[row[:] for row in _J],
-        q0=list(_Q0),
-        omega0_rad_s=list(_W0),
-        bias0_rad_s=list(bias0) if bias0 is not None else [0.0, 0.0, 0.0],
+        inertia_kgm2=[row[:] for row in _J], q0=list(_Q0), omega0_rad_s=list(_W0)
     )
 
 
@@ -257,48 +255,27 @@ def example2(
     beta1: float = 0.75, uncertainties: bool = True, seed: int = 2024
 ) -> ScenarioConfig:
     """Biased-gyro benchmark: certainty-equivalence control with the observer."""
-    return ScenarioConfig(
-        name="example2",
-        plant=_plant(bias0=[0.01, -0.05, 0.02]),
-        trajectory=TrajectoryConfig("sinusoid", 0.01, 0.01),
-        controller=ControllerConfig(
-            kind="biased_gyro", k1=1.1, k2=4.0, delta=0.3, alpha1=0.6, h0=1
-        ),
-        observer=ObserverConfig(mu1=0.33, mu2=0.12, beta1=beta1, h_tilde0=1),
-        noise=NoiseConfig(
-            enabled=uncertainties,
-            attitude_cone_deg=0.01,
-            gyro_sigma_deg_s=0.01,
-            bias_walk_deg_s2=0.01,
-        ),
-        disturbance=DisturbanceConfig(enabled=uncertainties),
-        sim=SimConfig(dt_s=0.01, t_final_s=100.0),
-        seed=seed,
-    )
+    cfg = example1(alpha1=0.6, uncertainties=uncertainties, seed=seed)
+    cfg.name = "example2"
+    cfg.plant.bias0_rad_s = [0.01, -0.05, 0.02]
+    cfg.controller.kind = "biased_gyro"
+    cfg.observer = ObserverConfig(mu1=0.33, mu2=0.12, beta1=beta1, h_tilde0=1)
+    cfg.noise = replace(cfg.noise, bias_walk_deg_s2=0.01)
+    return cfg
 
 
 def example3(
     alpha3: float = 0.75, uncertainties: bool = True, seed: int = 2024
 ) -> ScenarioConfig:
     """Velocity-free benchmark: attitude-only measurements through the filter."""
-    return ScenarioConfig(
-        name="example3",
-        plant=_plant(),
-        trajectory=TrajectoryConfig("sinusoid", 0.01, 0.01),
-        controller=ControllerConfig(
-            kind="attitude_only", k1=1.2, k2=2.4, k3=1.1, delta=0.3, alpha3=alpha3, h0=1
-        ),
-        filter=FilterConfig(h_tilde0=1),
-        noise=NoiseConfig(
-            enabled=uncertainties,
-            attitude_cone_deg=0.01,
-            gyro_sigma_deg_s=0.01,
-            bias_walk_deg_s2=0.0,
-        ),
-        disturbance=DisturbanceConfig(enabled=uncertainties),
-        sim=SimConfig(dt_s=0.01, t_final_s=150.0),
-        seed=seed,
+    cfg = example1(uncertainties=uncertainties, seed=seed)
+    cfg.name = "example3"
+    cfg.controller = ControllerConfig(
+        kind="attitude_only", k1=1.2, k2=2.4, k3=1.1, delta=0.3, alpha3=alpha3, h0=1
     )
+    cfg.filter = FilterConfig(h_tilde0=1)
+    cfg.sim.t_final_s = 150.0
+    return cfg
 
 
 def fig3(uncertainties: bool = False, seed: int = 2024) -> ScenarioConfig:

@@ -9,8 +9,9 @@ unwinding and measurement-noise chattering near q_e0 = 0.
 Controllers only ever see measured quantities.  Truth states never enter any
 function in this module.
 
-full_state_torque      velocity + attitude feedback, finite time for alpha1 < 1
-ce_torque              same structure driven by a bias observer's rate estimate
+full_state_torque      velocity + attitude feedback, finite time for alpha1 < 1;
+                       with a bias observer's rate estimate it is the
+                       certainty-equivalence law of the biased-gyro kind
 output_feedback_torque velocity-free law fed by an auxiliary attitude filter
 """
 
@@ -136,16 +137,6 @@ def full_state_torque(
     )
 
 
-def ce_torque(
-    gains: FullStateGains, q_e: Array, w_e_hat: Array, h: int, u_ff: Array
-) -> Array:
-    """Certainty-equivalence variant: the full-state law fed the observer's rate error.
-
-    w_e_hat = w_measured - b_hat - R(Q_e) w_d replaces the unavailable w_e.
-    """
-    return full_state_torque(gains, q_e, w_e_hat, h, u_ff)
-
-
 @dataclass
 class ObserverState:
     """Hybrid observer state: attitude estimate, bias estimate, logic variable."""
@@ -187,16 +178,6 @@ def observer_flow_rate(
     q_hat_dot = 0.5 * quat_mul(state.q_hat, np.concatenate(([0.0], w_frame)))
     b_hat_dot = -gains.mu2 * chord_pow(ht * q_err, 1.0 - gains.beta2)
     return q_hat_dot, b_hat_dot
-
-
-def observer_jump(state: ObserverState, q_meas: Array, delta: float) -> ObserverState:
-    """Apply the observer's logic jump.  Rejects states outside the jump set."""
-    q_err = observer_error(state.q_hat, q_meas)
-    if state.h_tilde * q_err[0] > -delta:
-        raise ValueError(
-            "observer not in jump set: h_tilde*q_err0 = %.4f > -delta" % (state.h_tilde * q_err[0])
-        )
-    return ObserverState(state.q_hat.copy(), state.b_hat.copy(), sgn_bar(q_err[0]))
 
 
 @dataclass

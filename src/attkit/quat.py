@@ -12,6 +12,8 @@ of the reference frame into the rotated (body) frame.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 Array = np.ndarray
@@ -47,6 +49,16 @@ def quat_normalize(q: Array) -> Array:
     if n <= ZERO_TOL:
         raise ValueError("cannot normalize quaternion with norm %.3e" % n)
     return np.asarray(q, dtype=float) / n
+
+
+def unit_or_warn(q: Array, label: str) -> Array:
+    """Normalize a configured quaternion, warning when it was not unit norm."""
+    n = float(np.linalg.norm(q))
+    if n <= 1e-12:
+        raise ValueError("%s has zero norm" % label)
+    if abs(n - 1.0) > 1e-9:
+        warnings.warn("%s not unit norm (|Q| = %.6f); renormalizing" % (label, n))
+    return q / n
 
 
 def skew(v: Array) -> Array:

@@ -24,21 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis
-from .config import ScenarioConfig, _unit_or_warn
-from .controllers import (
-    FilterState,
-    ObserverState,
-    ce_torque,
-    filter_error,
-    filter_flow_rate,
-    full_state_torque,
-    hysteresis_update,
-    joint_jump,
-    observer_error,
-    observer_flow_rate,
-    output_feedback_torque,
-)
+from . import analysis, kinds
+from .config import ScenarioConfig
 from .quat import Array, quat_normalize
 from .rigid_body import (
     dynamics_rate,
@@ -46,7 +33,6 @@ from .rigid_body import (
     error_velocity,
     feedforward_torque,
     kinematics_rate,
-    rotation_matrix,
 )
 from .sensors import bias_step, disturbance_torque, measure_attitude, measure_gyro, saturate
 
@@ -122,31 +108,18 @@ def resolve_jumps(
     delta: float,
     max_consecutive: int = 4,
 ) -> tuple[int, int, bool]:
-    """Apply logic jumps until the measured scalars lie in the flow set.
+    """Apply the kind's logic jumps until the measured scalars lie in the flow set.
 
     Returns (h, h_tilde, jumped).  A single application always re-enters the
     flow set (the post-jump logic sign agrees with its scalar), so the loop
     guard only trips on corrupt configurations.
     """
+    rule = kinds.get(kind).jump
     jumped = False
     for _ in range(max_consecutive):
-        h_viol = h * q_e0 <= -delta
-        if kind == "full_state":
-            if not h_viol:
-                return h, h_tilde, jumped
-            h, _ = hysteresis_update(h, q_e0, delta)
-        elif kind == "biased_gyro":
-            ht_viol = h_tilde * q_lag0 <= -delta
-            if not (h_viol or ht_viol):
-                return h, h_tilde, jumped
-            if h_viol:
-                h, _ = hysteresis_update(h, q_e0, delta)
-            if ht_viol:
-                h_tilde, _ = hysteresis_update(h_tilde, q_lag0, delta)
-        else:  # attitude_only: one joint reset of both logic variables
-            if not (h_viol or h_tilde * q_lag0 <= -delta):
-                return h, h_tilde, jumped
-            h, h_tilde = joint_jump(q_e0, q_lag0, h, h_tilde, delta)
+        h, h_tilde, fired = rule(h, h_tilde, q_e0, q_lag0, delta)
+        if not fired:
+            return h, h_tilde, jumped
         jumped = True
     raise SimulationError(
         "logic still in jump set after %d consecutive jumps (delta=%g)"
@@ -154,11 +127,17 @@ def resolve_jumps(
     )
 
 
+#: trace column of each Lyapunov candidate
+_V_COLUMNS = {"v1": "v1", "v2": "v2", "v2_matched": "v2m", "v3": "v3", "v3_matched": "v3m"}
+
+
 def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     """Simulate one closed-loop scenario and return its trace."""
-    kind = cfg.controller.kind
+    kind = kinds.get(cfg.controller.kind)
+    es = analysis.ERROR_SYSTEMS[kind.error_system]
     inertia = cfg.inertia()
     gains = cfg.controller.build()
+    es_gains = cfg.observer.build() if es.observer else gains
     traj = cfg.trajectory.build()
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.sim.dt_s
@@ -174,15 +153,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     h = int(cfg.controller.h0)
     if h not in (-1, 1):
         raise ValueError("controller.h0 must be +1 or -1")
-    h_t = 1
-    q_hat = b_hat = q_f = None
-    obs_gains = cfg.observer.build() if cfg.observer is not None else None
 
     cols3 = lambda: np.full((n + 1, 3), np.nan)
     cols4 = lambda: np.full((n + 1, 4), np.nan)
     col1 = lambda: np.full(n + 1, np.nan)
     tr = SimTrace(
-        name=cfg.name, kind=kind, dt=dt,
+        name=cfg.name, kind=cfg.controller.kind, dt=dt,
         t=np.arange(n + 1) * dt,
         q=cols4(), w=cols3(), q_d=cols4(), q_e=cols4(), w_e=cols3(),
         h=col1(), h_tilde=col1(), b=cols3(), b_hat=cols3(), q_est_err=cols4(),
@@ -194,117 +170,64 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         t = i * dt
         q_m = measure_attitude(q, cone, rng)
         w_m = measure_gyro(w, b, gyro_sig, rng)
+        q_e_m = error_quaternion(q_d, q_m)
         if i == 0:
-            if kind == "biased_gyro":
-                oc = cfg.observer
-                q_hat = (
-                    q_m.copy()
-                    if oc.q_hat0 is None
-                    else _unit_or_warn(np.asarray(oc.q_hat0, dtype=float), "observer.q_hat0")
-                )
-                b_hat = np.asarray(oc.b_hat0_rad_s, dtype=float).copy()
-                h_t = int(oc.h_tilde0)
-            elif kind == "attitude_only":
-                fc = cfg.filter
-                q_e_first = error_quaternion(q_d, q_m)
-                q_f = (
-                    q_e_first.copy()
-                    if fc.q_f0 is None
-                    else _unit_or_warn(np.asarray(fc.q_f0, dtype=float), "filter.q_f0")
-                )
-                h_t = int(fc.h_tilde0)
+            est, h_t = kind.start(cfg, q_m, q_e_m)
             if h_t not in (-1, 1):
                 raise ValueError("h_tilde0 must be +1 or -1")
 
         w_d = traj.omega_fn(t)
         w_d_dot = traj.omega_dot_fn(t)
-        q_e_m = error_quaternion(q_d, q_m)
-        if kind == "biased_gyro":
-            q_lag_m = observer_error(q_hat, q_m)
-        elif kind == "attitude_only":
-            q_lag_m = filter_error(q_f, q_e_m)
-        else:
-            q_lag_m = None
+        q_lag_m = kind.lag(est, q_m, q_e_m)
 
         h_pre, ht_pre = h, h_t
         h, h_t, jumped = resolve_jumps(
-            kind, h, h_t, float(q_e_m[0]),
-            float(q_lag_m[0]) if q_lag_m is not None else 0.0,
+            cfg.controller.kind, h, h_t, float(q_e_m[0]), float(q_lag_m[0]),
             gains.delta, cfg.sim.max_consecutive_jumps,
         )
         if jumped:
             tr.events.append(JumpEvent(i, t, h_pre, h, ht_pre, h_t))
 
         u_ff = feedforward_torque(inertia, q_e_m, w_d, w_d_dot)
-        if kind == "full_state":
-            w_e_m = w_m - rotation_matrix(q_e_m) @ w_d
-            u_cmd = full_state_torque(gains, q_e_m, w_e_m, h, u_ff)
-        elif kind == "biased_gyro":
-            w_e_hat = w_m - b_hat - rotation_matrix(q_e_m) @ w_d
-            u_cmd = ce_torque(gains, q_e_m, w_e_hat, h, u_ff)
-        else:
-            u_cmd = output_feedback_torque(gains, q_e_m, q_lag_m, h, h_t, u_ff)
+        u_cmd = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t, u_ff)
         u_app = saturate(u_cmd, cfg.torque_limit_nm)
         d_now = disturbance_torque(cfg.disturbance, t)
 
         # truth-side record
         q_e = error_quaternion(q_d, q)
         w_e, _ = error_velocity(q_e, w, w_d)
+        q_est_err, b_hat = kind.lag(est, q, q_e), kind.bias(est)
         tr.q[i], tr.w[i], tr.q_d[i] = q, w, q_d
         tr.q_e[i], tr.w_e[i] = q_e, w_e
         tr.h[i], tr.h_tilde[i] = h, h_t
-        tr.b[i] = b
+        tr.b[i], tr.b_hat[i], tr.q_est_err[i] = b, b_hat, q_est_err
         tr.u_cmd[i], tr.u_app[i], tr.d[i] = u_cmd, u_app, d_now
         tr.v1[i] = analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
-        if kind == "biased_gyro":
-            q_err_true = observer_error(q_hat, q)
-            b_err = b - b_hat
-            tr.b_hat[i] = b_hat
-            tr.q_est_err[i] = q_err_true
-            tr.v2[i] = analysis.lyapunov_v2(q_err_true, b_err, h_t, obs_gains.mu2, obs_gains.beta1)
-            tr.v2m[i] = analysis.lyapunov_v2_matched(
-                q_err_true, b_err, h_t, obs_gains.mu2, obs_gains.beta1
-            )
-        elif kind == "attitude_only":
-            q_lag_true = filter_error(q_f, q_e)
-            tr.q_est_err[i] = q_lag_true
-            tr.v3[i] = analysis.lyapunov_v3(q_lag_true, q_e, w_e, h, h_t, inertia, gains)
-            tr.v3m[i] = analysis.lyapunov_v3_matched(q_lag_true, q_e, w_e, h, h_t, inertia, gains)
+        y_err = es.coords(q_e, w_e, q_est_err, b - b_hat)
+        for name, value in es.candidates(y_err, h, h_t, es_gains, inertia).items():
+            getattr(tr, _V_COLUMNS[name])[i] = value
 
         if i == n:
             break
 
         # one RK4 flow step with torque and measurements held
-        if kind == "full_state":
-            y = np.concatenate([q, w, q_d])
-        elif kind == "biased_gyro":
-            y = np.concatenate([q, w, q_d, q_hat, b_hat])
-        else:
-            y = np.concatenate([q, w, q_d, q_f])
+        y = np.concatenate([q, w, q_d, est])
 
         def flow(tt, yy):
             fq, fw, fqd = yy[0:4], yy[4:7], yy[7:11]
             dq = kinematics_rate(fq, fw)
             dw = dynamics_rate(inertia, fw, u_app + disturbance_torque(cfg.disturbance, tt))
             dqd = kinematics_rate(fqd, traj.omega_fn(tt))
-            if kind == "full_state":
-                return np.concatenate([dq, dw, dqd])
-            if kind == "biased_gyro":
-                st = ObserverState(yy[11:15], yy[15:18], h_t)
-                dqh, dbh = observer_flow_rate(obs_gains, st, q_m, w_m)
-                return np.concatenate([dq, dw, dqd, dqh, dbh])
-            dqf = filter_flow_rate(gains, FilterState(yy[11:15], h_t), q_e_m)
-            return np.concatenate([dq, dw, dqd, dqf])
+            d_est = kind.estimator_flow(es_gains, yy[11:], h_t, q_m, w_m, q_e_m)
+            return np.concatenate([dq, dw, dqd, *d_est])
 
         y = rk4_step(flow, t, y, dt)
         q = _renorm(y[0:4], i)
         w = y[4:7]
         q_d = _renorm(y[7:11], i)
-        if kind == "biased_gyro":
-            q_hat = _renorm(y[11:15], i)
-            b_hat = y[15:18]
-        elif kind == "attitude_only":
-            q_f = _renorm(y[11:15], i)
+        est = y[11:]
+        if est.size:
+            est[0:4] = _renorm(est[0:4], i)
         b = bias_step(b, walk, dt, rng)
 
     return tr
@@ -312,7 +235,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
 def _renorm(q: Array, step: int) -> Array:
     drift = abs(float(np.linalg.norm(q)) - 1.0)
-    if drift > DRIFT_LIMIT:
+    if not drift <= DRIFT_LIMIT:  # also trips on NaN
         raise SimulationError(
             "quaternion norm drifted %.3e at step %d; reduce dt" % (drift, step)
         )

@@ -1,8 +1,10 @@
 """Command-line front-end tests: artifacts, digests, sweeps, verify."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -107,9 +109,11 @@ def test_main_run_in_process(tmp_path, capsys):
 
 
 def test_main_reports_errors_as_json():
+    # the child imports the same attkit as this process, installed or not
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
     proc = subprocess.run(
         [sys.executable, "-m", "attkit.cli", "run", "/nonexistent/config.json"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 1
     record = json.loads(proc.stderr)

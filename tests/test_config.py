@@ -1,5 +1,7 @@
 """Configuration schema, JSON round trip, and preset tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,32 @@ def test_unknown_section_field_rejected():
     d["plant"]["moment_of_inertia"] = 1.0
     with pytest.raises(ValueError, match="'plant'"):
         config_from_dict(d)
+    d = config_to_dict(preset("example1"))
+    d["sim"]["renormalize"] = True  # a removed field: renormalization always runs
+    with pytest.raises(ValueError, match="'sim'"):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize(
+    "section, field, value",
+    [("controller", "k1", float("nan")), (None, "torque_limit_nm", float("inf"))],
+)
+def test_non_finite_number_rejected(section, field, value):
+    d = config_to_dict(preset("example1"))
+    (d if section is None else d[section])[field] = value
+    label = field if section is None else "%s.%s" % (section, field)
+    with pytest.raises(ValueError, match=r"^%s must be finite" % label):
+        config_from_dict(d)
+
+
+def test_nan_inside_list_rejected_from_json():
+    text = json.dumps(config_to_dict(preset("example1"))).replace(
+        '"q0": [0.0, 0.6', '"q0": [NaN, 0.6'
+    )
+    data = json.loads(text)  # Python's json accepts NaN
+    assert np.isnan(data["plant"]["q0"][0])
+    with pytest.raises(ValueError, match="plant.q0 must be finite"):
+        config_from_dict(data)
 
 
 def test_missing_required_section_rejected():

@@ -13,7 +13,6 @@ from attkit.controllers import (
     ObserverGains,
     ObserverState,
     OutputFeedbackGains,
-    ce_torque,
     filter_error,
     filter_flow_rate,
     full_state_torque,
@@ -21,7 +20,6 @@ from attkit.controllers import (
     joint_jump,
     observer_error,
     observer_flow_rate,
-    observer_jump,
     output_feedback_torque,
     sgn_bar,
 )
@@ -130,17 +128,6 @@ def test_full_state_torque_smooth_limit():
     assert np.allclose(u, expected, rtol=1e-15)
 
 
-def test_ce_torque_is_full_state_law():
-    rng = np.random.default_rng(21)
-    for _ in range(5):
-        q_e = random_unit_quat(rng)
-        w = rng.standard_normal(3)
-        u_ff = rng.standard_normal(3)
-        assert np.array_equal(
-            ce_torque(FS_GAINS, q_e, w, 1, u_ff), full_state_torque(FS_GAINS, q_e, w, 1, u_ff)
-        )
-
-
 def test_observer_error_composition():
     rng = np.random.default_rng(22)
     q_hat = random_unit_quat(rng)
@@ -171,18 +158,6 @@ def test_observer_flow_preserves_estimate_norm():
             OBS_GAINS, state, random_unit_quat(rng), rng.standard_normal(3) * 0.1
         )
         assert state.q_hat @ q_hat_dot == pytest.approx(0.0, abs=1e-14)
-
-
-def test_observer_jump():
-    q_meas = np.array([-0.5, 0.5, -0.6, 0.4])
-    q_meas = q_meas / np.linalg.norm(q_meas)
-    state = ObserverState(q_hat=np.array([1.0, 0.0, 0.0, 0.0]), b_hat=np.array([0.01, 0.0, 0.0]))
-    jumped = observer_jump(state, q_meas, 0.3)
-    assert jumped.h_tilde == -1
-    assert np.array_equal(jumped.q_hat, state.q_hat)
-    assert np.array_equal(jumped.b_hat, state.b_hat)
-    with pytest.raises(ValueError):
-        observer_jump(state, FLIP_X, 0.3)  # scalar 0 is inside the flow set
 
 
 def test_filter_error_and_identity_equilibrium():

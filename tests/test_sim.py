@@ -9,6 +9,7 @@ import pytest
 from attkit.config import preset
 from attkit.sim import (
     SimTrace,
+    _renorm,
     SimulationError,
     load_trace,
     resolve_jumps,
@@ -124,6 +125,11 @@ def test_norm_drift_guard_trips_on_coarse_fast_spin():
     cfg.sim.dt_s = 0.1
     with pytest.raises(SimulationError, match="norm drifted"):
         run_scenario(cfg)
+
+
+def test_norm_drift_guard_trips_on_nan():
+    with pytest.raises(SimulationError, match="drifted nan at step 3"):
+        _renorm(np.array([1.0, np.nan, 0.0, 0.0]), 3)
 
 
 def test_biased_gyro_trace_columns(ex2_clean):
