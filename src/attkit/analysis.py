@@ -1,18 +1,23 @@
-"""Lyapunov evaluation, homogeneity checks, and convergence metrics.
+"""Lyapunov certificates, homogeneity checks, and convergence metrics.
 
 Everything here consumes truth states (or recorded traces); nothing feeds back
 into the control loop.
 
-A note on the scenario-2 and scenario-3 Lyapunov functions.  Each candidate is
-quadratic-plus-chord-potential, and the chord potential's exponent must match
-the fractional power appearing in the channel that couples back into it,
-otherwise a sign-indefinite cross term survives in the flow derivative.  For
-the observer that matched exponent is 1+beta2 (not 1+beta1), and for the
-velocity-free loop it is 1+alpha1 (not 1+alpha3).  Both conventions are
-implemented: `lyapunov_v2` / `lyapunov_v3` use the unmatched exponents for
-reference, `lyapunov_v2_matched` / `lyapunov_v3_matched` the matched ones.
-Only the matched variants are monotone along flows; `lyapunov_flow_report`
-measures both so the discrepancy stays visible rather than patched over.
+Every certificate is a quadratic term plus potential_term, the gain-weighted
+chord potential (2g/a) pot(h q0, a).  Their closed-form flow rates share one
+form, chord_rate, and each reduced closed loop is homogeneous under one
+dilation family, dilation_weights (Bhat & Bernstein, "Geometric homogeneity
+with applications to finite-time stability", MCSS 2005).  ERROR_SYSTEMS
+states, per error system, which gains and exponents these three take.
+
+A potential's exponent must match the fractional power of the channel that
+couples back into it, otherwise a sign-indefinite cross term survives in the
+flow derivative.  For the observer that matched exponent is 1+beta2 (not
+1+beta1), and for the velocity-free loop it is 1+alpha1 (not 1+alpha3).  Both
+conventions are recorded: the reference candidates v2 / v3 use the unmatched
+exponents, v2_matched / v3_matched the matched ones.  Only the matched
+candidates are monotone along flows; lyapunov_flow_report measures both so
+the discrepancy stays visible rather than patched over.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .controllers import (
     FullStateGains,
     ObserverGains,
     OutputFeedbackGains,
+    check_logic,
     full_state_torque,
     output_feedback_torque,
 )
@@ -56,96 +62,26 @@ from .rigid_body import (
 # Lyapunov functions
 
 
+def potential_term(gain: float, x: float, a: float) -> float:
+    """(2 gain/a) pot(x, a), the chord-potential term of every certificate.
+
+    x is a sign-weighted error scalar part, h*q0; a logic jump changes the term
+    by (2 gain/a) flip_drop(x, a).
+    """
+    return (2.0 * gain / a) * chord_potential(x, a)
+
+
 def lyapunov_v1(
     q_e: Array, w_e: Array, h: int, inertia: Inertia, k1: float, alpha1: float
 ) -> float:
-    """V1 = 0.5 w_e' J w_e + (2 k1/(1+alpha1)) pot(h q_e0, 1+alpha1).
+    """V1 = 0.5 w_e' J w_e + potential_term(k1, h q_e0, 1+alpha1).
 
     Along full-state flows dV1/dt = -k2 w_e' sat_pow(w_e, alpha2) <= 0, and a
     logic jump changes V1 by (2 k1/(1+alpha1)) flip_drop(h q_e0, 1+alpha1).
     """
-    a = 1.0 + alpha1
     return float(
-        0.5 * w_e @ (inertia.matrix @ w_e)
-        + (2.0 * k1 / a) * chord_potential(h * q_e[0], a)
+        0.5 * w_e @ (inertia.matrix @ w_e) + potential_term(k1, h * q_e[0], 1.0 + alpha1)
     )
-
-
-def lyapunov_v2(
-    q_err: Array, b_err: Array, h_tilde: int, mu2: float, beta1: float
-) -> float:
-    """Observer candidate with potential exponent 1+beta1 (reference form)."""
-    a = 1.0 + beta1
-    return float(
-        0.5 * b_err @ b_err + (2.0 * mu2 / a) * chord_potential(h_tilde * q_err[0], a)
-    )
-
-
-def lyapunov_v2_matched(
-    q_err: Array, b_err: Array, h_tilde: int, mu2: float, beta1: float
-) -> float:
-    """Observer candidate with the variationally matched exponent 1+beta2.
-
-    dV2/dt = -mu1 mu2 chord_pow(h~ Q_err, 1-beta1)' chord_pow(h~ Q_err, 1-beta2),
-    which is nonpositive everywhere.
-    """
-    a = 2.0 * beta1  # = 1 + beta2
-    return float(
-        0.5 * b_err @ b_err + (2.0 * mu2 / a) * chord_potential(h_tilde * q_err[0], a)
-    )
-
-
-def v2_matched_flow_rate(
-    q_err: Array, h_tilde: int, gains: ObserverGains
-) -> float:
-    """Closed-form flow derivative of lyapunov_v2_matched."""
-    k_a = chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
-    k_b = chord_pow(h_tilde * q_err, 1.0 - gains.beta2)
-    return float(-gains.mu1 * gains.mu2 * (k_a @ k_b))
-
-
-def lyapunov_v3(
-    q_lag: Array,
-    q_e: Array,
-    w_e: Array,
-    h: int,
-    h_tilde: int,
-    inertia: Inertia,
-    gains: OutputFeedbackGains,
-) -> float:
-    """Velocity-free candidate with filter-potential exponent 1+alpha3 (reference form)."""
-    a = 1.0 + gains.alpha3
-    return lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1) + float(
-        (2.0 * gains.k2 / a) * chord_potential(h_tilde * q_lag[0], a)
-    )
-
-
-def lyapunov_v3_matched(
-    q_lag: Array,
-    q_e: Array,
-    w_e: Array,
-    h: int,
-    h_tilde: int,
-    inertia: Inertia,
-    gains: OutputFeedbackGains,
-) -> float:
-    """Velocity-free candidate with the matched filter-potential exponent 1+alpha1.
-
-    dV3/dt = -k2 k3 chord_pow(h~ Q_lag, 1-alpha3)' chord_pow(h~ Q_lag, 1-alpha1) <= 0.
-    """
-    a = 1.0 + gains.alpha1
-    return lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1) + float(
-        (2.0 * gains.k2 / a) * chord_potential(h_tilde * q_lag[0], a)
-    )
-
-
-def v3_matched_flow_rate(
-    q_lag: Array, h_tilde: int, gains: OutputFeedbackGains
-) -> float:
-    """Closed-form flow derivative of lyapunov_v3_matched."""
-    k_a = chord_pow(h_tilde * q_lag, 1.0 - gains.alpha3)
-    k_b = chord_pow(h_tilde * q_lag, 1.0 - gains.alpha1)
-    return float(-gains.k2 * gains.k3 * (k_a @ k_b))
 
 
 def min_jump_decrease(gain: float, alpha: float, delta: float) -> float:
@@ -159,7 +95,7 @@ def min_jump_decrease(gain: float, alpha: float, delta: float) -> float:
 
 
 def min_joint_jump_decrease(gains: OutputFeedbackGains) -> float:
-    """Guaranteed decrease of lyapunov_v3_matched over one joint logic jump.
+    """Guaranteed decrease of the v3_matched candidate over one joint logic jump.
 
     A joint jump fires from the jump set of h or of h_tilde (or both).  The
     variable whose set fired contributes at least its own min_jump_decrease;
@@ -197,42 +133,20 @@ class DilationWeights:
         return eps**self.r * x
 
 
-def full_state_weights(alpha1: float, k: float = DEFAULT_DEGREE) -> DilationWeights:
-    """Dilation for the reduced full-state loop, state (q_e, w_e) in R^6.
+def dilation_weights(p: float, quat_blocks: int) -> DilationWeights:
+    """Dilation of degree k = DEFAULT_DEGREE for a reduced loop with exponent p.
 
-    r_q = -2k/(1-alpha1) on the quaternion block and r_w = -(1+alpha1)k/(1-alpha1)
-    on the velocity block make the field homogeneous of degree k.
+    The state is quat_blocks chart blocks in R^3, then one rate (or bias)
+    block in R^3.  r_q = -2k/(1-p) on the chart blocks and r_w = -(1+p)k/(1-p)
+    on the last block; p in (0, 1) is alpha1 for the full-state loop, beta2
+    for the observer and 2*alpha3 - 1 for the velocity-free loop.
     """
-    if not 0.0 < alpha1 < 1.0:
-        raise ValueError("homogeneity requires 0 < alpha1 < 1")
-    r_q = -2.0 * k / (1.0 - alpha1)
-    r_w = -(1.0 + alpha1) * k / (1.0 - alpha1)
-    return DilationWeights(np.array([r_q] * 3 + [r_w] * 3), k)
-
-
-def observer_weights(beta1: float, k: float = DEFAULT_DEGREE) -> DilationWeights:
-    """Dilation for the reduced observer loop, state (q_err, b_err) in R^6.
-
-    r_q = -k/(1-beta1), r_b = -beta1*k/(1-beta1).
-    """
-    if not 0.5 < beta1 < 1.0:
-        raise ValueError("homogeneity requires 1/2 < beta1 < 1")
-    r_q = -k / (1.0 - beta1)
-    r_b = -beta1 * k / (1.0 - beta1)
-    return DilationWeights(np.array([r_q] * 3 + [r_b] * 3), k)
-
-
-def output_feedback_weights(alpha3: float, k: float = DEFAULT_DEGREE) -> DilationWeights:
-    """Dilation for the reduced velocity-free loop, state (q_lag, q_e, w_e) in R^9.
-
-    Both quaternion blocks carry r_q = -k/(1-alpha3); the velocity block
-    carries r_w = -alpha3*k/(1-alpha3) = r_q + k.
-    """
-    if not 0.5 < alpha3 < 1.0:
-        raise ValueError("homogeneity requires 1/2 < alpha3 < 1")
-    r_q = -k / (1.0 - alpha3)
-    r_w = -alpha3 * k / (1.0 - alpha3)
-    return DilationWeights(np.array([r_q] * 6 + [r_w] * 3), k)
+    if not 0.0 < p < 1.0:
+        raise ValueError("homogeneity requires 0 < p < 1, got %r" % p)
+    k = DEFAULT_DEGREE
+    r_q = -2.0 * k / (1.0 - p)
+    r_w = -(1.0 + p) * k / (1.0 - p)
+    return DilationWeights(np.array([r_q] * (3 * quat_blocks) + [r_w] * 3), k)
 
 
 def full_state_reduced_field(inertia: Inertia, gains: FullStateGains, h: int = 1):
@@ -242,7 +156,7 @@ def full_state_reduced_field(inertia: Inertia, gains: FullStateGains, h: int = 1
         q_v, w_e = x[:3], x[3:]
         dq = 0.5 * h * w_e
         dw = -inertia.inverse @ (
-            gains.k1 * h * axis_pow(_embed_error_quat(q_v, h), 1.0 - gains.alpha1)
+            gains.k1 * h * axis_pow(q_v, 1.0 - gains.alpha1)
             + gains.k2 * sgn_pow(w_e, gains.alpha2)
         )
         return np.concatenate([dq, dw])
@@ -255,9 +169,8 @@ def observer_reduced_field(gains: ObserverGains, h_tilde: int = 1):
 
     def field(x: Array) -> Array:
         q_v, b_e = x[:3], x[3:]
-        q = _embed_error_quat(q_v, h_tilde)
-        dq = -0.5 * h_tilde * b_e - 0.5 * gains.mu1 * axis_pow(q, 1.0 - gains.beta1)
-        db = gains.mu2 * h_tilde * axis_pow(q, 1.0 - gains.beta2)
+        dq = -0.5 * h_tilde * b_e - 0.5 * gains.mu1 * axis_pow(q_v, 1.0 - gains.beta1)
+        db = gains.mu2 * h_tilde * axis_pow(q_v, 1.0 - gains.beta2)
         return np.concatenate([dq, db])
 
     return field
@@ -271,11 +184,10 @@ def output_feedback_reduced_field(
     def field(x: Array) -> Array:
         q_l, q_v, w_e = x[:3], x[3:6], x[6:]
         a = 1.0 - gains.alpha1
-        ql, qe = _embed_error_quat(q_l, h_tilde), _embed_error_quat(q_v, h)
-        dql = 0.5 * h_tilde * w_e - 0.5 * gains.k3 * axis_pow(ql, 1.0 - gains.alpha3)
+        dql = 0.5 * h_tilde * w_e - 0.5 * gains.k3 * axis_pow(q_l, 1.0 - gains.alpha3)
         dq = 0.5 * h * w_e
         dw = -inertia.inverse @ (
-            gains.k1 * h * axis_pow(qe, a) + gains.k2 * h_tilde * axis_pow(ql, a)
+            gains.k1 * h * axis_pow(q_v, a) + gains.k2 * h_tilde * axis_pow(q_l, a)
         )
         return np.concatenate([dql, dq, dw])
 
@@ -516,32 +428,14 @@ def v1_flow_rate(w_e: Array, gains: FullStateGains) -> float:
     return float(-gains.k2 * (w_e @ sat_pow(w_e, gains.alpha2)))
 
 
-def v2_reference_flow_rate(q_err: Array, h_tilde: int, gains: ObserverGains) -> float:
-    """-mu1*mu2*||chord_pow(h~ Q_err, 1-beta1)||^2.
+def chord_rate(q: Array, h: int, c: float, a: float, b: float) -> float:
+    """-c chord_pow(h Q, 1-a)' chord_pow(h Q, 1-b), the flow rate of a potential.
 
-    This is the rate the reference-form lyapunov_v2 would need in order to be
-    monotone.  Along observer_error_flow its exact derivative is this
-    expression plus the cross term mu2 b_err'(K_b - K_a), with
-    K_a = chord_pow(h~ Q_err, 1-beta1) and K_b = chord_pow(h~ Q_err, 1-beta2);
-    the cross term vanishes only at beta1 = 1 (beta2 = beta1) and has no sign,
-    so the reference form is not certified.  lyapunov_flow_report quantifies
-    the gap instead of hiding it.  (The matched form has its own exact rate,
-    v2_matched_flow_rate.)
+    This is the exact rate of a matched candidate whose potential has exponent
+    1+b and is driven through a channel of exponent a.  a = b is the rate a
+    reference candidate would need in order to be monotone.
     """
-    k = chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
-    return float(-gains.mu1 * gains.mu2 * (k @ k))
-
-
-def v3_reference_flow_rate(
-    q_lag: Array, h_tilde: int, gains: OutputFeedbackGains
-) -> float:
-    """-k1*k2*k3*||chord_pow(h~ Q_lag, 1-alpha3)||^2.
-
-    Rate the reference-form lyapunov_v3 would need for monotone decrease; same
-    caveat as v2_reference_flow_rate.
-    """
-    k = chord_pow(h_tilde * q_lag, 1.0 - gains.alpha3)
-    return float(-gains.k1 * gains.k2 * gains.k3 * (k @ k))
+    return float(-c * (chord_pow(h * q, 1.0 - a) @ chord_pow(h * q, 1.0 - b)))
 
 
 # ---------------------------------------------------------------------------
@@ -555,9 +449,9 @@ def v3_reference_flow_rate(
 def full_state_error_flow(
     inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory
 ):
-    """(t, y, h) -> ydot for y = [Q_e, w_e] under the continuous full-state law."""
+    """(t, y, h, h_tilde) -> ydot for y = [Q_e, w_e] under the continuous full-state law."""
 
-    def flow(t: float, y: Array, h: int) -> Array:
+    def flow(t: float, y: Array, h: int, h_tilde: int) -> Array:
         q_e, w_e = y[0:4], y[4:7]
         w_d = trajectory.omega_fn(t)
         w_d_dot = trajectory.omega_dot_fn(t)
@@ -570,7 +464,7 @@ def full_state_error_flow(
 
 
 def observer_error_flow(gains: ObserverGains):
-    """(t, y, h_tilde) -> ydot for y = [Q_err, b_err].
+    """(t, y, h, h_tilde) -> ydot for y = [Q_err, b_err].
 
     The estimation error is autonomous: the plant terms cancel and only the
     correction powers drive it,
@@ -581,7 +475,7 @@ def observer_error_flow(gains: ObserverGains):
     which is what makes a standalone flow check of v2 meaningful.
     """
 
-    def flow(t: float, y: Array, h_tilde: int) -> Array:
+    def flow(t: float, y: Array, h: int, h_tilde: int) -> Array:
         q_err, b_err = y[0:4], y[4:7]
         w = -b_err - gains.mu1 * chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
         dq = 0.5 * quat_mul(q_err, np.concatenate(([0.0], w)))
@@ -667,19 +561,15 @@ class ErrorSystem:
     observer: bool = False  # autonomous: needs no inertia or trajectory
 
 
-def _on_h(flow):
-    return lambda t, y, h, h_tilde: flow(t, y, h)
-
-
-def _on_h_tilde(flow):
-    return lambda t, y, h, h_tilde: flow(t, y, h_tilde)
-
-
+# The reference candidates v2 and v3 are reported but not certified.  Along the
+# flow each carries a sign-indefinite cross term, for v2 mu2 b_err'(K_b - K_a)
+# with K_a = chord_pow(h~ Q_err, 1-beta1) and K_b = chord_pow(h~ Q_err, 1-beta2),
+# which vanishes only at beta1 = 1; their rates are the ones they would need.
 ERROR_SYSTEMS = {
     "full_state": ErrorSystem(
         layout="[Q_e, w_e]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
         jump=kinds.jump_h,
-        flow=lambda g, j, tr: _on_h(full_state_error_flow(j, g, tr)),
+        flow=lambda g, j, tr: full_state_error_flow(j, g, tr),
         coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_e, w_e]),
         candidates=lambda y, h, ht, g, j: {
             "v1": lyapunov_v1(y[0:4], y[4:7], h, j, g.k1, g.alpha1)
@@ -688,27 +578,28 @@ ERROR_SYSTEMS = {
         governing="v1",
         sigma=lambda g, delta: min_jump_decrease(g.k1, g.alpha1, delta),
         counts=lambda ev: ev.h_post != ev.h_pre,
-        weights=lambda g: full_state_weights(g.alpha1),
+        weights=lambda g: dilation_weights(g.alpha1, 1),
         reduced_field=lambda g, j: full_state_reduced_field(j, g),
         perturbations=lambda g, j, tr: full_state_perturbations(j, g, tr),
     ),
     "observer": ErrorSystem(
         layout="[Q_err, b_err]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
         jump=kinds.jump_h_tilde,
-        flow=lambda g, j, tr: _on_h_tilde(observer_error_flow(g)),
+        flow=lambda g, j, tr: observer_error_flow(g),
         coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_est_err, b_err]),
+        # the matched potential exponent 1 + beta2 is spelled 2 * beta1
         candidates=lambda y, h, ht, g, j: {
-            "v2": lyapunov_v2(y[0:4], y[4:7], ht, g.mu2, g.beta1),
-            "v2_matched": lyapunov_v2_matched(y[0:4], y[4:7], ht, g.mu2, g.beta1),
+            "v2": 0.5 * y[4:7] @ y[4:7] + potential_term(g.mu2, ht * y[0], 1.0 + g.beta1),
+            "v2_matched": 0.5 * y[4:7] @ y[4:7] + potential_term(g.mu2, ht * y[0], 2.0 * g.beta1),
         },
         rates=lambda y, h, ht, g: {
-            "v2": v2_reference_flow_rate(y[0:4], ht, g),
-            "v2_matched": v2_matched_flow_rate(y[0:4], ht, g),
+            "v2": chord_rate(y[0:4], ht, g.mu1 * g.mu2, g.beta1, g.beta1),
+            "v2_matched": chord_rate(y[0:4], ht, g.mu1 * g.mu2, g.beta1, g.beta2),
         },
         governing="v2_matched",
         sigma=lambda g, delta: min_jump_decrease(g.mu2, g.beta2, delta),
         counts=lambda ev: ev.ht_post != ev.ht_pre,
-        weights=lambda g: observer_weights(g.beta1),
+        weights=lambda g: dilation_weights(g.beta2, 1),
         reduced_field=lambda g, j: observer_reduced_field(g),
         perturbations=lambda g, j, tr: observer_perturbations(g),
         # the run budget keeps the reference candidate and exponent
@@ -722,17 +613,19 @@ ERROR_SYSTEMS = {
         flow=lambda g, j, tr: output_feedback_error_flow(j, g, tr),
         coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_est_err, q_e, w_e]),
         candidates=lambda y, h, ht, g, j: {
-            "v3": lyapunov_v3(y[0:4], y[4:8], y[8:11], h, ht, j, g),
-            "v3_matched": lyapunov_v3_matched(y[0:4], y[4:8], y[8:11], h, ht, j, g),
+            "v3": lyapunov_v1(y[4:8], y[8:11], h, j, g.k1, g.alpha1)
+            + potential_term(g.k2, ht * y[0], 1.0 + g.alpha3),
+            "v3_matched": lyapunov_v1(y[4:8], y[8:11], h, j, g.k1, g.alpha1)
+            + potential_term(g.k2, ht * y[0], 1.0 + g.alpha1),
         },
         rates=lambda y, h, ht, g: {
-            "v3": v3_reference_flow_rate(y[0:4], ht, g),
-            "v3_matched": v3_matched_flow_rate(y[0:4], ht, g),
+            "v3": chord_rate(y[0:4], ht, g.k1 * g.k2 * g.k3, g.alpha3, g.alpha3),
+            "v3_matched": chord_rate(y[0:4], ht, g.k2 * g.k3, g.alpha3, g.alpha1),
         },
         governing="v3_matched",
         sigma=lambda g, delta: min_joint_jump_decrease(g),
         counts=lambda ev: True,
-        weights=lambda g: output_feedback_weights(g.alpha3),
+        weights=lambda g: dilation_weights(g.alpha1, 2),
         reduced_field=lambda g, j: output_feedback_reduced_field(j, g),
         perturbations=lambda g, j, tr: output_feedback_perturbations(j, g, tr),
     ),
@@ -783,7 +676,7 @@ def lyapunov_flow_report(
         raise ValueError("horizon too short for the finite-difference checks")
     for sl in es.quat_blocks:
         y[sl] = quat_normalize(y[sl])
-    h, ht = int(h0), int(h_tilde0)
+    h, ht = check_logic(h0, "h0"), check_logic(h_tilde0, "h_tilde0")
     names = tuple(es.candidates(y, h, ht, gains, inertia))
     v = {nm: np.empty(n + 1) for nm in names}
     rate = {nm: np.empty(n + 1) for nm in names}

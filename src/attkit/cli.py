@@ -94,18 +94,18 @@ def sweep(
     return result
 
 
-def _verify_initial_state(cfg: config.ScenarioConfig) -> np.ndarray:
-    """Noise-free error-coordinate initial state for the config's flow check."""
+def _verify_initial_state(cfg: config.ScenarioConfig) -> tuple[np.ndarray, int]:
+    """Noise-free error-coordinate initial state and h_tilde for the config's flow check."""
     kind = kinds.get(cfg.controller.kind)
     traj = cfg.trajectory.build()
     q0 = cfg.initial_quat()
     w0 = np.asarray(cfg.plant.omega0_rad_s, dtype=float)
     q_e0 = error_quaternion(traj.q_d0, q0)
     w_e0, _ = error_velocity(q_e0, w0, traj.omega_fn(0.0))
-    est, _ = kind.start(cfg, q0, q_e0)
+    est, h_tilde0 = kind.start(cfg, q0, q_e0)
     b_err0 = np.asarray(cfg.plant.bias0_rad_s, float) - kind.bias(est)
     es = analysis.ERROR_SYSTEMS[kind.error_system]
-    return es.coords(q_e0, w_e0, kind.lag(est, q0, q_e0), b_err0)
+    return es.coords(q_e0, w_e0, kind.lag(est, q0, q_e0), b_err0), h_tilde0
 
 
 def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
@@ -144,11 +144,12 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     sigma = es.sigma(es_gains, cfg.controller.delta)
     governing = es.governing
     dt = 1e-3
+    y0, h_tilde0 = _verify_initial_state(cfg)
     report = analysis.lyapunov_flow_report(
         error_system, es_gains,
-        y0=_verify_initial_state(cfg),
+        y0=y0,
         inertia=inertia, trajectory=traj,
-        h0=cfg.controller.h0, delta=cfg.controller.delta,
+        h0=cfg.controller.h0, h_tilde0=h_tilde0, delta=cfg.controller.delta,
         dt=dt, t_final=min(30.0, cfg.sim.t_final_s),
     )
     # Configs that start an estimator error-free sit exactly at the fractional

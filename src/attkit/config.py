@@ -24,8 +24,6 @@ from .rigid_body import (
 )
 from .sensors import DisturbanceConfig, NoiseConfig
 
-CONTROLLER_KINDS = tuple(kinds.KINDS)
-
 
 @dataclass
 class PlantConfig:
@@ -96,13 +94,10 @@ class FilterConfig:
 class SimConfig:
     dt_s: float = 0.01
     t_final_s: float = 100.0
-    max_consecutive_jumps: int = 4
 
     def __post_init__(self) -> None:
         if self.dt_s <= 0.0 or self.t_final_s <= 0.0:
             raise ValueError("dt_s and t_final_s must be positive")
-        if self.max_consecutive_jumps < 1:
-            raise ValueError("max_consecutive_jumps must be at least 1")
 
 
 @dataclass

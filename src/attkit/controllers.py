@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Array, chord_pow, quat_conj, quat_mul, rotation_matrix, sat_pow
+from .quat import Array, chord_pow, quat_mul, rotation_matrix, sat_pow
+from .rigid_body import error_quaternion
 
 
 def sgn_bar(x: float) -> int:
@@ -29,7 +30,8 @@ def sgn_bar(x: float) -> int:
     return 1 if x >= 0.0 else -1
 
 
-def _check_logic(h: int, name: str) -> int:
+def check_logic(h: int, name: str) -> int:
+    """h as an int; ValueError naming `name` unless h is +1 or -1."""
     if h not in (-1, 1):
         raise ValueError("%s must be +1 or -1, got %r" % (name, h))
     return int(h)
@@ -119,7 +121,7 @@ def hysteresis_update(h: int, scalar: float, delta: float) -> tuple[int, bool]:
     boundary resolved in favor of jumping; the post-jump value sgn_bar(scalar)
     always lands strictly inside the flow set, so a single update suffices.
     """
-    h = _check_logic(h, "h")
+    h = check_logic(h, "h")
     if h * scalar <= -delta:
         return sgn_bar(scalar), True
     return h, False
@@ -129,7 +131,7 @@ def full_state_torque(
     gains: FullStateGains, q_e: Array, w_e: Array, h: int, u_ff: Array
 ) -> Array:
     """Hybrid full-state law: u = u_ff - k1*chord_pow(h Q_e, 1-alpha1) - k2*sat_pow(w_e, alpha2)."""
-    h = _check_logic(h, "h")
+    h = check_logic(h, "h")
     return (
         u_ff
         - gains.k1 * chord_pow(h * q_e, 1.0 - gains.alpha1)
@@ -137,28 +139,11 @@ def full_state_torque(
     )
 
 
-@dataclass
-class ObserverState:
-    """Hybrid observer state: attitude estimate, bias estimate, logic variable."""
-
-    q_hat: Array
-    b_hat: Array
-    h_tilde: int = 1
-
-    def __post_init__(self) -> None:
-        self.q_hat = np.asarray(self.q_hat, dtype=float)
-        self.b_hat = np.asarray(self.b_hat, dtype=float)
-        self.h_tilde = _check_logic(self.h_tilde, "h_tilde")
-
-
-def observer_error(q_hat: Array, q_meas: Array) -> Array:
-    """Estimation error quaternion conj(Q_hat) * Q_meas."""
-    return quat_mul(quat_conj(q_hat), q_meas)
-
-
 def observer_flow_rate(
     gains: ObserverGains,
-    state: ObserverState,
+    q_hat: Array,
+    b_hat: Array,
+    h_tilde: int,
     q_meas: Array,
     w_meas: Array,
 ) -> tuple[Array, Array]:
@@ -171,34 +156,16 @@ def observer_flow_rate(
       Qdot_hat = 0.5 Q_hat * [0, R(Q_err)^T (w_meas - b_hat + mu1*chord_pow(h~ Q_err, 1-beta1))]
       bdot_hat = -mu2 * chord_pow(h~ Q_err, 1-beta2)
     """
-    q_err = observer_error(state.q_hat, q_meas)
-    ht = state.h_tilde
-    corr = w_meas - state.b_hat + gains.mu1 * chord_pow(ht * q_err, 1.0 - gains.beta1)
+    q_err = error_quaternion(q_hat, q_meas)
+    corr = w_meas - b_hat + gains.mu1 * chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
     w_frame = rotation_matrix(q_err).T @ corr
-    q_hat_dot = 0.5 * quat_mul(state.q_hat, np.concatenate(([0.0], w_frame)))
-    b_hat_dot = -gains.mu2 * chord_pow(ht * q_err, 1.0 - gains.beta2)
+    q_hat_dot = 0.5 * quat_mul(q_hat, np.concatenate(([0.0], w_frame)))
+    b_hat_dot = -gains.mu2 * chord_pow(h_tilde * q_err, 1.0 - gains.beta2)
     return q_hat_dot, b_hat_dot
 
 
-@dataclass
-class FilterState:
-    """Auxiliary attitude-filter state for the velocity-free controller."""
-
-    q_f: Array
-    h_tilde: int = 1
-
-    def __post_init__(self) -> None:
-        self.q_f = np.asarray(self.q_f, dtype=float)
-        self.h_tilde = _check_logic(self.h_tilde, "h_tilde")
-
-
-def filter_error(q_f: Array, q_e_meas: Array) -> Array:
-    """Filter lag quaternion conj(Q_f) * Q_e."""
-    return quat_mul(quat_conj(q_f), q_e_meas)
-
-
 def filter_flow_rate(
-    gains: OutputFeedbackGains, state: FilterState, q_e_meas: Array
+    gains: OutputFeedbackGains, q_f: Array, h_tilde: int, q_e_meas: Array
 ) -> Array:
     """Attitude filter driven only by the measured error quaternion.
 
@@ -207,10 +174,10 @@ def filter_flow_rate(
     Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~ Q_lag, 1-alpha3)], which
     is how the filter recovers rate information without a gyro.
     """
-    q_lag = filter_error(state.q_f, q_e_meas)
-    corr = gains.k3 * chord_pow(state.h_tilde * q_lag, 1.0 - gains.alpha3)
+    q_lag = error_quaternion(q_f, q_e_meas)
+    corr = gains.k3 * chord_pow(h_tilde * q_lag, 1.0 - gains.alpha3)
     w_frame = rotation_matrix(q_lag).T @ corr
-    return 0.5 * quat_mul(state.q_f, np.concatenate(([0.0], w_frame)))
+    return 0.5 * quat_mul(q_f, np.concatenate(([0.0], w_frame)))
 
 
 def output_feedback_torque(
@@ -222,8 +189,8 @@ def output_feedback_torque(
     u_ff: Array,
 ) -> Array:
     """Velocity-free law: u = u_ff - k1*chord_pow(h Q_e, 1-alpha1) - k2*chord_pow(h~ Q_lag, 1-alpha1)."""
-    h = _check_logic(h, "h")
-    h_tilde = _check_logic(h_tilde, "h_tilde")
+    h = check_logic(h, "h")
+    h_tilde = check_logic(h_tilde, "h_tilde")
     a = 1.0 - gains.alpha1
     return (
         u_ff
@@ -240,8 +207,8 @@ def joint_jump(
     Fires when either h*q_e0 <= -delta or h_tilde*q_lag0 <= -delta and resets
     both logic variables to the signs of their scalars in one event.
     """
-    h = _check_logic(h, "h")
-    h_tilde = _check_logic(h_tilde, "h_tilde")
+    h = check_logic(h, "h")
+    h_tilde = check_logic(h_tilde, "h_tilde")
     if h * q_e0 > -delta and h_tilde * q_lag0 > -delta:
         raise ValueError("joint jump requested outside the jump set")
     return sgn_bar(q_e0), sgn_bar(q_lag0)

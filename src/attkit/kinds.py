@@ -22,20 +22,18 @@ from typing import Callable
 import numpy as np
 
 from .controllers import (
-    FilterState,
     FullStateGains,
-    ObserverState,
     OutputFeedbackGains,
-    filter_error,
+    check_logic,
     filter_flow_rate,
     full_state_torque,
     hysteresis_update,
     joint_jump,
-    observer_error,
     observer_flow_rate,
     output_feedback_torque,
 )
 from .quat import rotation_matrix, unit_or_warn
+from .rigid_body import error_quaternion
 
 _NAN3 = np.full(3, np.nan)
 _NAN4 = np.full(4, np.nan)
@@ -76,12 +74,14 @@ def _start_quat(configured, measured, label):
 def _observer_start(cfg, q_m, q_e_m):
     oc = cfg.observer
     q_hat = _start_quat(oc.q_hat0, q_m, "observer.q_hat0")
-    return np.concatenate([q_hat, oc.b_hat0_rad_s]), int(oc.h_tilde0)
+    est = np.concatenate([q_hat, oc.b_hat0_rad_s])
+    return est, check_logic(oc.h_tilde0, "observer.h_tilde0")
 
 
 def _filter_start(cfg, q_m, q_e_m):
     fc = cfg.filter
-    return _start_quat(fc.q_f0, q_e_m, "filter.q_f0"), int(fc.h_tilde0)
+    q_f = _start_quat(fc.q_f0, q_e_m, "filter.q_f0")
+    return q_f, check_logic(fc.h_tilde0, "filter.h_tilde0")
 
 
 @dataclass(frozen=True)
@@ -118,28 +118,28 @@ KINDS = {
     "biased_gyro": ControllerKind(
         gains=FullStateGains, section="observer", error_system="observer",
         start=_observer_start,
-        lag=lambda est, q, q_e: observer_error(est[0:4], q),
+        lag=lambda est, q, q_e: error_quaternion(est[0:4], q),
         bias=lambda est: est[4:7],
         jump=jump_each,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
             g, q_e, w_m - est[4:7] - rotation_matrix(q_e) @ w_d, h, u_ff
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: observer_flow_rate(
-            g, ObserverState(est[0:4], est[4:7], ht), q_m, w_m
+            g, est[0:4], est[4:7], ht, q_m, w_m
         ),
         torque_bounds=(2, 1),
     ),
     "attitude_only": ControllerKind(
         gains=OutputFeedbackGains, section="filter", error_system="attitude_only",
         start=_filter_start,
-        lag=lambda est, q, q_e: filter_error(est[0:4], q_e),
+        lag=lambda est, q, q_e: error_quaternion(est[0:4], q_e),
         bias=lambda est: _NAN3,
         jump=jump_joint,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: output_feedback_torque(
             g, q_e, q_lag, h, ht, u_ff
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: (
-            filter_flow_rate(g, FilterState(est[0:4], ht), q_e_m),
+            filter_flow_rate(g, est[0:4], ht, q_e_m),
         ),
         torque_bounds=(1, 2),
     ),

@@ -115,17 +115,17 @@ def sat_pow(x, alpha: float):
     return np.sign(x) * np.minimum(np.abs(x) ** alpha, 1.0)
 
 
-def axis_pow(q: Array, alpha: float) -> Array:
-    """Vector part scaled by ||q||^-alpha; defined as 0 at ||q|| = 0.
+def axis_pow(q_v: Array, alpha: float) -> Array:
+    """Vector part q_v scaled by ||q_v||^-alpha; defined as 0 at q_v = 0.
 
     For 0 <= alpha < 1 this is continuous on the unit sphere and vanishes only
     at the two attitude equilibria +-[1, 0, 0, 0].
     """
-    qv = np.asarray(q[1:], dtype=float)
-    n = float(np.linalg.norm(qv))
+    q_v = np.asarray(q_v, dtype=float)
+    n = float(np.linalg.norm(q_v))
     if n <= ZERO_TOL:
         return np.zeros(3)
-    return qv / n**alpha
+    return q_v / n**alpha
 
 
 def chord_len(q0: float) -> float:
@@ -149,15 +149,15 @@ def chord_pow(q: Array, alpha: float) -> Array:
 
 
 def chord_gap(q: Array, alpha: float) -> Array:
-    """Difference chord_pow(q, alpha) - axis_pow(q, alpha).
+    """Difference chord_pow(q, alpha) - axis_pow(q[1:], alpha).
 
-    Near identity (q0 -> 1) this behaves like -(alpha/8) ||q||^2 axis_pow(q, alpha),
+    Near identity (q0 -> 1) this behaves like -(alpha/8) ||q||^2 axis_pow(q[1:], alpha),
     i.e. it vanishes two orders faster than either term.  Subtracting the two
     directly would cancel catastrophically there, so use the exact identity
     ||q_v||^2 / (2(1 - q0)) = (1 + q0)/2 on the unit sphere, which turns the
     difference into axis_pow * expm1((alpha/2) log1p(-(1 - q0)/2)).
     """
-    base = axis_pow(q, alpha)
+    base = axis_pow(q[1:], alpha)
     return base * np.expm1(0.5 * alpha * np.log1p(-0.5 * (1.0 - q[0])))
 
 

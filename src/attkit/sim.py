@@ -3,7 +3,8 @@
 Each step does, in order:
 
 1. sample the sensors (measurements are zero-order-held across the step),
-2. resolve any pending logic jumps against the measured error scalars,
+2. apply the kind's jump rule once to the measured error scalars (one
+   application always re-enters the flow set),
 3. evaluate the controller on measurements only and clip to the torque limit,
 4. record the row (truth errors, logic state, torques, Lyapunov values),
 5. advance plant + reference + estimator one RK4 step of the continuous flow
@@ -26,6 +27,7 @@ import numpy as np
 
 from . import analysis, kinds
 from .config import ScenarioConfig
+from .controllers import check_logic
 from .quat import Array, quat_normalize
 from .rigid_body import (
     dynamics_rate,
@@ -99,34 +101,6 @@ def rk4_step(flow, t: float, y: Array, dt: float) -> Array:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def resolve_jumps(
-    kind: str,
-    h: int,
-    h_tilde: int,
-    q_e0: float,
-    q_lag0: float,
-    delta: float,
-    max_consecutive: int = 4,
-) -> tuple[int, int, bool]:
-    """Apply the kind's logic jumps until the measured scalars lie in the flow set.
-
-    Returns (h, h_tilde, jumped).  A single application always re-enters the
-    flow set (the post-jump logic sign agrees with its scalar), so the loop
-    guard only trips on corrupt configurations.
-    """
-    rule = kinds.get(kind).jump
-    jumped = False
-    for _ in range(max_consecutive):
-        h, h_tilde, fired = rule(h, h_tilde, q_e0, q_lag0, delta)
-        if not fired:
-            return h, h_tilde, jumped
-        jumped = True
-    raise SimulationError(
-        "logic still in jump set after %d consecutive jumps (delta=%g)"
-        % (max_consecutive, delta)
-    )
-
-
 #: trace column of each Lyapunov candidate
 _V_COLUMNS = {"v1": "v1", "v2": "v2", "v2_matched": "v2m", "v3": "v3", "v3_matched": "v3m"}
 
@@ -150,9 +124,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     w = np.asarray(cfg.plant.omega0_rad_s, dtype=float)
     q_d = traj.q_d0.copy()
     b = np.asarray(cfg.plant.bias0_rad_s, dtype=float)
-    h = int(cfg.controller.h0)
-    if h not in (-1, 1):
-        raise ValueError("controller.h0 must be +1 or -1")
+    h = check_logic(cfg.controller.h0, "controller.h0")
 
     cols3 = lambda: np.full((n + 1, 3), np.nan)
     cols4 = lambda: np.full((n + 1, 4), np.nan)
@@ -173,18 +145,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         q_e_m = error_quaternion(q_d, q_m)
         if i == 0:
             est, h_t = kind.start(cfg, q_m, q_e_m)
-            if h_t not in (-1, 1):
-                raise ValueError("h_tilde0 must be +1 or -1")
 
         w_d = traj.omega_fn(t)
         w_d_dot = traj.omega_dot_fn(t)
         q_lag_m = kind.lag(est, q_m, q_e_m)
 
         h_pre, ht_pre = h, h_t
-        h, h_t, jumped = resolve_jumps(
-            cfg.controller.kind, h, h_t, float(q_e_m[0]), float(q_lag_m[0]),
-            gains.delta, cfg.sim.max_consecutive_jumps,
-        )
+        h, h_t, jumped = kind.jump(h, h_t, float(q_e_m[0]), float(q_lag_m[0]), gains.delta)
         if jumped:
             tr.events.append(JumpEvent(i, t, h_pre, h, ht_pre, h_t))
 

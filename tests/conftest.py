@@ -11,15 +11,11 @@ import pytest
 
 from attkit import analysis, config, sim
 from attkit.controllers import (
-    FilterState,
     FullStateGains,
     ObserverGains,
-    ObserverState,
     OutputFeedbackGains,
-    filter_error,
     filter_flow_rate,
     full_state_torque,
-    observer_error,
     observer_flow_rate,
     output_feedback_torque,
 )
@@ -199,7 +195,7 @@ def dual_gap_full_state():
 
     y = _integrate(absolute, np.concatenate([q0, w0, traj.q_d0]), (slice(0, 4), slice(7, 11)))
     z = _integrate(
-        lambda t, yy: err_flow(t, yy, h), np.concatenate([q_e0, w_e0]), (slice(0, 4),)
+        lambda t, yy: err_flow(t, yy, h, 1), np.concatenate([q_e0, w_e0]), (slice(0, 4),)
     )
     q_e_end = error_quaternion(y[7:11], y[0:4])
     w_e_end, _ = error_velocity(q_e_end, y[4:7], traj.omega_fn(_N_DUAL * _DT_DUAL))
@@ -222,7 +218,7 @@ def dual_gap_observer():
         q, w, q_hat, b_hat = y[0:4], y[4:7], y[7:11], y[11:14]
         dq = kinematics_rate(q, w)
         dw = dynamics_rate(inertia, w, np.zeros(3))  # free tumble
-        dqh, dbh = observer_flow_rate(obs, ObserverState(q_hat, b_hat, ht), q, w + bias)
+        dqh, dbh = observer_flow_rate(obs, q_hat, b_hat, ht, q, w + bias)
         return np.concatenate([dq, dw, dqh, dbh])
 
     err_flow = analysis.observer_error_flow(obs)
@@ -231,8 +227,8 @@ def dual_gap_observer():
         np.concatenate([q0, w0, q_hat0, np.zeros(3)]),
         (slice(0, 4), slice(7, 11)),
     )
-    z = _integrate(lambda t, yy: err_flow(t, yy, ht), np.concatenate([p, bias]), (slice(0, 4),))
-    q_err_end = observer_error(y[7:11], y[0:4])
+    z = _integrate(lambda t, yy: err_flow(t, yy, 1, ht), np.concatenate([p, bias]), (slice(0, 4),))
+    q_err_end = error_quaternion(y[7:11], y[0:4])
     b_err_end = bias - y[11:14]
     return float(max(np.abs(q_err_end - z[0:4]).max(), np.abs(b_err_end - z[4:7]).max()))
 
@@ -249,16 +245,16 @@ def dual_gap_attitude_only():
         q_e, w_e, q_f = y[0:4], y[4:7], y[7:11]
         w_d = traj.omega_fn(t)
         w_d_dot = traj.omega_dot_fn(t)
-        q_lag = filter_error(q_f, q_e)
+        q_lag = error_quaternion(q_f, q_e)
         u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
         u = output_feedback_torque(gains, q_e, q_lag, h, ht, u_ff)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u)
-        dqf = filter_flow_rate(gains, FilterState(q_f, ht), q_e)
+        dqf = filter_flow_rate(gains, q_f, ht, q_e)
         return np.concatenate([dq, dw, dqf])
 
     err_flow = analysis.output_feedback_error_flow(inertia, gains, traj)
     q_f0 = IDENTITY_QUAT.copy()  # filter initialized at the desired frame
-    lag0 = filter_error(q_f0, BENCH_Q_E0)
+    lag0 = error_quaternion(q_f0, BENCH_Q_E0)
 
     y = _integrate(
         full,
@@ -270,7 +266,7 @@ def dual_gap_attitude_only():
         np.concatenate([lag0, BENCH_Q_E0, BENCH_W_E0]),
         (slice(0, 4), slice(4, 8)),
     )
-    lag_end = filter_error(y[7:11], y[0:4])
+    lag_end = error_quaternion(y[7:11], y[0:4])
     return float(
         max(
             np.abs(lag_end - z[0:4]).max(),

@@ -11,21 +11,19 @@ import pytest
 from attkit.analysis import (
     bound_checks,
     convergence_metrics,
+    chord_rate,
+    dilation_weights,
     full_state_perturbations,
     full_state_reduced_field,
-    full_state_weights,
     homogeneity_check,
-    lyapunov_v2,
     min_jump_decrease,
     observer_error_flow,
     observer_perturbations,
     observer_reduced_field,
-    observer_weights,
     output_feedback_perturbations,
     output_feedback_reduced_field,
-    output_feedback_weights,
     perturbation_vanishing_check,
-    v2_reference_flow_rate,
+    potential_term,
 )
 from attkit.config import preset
 from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
@@ -122,17 +120,17 @@ def test_c04c_v1_rate_matches_finite_difference(flow_full_state):
 
 
 def test_c04d_v2_rate_matches_finite_difference(flow_observer):
-    # The certified observer candidate, lyapunov_v2_matched (potential
-    # exponent 1 + beta2, the one cli.verify and c04a use), follows its rate.
+    # The certified observer candidate, v2_matched (potential exponent
+    # 1 + beta2, the one cli.verify and c04a use), follows its rate.
     assert flow_observer.fd_rel_error["v2_matched"] <= 1e-4
-    # The reference form lyapunov_v2 (exponent 1 + beta1) follows its exact
-    # derivative along observer_error_flow, whose bias channel is
+    # The reference candidate v2 (potential exponent 1 + beta1) follows its
+    # exact derivative along observer_error_flow, whose bias channel is
     # mu2 chord_pow(h~ Q_err, 1 - beta2) with beta2 = 2 beta1 - 1:
     #   -mu1 mu2 |K_a|^2 + mu2 b_err'(K_b - K_a),
     # K_a = chord_pow(h~ Q_err, 1 - beta1), K_b = chord_pow(h~ Q_err, 1 - beta2).
-    # v2_reference_flow_rate omits the cross term, which vanishes only at
-    # beta1 = 1 and has no sign, so it misses the same bound on the same
-    # states.  beta2 = 2 beta1 - 1 is what makes the reduced field homogeneous
+    # Its reported rate, chord_rate with a = b = beta1, omits the cross term,
+    # which vanishes only at beta1 = 1 and has no sign, so it misses the same
+    # bound on the same states.  beta2 = 2 beta1 - 1 is what makes the reduced field homogeneous
     # (c09a), so the flow cannot be bent to the reference rate.  States are
     # sampled each second over the first 10 s of the fixture's jump-free run
     # (h~ = 1 throughout), and the rate is a central difference along the
@@ -140,22 +138,22 @@ def test_c04d_v2_rate_matches_finite_difference(flow_observer):
     assert flow_observer.jump_times == ()
     g = OBS_GAINS
     flow = observer_error_flow(g)
-    v2 = lambda yy: lyapunov_v2(yy[0:4], yy[4:7], 1, g.mu2, g.beta1)
+    v2 = lambda yy: 0.5 * yy[4:7] @ yy[4:7] + potential_term(g.mu2, yy[0], 1.0 + g.beta1)
     y = np.concatenate([from_axis_angle([1.0, -2.0, 0.5], 2.0), [0.01, -0.05, 0.02]])
     dt, eps = 5e-3, 1e-6
     exact_err, reported_err = [], []
     for _ in range(11):
         q_err, b_err = y[0:4], y[4:7]
-        f = flow(0.0, y, 1)
+        f = flow(0.0, y, 1, 1)
         fd = (v2(y + eps * f) - v2(y - eps * f)) / (2.0 * eps)
         k_a = chord_pow(q_err, 1.0 - g.beta1)
         k_b = chord_pow(q_err, 1.0 - g.beta2)
         exact = -g.mu1 * g.mu2 * (k_a @ k_a) + g.mu2 * (b_err @ (k_b - k_a))
-        reported = v2_reference_flow_rate(q_err, 1, g)
+        reported = chord_rate(q_err, 1, g.mu1 * g.mu2, g.beta1, g.beta1)
         exact_err.append(abs(fd - exact) / abs(exact))
         reported_err.append(abs(fd - reported) / abs(reported))
         for _ in range(200):  # 1 s; the flow is autonomous
-            y = rk4_step(lambda t, yy: flow(t, yy, 1), 0.0, y, dt)
+            y = rk4_step(lambda t, yy: flow(t, yy, 1, 1), 0.0, y, dt)
             y[0:4] = quat_normalize(y[0:4])
     assert max(exact_err) <= 1e-4
     assert max(reported_err) > 1e-4
@@ -254,9 +252,9 @@ def test_c08b_noisy_floor_shrinks_as_exponent_drops(ex3_noisy):
 
 def test_c09a_reduced_fields_homogeneous():
     cases = [
-        (full_state_reduced_field(INERTIA, FS_GAINS), full_state_weights(0.6)),
-        (observer_reduced_field(OBS_GAINS), observer_weights(0.75)),
-        (output_feedback_reduced_field(INERTIA, OF_GAINS), output_feedback_weights(0.75)),
+        (full_state_reduced_field(INERTIA, FS_GAINS), dilation_weights(FS_GAINS.alpha1, 1)),
+        (observer_reduced_field(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
+        (output_feedback_reduced_field(INERTIA, OF_GAINS), dilation_weights(OF_GAINS.alpha1, 2)),
     ]
     for field, weights in cases:
         assert homogeneity_check(field, weights, n_samples=10_000) < 1e-9
@@ -265,9 +263,9 @@ def test_c09a_reduced_fields_homogeneous():
 def test_c09b_perturbations_vanish_under_dilation():
     traj = sinusoid_trajectory()
     cases = [
-        (full_state_perturbations(INERTIA, FS_GAINS, traj), full_state_weights(0.6)),
-        (observer_perturbations(OBS_GAINS), observer_weights(0.75)),
-        (output_feedback_perturbations(INERTIA, OF_GAINS, traj), output_feedback_weights(0.75)),
+        (full_state_perturbations(INERTIA, FS_GAINS, traj), dilation_weights(FS_GAINS.alpha1, 1)),
+        (observer_perturbations(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
+        (output_feedback_perturbations(INERTIA, OF_GAINS, traj), dilation_weights(OF_GAINS.alpha1, 2)),
     ]
     n_blocks = 0
     for fields, weights in cases:
@@ -302,7 +300,7 @@ def test_c10b_chord_gap_near_identity_ratio():
         ax = rng.standard_normal(3)
         ax /= np.linalg.norm(ax)
         q = np.concatenate(([np.sqrt(1.0 - rho[i] ** 2)], rho[i] * ax))
-        k0 = axis_pow(q, alpha[i])
+        k0 = axis_pow(q[1:], alpha[i])
         ratio = float(chord_gap(q, alpha[i]) @ k0) / (rho[i] ** 2 * float(k0 @ k0))
         assert abs(ratio + alpha[i] / 8.0) <= 0.08 * rho[i] ** 2 + 1e-12
 

@@ -10,33 +10,24 @@ import numpy as np
 import pytest
 
 from attkit.analysis import (
+    ERROR_SYSTEMS,
     DilationWeights,
     bound_checks,
     convergence_metrics,
+    dilation_weights,
     error_norm,
     full_state_perturbations,
     full_state_reduced_field,
-    full_state_weights,
     homogeneity_check,
     lyapunov_v1,
-    lyapunov_v2,
-    lyapunov_v2_matched,
-    lyapunov_v3,
-    lyapunov_v3_matched,
     min_joint_jump_decrease,
     min_jump_decrease,
     observer_perturbations,
     observer_reduced_field,
-    observer_weights,
     output_feedback_perturbations,
     output_feedback_reduced_field,
-    output_feedback_weights,
     perturbation_vanishing_check,
     v1_flow_rate,
-    v2_matched_flow_rate,
-    v2_reference_flow_rate,
-    v3_matched_flow_rate,
-    v3_reference_flow_rate,
 )
 from attkit.config import preset
 from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
@@ -95,20 +86,17 @@ def test_lyapunov_v1_zeros_at_matched_equilibria():
 
 
 def test_lyapunov_v2_reference_values():
-    b_err = np.array([0.1, -0.2, 0.05])
-    assert lyapunov_v2(FLIP_X, b_err, 1, 0.12, 0.75) == pytest.approx(V2_REF, rel=1e-13)
-    assert lyapunov_v2_matched(FLIP_X, b_err, 1, 0.12, 0.75) == pytest.approx(
-        V2_MATCHED, rel=1e-13
-    )
+    y = np.concatenate([FLIP_X, [0.1, -0.2, 0.05]])  # mu2 = 0.12, beta1 = 0.75
+    v = ERROR_SYSTEMS["observer"].candidates(y, 1, 1, OBS_GAINS, None)
+    assert v["v2"] == pytest.approx(V2_REF, rel=1e-13)
+    assert v["v2_matched"] == pytest.approx(V2_MATCHED, rel=1e-13)
 
 
 def test_lyapunov_v3_reference_values():
-    assert lyapunov_v3(FLIP_X, FLIP_X, ZERO3, 1, 1, INERTIA, OF_GAINS) == pytest.approx(
-        V3_REF, rel=1e-13
-    )
-    assert lyapunov_v3_matched(FLIP_X, FLIP_X, ZERO3, 1, 1, INERTIA, OF_GAINS) == pytest.approx(
-        V3_MATCHED, rel=1e-13
-    )
+    y = np.concatenate([FLIP_X, FLIP_X, ZERO3])
+    v = ERROR_SYSTEMS["attitude_only"].candidates(y, 1, 1, OF_GAINS, INERTIA)
+    assert v["v3"] == pytest.approx(V3_REF, rel=1e-13)
+    assert v["v3_matched"] == pytest.approx(V3_MATCHED, rel=1e-13)
 
 
 def test_min_jump_decrease_values():
@@ -131,10 +119,13 @@ def test_flow_rate_reference_values():
     assert v1_flow_rate(np.array([0.2, 0.0, 0.0]), FS_GAINS) == pytest.approx(
         V1_RATE, rel=1e-13
     )
-    assert v2_matched_flow_rate(FLIP_X, 1, OBS_GAINS) == pytest.approx(V2M_RATE, rel=1e-13)
-    assert v2_reference_flow_rate(FLIP_X, 1, OBS_GAINS) == pytest.approx(V2R_RATE, rel=1e-13)
-    assert v3_matched_flow_rate(FLIP_X, 1, OF_GAINS) == pytest.approx(V3M_RATE, rel=1e-13)
-    assert v3_reference_flow_rate(FLIP_X, 1, OF_GAINS) == pytest.approx(V3R_RATE, rel=1e-13)
+    r2 = ERROR_SYSTEMS["observer"].rates(np.concatenate([FLIP_X, ZERO3]), 1, 1, OBS_GAINS)
+    assert r2["v2_matched"] == pytest.approx(V2M_RATE, rel=1e-13)
+    assert r2["v2"] == pytest.approx(V2R_RATE, rel=1e-13)
+    y3 = np.concatenate([FLIP_X, FLIP_X, ZERO3])
+    r3 = ERROR_SYSTEMS["attitude_only"].rates(y3, 1, 1, OF_GAINS)
+    assert r3["v3_matched"] == pytest.approx(V3M_RATE, rel=1e-13)
+    assert r3["v3"] == pytest.approx(V3R_RATE, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -151,24 +142,20 @@ def test_dilation_weights_validation():
 
 
 def test_weight_builders_reject_degenerate_exponents():
-    with pytest.raises(ValueError):
-        full_state_weights(1.0)
-    with pytest.raises(ValueError):
-        observer_weights(0.5)
-    with pytest.raises(ValueError):
-        observer_weights(1.0)
-    with pytest.raises(ValueError):
-        output_feedback_weights(1.0)
-    assert full_state_weights(0.6).r.size == 6
-    assert observer_weights(0.75).r.size == 6
-    assert output_feedback_weights(0.75).r.size == 9
+    # p = alpha1 = 1; p = beta2 at beta1 = 0.5 and 1; p = 2*alpha3 - 1 at alpha3 = 1
+    for p, quat_blocks in [(1.0, 1), (0.0, 1), (1.0, 1), (1.0, 2)]:
+        with pytest.raises(ValueError):
+            dilation_weights(p, quat_blocks)
+    assert dilation_weights(FS_GAINS.alpha1, 1).r.size == 6
+    assert dilation_weights(OBS_GAINS.beta2, 1).r.size == 6
+    assert dilation_weights(OF_GAINS.alpha1, 2).r.size == 9
 
 
 def test_reduced_fields_are_homogeneous():
     checks = [
-        (full_state_reduced_field(INERTIA, FS_GAINS), full_state_weights(0.6)),
-        (observer_reduced_field(OBS_GAINS), observer_weights(0.75)),
-        (output_feedback_reduced_field(INERTIA, OF_GAINS), output_feedback_weights(0.75)),
+        (full_state_reduced_field(INERTIA, FS_GAINS), dilation_weights(FS_GAINS.alpha1, 1)),
+        (observer_reduced_field(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
+        (output_feedback_reduced_field(INERTIA, OF_GAINS), dilation_weights(OF_GAINS.alpha1, 2)),
     ]
     for field, weights in checks:
         assert homogeneity_check(field, weights, n_samples=2000) < 1e-9
@@ -176,12 +163,13 @@ def test_reduced_fields_are_homogeneous():
 
 def test_homogeneity_check_is_exact_at_unit_dilation():
     field = full_state_reduced_field(INERTIA, FS_GAINS)
-    assert homogeneity_check(field, full_state_weights(0.6), n_samples=50, eps_values=(1.0,)) == 0.0
+    weights = dilation_weights(FS_GAINS.alpha1, 1)
+    assert homogeneity_check(field, weights, n_samples=50, eps_values=(1.0,)) == 0.0
 
 
 def test_homogeneity_check_flags_wrong_weights():
     field = full_state_reduced_field(INERTIA, FS_GAINS)
-    good = full_state_weights(0.6)
+    good = dilation_weights(FS_GAINS.alpha1, 1)
     bad = DilationWeights(good.r * np.array([1.0, 1.0, 1.0, 1.1, 1.1, 1.1]), good.k)
     assert homogeneity_check(field, bad, n_samples=200) > 1e-3
 
@@ -189,9 +177,9 @@ def test_homogeneity_check_flags_wrong_weights():
 def test_perturbation_blocks_vanish_under_dilation():
     traj = sinusoid_trajectory()
     cases = [
-        (full_state_perturbations(INERTIA, FS_GAINS, traj), full_state_weights(0.6)),
-        (observer_perturbations(OBS_GAINS), observer_weights(0.75)),
-        (output_feedback_perturbations(INERTIA, OF_GAINS, traj), output_feedback_weights(0.75)),
+        (full_state_perturbations(INERTIA, FS_GAINS, traj), dilation_weights(FS_GAINS.alpha1, 1)),
+        (observer_perturbations(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
+        (output_feedback_perturbations(INERTIA, OF_GAINS, traj), dilation_weights(OF_GAINS.alpha1, 2)),
     ]
     seen = []
     for fields, weights in cases:
@@ -205,7 +193,7 @@ def test_perturbation_blocks_vanish_under_dilation():
 def test_kinematic_remainder_decays_fast():
     report = perturbation_vanishing_check(
         full_state_perturbations(INERTIA, FS_GAINS, sinusoid_trajectory()),
-        full_state_weights(0.6),
+        dilation_weights(FS_GAINS.alpha1, 1),
         n_samples=100,
     )
     ratios = report["kinematic"]

@@ -6,12 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from attkit import cli
 from attkit.analysis import bound_checks, convergence_metrics
 from attkit.config import config_to_dict, load_config, preset, save_config
-from attkit.sim import load_trace
+from attkit.sim import load_trace, run_scenario
 
 SUMMARY_KEYS = {
     "name", "kind", "seed", "convergence", "bounds", "digest", "trace_file", "events_file",
@@ -129,6 +130,18 @@ def test_verify_passes_on_presets(name):
     assert result["perturbations_monotone"] is True
     assert result["flow_ok"] is True and result["jump_drops_ok"] is True
     assert result["governing_candidate"] in ("v1", "v2_matched", "v3_matched")
+
+
+def test_verify_starts_at_configured_h_tilde0():
+    # the observer starts with h_tilde0 * q_err0 = +0.9: in the flow set, so
+    # neither the run nor the flow check may jump at step 0
+    cfg = _short("example2", seconds=1.0, uncertainties=False)
+    cfg.plant.q0 = [1.0, 0.0, 0.0, 0.0]
+    cfg.observer.q_hat0 = list(np.array([-0.9, 0.436, 0.0, 0.0]) / np.hypot(0.9, 0.436))
+    cfg.observer.h_tilde0 = -1
+    assert not any(ev.step == 0 for ev in run_scenario(cfg).events)
+    result = cli.verify(cfg, n_samples=20)
+    assert result["jump_drops"] == {"v2": [], "v2_matched": []}
 
 
 def test_verify_degenerate_exponent_reports_null():

@@ -41,6 +41,10 @@ def test_unknown_section_field_rejected():
     d["sim"]["renormalize"] = True  # a removed field: renormalization always runs
     with pytest.raises(ValueError, match="'sim'"):
         config_from_dict(d)
+    d = config_to_dict(preset("example1"))
+    d["sim"]["max_consecutive_jumps"] = 4  # a removed field: one jump re-enters the flow set
+    with pytest.raises(ValueError, match="'sim'"):
+        config_from_dict(d)
 
 
 @pytest.mark.parametrize(
@@ -142,8 +146,6 @@ def test_sim_config_validation():
         SimConfig(dt_s=0.0)
     with pytest.raises(ValueError):
         SimConfig(t_final_s=-1.0)
-    with pytest.raises(ValueError):
-        SimConfig(max_consecutive_jumps=0)
 
 
 def test_trajectory_config_build():

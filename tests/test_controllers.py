@@ -7,23 +7,23 @@ here as nearest-double literals.
 import numpy as np
 import pytest
 
+from attkit import kinds
+from attkit.analysis import lyapunov_flow_report
+from attkit.config import preset
 from attkit.controllers import (
-    FilterState,
     FullStateGains,
     ObserverGains,
-    ObserverState,
     OutputFeedbackGains,
-    filter_error,
     filter_flow_rate,
     full_state_torque,
     hysteresis_update,
     joint_jump,
-    observer_error,
     observer_flow_rate,
     output_feedback_torque,
     sgn_bar,
 )
-from attkit.quat import chord_pow, quat_conj, quat_mul, random_unit_quat
+from attkit.quat import IDENTITY_QUAT, chord_pow, quat_mul, random_unit_quat
+from attkit.rigid_body import error_quaternion
 
 FS_GAINS = FullStateGains(k1=1.1, k2=4.0, alpha1=0.6, delta=0.3)
 OBS_GAINS = ObserverGains(mu1=0.33, mu2=0.12, beta1=0.75)
@@ -132,18 +132,23 @@ def test_observer_error_composition():
     rng = np.random.default_rng(22)
     q_hat = random_unit_quat(rng)
     p = random_unit_quat(rng)
-    assert np.allclose(observer_error(q_hat, q_hat), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
-    assert np.allclose(observer_error(q_hat, quat_mul(q_hat, p)), p, atol=1e-13)
+    assert np.allclose(error_quaternion(q_hat, q_hat), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(error_quaternion(q_hat, quat_mul(q_hat, p)), p, atol=1e-13)
 
 
 def test_observer_state_validates_logic():
-    with pytest.raises(ValueError):
-        ObserverState(q_hat=np.array([1.0, 0.0, 0.0, 0.0]), b_hat=ZERO3, h_tilde=0)
+    # h_tilde is checked where it enters: the estimator start and the flow check
+    cfg = preset("example2")
+    cfg.observer.h_tilde0 = 0
+    with pytest.raises(ValueError, match="observer.h_tilde0 must be"):
+        kinds.get("biased_gyro").start(cfg, IDENTITY_QUAT, IDENTITY_QUAT)
+    y0 = np.concatenate([FLIP_X, ZERO3])
+    with pytest.raises(ValueError, match="h_tilde0 must be"):
+        lyapunov_flow_report("observer", OBS_GAINS, y0=y0, h_tilde0=0, t_final=0.01)
 
 
 def test_observer_flow_rate_reference_values():
-    state = ObserverState(q_hat=np.array([1.0, 0.0, 0.0, 0.0]), b_hat=ZERO3, h_tilde=1)
-    q_hat_dot, b_hat_dot = observer_flow_rate(OBS_GAINS, state, FLIP_X, ZERO3)
+    q_hat_dot, b_hat_dot = observer_flow_rate(OBS_GAINS, IDENTITY_QUAT, ZERO3, 1, FLIP_X, ZERO3)
     assert np.allclose(q_hat_dot, [0.0, OBS_ATT_RATE, 0.0, 0.0], rtol=1e-15, atol=0.0)
     assert np.allclose(b_hat_dot, [-OBS_BIAS_RATE, 0.0, 0.0], rtol=1e-15, atol=0.0)
 
@@ -151,36 +156,32 @@ def test_observer_flow_rate_reference_values():
 def test_observer_flow_preserves_estimate_norm():
     rng = np.random.default_rng(23)
     for _ in range(10):
-        state = ObserverState(
-            q_hat=random_unit_quat(rng), b_hat=rng.standard_normal(3) * 0.05, h_tilde=1
-        )
+        q_hat, b_hat = random_unit_quat(rng), rng.standard_normal(3) * 0.05
         q_hat_dot, _ = observer_flow_rate(
-            OBS_GAINS, state, random_unit_quat(rng), rng.standard_normal(3) * 0.1
+            OBS_GAINS, q_hat, b_hat, 1, random_unit_quat(rng), rng.standard_normal(3) * 0.1
         )
-        assert state.q_hat @ q_hat_dot == pytest.approx(0.0, abs=1e-14)
+        assert q_hat @ q_hat_dot == pytest.approx(0.0, abs=1e-14)
 
 
 def test_filter_error_and_identity_equilibrium():
     rng = np.random.default_rng(24)
     q_e = random_unit_quat(rng)
-    assert np.allclose(filter_error(q_e, q_e), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
-    state = FilterState(q_f=q_e, h_tilde=1)
-    assert np.allclose(filter_flow_rate(OF_GAINS, state, q_e), 0.0, atol=1e-14)
+    assert np.allclose(error_quaternion(q_e, q_e), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
+    assert np.allclose(filter_flow_rate(OF_GAINS, q_e, 1, q_e), 0.0, atol=1e-14)
 
 
 def test_filter_flow_preserves_norm():
     rng = np.random.default_rng(25)
     for _ in range(10):
-        state = FilterState(q_f=random_unit_quat(rng), h_tilde=1)
-        rate = filter_flow_rate(OF_GAINS, state, random_unit_quat(rng))
-        assert state.q_f @ rate == pytest.approx(0.0, abs=1e-14)
+        q_f = random_unit_quat(rng)
+        rate = filter_flow_rate(OF_GAINS, q_f, 1, random_unit_quat(rng))
+        assert q_f @ rate == pytest.approx(0.0, abs=1e-14)
 
 
 def test_filter_lag_rate_matches_torque_exponent():
     # The filter correction uses chord_pow with the filter exponent alpha3,
     # not the torque exponent alpha1 = 2*alpha3 - 1.
-    state = FilterState(q_f=np.array([1.0, 0.0, 0.0, 0.0]), h_tilde=1)
-    rate = filter_flow_rate(OF_GAINS, state, FLIP_X)
+    rate = filter_flow_rate(OF_GAINS, IDENTITY_QUAT, 1, FLIP_X)
     expected = 0.5 * 1.1 * chord_pow(FLIP_X, 1.0 - 0.75)
     assert np.allclose(rate[1:], expected, rtol=1e-14)
     assert rate[0] == 0.0

@@ -152,8 +152,8 @@ def test_sat_pow():
 
 def test_axis_pow_reference_value_and_origin():
     q = np.array([0.9539392014169456, 0.3, 0.0, 0.0])
-    assert axis_pow(q, 0.5)[0] == pytest.approx(AXIS_POW_03, rel=1e-15)
-    assert np.array_equal(axis_pow(IDENTITY_QUAT, 0.5), np.zeros(3))
+    assert axis_pow(q[1:], 0.5)[0] == pytest.approx(AXIS_POW_03, rel=1e-15)
+    assert np.array_equal(axis_pow(IDENTITY_QUAT[1:], 0.5), np.zeros(3))
 
 
 def test_chord_len_endpoints():
@@ -212,7 +212,7 @@ def test_chord_gap_matches_direct_difference_away_from_identity():
     for _ in range(50):
         q = from_axis_angle(rng.standard_normal(3), rng.uniform(1.0, 3.0))
         a = rng.uniform(0.1, 0.9)
-        direct = chord_pow(q, a) - axis_pow(q, a)
+        direct = chord_pow(q, a) - axis_pow(q[1:], a)
         assert np.allclose(chord_gap(q, a), direct, rtol=1e-11, atol=1e-14)
     assert np.array_equal(chord_gap(IDENTITY_QUAT, 0.5), np.zeros(3))
 
@@ -223,6 +223,6 @@ def test_chord_gap_near_identity_limit_ratio():
     rho = 1e-3
     n = np.array([0.6, -0.8, 0.0])
     q = np.concatenate(([np.sqrt(1.0 - rho**2)], rho * n))
-    k0 = axis_pow(q, alpha)
+    k0 = axis_pow(q[1:], alpha)
     ratio = float(chord_gap(q, alpha) @ k0 / (rho**2 * (k0 @ k0)))
     assert ratio == pytest.approx(-alpha / 8.0, abs=1e-7)

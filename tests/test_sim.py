@@ -6,13 +6,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from attkit import kinds
 from attkit.config import preset
 from attkit.sim import (
     SimTrace,
     _renorm,
     SimulationError,
     load_trace,
-    resolve_jumps,
     rk4_step,
     run_scenario,
     save_trace,
@@ -62,23 +62,44 @@ def test_rk4_fourth_order_convergence(rk4_error_slopes):
 
 
 def test_resolve_jumps_full_state():
-    assert resolve_jumps("full_state", 1, 1, -0.5, -0.9, 0.3) == (-1, 1, True)
-    assert resolve_jumps("full_state", 1, 1, 0.9, 0.9, 0.3) == (1, 1, False)
-    assert resolve_jumps("full_state", -1, 1, -0.2, 0.0, 0.3) == (-1, 1, False)
+    jump = kinds.get("full_state").jump
+    assert jump(1, 1, -0.5, -0.9, 0.3) == (-1, 1, True)
+    assert jump(1, 1, 0.9, 0.9, 0.3) == (1, 1, False)
+    assert jump(-1, 1, -0.2, 0.0, 0.3) == (-1, 1, False)
 
 
 def test_resolve_jumps_biased_gyro_independent_logic():
-    assert resolve_jumps("biased_gyro", 1, 1, -0.5, -0.4, 0.3) == (-1, -1, True)
-    assert resolve_jumps("biased_gyro", 1, 1, 0.5, -0.4, 0.3) == (1, -1, True)
+    jump = kinds.get("biased_gyro").jump
+    assert jump(1, 1, -0.5, -0.4, 0.3) == (-1, -1, True)
+    assert jump(1, 1, 0.5, -0.4, 0.3) == (1, -1, True)
     # a non-violating h_tilde is left alone even if h jumps
-    assert resolve_jumps("biased_gyro", 1, -1, -0.5, 0.2, 0.3) == (-1, -1, True)
+    assert jump(1, -1, -0.5, 0.2, 0.3) == (-1, -1, True)
 
 
 def test_resolve_jumps_attitude_only_joint_reset():
     # the joint reset re-syncs *both* logic variables to their scalars
-    assert resolve_jumps("attitude_only", 1, -1, -0.5, 0.2, 0.3) == (-1, 1, True)
-    assert resolve_jumps("attitude_only", -1, 1, 0.5, -0.4, 0.3) == (1, -1, True)
-    assert resolve_jumps("attitude_only", 1, -1, 0.9, -0.2, 0.3) == (1, -1, False)
+    jump = kinds.get("attitude_only").jump
+    assert jump(1, -1, -0.5, 0.2, 0.3) == (-1, 1, True)
+    assert jump(-1, 1, 0.5, -0.4, 0.3) == (1, -1, True)
+    assert jump(1, -1, 0.9, -0.2, 0.3) == (1, -1, False)
+
+
+@pytest.mark.parametrize("name", sorted(kinds.KINDS))
+def test_one_jump_lands_in_flow_set(name):
+    # run_scenario applies a kind's jump rule once per step; a second
+    # application must never fire, from any scalars and logic signs
+    jump = kinds.get(name).jump
+    rng = np.random.default_rng(31)
+    edges = [-1.0, -0.3, 0.0, 0.3, 1.0]
+    pairs = [(s, st) for s in edges for st in edges] + [
+        tuple(rng.uniform(-1.0, 1.0, 2)) for _ in range(500)
+    ]
+    for s, s_tilde in pairs:
+        for delta in (0.05, 0.3, 0.95):
+            for h in (-1, 1):
+                for h_tilde in (-1, 1):
+                    h1, ht1, _ = jump(h, h_tilde, s, s_tilde, delta)
+                    assert jump(h1, ht1, s, s_tilde, delta) == (h1, ht1, False)
 
 
 def test_benchmark_noisy_run_records_one_jump(ex1_noisy):
