@@ -46,7 +46,7 @@ from .quat import (
     flip_drop,
     quat_mul,
     quat_normalize,
-    rotation_matrix,
+    rotate,
     sat_pow,
     sgn_pow,
 )
@@ -208,14 +208,15 @@ def homogeneity_check(
     """
     rng = np.random.default_rng(seed)
     dim = weights.r.size
+    factors = [(eps**weights.r, eps ** (weights.r + weights.k)) for eps in eps_values]
     worst = 0.0
     for _ in range(n_samples):
         x = rng.standard_normal(dim)
         x /= np.linalg.norm(x)
         fx = field(x)
-        for eps in eps_values:
-            lhs = field(weights.scale(x, eps))
-            rhs = eps ** (weights.r + weights.k) * fx
+        for x_scale, f_scale in factors:
+            lhs = field(x_scale * x)
+            rhs = f_scale * fx
             dev = np.abs(lhs - rhs) / (np.abs(rhs) + 1e-300)
             m = float(dev.max())
             if m > worst:
@@ -263,7 +264,7 @@ def full_state_perturbations(
     def f_dyn(x: Array, t: float) -> Array:
         q_v, w_e = x[:3], x[3:]
         q = _embed_error_quat(q_v, h)
-        w_d_body = rotation_matrix(q) @ trajectory.omega_fn(t)
+        w_d_body = rotate(q, trajectory.omega_fn(t))
         xi = xi_matrix(inertia, w_e, w_d_body)
         return inertia.inverse @ (xi @ w_e - gains.k1 * chord_gap(h * q, 1.0 - gains.alpha1))
 
@@ -318,7 +319,7 @@ def output_feedback_perturbations(
         q_l, q_v, w_e = x[:3], x[3:6], x[6:]
         qe = _embed_error_quat(q_v, h)
         ql = _embed_error_quat(q_l, h_tilde)
-        w_d_body = rotation_matrix(qe) @ trajectory.omega_fn(t)
+        w_d_body = rotate(qe, trajectory.omega_fn(t))
         xi = xi_matrix(inertia, w_e, w_d_body)
         return inertia.inverse @ (
             xi @ w_e
@@ -358,8 +359,7 @@ def perturbation_vanishing_check(
         for eps in eps_values:
             scale = eps ** (r_blk + weights.k)
             worst = 0.0
-            for x in xs:
-                xe = weights.scale(x, eps)
+            for xe in weights.scale(xs, eps):
                 for t in t_grid:
                     val = float(np.linalg.norm(blk.fn(xe, t))) / scale
                     if val > worst:

@@ -127,6 +127,8 @@ class ScenarioConfig:
         for label, value in numbers:
             if not _finite(value):
                 raise ValueError("%s must be finite, got %r" % (label, value))
+        if not self.torque_limit_nm > 0.0:  # a clip to a non-positive limit is not saturation
+            raise ValueError("torque_limit_nm must be positive, got %r" % self.torque_limit_nm)
 
     def initial_quat(self) -> Array:
         return unit_or_warn(np.asarray(self.plant.q0, dtype=float), "plant.q0")

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .quat import Array, chord_pow, quat_mul, rotation_matrix, sat_pow
-from .rigid_body import error_quaternion
+from .quat import Array, chord_pow, quat_conj, rotate, sat_pow
+from .rigid_body import error_quaternion, kinematics_rate
 
 
 def sgn_bar(x: float) -> int:
@@ -158,8 +156,7 @@ def observer_flow_rate(
     """
     q_err = error_quaternion(q_hat, q_meas)
     corr = w_meas - b_hat + gains.mu1 * chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
-    w_frame = rotation_matrix(q_err).T @ corr
-    q_hat_dot = 0.5 * quat_mul(q_hat, np.concatenate(([0.0], w_frame)))
+    q_hat_dot = kinematics_rate(q_hat, rotate(quat_conj(q_err), corr))
     b_hat_dot = -gains.mu2 * chord_pow(h_tilde * q_err, 1.0 - gains.beta2)
     return q_hat_dot, b_hat_dot
 
@@ -176,8 +173,7 @@ def filter_flow_rate(
     """
     q_lag = error_quaternion(q_f, q_e_meas)
     corr = gains.k3 * chord_pow(h_tilde * q_lag, 1.0 - gains.alpha3)
-    w_frame = rotation_matrix(q_lag).T @ corr
-    return 0.5 * quat_mul(q_f, np.concatenate(([0.0], w_frame)))
+    return kinematics_rate(q_f, rotate(quat_conj(q_lag), corr))
 
 
 def output_feedback_torque(

@@ -32,7 +32,7 @@ from .controllers import (
     observer_flow_rate,
     output_feedback_torque,
 )
-from .quat import rotation_matrix, unit_or_warn
+from .quat import rotate, unit_or_warn
 from .rigid_body import error_quaternion
 
 _NAN3 = np.full(3, np.nan)
@@ -109,7 +109,7 @@ KINDS = {
         bias=lambda est: _NAN3,
         jump=jump_h,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, w_m - rotation_matrix(q_e) @ w_d, h, u_ff
+            g, q_e, w_m - rotate(q_e, w_d), h, u_ff
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: (),
         torque_bounds=(2, 1),
@@ -122,7 +122,7 @@ KINDS = {
         bias=lambda est: est[4:7],
         jump=jump_each,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, w_m - est[4:7] - rotation_matrix(q_e) @ w_d, h, u_ff
+            g, q_e, w_m - est[4:7] - rotate(q_e, w_d), h, u_ff
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: observer_flow_rate(
             g, est[0:4], est[4:7], ht, q_m, w_m

@@ -6,12 +6,16 @@ rotation group, so Q and -Q describe the same physical attitude; nothing in
 this module forces a hemisphere, because the hybrid controllers need both
 antipodes as distinct equilibria.
 
-The attitude matrix convention is passive: rotation_matrix(Q) maps coordinates
-of the reference frame into the rotated (body) frame.
+The attitude convention is passive: rotate(Q, v) maps coordinates of the
+reference frame into the rotated (body) frame.
+
+The per-step kernels take ndarrays and work on their components as Python
+floats: on 3- and 4-vectors NumPy's per-call overhead outweighs the arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -26,8 +30,8 @@ ZERO_TOL = 1e-12
 
 def quat_mul(q: Array, p: Array) -> Array:
     """Hamilton product q * p, scalar-first."""
-    w1, x1, y1, z1 = q
-    w2, x2, y2, z2 = p
+    w1, x1, y1, z1 = q.tolist()
+    w2, x2, y2, z2 = p.tolist()
     return np.array(
         [
             w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
@@ -40,7 +44,8 @@ def quat_mul(q: Array, p: Array) -> Array:
 
 def quat_conj(q: Array) -> Array:
     """Conjugate [q0, -q]; the inverse rotation for unit input."""
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    q0, q1, q2, q3 = q.tolist()
+    return np.array([q0, -q1, -q2, -q3])
 
 
 def quat_normalize(q: Array) -> Array:
@@ -72,11 +77,27 @@ def e_matrix(q: Array) -> Array:
     return skew(q[1:]) + q[0] * np.eye(3)
 
 
-def rotation_matrix(q: Array) -> Array:
-    """Attitude matrix (q0^2 - q.q) I + 2 q q^T - 2 q0 q^x (reference -> body)."""
-    q0 = q[0]
-    qv = q[1:]
-    return (q0 * q0 - qv @ qv) * np.eye(3) + 2.0 * np.outer(qv, qv) - 2.0 * q0 * skew(qv)
+def cross(u: Array, v: Array) -> Array:
+    """u x v of two 3-vectors; equal to np.cross(u, v) bit for bit."""
+    u1, u2, u3 = u.tolist()
+    v1, v2, v3 = v.tolist()
+    return np.array([u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1])
+
+
+def rotate(q: Array, v: Array) -> Array:
+    """R(Q) v, R = (q0^2 - q.q) I + 2 q q^T - 2 q0 q^x; R(quat_conj(Q)) = R(Q)^T."""
+    q0, q1, q2, q3 = q.tolist()
+    v1, v2, v3 = v.tolist()
+    s = q0 * q0 - (q1 * q1 + q2 * q2 + q3 * q3)
+    d = 2.0 * (q1 * v1 + q2 * v2 + q3 * v3)
+    c = 2.0 * q0
+    return np.array(
+        [
+            s * v1 + d * q1 - c * (q2 * v3 - q3 * v2),
+            s * v2 + d * q2 - c * (q3 * v1 - q1 * v3),
+            s * v3 + d * q3 - c * (q1 * v2 - q2 * v1),
+        ]
+    )
 
 
 def from_axis_angle(axis: Array, angle: float) -> Array:
@@ -133,7 +154,7 @@ def chord_len(q0: float) -> float:
 
     ||Q - [1,0,0,0]|| = sqrt((q0-1)^2 + ||q||^2) = sqrt(2(1-q0)) for unit Q.
     """
-    return float(np.sqrt(max(2.0 * (1.0 - q0), 0.0)))
+    return math.sqrt(max(2.0 * (1.0 - q0), 0.0))
 
 
 def chord_pow(q: Array, alpha: float) -> Array:
@@ -142,10 +163,11 @@ def chord_pow(q: Array, alpha: float) -> Array:
     q / sqrt(2(1-q0))^alpha, defined as 0 at q0 = 1.  Bounded by 1 in norm for
     unit input and 0 <= alpha <= 1, and continuous there.
     """
-    q0 = float(q[0])
+    q0, q1, q2, q3 = q.tolist()
     if 1.0 - q0 <= ZERO_TOL:
         return np.zeros(3)
-    return np.asarray(q[1:], dtype=float) / chord_len(q0) ** alpha
+    s = chord_len(q0) ** alpha
+    return np.array([q1 / s, q2 / s, q3 / s])
 
 
 def chord_gap(q: Array, alpha: float) -> Array:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quat import Array, quat_conj, quat_mul, rotation_matrix, skew
+from .quat import Array, cross, quat_conj, quat_mul, rotate, skew
 
 
 class Inertia:
@@ -91,12 +91,21 @@ def regulation_trajectory() -> DesiredTrajectory:
 
 def kinematics_rate(q: Array, w: Array) -> Array:
     """Qdot = 0.5 * Q * [0, w] = 0.5 * [-q.w, E(q) w]."""
-    return 0.5 * quat_mul(q, np.array([0.0, w[0], w[1], w[2]]))
+    q0, q1, q2, q3 = q.tolist()
+    w1, w2, w3 = w.tolist()
+    return np.array(
+        [
+            0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
+            0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
+            0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
+            0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
+        ]
+    )
 
 
 def dynamics_rate(inertia: Inertia, w: Array, torque: Array) -> Array:
     """Euler's equation: wdot = J^-1 (-w x Jw + torque)."""
-    return inertia.inverse @ (torque - np.cross(w, inertia.matrix @ w))
+    return inertia.inverse @ (torque - cross(w, inertia.matrix @ w))
 
 
 def error_quaternion(q_d: Array, q: Array) -> Array:
@@ -106,7 +115,7 @@ def error_quaternion(q_d: Array, q: Array) -> Array:
 
 def error_velocity(q_e: Array, w: Array, w_d: Array) -> tuple[Array, Array]:
     """Return (w_e, w_d_body): the error rate and the desired rate in body axes."""
-    w_d_body = rotation_matrix(q_e) @ w_d
+    w_d_body = rotate(q_e, w_d)
     return w - w_d_body, w_d_body
 
 
@@ -125,9 +134,8 @@ def feedforward_torque(inertia: Inertia, q_e: Array, w_d: Array, w_d_dot: Array)
 
     u_d = w_d_body x J w_d_body + J R(Q_e) wdot_d.
     """
-    r = rotation_matrix(q_e)
-    w_d_body = r @ w_d
-    return np.cross(w_d_body, inertia.matrix @ w_d_body) + inertia.matrix @ (r @ w_d_dot)
+    w_d_body = rotate(q_e, w_d)
+    return cross(w_d_body, inertia.matrix @ w_d_body) + inertia.matrix @ rotate(q_e, w_d_dot)
 
 
 def error_dynamics_rate(
@@ -141,15 +149,8 @@ def error_dynamics_rate(
     """Flow of the tracking error under an applied torque.
 
     Qdot_e = 0.5 Q_e * [0, w_e];
-    J wdot_e = Xi(w_e, w_d_body) w_e - w_d_body x J w_d_body - J R(Q_e) wdot_d + u.
+    J wdot_e = Xi(w_e, w_d_body) w_e - u_d + u, with u_d = feedforward_torque.
     """
-    r = rotation_matrix(q_e)
-    w_d_body = r @ w_d
-    xi = xi_matrix(inertia, w_e, w_d_body)
-    rhs = (
-        xi @ w_e
-        - np.cross(w_d_body, inertia.matrix @ w_d_body)
-        - inertia.matrix @ (r @ w_d_dot)
-        + torque
-    )
+    xi = xi_matrix(inertia, w_e, rotate(q_e, w_d))
+    rhs = xi @ w_e - feedforward_torque(inertia, q_e, w_d, w_d_dot) + torque
     return kinematics_rate(q_e, w_e), inertia.inverse @ rhs

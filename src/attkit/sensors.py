@@ -8,11 +8,12 @@ one seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Array, ZERO_TOL, from_axis_angle, to_axis_angle
+from .quat import Array, ZERO_TOL, cross, from_axis_angle, to_axis_angle
 
 DEG = np.pi / 180.0
 
@@ -61,7 +62,8 @@ def disturbance_torque(cfg: DisturbanceConfig, t: float) -> Array:
     if not cfg.enabled:
         return np.zeros(3)
     p = cfg.frequency_rad_s * t
-    return cfg.amplitude_nm * np.array([np.cos(p), np.cos(p), -np.sin(p)])
+    a = cfg.amplitude_nm
+    return np.array([a * math.cos(p), a * math.cos(p), -(a * math.sin(p))])
 
 
 def measure_attitude(q_true: Array, cone_rad: float, rng: np.random.Generator) -> Array:
@@ -74,16 +76,14 @@ def measure_attitude(q_true: Array, cone_rad: float, rng: np.random.Generator) -
     """
     tilt = cone_rad * rng.uniform()
     azimuth = rng.uniform(0.0, 2.0 * np.pi)
-    qv = q_true[1:]
-    s = float(np.linalg.norm(qv))
-    if s <= ZERO_TOL or tilt == 0.0:
+    if tilt == 0.0 or np.linalg.norm(q_true[1:]) <= ZERO_TOL:
         return np.asarray(q_true, dtype=float).copy()
     axis, angle = to_axis_angle(q_true)
     # orthonormal pad around the eigenaxis
     helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(axis, helper)
+    e1 = cross(axis, helper)
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(axis, e1)
+    e2 = cross(axis, e1)
     tilted = (
         np.cos(tilt) * axis + np.sin(tilt) * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
     )
@@ -105,5 +105,5 @@ def bias_step(
 
 
 def saturate(torque: Array, limit_nm: float) -> Array:
-    """Componentwise clip of the commanded torque to +-limit_nm."""
-    return np.clip(torque, -limit_nm, limit_nm)
+    """Componentwise clip of the commanded torque to +-limit_nm (limit_nm > 0)."""
+    return np.array([min(max(u, -limit_nm), limit_nm) for u in torque.tolist()])

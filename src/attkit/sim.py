@@ -28,7 +28,7 @@ import numpy as np
 from . import analysis, kinds
 from .config import ScenarioConfig
 from .controllers import check_logic
-from .quat import Array, quat_normalize
+from .quat import Array
 from .rigid_body import (
     dynamics_rate,
     error_quaternion,
@@ -201,12 +201,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
 
 def _renorm(q: Array, step: int) -> Array:
-    drift = abs(float(np.linalg.norm(q)) - 1.0)
+    n = float(np.linalg.norm(q))
+    drift = abs(n - 1.0)
     if not drift <= DRIFT_LIMIT:  # also trips on NaN
         raise SimulationError(
             "quaternion norm drifted %.3e at step %d; reduce dt" % (drift, step)
         )
-    return quat_normalize(q)
+    return q / n
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,15 @@ def test_non_finite_number_rejected(section, field, value):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize("limit", [0.0, -2.0])
+def test_non_positive_torque_limit_rejected(limit):
+    # np.clip(u, -L, L) with L <= 0 would feed the plant a constant -|L| on every axis
+    d = config_to_dict(preset("example1"))
+    d["torque_limit_nm"] = limit
+    with pytest.raises(ValueError, match=r"^torque_limit_nm must be positive"):
+        config_from_dict(d)
+
+
 def test_nan_inside_list_rejected_from_json():
     text = json.dumps(config_to_dict(preset("example1"))).replace(
         '"q0": [0.0, 0.6', '"q0": [NaN, 0.6'

@@ -15,6 +15,7 @@ from attkit.quat import (
     chord_len,
     chord_potential,
     chord_pow,
+    cross,
     e_matrix,
     flip_drop,
     from_axis_angle,
@@ -22,7 +23,7 @@ from attkit.quat import (
     quat_mul,
     quat_normalize,
     random_unit_quat,
-    rotation_matrix,
+    rotate,
     sat_pow,
     sgn_pow,
     skew,
@@ -77,29 +78,50 @@ def test_e_matrix_is_vector_part_of_product():
         assert np.allclose(prod[0], -q[1:] @ w)
 
 
-def test_rotation_matrix_is_special_orthogonal():
+def test_cross_matches_np_cross_exactly():
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        a, b = rng.standard_normal(3), rng.standard_normal(3)
+        assert np.array_equal(cross(a, b), np.cross(a, b))
+
+
+def _rotation_columns(q):
+    """The attitude matrix R(q), one rotated basis vector per column."""
+    return np.column_stack([rotate(q, e) for e in np.eye(3)])
+
+
+def test_rotate_is_special_orthogonal():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        r = rotation_matrix(random_unit_quat(rng))
+        r = _rotation_columns(random_unit_quat(rng))
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_rotation_matrix_matches_conjugation():
+def test_rotate_matches_conjugation():
     rng = np.random.default_rng(5)
     for _ in range(50):
         q = random_unit_quat(rng)
         a = rng.standard_normal(3)
         conj = quat_mul(quat_conj(q), quat_mul(np.concatenate(([0.0], a)), q))
-        assert np.allclose(rotation_matrix(q) @ a, conj[1:], atol=1e-12)
+        assert np.allclose(rotate(q, a), conj[1:], atol=1e-12)
 
 
-def test_rotation_matrix_passive_convention():
+def test_rotate_by_conjugate_inverts():
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        q = random_unit_quat(rng)
+        a = rng.standard_normal(3)
+        assert np.allclose(rotate(quat_conj(q), rotate(q, a)), a, atol=1e-12)
+        assert np.allclose(rotate(quat_conj(q), a), _rotation_columns(q).T @ a, atol=1e-12)
+
+
+def test_rotate_passive_convention():
     # 90 degrees about +z: the reference x-axis reads as -y in the body frame
     q = from_axis_angle([0.0, 0.0, 1.0], np.pi / 2.0)
-    assert np.allclose(rotation_matrix(q) @ [1.0, 0.0, 0.0], [0.0, -1.0, 0.0])
+    assert np.allclose(rotate(q, np.array([1.0, 0.0, 0.0])), [0.0, -1.0, 0.0])
     # half turn about +x, exactly representable
-    assert np.array_equal(rotation_matrix(np.array([0.0, 1.0, 0.0, 0.0])), np.diag([1.0, -1.0, -1.0]))
+    assert np.array_equal(_rotation_columns(np.array([0.0, 1.0, 0.0, 0.0])), np.diag([1.0, -1.0, -1.0]))
 
 
 def test_axis_angle_round_trip():

@@ -55,6 +55,13 @@ def test_kinematics_rate_identity_and_orthogonality():
         assert q @ kinematics_rate(q, rng.standard_normal(3)) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_kinematics_rate_equals_quaternion_product():
+    rng = np.random.default_rng(15)
+    for _ in range(200):
+        q, w = random_unit_quat(rng), rng.standard_normal(3)
+        assert np.array_equal(kinematics_rate(q, w), 0.5 * quat_mul(q, np.concatenate(([0.0], w))))
+
+
 def test_sinusoid_trajectory_values_and_bounds():
     traj = sinusoid_trajectory(0.01, 0.01)
     assert np.array_equal(traj.q_d0, [1.0, 0.0, 0.0, 0.0])
