@@ -10,6 +10,16 @@ dilation family, dilation_weights (Bhat & Bernstein, "Geometric homogeneity
 with applications to finite-time stability", MCSS 2005).  ERROR_SYSTEMS
 states, per error system, which gains and exponents these three take.
 
+Each error system's flow splits into a reduced field, homogeneous of negative
+degree, and a remainder field: the flow less the reduced field, written out
+by hand.  Both take the chart point x (quaternion vector parts, then w_e or
+b_err) to R^dim, and block b of the remainder is its rows 3b..3b+2.  Finite
+time needs each block to vanish under the dilation faster than the reduced
+field, which perturbation_vanishing_check measures.  Both fields are written
+at h = h_tilde = 1: Q -> -Q on a quaternion block maps the system at logic
+value -1 onto this one and commutes with the dilation, which scales only the
+vector part.
+
 A potential's exponent must match the fractional power of the channel that
 couples back into it, otherwise a sign-indefinite cross term survives in the
 flow derivative.  For the observer that matched exponent is 1+beta2 (not
@@ -42,9 +52,8 @@ from .quat import (
     chord_gap,
     chord_potential,
     chord_pow,
-    e_matrix,
+    cross,
     flip_drop,
-    quat_mul,
     quat_normalize,
     rotate,
     sat_pow,
@@ -55,7 +64,7 @@ from .rigid_body import (
     Inertia,
     error_dynamics_rate,
     feedforward_torque,
-    xi_matrix,
+    kinematics_rate,
 )
 
 # ---------------------------------------------------------------------------
@@ -149,46 +158,41 @@ def dilation_weights(p: float, quat_blocks: int) -> DilationWeights:
     return DilationWeights(np.array([r_q] * (3 * quat_blocks) + [r_w] * 3), k)
 
 
-def full_state_reduced_field(inertia: Inertia, gains: FullStateGains, h: int = 1):
-    """Leading-order closed-loop field near the h-equilibrium, x = (q_e, w_e)."""
+def full_state_reduced_field(inertia: Inertia, gains: FullStateGains):
+    """Leading-order closed-loop field near the h = 1 equilibrium, x = (q_e, w_e)."""
 
     def field(x: Array) -> Array:
         q_v, w_e = x[:3], x[3:]
-        dq = 0.5 * h * w_e
+        dq = 0.5 * w_e
         dw = -inertia.inverse @ (
-            gains.k1 * h * axis_pow(q_v, 1.0 - gains.alpha1)
-            + gains.k2 * sgn_pow(w_e, gains.alpha2)
+            gains.k1 * axis_pow(q_v, 1.0 - gains.alpha1) + gains.k2 * sgn_pow(w_e, gains.alpha2)
         )
         return np.concatenate([dq, dw])
 
     return field
 
 
-def observer_reduced_field(gains: ObserverGains, h_tilde: int = 1):
-    """Leading-order observer-error field, x = (q_err, b_err)."""
+def observer_reduced_field(gains: ObserverGains):
+    """Leading-order observer-error field near h_tilde = 1, x = (q_err, b_err)."""
 
     def field(x: Array) -> Array:
         q_v, b_e = x[:3], x[3:]
-        dq = -0.5 * h_tilde * b_e - 0.5 * gains.mu1 * axis_pow(q_v, 1.0 - gains.beta1)
-        db = gains.mu2 * h_tilde * axis_pow(q_v, 1.0 - gains.beta2)
+        dq = -0.5 * b_e - 0.5 * gains.mu1 * axis_pow(q_v, 1.0 - gains.beta1)
+        db = gains.mu2 * axis_pow(q_v, 1.0 - gains.beta2)
         return np.concatenate([dq, db])
 
     return field
 
 
-def output_feedback_reduced_field(
-    inertia: Inertia, gains: OutputFeedbackGains, h: int = 1, h_tilde: int = 1
-):
-    """Leading-order velocity-free field, x = (q_lag, q_e, w_e)."""
+def output_feedback_reduced_field(inertia: Inertia, gains: OutputFeedbackGains):
+    """Leading-order velocity-free field near h = h_tilde = 1, x = (q_lag, q_e, w_e)."""
 
     def field(x: Array) -> Array:
         q_l, q_v, w_e = x[:3], x[3:6], x[6:]
         a = 1.0 - gains.alpha1
-        dql = 0.5 * h_tilde * w_e - 0.5 * gains.k3 * axis_pow(q_l, 1.0 - gains.alpha3)
-        dq = 0.5 * h * w_e
-        dw = -inertia.inverse @ (
-            gains.k1 * h * axis_pow(q_v, a) + gains.k2 * h_tilde * axis_pow(q_l, a)
-        )
+        dql = 0.5 * w_e - 0.5 * gains.k3 * axis_pow(q_l, 1.0 - gains.alpha3)
+        dq = 0.5 * w_e
+        dw = -inertia.inverse @ (gains.k1 * axis_pow(q_v, a) + gains.k2 * axis_pow(q_l, a))
         return np.concatenate([dql, dq, dw])
 
     return field
@@ -199,14 +203,13 @@ def homogeneity_check(
     weights: DilationWeights,
     n_samples: int = 10_000,
     eps_values=(1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0),
-    seed: int = 7,
 ) -> float:
     """Max relative deviation of f(eps^r x) from eps^(r+k) f(x) over random x.
 
     Exactly homogeneous fields come back at floating-point rounding level; a
     wrong weight vector comes back at order one.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(7)
     dim = weights.r.size
     factors = [(eps**weights.r, eps ** (weights.r + weights.k)) for eps in eps_values]
     worst = 0.0
@@ -225,147 +228,113 @@ def homogeneity_check(
 
 
 # ---------------------------------------------------------------------------
-# Perturbation (higher-order remainder) fields and their vanishing ratios
+# Remainder fields (error flow less reduced field) and their vanishing ratios
 
 
-@dataclass(frozen=True)
-class PerturbationField:
-    """One remainder block: name, callable (x, t) -> R^3, and its weight index."""
-
-    name: str
-    fn: object
-    weight_index: int  # index into DilationWeights.r of this block's first row
+def _lift(q_v: Array) -> Array:
+    """Lift a chart point q_v (||q_v|| <= 1) to the unit quaternion with q0 >= 0."""
+    return np.concatenate(([np.sqrt(max(1.0 - float(q_v @ q_v), 0.0))], q_v))
 
 
-def _embed_error_quat(q_v: Array, h: int) -> Array:
-    """Lift a chart point q_v (||q_v|| <= 1) to the unit quaternion with h*q0 >= 0."""
-    q0 = h * np.sqrt(max(1.0 - float(q_v @ q_v), 0.0))
-    return np.concatenate(([q0], q_v))
+def _kinematic(q: Array, v: Array) -> Array:
+    """(E(q) - I) v = q_v x v + (q0 - 1) v: the kinematics less its value at identity."""
+    return cross(q[1:], v) + (q[0] - 1.0) * v
 
 
-def _e_minus(q: Array, h: int) -> Array:
-    """E(q) - h*I, the kinematics operator less its value at the h-equilibrium."""
-    return e_matrix(np.concatenate(([q[0] - h], q[1:])))
+def _estimator_gap(q: Array, a: float) -> Array:
+    """E(q) chord_pow(q, a) - axis_pow(q_v, a); q_v x chord_pow(q, a) = 0."""
+    return (q[0] - 1.0) * chord_pow(q, a) + chord_gap(q, a)
 
 
-def full_state_perturbations(
-    inertia: Inertia,
-    gains: FullStateGains,
-    trajectory: DesiredTrajectory,
-    h: int = 1,
-) -> list[PerturbationField]:
-    """Remainder blocks of the full-state loop relative to its reduced field."""
+def _gyroscopic(inertia: Inertia, q: Array, w_e: Array, w_d: Array) -> Array:
+    """Xi w_e = J w x w_e - w_db x J w_e - J (w_db x w_e), w_db = R(q) w_d, w = w_e + w_db.
 
-    def f_kin(x: Array, t: float) -> Array:
-        q_v, w_e = x[:3], x[3:]
-        q = _embed_error_quat(q_v, h)
-        return 0.5 * _e_minus(q, h) @ w_e
-
-    def f_dyn(x: Array, t: float) -> Array:
-        q_v, w_e = x[:3], x[3:]
-        q = _embed_error_quat(q_v, h)
-        w_d_body = rotate(q, trajectory.omega_fn(t))
-        xi = xi_matrix(inertia, w_e, w_d_body)
-        return inertia.inverse @ (xi @ w_e - gains.k1 * chord_gap(h * q, 1.0 - gains.alpha1))
-
-    return [PerturbationField("kinematic", f_kin, 0), PerturbationField("dynamic", f_dyn, 3)]
+    The error dynamics less feedforward and feedback: J wdot_e = Xi w_e - u_d + u.
+    """
+    j = inertia.matrix
+    w_db = rotate(q, w_d)
+    return cross(j @ (w_e + w_db), w_e) - cross(w_db, j @ w_e) - j @ cross(w_db, w_e)
 
 
-def observer_perturbations(
-    gains: ObserverGains, h_tilde: int = 1
-) -> list[PerturbationField]:
-    """Remainder blocks of the observer-error loop relative to its reduced field."""
+def full_state_remainder(inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory):
+    """Full-state error flow less full_state_reduced_field; blocks (kinematic, dynamic).
 
-    def f_q(x: Array, t: float) -> Array:
-        q_v, b_e = x[:3], x[3:]
-        q = _embed_error_quat(q_v, h_tilde)
-        corr = (q[0] - h_tilde) * chord_pow(h_tilde * q, 1.0 - gains.beta1) + h_tilde * chord_gap(
-            h_tilde * q, 1.0 - gains.beta1
-        )
-        return -0.5 * _e_minus(q, h_tilde) @ b_e - 0.5 * gains.mu1 * corr
-
-    def f_b(x: Array, t: float) -> Array:
-        q_v = x[:3]
-        q = _embed_error_quat(q_v, h_tilde)
-        return gains.mu2 * chord_gap(h_tilde * q, 1.0 - gains.beta2)
-
-    return [PerturbationField("attitude", f_q, 0), PerturbationField("bias", f_b, 3)]
-
-
-def output_feedback_perturbations(
-    inertia: Inertia,
-    gains: OutputFeedbackGains,
-    trajectory: DesiredTrajectory,
-    h: int = 1,
-    h_tilde: int = 1,
-) -> list[PerturbationField]:
-    """Remainder blocks of the velocity-free loop relative to its reduced field."""
+    The desired rate is read at t = 0.
+    """
+    w_d = trajectory.omega_fn(0.0)
     a = 1.0 - gains.alpha1
 
-    def f_lag(x: Array, t: float) -> Array:
-        q_l, w_e = x[:3], x[6:]
-        q = _embed_error_quat(q_l, h_tilde)
-        corr = (q[0] - h_tilde) * chord_pow(h_tilde * q, 1.0 - gains.alpha3) + h_tilde * chord_gap(
-            h_tilde * q, 1.0 - gains.alpha3
+    def field(x: Array) -> Array:
+        q, w_e = _lift(x[:3]), x[3:]
+        dq = 0.5 * _kinematic(q, w_e)
+        dw = inertia.inverse @ (_gyroscopic(inertia, q, w_e, w_d) - gains.k1 * chord_gap(q, a))
+        return np.concatenate([dq, dw])
+
+    return field
+
+
+def observer_remainder(gains: ObserverGains):
+    """Observer error flow less observer_reduced_field; blocks (attitude, bias)."""
+
+    def field(x: Array) -> Array:
+        q, b_e = _lift(x[:3]), x[3:]
+        dq = -0.5 * _kinematic(q, b_e) - 0.5 * gains.mu1 * _estimator_gap(q, 1.0 - gains.beta1)
+        db = gains.mu2 * chord_gap(q, 1.0 - gains.beta2)
+        return np.concatenate([dq, db])
+
+    return field
+
+
+def output_feedback_remainder(
+    inertia: Inertia, gains: OutputFeedbackGains, trajectory: DesiredTrajectory
+):
+    """Velocity-free error flow less its reduced field; blocks (filter_lag, kinematic, dynamic).
+
+    The desired rate is read at t = 0.
+    """
+    w_d = trajectory.omega_fn(0.0)
+    a = 1.0 - gains.alpha1
+
+    def field(x: Array) -> Array:
+        q_l, q, w_e = _lift(x[:3]), _lift(x[3:6]), x[6:]
+        dql = 0.5 * _kinematic(q_l, w_e) - 0.5 * gains.k3 * _estimator_gap(q_l, 1.0 - gains.alpha3)
+        dq = 0.5 * _kinematic(q, w_e)
+        dw = inertia.inverse @ (
+            _gyroscopic(inertia, q, w_e, w_d)
+            - gains.k1 * chord_gap(q, a)
+            - gains.k2 * chord_gap(q_l, a)
         )
-        return 0.5 * _e_minus(q, h_tilde) @ w_e - 0.5 * gains.k3 * corr
+        return np.concatenate([dql, dq, dw])
 
-    def f_kin(x: Array, t: float) -> Array:
-        q_v, w_e = x[3:6], x[6:]
-        q = _embed_error_quat(q_v, h)
-        return 0.5 * _e_minus(q, h) @ w_e
+    return field
 
-    def f_dyn(x: Array, t: float) -> Array:
-        q_l, q_v, w_e = x[:3], x[3:6], x[6:]
-        qe = _embed_error_quat(q_v, h)
-        ql = _embed_error_quat(q_l, h_tilde)
-        w_d_body = rotate(qe, trajectory.omega_fn(t))
-        xi = xi_matrix(inertia, w_e, w_d_body)
-        return inertia.inverse @ (
-            xi @ w_e
-            - gains.k1 * chord_gap(h * qe, a)
-            - gains.k2 * chord_gap(h_tilde * ql, a)
-        )
 
-    return [
-        PerturbationField("filter_lag", f_lag, 0),
-        PerturbationField("kinematic", f_kin, 3),
-        PerturbationField("dynamic", f_dyn, 6),
-    ]
+#: dilation factors at which perturbation_vanishing_check reports each ratio
+REMAINDER_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def perturbation_vanishing_check(
-    fields: list[PerturbationField],
-    weights: DilationWeights,
-    n_samples: int = 200,
-    eps_values=(1e-1, 1e-2, 1e-3, 1e-4),
-    t_grid=(0.0,),
-    seed: int = 11,
+    remainder, weights: DilationWeights, blocks: tuple[str, ...], n_samples: int = 200
 ) -> dict[str, list[float]]:
-    """Worst-case ratios ||f_block(eps^r x, t)|| / eps^(r_block + k) per eps.
+    """Worst-case ratios ||f_b(eps^r x)|| / eps^(r_b + k) per block b and eps.
 
-    The finite-time argument needs each ratio to vanish as eps -> 0; the
-    report returns, for every block, the max ratio over samples and times at
-    each eps so monotone decay is directly checkable.
+    Block b of the remainder is its rows 3b..3b+2, named blocks[b].  The
+    finite-time argument needs each ratio to vanish as eps -> 0; the report
+    returns, for every block, the max ratio over samples at each eps of
+    REMAINDER_EPS so monotone decay is directly checkable.
     """
-    rng = np.random.default_rng(seed)
-    dim = weights.r.size
-    xs = rng.standard_normal((n_samples, dim))
+    rng = np.random.default_rng(11)
+    xs = rng.standard_normal((n_samples, weights.r.size))
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    report: dict[str, list[float]] = {}
-    for blk in fields:
-        r_blk = float(weights.r[blk.weight_index])
-        ratios = []
-        for eps in eps_values:
-            scale = eps ** (r_blk + weights.k)
-            worst = 0.0
-            for xe in weights.scale(xs, eps):
-                for t in t_grid:
-                    val = float(np.linalg.norm(blk.fn(xe, t))) / scale
-                    if val > worst:
-                        worst = val
-            ratios.append(worst)
-        report[blk.name] = ratios
+    report: dict[str, list[float]] = {name: [] for name in blocks}
+    for eps in REMAINDER_EPS:
+        worst = [0.0] * len(blocks)
+        for xe in weights.scale(xs, eps):
+            f = remainder(xe)
+            for b in range(len(blocks)):
+                worst[b] = max(worst[b], float(np.linalg.norm(f[3 * b : 3 * b + 3])))
+        for b, name in enumerate(blocks):
+            report[name].append(worst[b] / eps ** (float(weights.r[3 * b]) + weights.k))
     return report
 
 
@@ -478,7 +447,7 @@ def observer_error_flow(gains: ObserverGains):
     def flow(t: float, y: Array, h: int, h_tilde: int) -> Array:
         q_err, b_err = y[0:4], y[4:7]
         w = -b_err - gains.mu1 * chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
-        dq = 0.5 * quat_mul(q_err, np.concatenate(([0.0], w)))
+        dq = kinematics_rate(q_err, w)
         db = gains.mu2 * chord_pow(h_tilde * q_err, 1.0 - gains.beta2)
         return np.concatenate([dq, db])
 
@@ -502,31 +471,35 @@ def output_feedback_error_flow(
         u = output_feedback_torque(gains, q_e, q_lag, h, h_tilde, u_ff)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u)
         w_lag = w_e - gains.k3 * chord_pow(h_tilde * q_lag, 1.0 - gains.alpha3)
-        dlag = 0.5 * quat_mul(q_lag, np.concatenate(([0.0], w_lag)))
+        dlag = kinematics_rate(q_lag, w_lag)
         return np.concatenate([dlag, dq, dw])
 
     return flow
+
+
+#: per-step decrease tolerance of flow_excess, relative to 1 + V
+FLOW_STEP_TOL = 1e-8
+#: fd_rel_error skips steps whose |rate| is below this fraction of its run maximum
+FD_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
 class FlowCheckReport:
     """Lyapunov verification results from one hybrid error-flow run.
 
-    flow_excess  max over flow steps of dV - step_tol*(1 + V); <= 0 means the
-                 per-step decrease condition held with tolerance to spare
+    flow_excess  max over flow steps of dV - FLOW_STEP_TOL*(1 + V); <= 0 means
+                 the per-step decrease condition held with tolerance to spare
     max_rate     max over flow steps of dV/dt; positive for a candidate that
                  genuinely grows somewhere along the flow
     jump_drops   V_pre - V_post at each logic jump, in event order
     fd_rel_error worst |centered-difference V - closed-form rate| / |rate|
-                 over steps where |rate| clears fd_floor times its run
+                 over steps where |rate| clears FD_FLOOR times its run
                  maximum, with jump neighborhoods and endpoints excluded
     """
 
     kind: str
     dt: float
     t_final: float
-    step_tol: float
-    fd_floor: float
     jump_times: tuple[float, ...]
     flow_excess: dict[str, float]
     max_rate: dict[str, float]
@@ -555,8 +528,9 @@ class ErrorSystem:
     sigma: Callable  # (g, delta) -> guaranteed drop of the governing candidate per jump
     counts: Callable  # event -> whether a run's jump budget counts it
     weights: Callable  # g -> DilationWeights of the reduced field
-    reduced_field: Callable  # (g, j) -> field
-    perturbations: Callable  # (g, j, tr) -> remainder blocks
+    reduced_field: Callable  # (g, j) -> field x -> R^dim, at h = h_tilde = 1
+    remainder: Callable  # (g, j, tr) -> the error flow less the reduced field, x -> R^dim
+    blocks: tuple[str, ...]  # remainder block names, rows 3b..3b+2 for block b
     budget: tuple[str, Callable] | None = None  # (candidate, sigma); None: governing's
     observer: bool = False  # autonomous: needs no inertia or trajectory
 
@@ -580,7 +554,8 @@ ERROR_SYSTEMS = {
         counts=lambda ev: ev.h_post != ev.h_pre,
         weights=lambda g: dilation_weights(g.alpha1, 1),
         reduced_field=lambda g, j: full_state_reduced_field(j, g),
-        perturbations=lambda g, j, tr: full_state_perturbations(j, g, tr),
+        remainder=lambda g, j, tr: full_state_remainder(j, g, tr),
+        blocks=("kinematic", "dynamic"),
     ),
     "observer": ErrorSystem(
         layout="[Q_err, b_err]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
@@ -601,7 +576,8 @@ ERROR_SYSTEMS = {
         counts=lambda ev: ev.ht_post != ev.ht_pre,
         weights=lambda g: dilation_weights(g.beta2, 1),
         reduced_field=lambda g, j: observer_reduced_field(g),
-        perturbations=lambda g, j, tr: observer_perturbations(g),
+        remainder=lambda g, j, tr: observer_remainder(g),
+        blocks=("attitude", "bias"),
         # the run budget keeps the reference candidate and exponent
         budget=("v2", lambda g, delta: min_jump_decrease(g.mu2, g.beta1, delta)),
         observer=True,
@@ -627,7 +603,8 @@ ERROR_SYSTEMS = {
         counts=lambda ev: True,
         weights=lambda g: dilation_weights(g.alpha1, 2),
         reduced_field=lambda g, j: output_feedback_reduced_field(j, g),
-        perturbations=lambda g, j, tr: output_feedback_perturbations(j, g, tr),
+        remainder=lambda g, j, tr: output_feedback_remainder(j, g, tr),
+        blocks=("filter_lag", "kinematic", "dynamic"),
     ),
 }
 
@@ -644,8 +621,6 @@ def lyapunov_flow_report(
     delta: float = 0.3,
     dt: float = 1e-3,
     t_final: float = 30.0,
-    step_tol: float = 1e-8,
-    fd_floor: float = 1e-3,
 ) -> FlowCheckReport:
     """Integrate one hybrid error system and check every Lyapunov claim on it.
 
@@ -717,13 +692,13 @@ def lyapunov_flow_report(
     flow_excess, max_rate, fd_rel = {}, {}, {}
     for nm in names:
         dv = np.diff(v[nm])
-        flow_excess[nm] = float((dv - step_tol * (1.0 + v[nm][:-1]))[flow_step].max())
+        flow_excess[nm] = float((dv - FLOW_STEP_TOL * (1.0 + v[nm][:-1]))[flow_step].max())
         max_rate[nm] = float(dv[flow_step].max() / dt)
         fd = (v[nm][2:] - v[nm][:-2]) / (2.0 * dt)
         r_mid = rate[nm][1:n]
         sel = fd_ok[1:n]
         if sel.any():
-            sel = sel & (np.abs(r_mid) >= fd_floor * float(np.abs(r_mid[sel]).max()))
+            sel = sel & (np.abs(r_mid) >= FD_FLOOR * float(np.abs(r_mid[sel]).max()))
         fd_rel[nm] = (
             float(np.max(np.abs(fd[sel] - r_mid[sel]) / np.abs(r_mid[sel])))
             if sel.any()
@@ -734,8 +709,6 @@ def lyapunov_flow_report(
         kind=kind,
         dt=dt,
         t_final=t_final,
-        step_tol=step_tol,
-        fd_floor=fd_floor,
         jump_times=tuple(k * dt for k in jump_steps),
         flow_excess=flow_excess,
         max_rate=max_rate,

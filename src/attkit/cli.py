@@ -114,13 +114,14 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     Degenerate exponents (alpha1 = 1, beta1 = 1, alpha3 = 1) have no negative
     homogeneity degree, so those checks report null instead of failing.
     """
+    if n_samples < 1:  # zero samples would pass the homogeneity check unchecked
+        raise ValueError("samples must be at least 1, got %r" % n_samples)
     error_system = kinds.get(cfg.controller.kind).error_system
     es = analysis.ERROR_SYSTEMS[error_system]
     gains = cfg.controller.build()
     es_gains = cfg.observer.build() if es.observer else gains
     inertia = cfg.inertia()
     traj = cfg.trajectory.build()
-    eps_values = (1e-1, 1e-2, 1e-3, 1e-4)
 
     try:
         weights = es.weights(es_gains)
@@ -134,8 +135,8 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
         deviation = analysis.homogeneity_check(field, weights, n_samples=n_samples)
         homogeneous_ok = deviation < 1e-9
         ratios = analysis.perturbation_vanishing_check(
-            es.perturbations(es_gains, inertia, traj), weights,
-            n_samples=max(n_samples // 10, 20), eps_values=eps_values,
+            es.remainder(es_gains, inertia, traj), weights, es.blocks,
+            n_samples=max(n_samples // 10, 20),
         )
         monotone = all(
             all(a > b for a, b in zip(row, row[1:])) for row in ratios.values()

@@ -96,8 +96,10 @@ class SimConfig:
     t_final_s: float = 100.0
 
     def __post_init__(self) -> None:
-        if self.dt_s <= 0.0 or self.t_final_s <= 0.0:
-            raise ValueError("dt_s and t_final_s must be positive")
+        for name in ("dt_s", "t_final_s"):
+            value = getattr(self, name)
+            if value <= 0.0:
+                raise ValueError("sim.%s must be positive, got %r" % (name, value))
 
 
 @dataclass
@@ -127,6 +129,11 @@ class ScenarioConfig:
         for label, value in numbers:
             if not _finite(value):
                 raise ValueError("%s must be finite, got %r" % (label, value))
+            size = _VECTOR_SIZES.get(label)
+            if size is not None and value is not None:
+                count = len(value) if isinstance(value, (list, tuple)) else np.size(value)
+                if count != size:
+                    raise ValueError("%s must have %d components, got %d" % (label, size, count))
         if not self.torque_limit_nm > 0.0:  # a clip to a non-positive limit is not saturation
             raise ValueError("torque_limit_nm must be positive, got %r" % self.torque_limit_nm)
 
@@ -135,6 +142,18 @@ class ScenarioConfig:
 
     def inertia(self) -> Inertia:
         return Inertia(self.plant.inertia_kgm2)
+
+
+#: component count of every vector a scenario configures
+_VECTOR_SIZES = {
+    "plant.q0": 4,
+    "plant.omega0_rad_s": 3,
+    "plant.bias0_rad_s": 3,
+    "trajectory.q_d0": 4,
+    "observer.q_hat0": 4,
+    "observer.b_hat0_rad_s": 3,
+    "filter.q_f0": 4,
+}
 
 
 def _finite(value) -> bool:

@@ -66,17 +66,6 @@ def unit_or_warn(q: Array, label: str) -> Array:
     return q / n
 
 
-def skew(v: Array) -> Array:
-    """Cross-product matrix: skew(v) @ u == np.cross(v, u)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def e_matrix(q: Array) -> Array:
-    """E(q) = q^x + q0*I, the vector-part kinematics operator."""
-    return skew(q[1:]) + q[0] * np.eye(3)
-
-
 def cross(u: Array, v: Array) -> Array:
     """u x v of two 3-vectors; equal to np.cross(u, v) bit for bit."""
     u1, u2, u3 = u.tolist()
@@ -140,11 +129,13 @@ def axis_pow(q_v: Array, alpha: float) -> Array:
     """Vector part q_v scaled by ||q_v||^-alpha; defined as 0 at q_v = 0.
 
     For 0 <= alpha < 1 this is continuous on the unit sphere and vanishes only
-    at the two attitude equilibria +-[1, 0, 0, 0].
+    at the two attitude equilibria +-[1, 0, 0, 0].  Only an exact zero is
+    special-cased: dilations put chart points far below ZERO_TOL, and the
+    power is well defined there.
     """
     q_v = np.asarray(q_v, dtype=float)
     n = float(np.linalg.norm(q_v))
-    if n <= ZERO_TOL:
+    if n == 0.0:
         return np.zeros(3)
     return q_v / n**alpha
 
@@ -177,10 +168,14 @@ def chord_gap(q: Array, alpha: float) -> Array:
     i.e. it vanishes two orders faster than either term.  Subtracting the two
     directly would cancel catastrophically there, so use the exact identity
     ||q_v||^2 / (2(1 - q0)) = (1 + q0)/2 on the unit sphere, which turns the
-    difference into axis_pow * expm1((alpha/2) log1p(-(1 - q0)/2)).
+    difference into axis_pow * expm1((alpha/2) log1p(-(1 - q0)/2)).  For
+    q0 > 0, 1 - q0 is itself formed as ||q_v||^2 / (1 + q0): the subtraction
+    rounds to zero once ||q_v||^2 falls below the spacing of doubles near 1.
     """
-    base = axis_pow(q[1:], alpha)
-    return base * np.expm1(0.5 * alpha * np.log1p(-0.5 * (1.0 - q[0])))
+    q0 = float(q[0])
+    q_v = q[1:]
+    one_minus_q0 = float(q_v @ q_v) / (1.0 + q0) if q0 > 0.0 else 1.0 - q0
+    return axis_pow(q_v, alpha) * math.expm1(0.5 * alpha * math.log1p(-0.5 * one_minus_q0))
 
 
 def chord_potential(x: float, alpha: float) -> float:

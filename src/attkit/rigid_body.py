@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quat import Array, cross, quat_conj, quat_mul, rotate, skew
+from .quat import Array, cross, quat_conj, quat_mul, rotate
 
 
 class Inertia:
@@ -119,16 +119,6 @@ def error_velocity(q_e: Array, w: Array, w_d: Array) -> tuple[Array, Array]:
     return w - w_d_body, w_d_body
 
 
-def xi_matrix(inertia: Inertia, w_e: Array, w_d_body: Array) -> Array:
-    """Skew-symmetric gyroscopic coupling matrix of the error dynamics.
-
-    Xi = (J(w_e + w_d_body))^x - w_d_body^x J - J w_d_body^x, so that
-    J wdot_e = Xi w_e - w_d_body x J w_d_body - J R(Q_e) wdot_d + u.
-    """
-    j = inertia.matrix
-    return skew(j @ (w_e + w_d_body)) - skew(w_d_body) @ j - j @ skew(w_d_body)
-
-
 def feedforward_torque(inertia: Inertia, q_e: Array, w_d: Array, w_d_dot: Array) -> Array:
     """Torque that renders (Q_e, w_e) = (identity, 0) invariant.
 
@@ -149,8 +139,10 @@ def error_dynamics_rate(
     """Flow of the tracking error under an applied torque.
 
     Qdot_e = 0.5 Q_e * [0, w_e];
-    J wdot_e = Xi(w_e, w_d_body) w_e - u_d + u, with u_d = feedforward_torque.
+    wdot_e = wdot - R(Q_e) wdot_d + w_e x w_d_body, where wdot is Euler's
+    equation at the body rate w = w_e + w_d_body and the last two terms
+    transport the desired rate into the turning body frame.
     """
-    xi = xi_matrix(inertia, w_e, rotate(q_e, w_d))
-    rhs = xi @ w_e - feedforward_torque(inertia, q_e, w_d, w_d_dot) + torque
-    return kinematics_rate(q_e, w_e), inertia.inverse @ rhs
+    w_d_body = rotate(q_e, w_d)
+    dw = dynamics_rate(inertia, w_e + w_d_body, torque) - rotate(q_e, w_d_dot)
+    return kinematics_rate(q_e, w_e), dw + cross(w_e, w_d_body)

@@ -33,8 +33,10 @@ class NoiseConfig:
     bias_walk_deg_s2: float = 0.01
 
     def __post_init__(self) -> None:
-        if min(self.attitude_cone_deg, self.gyro_sigma_deg_s, self.bias_walk_deg_s2) < 0.0:
-            raise ValueError("noise magnitudes must be nonnegative")
+        for name in ("attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2"):
+            value = getattr(self, name)
+            if value < 0.0:
+                raise ValueError("noise.%s must be nonnegative, got %r" % (name, value))
 
     @property
     def attitude_cone_rad(self) -> float:

@@ -9,19 +9,20 @@ import numpy as np
 import pytest
 
 from attkit.analysis import (
+    ERROR_SYSTEMS,
     bound_checks,
     convergence_metrics,
     chord_rate,
     dilation_weights,
-    full_state_perturbations,
     full_state_reduced_field,
+    full_state_remainder,
     homogeneity_check,
     min_jump_decrease,
     observer_error_flow,
-    observer_perturbations,
     observer_reduced_field,
-    output_feedback_perturbations,
+    observer_remainder,
     output_feedback_reduced_field,
+    output_feedback_remainder,
     perturbation_vanishing_check,
     potential_term,
 )
@@ -263,13 +264,14 @@ def test_c09a_reduced_fields_homogeneous():
 def test_c09b_perturbations_vanish_under_dilation():
     traj = sinusoid_trajectory()
     cases = [
-        (full_state_perturbations(INERTIA, FS_GAINS, traj), dilation_weights(FS_GAINS.alpha1, 1)),
-        (observer_perturbations(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
-        (output_feedback_perturbations(INERTIA, OF_GAINS, traj), dilation_weights(OF_GAINS.alpha1, 2)),
+        (full_state_remainder(INERTIA, FS_GAINS, traj), dilation_weights(FS_GAINS.alpha1, 1)),
+        (observer_remainder(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
+        (output_feedback_remainder(INERTIA, OF_GAINS, traj), dilation_weights(OF_GAINS.alpha1, 2)),
     ]
     n_blocks = 0
-    for fields, weights in cases:
-        report = perturbation_vanishing_check(fields, weights, n_samples=200)
+    for (remainder, weights), system in zip(cases, ("full_state", "observer", "attitude_only")):
+        blocks = ERROR_SYSTEMS[system].blocks
+        report = perturbation_vanishing_check(remainder, weights, blocks, n_samples=200)
         for name, ratios in report.items():
             n_blocks += 1
             assert all(a > b for a, b in zip(ratios, ratios[1:])), (name, ratios)

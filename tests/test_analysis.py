@@ -16,23 +16,28 @@ from attkit.analysis import (
     convergence_metrics,
     dilation_weights,
     error_norm,
-    full_state_perturbations,
     full_state_reduced_field,
+    full_state_remainder,
     homogeneity_check,
     lyapunov_v1,
     min_joint_jump_decrease,
     min_jump_decrease,
-    observer_perturbations,
     observer_reduced_field,
-    output_feedback_perturbations,
+    observer_remainder,
     output_feedback_reduced_field,
+    output_feedback_remainder,
     perturbation_vanishing_check,
     v1_flow_rate,
 )
 from attkit.config import preset
 from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
 from attkit.quat import chord_potential
-from attkit.rigid_body import Inertia, regulation_trajectory, sinusoid_trajectory
+from attkit.rigid_body import (
+    DesiredTrajectory,
+    Inertia,
+    regulation_trajectory,
+    sinusoid_trajectory,
+)
 from attkit.sim import run_scenario
 
 BENCH_J = [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
@@ -177,13 +182,14 @@ def test_homogeneity_check_flags_wrong_weights():
 def test_perturbation_blocks_vanish_under_dilation():
     traj = sinusoid_trajectory()
     cases = [
-        (full_state_perturbations(INERTIA, FS_GAINS, traj), dilation_weights(FS_GAINS.alpha1, 1)),
-        (observer_perturbations(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
-        (output_feedback_perturbations(INERTIA, OF_GAINS, traj), dilation_weights(OF_GAINS.alpha1, 2)),
+        (full_state_remainder(INERTIA, FS_GAINS, traj), dilation_weights(FS_GAINS.alpha1, 1)),
+        (observer_remainder(OBS_GAINS), dilation_weights(OBS_GAINS.beta2, 1)),
+        (output_feedback_remainder(INERTIA, OF_GAINS, traj), dilation_weights(OF_GAINS.alpha1, 2)),
     ]
     seen = []
-    for fields, weights in cases:
-        report = perturbation_vanishing_check(fields, weights, n_samples=100)
+    for (remainder, weights), system in zip(cases, ("full_state", "observer", "attitude_only")):
+        blocks = ERROR_SYSTEMS[system].blocks
+        report = perturbation_vanishing_check(remainder, weights, blocks, n_samples=100)
         for name, ratios in report.items():
             seen.append(name)
             assert all(a > b for a, b in zip(ratios, ratios[1:])), (name, ratios)
@@ -192,12 +198,52 @@ def test_perturbation_blocks_vanish_under_dilation():
 
 def test_kinematic_remainder_decays_fast():
     report = perturbation_vanishing_check(
-        full_state_perturbations(INERTIA, FS_GAINS, sinusoid_trajectory()),
+        full_state_remainder(INERTIA, FS_GAINS, sinusoid_trajectory()),
         dilation_weights(FS_GAINS.alpha1, 1),
+        ERROR_SYSTEMS["full_state"].blocks,
         n_samples=100,
     )
     ratios = report["kinematic"]
     assert all(a / b >= 2.0 for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize(
+    "system, gains",
+    [("full_state", FS_GAINS), ("observer", OBS_GAINS), ("attitude_only", OF_GAINS)],
+)
+def test_remainder_is_error_flow_less_reduced_field(system, gains):
+    # Lift x at h = h_tilde = 1, take the error flow's vector-part rows and
+    # subtract the reduced field; a nonzero desired rate and acceleration at
+    # t = 0 exercise the gyroscopic and transport terms.  eps = 1e-4 is left
+    # out: there chord_pow's 1 - q0, formed by subtraction, has lost most of
+    # its digits, and the flow's own error puts the observer's bias-block gap
+    # at 24 % (at most 2.1e-4 for eps >= 1e-3).
+    es = ERROR_SYSTEMS[system]
+    w_d, w_d_dot = np.array([0.01, -0.02, 0.015]), np.array([1e-3, 2e-3, -1e-3])
+    traj = DesiredTrajectory(IDENT, lambda t: w_d, lambda t: w_d_dot, 0.03, 3e-3)
+    flow = es.flow(gains, INERTIA, traj)
+    reduced = es.reduced_field(gains, INERTIA)
+    remainder = es.remainder(gains, INERTIA, traj)
+    weights = es.weights(gains)
+    n_quat = len(es.quat_blocks)
+    scalar_rows = [4 * i for i in range(n_quat)]
+    rng = np.random.default_rng(5)
+    xs = rng.standard_normal((50, weights.r.size))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    for eps in (1e-1, 1e-2, 1e-3):
+        gap = np.zeros(len(es.blocks))
+        size = np.zeros(len(es.blocks))
+        for x in weights.scale(xs, eps):
+            charts = [x[3 * i : 3 * i + 3] for i in range(n_quat)]
+            lifted = [np.r_[np.sqrt(1.0 - c @ c), c] for c in charts]
+            y = np.concatenate(lifted + [x[3 * n_quat :]])
+            want = np.delete(flow(0.0, y, 1, 1), scalar_rows) - reduced(x)
+            got = remainder(x)
+            for b in range(len(es.blocks)):
+                rows = slice(3 * b, 3 * b + 3)
+                gap[b] = max(gap[b], np.linalg.norm(got[rows] - want[rows]))
+                size[b] = max(size[b], np.linalg.norm(got[rows]))
+        assert np.all(gap <= 1e-3 * size), (eps, dict(zip(es.blocks, gap / size)))
 
 
 # ---------------------------------------------------------------------------

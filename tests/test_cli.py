@@ -144,6 +144,29 @@ def test_verify_starts_at_configured_h_tilde0():
     assert result["jump_drops"] == {"v2": [], "v2_matched": []}
 
 
+@pytest.mark.parametrize(
+    "name, exponent", [("example1", {"alpha1": 0.9}), ("example2", {"beta1": 0.95}),
+                       ("example3", {"alpha3": 0.95})],
+)
+def test_verify_passes_at_high_exponents(name, exponent):
+    # at p near 1 the dilation puts chart points below 1e-12 at eps = 1e-3,
+    # where axis_pow must still be a power and chord_gap must not round
+    # 1 - q0 to zero
+    result = cli.verify(_short(name, seconds=0.4, **exponent), n_samples=200)
+    assert result["homogeneity_ok"] is True
+    assert result["perturbations_monotone"] is True
+    assert result["ok"] is True
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_verify_rejects_samples_below_one(tmp_path, capsys, samples):
+    path = save_config(_short("example1"), tmp_path / "cfg.json")
+    assert cli.main(["verify", str(path), "--samples", samples]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert "samples" in record["message"]
+
+
 def test_verify_degenerate_exponent_reports_null():
     result = cli.verify(_short("example1", alpha1=1.0), n_samples=200)
     assert result["homogeneity_ok"] is None

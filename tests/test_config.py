@@ -68,6 +68,37 @@ def test_non_positive_torque_limit_rejected(limit):
         config_from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "name, section, field, value, size",
+    [
+        ("example1", "plant", "q0", [0.0, 0.6, -0.8], 4),
+        ("example1", "plant", "omega0_rad_s", [0.3, -0.4, 0.0, 0.0], 3),
+        ("example1", "plant", "bias0_rad_s", [0.1], 3),  # was broadcast to all three axes
+        ("example1", "trajectory", "q_d0", [1.0], 4),
+        ("example2", "observer", "q_hat0", [1.0, 0.0, 0.0], 4),
+        ("example2", "observer", "b_hat0_rad_s", [0.0, 0.0], 3),
+        ("example3", "filter", "q_f0", [1.0, 0.0, 0.0, 0.0, 0.0], 4),
+    ],
+)
+def test_vector_of_wrong_length_rejected(name, section, field, value, size):
+    d = config_to_dict(preset(name))
+    d[section][field] = value
+    msg = r"^%s\.%s must have %d components, got %d$" % (section, field, size, len(value))
+    with pytest.raises(ValueError, match=msg):
+        config_from_dict(d)
+
+
+def test_noise_and_sim_messages_name_the_field():
+    d = config_to_dict(preset("example1"))
+    d["noise"]["gyro_sigma_deg_s"] = -0.1
+    with pytest.raises(ValueError, match=r"^noise\.gyro_sigma_deg_s must be nonnegative"):
+        config_from_dict(d)
+    with pytest.raises(ValueError, match=r"^sim\.dt_s must be positive"):
+        SimConfig(dt_s=0.0)
+    with pytest.raises(ValueError, match=r"^sim\.t_final_s must be positive"):
+        SimConfig(t_final_s=-1.0)
+
+
 def test_nan_inside_list_rejected_from_json():
     text = json.dumps(config_to_dict(preset("example1"))).replace(
         '"q0": [0.0, 0.6', '"q0": [NaN, 0.6'

@@ -15,7 +15,6 @@ from attkit.rigid_body import (
     kinematics_rate,
     regulation_trajectory,
     sinusoid_trajectory,
-    xi_matrix,
 )
 from attkit.sim import rk4_step
 
@@ -98,13 +97,16 @@ def test_error_velocity_at_zero_attitude_error():
 
 
 def test_xi_matrix_antisymmetric():
+    # with the feedforward applied, J wdot_e = Xi w_e, and the skew-symmetric
+    # gyroscopic coupling Xi does no work: w_e' Xi w_e = 0
     inertia = Inertia(BENCH_J)
     rng = np.random.default_rng(12)
     for _ in range(20):
-        w_e = rng.standard_normal(3)
-        xi = xi_matrix(inertia, w_e, rng.standard_normal(3))
-        assert np.allclose(xi + xi.T, 0.0, atol=1e-12)
-        assert w_e @ xi @ w_e == pytest.approx(0.0, abs=1e-12)
+        q_e, w_e = random_unit_quat(rng), rng.standard_normal(3)
+        w_d, w_d_dot = rng.standard_normal(3), rng.standard_normal(3)
+        u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
+        _, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u_ff)
+        assert w_e @ (inertia.matrix @ dw) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_feedforward_at_zero_error_reference_value():
