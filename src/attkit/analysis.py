@@ -46,6 +46,7 @@ from .controllers import (
     full_state_torque,
     output_feedback_torque,
 )
+from .integrate import _renorm, last_value, rk4_step
 from .quat import (
     Array,
     axis_pow,
@@ -53,7 +54,9 @@ from .quat import (
     chord_potential,
     chord_pow,
     cross,
+    dot,
     flip_drop,
+    mat_vec,
     quat_normalize,
     rotate,
     sat_pow,
@@ -80,16 +83,15 @@ def potential_term(gain: float, x: float, a: float) -> float:
     return (2.0 * gain / a) * chord_potential(x, a)
 
 
-def lyapunov_v1(
-    q_e: Array, w_e: Array, h: int, inertia: Inertia, k1: float, alpha1: float
-) -> float:
+def lyapunov_v1(q_e, w_e, h: int, inertia: Inertia, k1: float, alpha1: float) -> float:
     """V1 = 0.5 w_e' J w_e + potential_term(k1, h q_e0, 1+alpha1).
 
     Along full-state flows dV1/dt = -k2 w_e' sat_pow(w_e, alpha2) <= 0, and a
     logic jump changes V1 by (2 k1/(1+alpha1)) flip_drop(h q_e0, 1+alpha1).
     """
     return float(
-        0.5 * w_e @ (inertia.matrix @ w_e) + potential_term(k1, h * q_e[0], 1.0 + alpha1)
+        0.5 * dot(w_e, mat_vec(inertia.matrix, w_e))
+        + potential_term(k1, h * q_e[0], 1.0 + alpha1)
     )
 
 
@@ -160,11 +162,12 @@ def dilation_weights(p: float, quat_blocks: int) -> DilationWeights:
 
 def full_state_reduced_field(inertia: Inertia, gains: FullStateGains):
     """Leading-order closed-loop field near the h = 1 equilibrium, x = (q_e, w_e)."""
+    j_inv = np.asarray(inertia.inverse)
 
     def field(x: Array) -> Array:
         q_v, w_e = x[:3], x[3:]
         dq = 0.5 * w_e
-        dw = -inertia.inverse @ (
+        dw = -j_inv @ (
             gains.k1 * axis_pow(q_v, 1.0 - gains.alpha1) + gains.k2 * sgn_pow(w_e, gains.alpha2)
         )
         return np.concatenate([dq, dw])
@@ -186,13 +189,14 @@ def observer_reduced_field(gains: ObserverGains):
 
 def output_feedback_reduced_field(inertia: Inertia, gains: OutputFeedbackGains):
     """Leading-order velocity-free field near h = h_tilde = 1, x = (q_lag, q_e, w_e)."""
+    j_inv = np.asarray(inertia.inverse)
 
     def field(x: Array) -> Array:
         q_l, q_v, w_e = x[:3], x[3:6], x[6:]
         a = 1.0 - gains.alpha1
         dql = 0.5 * w_e - 0.5 * gains.k3 * axis_pow(q_l, 1.0 - gains.alpha3)
         dq = 0.5 * w_e
-        dw = -inertia.inverse @ (gains.k1 * axis_pow(q_v, a) + gains.k2 * axis_pow(q_l, a))
+        dw = -j_inv @ (gains.k1 * axis_pow(q_v, a) + gains.k2 * axis_pow(q_l, a))
         return np.concatenate([dql, dq, dw])
 
     return field
@@ -238,22 +242,25 @@ def _lift(q_v: Array) -> Array:
 
 def _kinematic(q: Array, v: Array) -> Array:
     """(E(q) - I) v = q_v x v + (q0 - 1) v: the kinematics less its value at identity."""
-    return cross(q[1:], v) + (q[0] - 1.0) * v
+    return np.asarray(cross(q[1:], v)) + (q[0] - 1.0) * v
 
 
 def _estimator_gap(q: Array, a: float) -> Array:
     """E(q) chord_pow(q, a) - axis_pow(q_v, a); q_v x chord_pow(q, a) = 0."""
-    return (q[0] - 1.0) * chord_pow(q, a) + chord_gap(q, a)
+    return (q[0] - 1.0) * np.asarray(chord_pow(q, a)) + chord_gap(q, a)
 
 
-def _gyroscopic(inertia: Inertia, q: Array, w_e: Array, w_d: Array) -> Array:
+def _gyroscopic(j: Array, q: Array, w_e: Array, w_d) -> Array:
     """Xi w_e = J w x w_e - w_db x J w_e - J (w_db x w_e), w_db = R(q) w_d, w = w_e + w_db.
 
     The error dynamics less feedforward and feedback: J wdot_e = Xi w_e - u_d + u.
     """
-    j = inertia.matrix
-    w_db = rotate(q, w_d)
-    return cross(j @ (w_e + w_db), w_e) - cross(w_db, j @ w_e) - j @ cross(w_db, w_e)
+    w_db = np.asarray(rotate(q, w_d))
+    return (
+        np.asarray(cross(j @ (w_e + w_db), w_e))
+        - np.asarray(cross(w_db, j @ w_e))
+        - j @ cross(w_db, w_e)
+    )
 
 
 def full_state_remainder(inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory):
@@ -262,12 +269,13 @@ def full_state_remainder(inertia: Inertia, gains: FullStateGains, trajectory: De
     The desired rate is read at t = 0.
     """
     w_d = trajectory.omega_fn(0.0)
+    j, j_inv = np.asarray(inertia.matrix), np.asarray(inertia.inverse)
     a = 1.0 - gains.alpha1
 
     def field(x: Array) -> Array:
         q, w_e = _lift(x[:3]), x[3:]
         dq = 0.5 * _kinematic(q, w_e)
-        dw = inertia.inverse @ (_gyroscopic(inertia, q, w_e, w_d) - gains.k1 * chord_gap(q, a))
+        dw = j_inv @ (_gyroscopic(j, q, w_e, w_d) - gains.k1 * chord_gap(q, a))
         return np.concatenate([dq, dw])
 
     return field
@@ -293,14 +301,15 @@ def output_feedback_remainder(
     The desired rate is read at t = 0.
     """
     w_d = trajectory.omega_fn(0.0)
+    j, j_inv = np.asarray(inertia.matrix), np.asarray(inertia.inverse)
     a = 1.0 - gains.alpha1
 
     def field(x: Array) -> Array:
         q_l, q, w_e = _lift(x[:3]), _lift(x[3:6]), x[6:]
         dql = 0.5 * _kinematic(q_l, w_e) - 0.5 * gains.k3 * _estimator_gap(q_l, 1.0 - gains.alpha3)
         dq = 0.5 * _kinematic(q, w_e)
-        dw = inertia.inverse @ (
-            _gyroscopic(inertia, q, w_e, w_d)
+        dw = j_inv @ (
+            _gyroscopic(j, q, w_e, w_d)
             - gains.k1 * chord_gap(q, a)
             - gains.k2 * chord_gap(q_l, a)
         )
@@ -389,22 +398,24 @@ def convergence_metrics(trace, threshold: float = 1e-3) -> ConvergenceReport:
 # Closed-form flow derivatives, for finite-difference comparison
 
 
-def v1_flow_rate(w_e: Array, gains: FullStateGains) -> float:
+def v1_flow_rate(w_e, gains: FullStateGains) -> float:
     """Flow derivative of lyapunov_v1 under the full-state law.
 
     dV1/dt = -k2 * w_e' sat_pow(w_e, alpha2); exact, all cross terms cancel.
     """
-    return float(-gains.k2 * (w_e @ sat_pow(w_e, gains.alpha2)))
+    p = gains.alpha2
+    w1, w2, w3 = w_e
+    return float(-gains.k2 * (w1 * sat_pow(w1, p) + w2 * sat_pow(w2, p) + w3 * sat_pow(w3, p)))
 
 
-def chord_rate(q: Array, h: int, c: float, a: float, b: float) -> float:
+def chord_rate(q, h: int, c: float, a: float, b: float) -> float:
     """-c chord_pow(h Q, 1-a)' chord_pow(h Q, 1-b), the flow rate of a potential.
 
     This is the exact rate of a matched candidate whose potential has exponent
     1+b and is driven through a channel of exponent a.  a = b is the rate a
     reference candidate would need in order to be monotone.
     """
-    return float(-c * (chord_pow(h * q, 1.0 - a) @ chord_pow(h * q, 1.0 - b)))
+    return float(-c * dot(chord_pow(q, 1.0 - a, h), chord_pow(q, 1.0 - b, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,22 +423,23 @@ def chord_rate(q: Array, h: int, c: float, a: float, b: float) -> float:
 # torque across each step, which floors its attainable dissipation accuracy;
 # these flows close the loop continuously in error coordinates so the
 # Lyapunov claims can be checked at integrator precision.  Noise and
-# disturbances are deliberately absent.
+# disturbances are deliberately absent.  Like the simulator's flow, each takes
+# a flat float sequence y and returns a float tuple.
 
 
 def full_state_error_flow(
     inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory
 ):
     """(t, y, h, h_tilde) -> ydot for y = [Q_e, w_e] under the continuous full-state law."""
+    omega, omega_dot = last_value(trajectory.omega_fn), last_value(trajectory.omega_dot_fn)
 
-    def flow(t: float, y: Array, h: int, h_tilde: int) -> Array:
+    def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_e, w_e = y[0:4], y[4:7]
-        w_d = trajectory.omega_fn(t)
-        w_d_dot = trajectory.omega_dot_fn(t)
+        w_d, w_d_dot = omega(t), omega_dot(t)
         u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
         u = full_state_torque(gains, q_e, w_e, h, u_ff)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u)
-        return np.concatenate([dq, dw])
+        return dq + dw
 
     return flow
 
@@ -444,12 +456,15 @@ def observer_error_flow(gains: ObserverGains):
     which is what makes a standalone flow check of v2 meaningful.
     """
 
-    def flow(t: float, y: Array, h: int, h_tilde: int) -> Array:
-        q_err, b_err = y[0:4], y[4:7]
-        w = -b_err - gains.mu1 * chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
-        dq = kinematics_rate(q_err, w)
-        db = gains.mu2 * chord_pow(h_tilde * q_err, 1.0 - gains.beta2)
-        return np.concatenate([dq, db])
+    mu1, mu2 = gains.mu1, gains.mu2
+
+    def flow(t: float, y, h: int, h_tilde: int) -> tuple:
+        q_err = y[0:4]
+        b1, b2, b3 = y[4:7]
+        a1, a2, a3 = chord_pow(q_err, 1.0 - gains.beta1, h_tilde)
+        dq = kinematics_rate(q_err, (-b1 - mu1 * a1, -b2 - mu1 * a2, -b3 - mu1 * a3))
+        c1, c2, c3 = chord_pow(q_err, 1.0 - gains.beta2, h_tilde)
+        return (*dq, mu2 * c1, mu2 * c2, mu2 * c3)
 
     return flow
 
@@ -462,17 +477,19 @@ def output_feedback_error_flow(
     The filter lag obeys Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~
     Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.
     """
+    omega, omega_dot = last_value(trajectory.omega_fn), last_value(trajectory.omega_dot_fn)
+    k3 = gains.k3
 
-    def flow(t: float, y: Array, h: int, h_tilde: int) -> Array:
+    def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
-        w_d = trajectory.omega_fn(t)
-        w_d_dot = trajectory.omega_dot_fn(t)
+        w_d, w_d_dot = omega(t), omega_dot(t)
         u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
         u = output_feedback_torque(gains, q_e, q_lag, h, h_tilde, u_ff)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u)
-        w_lag = w_e - gains.k3 * chord_pow(h_tilde * q_lag, 1.0 - gains.alpha3)
-        dlag = kinematics_rate(q_lag, w_lag)
-        return np.concatenate([dlag, dq, dw])
+        e1, e2, e3 = w_e
+        c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
+        dlag = kinematics_rate(q_lag, (e1 - k3 * c1, e2 - k3 * c2, e3 - k3 * c3))
+        return dlag + dq + dw
 
     return flow
 
@@ -544,7 +561,7 @@ ERROR_SYSTEMS = {
         layout="[Q_e, w_e]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
         jump=kinds.jump_h,
         flow=lambda g, j, tr: full_state_error_flow(j, g, tr),
-        coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_e, w_e]),
+        coords=lambda q_e, w_e, q_est_err, b_err: (*q_e, *w_e),
         candidates=lambda y, h, ht, g, j: {
             "v1": lyapunov_v1(y[0:4], y[4:7], h, j, g.k1, g.alpha1)
         },
@@ -561,11 +578,12 @@ ERROR_SYSTEMS = {
         layout="[Q_err, b_err]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
         jump=kinds.jump_h_tilde,
         flow=lambda g, j, tr: observer_error_flow(g),
-        coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_est_err, b_err]),
+        coords=lambda q_e, w_e, q_est_err, b_err: (*q_est_err, *b_err),
         # the matched potential exponent 1 + beta2 is spelled 2 * beta1
         candidates=lambda y, h, ht, g, j: {
-            "v2": 0.5 * y[4:7] @ y[4:7] + potential_term(g.mu2, ht * y[0], 1.0 + g.beta1),
-            "v2_matched": 0.5 * y[4:7] @ y[4:7] + potential_term(g.mu2, ht * y[0], 2.0 * g.beta1),
+            "v2": 0.5 * dot(y[4:7], y[4:7]) + potential_term(g.mu2, ht * y[0], 1.0 + g.beta1),
+            "v2_matched": 0.5 * dot(y[4:7], y[4:7])
+            + potential_term(g.mu2, ht * y[0], 2.0 * g.beta1),
         },
         rates=lambda y, h, ht, g: {
             "v2": chord_rate(y[0:4], ht, g.mu1 * g.mu2, g.beta1, g.beta1),
@@ -587,7 +605,7 @@ ERROR_SYSTEMS = {
         scalars=(4, 0),
         jump=kinds.jump_joint,
         flow=lambda g, j, tr: output_feedback_error_flow(j, g, tr),
-        coords=lambda q_e, w_e, q_est_err, b_err: np.concatenate([q_est_err, q_e, w_e]),
+        coords=lambda q_e, w_e, q_est_err, b_err: (*q_est_err, *q_e, *w_e),
         candidates=lambda y, h, ht, g, j: {
             "v3": lyapunov_v1(y[4:8], y[8:11], h, j, g.k1, g.alpha1)
             + potential_term(g.k2, ht * y[0], 1.0 + g.alpha3),
@@ -629,10 +647,11 @@ def lyapunov_flow_report(
     is only read for the observer kind (whose gain set carries no hysteresis
     width); the other kinds take it from their gains.  Reference candidates
     are finite-differenced against the rate they were reported to satisfy,
-    matched candidates against their own exact rate.
+    matched candidates against their own exact rate.  The state travels as a
+    float tuple; y0's quaternion blocks are normalized once, and after every
+    step they are renormalized under the simulator's drift guard, which
+    raises SimulationError naming the step.
     """
-    from .sim import rk4_step  # deferred: sim imports this module at load time
-
     if kind not in ERROR_SYSTEMS:
         raise ValueError("unknown flow-check kind %r" % kind)
     es = ERROR_SYSTEMS[kind]
@@ -651,6 +670,7 @@ def lyapunov_flow_report(
         raise ValueError("horizon too short for the finite-difference checks")
     for sl in es.quat_blocks:
         y[sl] = quat_normalize(y[sl])
+    y = tuple(y.tolist())
     h, ht = check_logic(h0, "h0"), check_logic(h_tilde0, "h_tilde0")
     names = tuple(es.candidates(y, h, ht, gains, inertia))
     v = {nm: np.empty(n + 1) for nm in names}
@@ -660,7 +680,7 @@ def lyapunov_flow_report(
 
     for i in range(n + 1):
         vals = es.candidates(y, h, ht, gains, inertia)
-        h2, ht2, jumped = es.jump(h, ht, float(y[s]), float(y[s_tilde]), delta)
+        h2, ht2, jumped = es.jump(h, ht, y[s], y[s_tilde], delta)
         if jumped:
             jump_steps.append(i)
             post = es.candidates(y, h2, ht2, gains, inertia)
@@ -674,9 +694,10 @@ def lyapunov_flow_report(
             rate[nm][i] = r[nm]
         if i == n:
             break
-        y = rk4_step(lambda tt, yy: flow(tt, yy, h, ht), i * dt, y, dt)
+        y = list(rk4_step(lambda tt, yy: flow(tt, yy, h, ht), i * dt, y, dt))
         for sl in es.quat_blocks:
-            y[sl] = quat_normalize(y[sl])
+            y[sl] = _renorm(y[sl], i)
+        y = tuple(y)
 
     # step i -> i+1 is a pure flow transition unless a jump fired at i+1
     flow_step = np.ones(n, dtype=bool)

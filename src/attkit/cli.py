@@ -94,16 +94,15 @@ def sweep(
     return result
 
 
-def _verify_initial_state(cfg: config.ScenarioConfig) -> tuple[np.ndarray, int]:
+def _verify_initial_state(cfg: config.ScenarioConfig) -> tuple[tuple, int]:
     """Noise-free error-coordinate initial state and h_tilde for the config's flow check."""
     kind = kinds.get(cfg.controller.kind)
     traj = cfg.trajectory.build()
     q0 = cfg.initial_quat()
-    w0 = np.asarray(cfg.plant.omega0_rad_s, dtype=float)
     q_e0 = error_quaternion(traj.q_d0, q0)
-    w_e0, _ = error_velocity(q_e0, w0, traj.omega_fn(0.0))
+    w_e0, _ = error_velocity(q_e0, cfg.plant.omega0_rad_s, traj.omega_fn(0.0))
     est, h_tilde0 = kind.start(cfg, q0, q_e0)
-    b_err0 = np.asarray(cfg.plant.bias0_rad_s, float) - kind.bias(est)
+    b_err0 = np.asarray(cfg.plant.bias0_rad_s, float) - np.asarray(kind.bias(est))
     es = analysis.ERROR_SYSTEMS[kind.error_system]
     return es.coords(q_e0, w_e0, kind.lag(est, q0, q_e0), b_err0), h_tilde0
 
@@ -116,6 +115,7 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     """
     if n_samples < 1:  # zero samples would pass the homogeneity check unchecked
         raise ValueError("samples must be at least 1, got %r" % n_samples)
+    cfg.validate()
     error_system = kinds.get(cfg.controller.kind).error_system
     es = analysis.ERROR_SYSTEMS[error_system]
     gains = cfg.controller.build()

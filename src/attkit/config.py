@@ -15,7 +15,7 @@ import numpy as np
 
 from . import kinds
 from .controllers import ObserverGains
-from .quat import Array, unit_or_warn
+from .quat import unit_or_warn
 from .rigid_body import (
     DesiredTrajectory,
     Inertia,
@@ -47,7 +47,7 @@ class TrajectoryConfig:
             traj = regulation_trajectory()
         else:
             raise ValueError("unknown trajectory kind %r" % self.kind)
-        traj.q_d0 = unit_or_warn(np.asarray(self.q_d0, dtype=float), "trajectory.q_d0")
+        traj.q_d0 = unit_or_warn(self.q_d0, "trajectory.q_d0")
         return traj
 
 
@@ -117,6 +117,14 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        self.validate()
+
+    def validate(self) -> None:
+        """Check the whole config; ValueError naming the field.
+
+        Runs at construction and again where a run starts, so a field set on
+        a built config is checked too.
+        """
         kind = self.controller.kind
         section = kinds.get(kind).section
         if section is not None and getattr(self, section) is None:
@@ -125,6 +133,7 @@ class ScenarioConfig:
         for key in _SECTIONS:
             sec = getattr(self, key)
             if sec is not None:
+                getattr(sec, "__post_init__", lambda: None)()  # the section's own checks
                 numbers += [("%s.%s" % (key, f.name), getattr(sec, f.name)) for f in fields(sec)]
         for label, value in numbers:
             if not _finite(value):
@@ -137,8 +146,8 @@ class ScenarioConfig:
         if not self.torque_limit_nm > 0.0:  # a clip to a non-positive limit is not saturation
             raise ValueError("torque_limit_nm must be positive, got %r" % self.torque_limit_nm)
 
-    def initial_quat(self) -> Array:
-        return unit_or_warn(np.asarray(self.plant.q0, dtype=float), "plant.q0")
+    def initial_quat(self) -> tuple:
+        return unit_or_warn(self.plant.q0, "plant.q0")
 
     def inertia(self) -> Inertia:
         return Inertia(self.plant.inertia_kgm2)

@@ -7,7 +7,8 @@ q_e0 once h*q_e0 <= -delta.  The width delta in (0, 1) is what defeats both
 unwinding and measurement-noise chattering near q_e0 = 0.
 
 Controllers only ever see measured quantities.  Truth states never enter any
-function in this module.
+function in this module.  Like the quat and rigid_body kernels, the laws and
+estimator flows take float sequences and return float tuples.
 
 full_state_torque      velocity + attitude feedback, finite time for alpha1 < 1;
                        with a bias observer's rate estimate it is the
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .quat import Array, chord_pow, quat_conj, rotate, sat_pow
+from .quat import chord_pow, quat_conj, rotate, sat_pow
 from .rigid_body import error_quaternion, kinematics_rate
 
 
@@ -125,26 +126,23 @@ def hysteresis_update(h: int, scalar: float, delta: float) -> tuple[int, bool]:
     return h, False
 
 
-def full_state_torque(
-    gains: FullStateGains, q_e: Array, w_e: Array, h: int, u_ff: Array
-) -> Array:
+def full_state_torque(gains: FullStateGains, q_e, w_e, h: int, u_ff) -> tuple:
     """Hybrid full-state law: u = u_ff - k1*chord_pow(h Q_e, 1-alpha1) - k2*sat_pow(w_e, alpha2)."""
     h = check_logic(h, "h")
+    k1, k2, p = gains.k1, gains.k2, gains.alpha2
+    c1, c2, c3 = chord_pow(q_e, 1.0 - gains.alpha1, h)
+    w1, w2, w3 = w_e
+    f1, f2, f3 = u_ff
     return (
-        u_ff
-        - gains.k1 * chord_pow(h * q_e, 1.0 - gains.alpha1)
-        - gains.k2 * sat_pow(w_e, gains.alpha2)
+        f1 - k1 * c1 - k2 * sat_pow(w1, p),
+        f2 - k1 * c2 - k2 * sat_pow(w2, p),
+        f3 - k1 * c3 - k2 * sat_pow(w3, p),
     )
 
 
 def observer_flow_rate(
-    gains: ObserverGains,
-    q_hat: Array,
-    b_hat: Array,
-    h_tilde: int,
-    q_meas: Array,
-    w_meas: Array,
-) -> tuple[Array, Array]:
+    gains: ObserverGains, q_hat, b_hat, h_tilde: int, q_meas, w_meas
+) -> tuple[tuple, tuple]:
     """Continuous observer dynamics (Qdot_hat, bdot_hat) given held measurements.
 
     The attitude estimate integrates the bias-corrected rate plus a fractional
@@ -154,16 +152,18 @@ def observer_flow_rate(
       Qdot_hat = 0.5 Q_hat * [0, R(Q_err)^T (w_meas - b_hat + mu1*chord_pow(h~ Q_err, 1-beta1))]
       bdot_hat = -mu2 * chord_pow(h~ Q_err, 1-beta2)
     """
+    mu1, mu2 = gains.mu1, gains.mu2
     q_err = error_quaternion(q_hat, q_meas)
-    corr = w_meas - b_hat + gains.mu1 * chord_pow(h_tilde * q_err, 1.0 - gains.beta1)
+    a1, a2, a3 = chord_pow(q_err, 1.0 - gains.beta1, h_tilde)
+    m1, m2, m3 = w_meas
+    b1, b2, b3 = b_hat
+    corr = (m1 - b1 + mu1 * a1, m2 - b2 + mu1 * a2, m3 - b3 + mu1 * a3)
     q_hat_dot = kinematics_rate(q_hat, rotate(quat_conj(q_err), corr))
-    b_hat_dot = -gains.mu2 * chord_pow(h_tilde * q_err, 1.0 - gains.beta2)
-    return q_hat_dot, b_hat_dot
+    c1, c2, c3 = chord_pow(q_err, 1.0 - gains.beta2, h_tilde)
+    return q_hat_dot, (-mu2 * c1, -mu2 * c2, -mu2 * c3)
 
 
-def filter_flow_rate(
-    gains: OutputFeedbackGains, q_f: Array, h_tilde: int, q_e_meas: Array
-) -> Array:
+def filter_flow_rate(gains: OutputFeedbackGains, q_f, h_tilde: int, q_e_meas) -> tuple:
     """Attitude filter driven only by the measured error quaternion.
 
     Qdot_f = 0.5 Q_f * [0, k3 R(Q_lag)^T chord_pow(h~ Q_lag, 1-alpha3)], where
@@ -171,28 +171,23 @@ def filter_flow_rate(
     Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~ Q_lag, 1-alpha3)], which
     is how the filter recovers rate information without a gyro.
     """
+    k3 = gains.k3
     q_lag = error_quaternion(q_f, q_e_meas)
-    corr = gains.k3 * chord_pow(h_tilde * q_lag, 1.0 - gains.alpha3)
-    return kinematics_rate(q_f, rotate(quat_conj(q_lag), corr))
+    c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
+    return kinematics_rate(q_f, rotate(quat_conj(q_lag), (k3 * c1, k3 * c2, k3 * c3)))
 
 
 def output_feedback_torque(
-    gains: OutputFeedbackGains,
-    q_e: Array,
-    q_lag: Array,
-    h: int,
-    h_tilde: int,
-    u_ff: Array,
-) -> Array:
+    gains: OutputFeedbackGains, q_e, q_lag, h: int, h_tilde: int, u_ff
+) -> tuple:
     """Velocity-free law: u = u_ff - k1*chord_pow(h Q_e, 1-alpha1) - k2*chord_pow(h~ Q_lag, 1-alpha1)."""
     h = check_logic(h, "h")
     h_tilde = check_logic(h_tilde, "h_tilde")
-    a = 1.0 - gains.alpha1
-    return (
-        u_ff
-        - gains.k1 * chord_pow(h * q_e, a)
-        - gains.k2 * chord_pow(h_tilde * q_lag, a)
-    )
+    k1, k2, a = gains.k1, gains.k2, 1.0 - gains.alpha1
+    c1, c2, c3 = chord_pow(q_e, a, h)
+    l1, l2, l3 = chord_pow(q_lag, a, h_tilde)
+    f1, f2, f3 = u_ff
+    return (f1 - k1 * c1 - k2 * l1, f2 - k1 * c2 - k2 * l2, f3 - k1 * c3 - k2 * l3)
 
 
 def joint_jump(

@@ -5,9 +5,10 @@ estimator it carries and how that estimator starts, how its logic variables
 jump, its torque law, and the error system (a key of analysis.ERROR_SYSTEMS)
 whose Lyapunov certificate covers it.
 
-Estimator state is one flat array: [Q_hat, b_hat] for the bias observer,
-[Q_f] for the attitude filter, empty for the full-state law.  Estimators keep
-their quaternion in est[0:4].  Channels a kind does not have read as NaN.
+Estimator state is one flat tuple of floats: [Q_hat, b_hat] for the bias
+observer, [Q_f] for the attitude filter, empty for the full-state law.
+Estimators keep their quaternion in est[0:4].  Channels a kind does not have
+read as NaN.  Every callable takes float sequences and returns float tuples.
 
 Jump rules share one signature, (h, h_tilde, s, s_tilde, delta) ->
 (h, h_tilde, jumped), where s and s_tilde are the scalar parts that h and
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .controllers import (
     FullStateGains,
@@ -32,11 +31,11 @@ from .controllers import (
     observer_flow_rate,
     output_feedback_torque,
 )
-from .quat import rotate, unit_or_warn
-from .rigid_body import error_quaternion
+from .quat import unit_or_warn
+from .rigid_body import error_quaternion, error_velocity
 
-_NAN3 = np.full(3, np.nan)
-_NAN4 = np.full(4, np.nan)
+_NAN3 = (float("nan"),) * 3
+_NAN4 = (float("nan"),) * 4
 
 
 def jump_h(h, h_tilde, s, s_tilde, delta):
@@ -68,14 +67,27 @@ def jump_joint(h, h_tilde, s, s_tilde, delta):
 
 def _start_quat(configured, measured, label):
     """Configured estimator start (normalized), else the measurement."""
-    return measured if configured is None else unit_or_warn(np.asarray(configured, float), label)
+    return tuple(measured if configured is None else unit_or_warn(configured, label))
 
 
 def _observer_start(cfg, q_m, q_e_m):
     oc = cfg.observer
     q_hat = _start_quat(oc.q_hat0, q_m, "observer.q_hat0")
-    est = np.concatenate([q_hat, oc.b_hat0_rad_s])
+    est = (*q_hat, *map(float, oc.b_hat0_rad_s))
     return est, check_logic(oc.h_tilde0, "observer.h_tilde0")
+
+
+def _observer_flow(g, est, h_tilde, q_m, w_m, q_e_m):
+    """Rates of the observer state [Q_hat, b_hat] as one tuple."""
+    q_hat_dot, b_hat_dot = observer_flow_rate(g, est[0:4], est[4:7], h_tilde, q_m, w_m)
+    return q_hat_dot + b_hat_dot
+
+
+def _bias_corrected(w_m, b_hat):
+    """The measured rate less the bias estimate."""
+    m1, m2, m3 = w_m
+    b1, b2, b3 = b_hat
+    return (m1 - b1, m2 - b2, m3 - b3)
 
 
 def _filter_start(cfg, q_m, q_e_m):
@@ -104,12 +116,12 @@ class ControllerKind:
 KINDS = {
     "full_state": ControllerKind(
         gains=FullStateGains, section=None, error_system="full_state",
-        start=lambda cfg, q_m, q_e_m: (np.empty(0), 1),
+        start=lambda cfg, q_m, q_e_m: ((), 1),
         lag=lambda est, q, q_e: _NAN4,
         bias=lambda est: _NAN3,
         jump=jump_h,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, w_m - rotate(q_e, w_d), h, u_ff
+            g, q_e, error_velocity(q_e, w_m, w_d)[0], h, u_ff
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: (),
         torque_bounds=(2, 1),
@@ -122,11 +134,9 @@ KINDS = {
         bias=lambda est: est[4:7],
         jump=jump_each,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, w_m - est[4:7] - rotate(q_e, w_d), h, u_ff
+            g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d)[0], h, u_ff
         ),
-        estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: observer_flow_rate(
-            g, est[0:4], est[4:7], ht, q_m, w_m
-        ),
+        estimator_flow=_observer_flow,
         torque_bounds=(2, 1),
     ),
     "attitude_only": ControllerKind(
@@ -138,8 +148,8 @@ KINDS = {
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: output_feedback_torque(
             g, q_e, q_lag, h, ht, u_ff
         ),
-        estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: (
-            filter_flow_rate(g, est[0:4], ht, q_e_m),
+        estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: filter_flow_rate(
+            g, est[0:4], ht, q_e_m
         ),
         torque_bounds=(1, 2),
     ),

@@ -9,8 +9,11 @@ antipodes as distinct equilibria.
 The attitude convention is passive: rotate(Q, v) maps coordinates of the
 reference frame into the rotated (body) frame.
 
-The per-step kernels take ndarrays and work on their components as Python
-floats: on 3- and 4-vectors NumPy's per-call overhead outweighs the arithmetic.
+The per-step kernels (quat_mul, quat_conj, cross, dot, mat_vec, rotate,
+chord_pow, sat_pow) take any float sequence, ndarrays included, and return
+Python floats or float tuples: on 3- and 4-vectors NumPy's per-call overhead
+outweighs the arithmetic.  Callers that need vector arithmetic wrap the
+result with np.asarray.  The remaining helpers work on ndarrays.
 """
 
 from __future__ import annotations
@@ -28,24 +31,22 @@ IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
 ZERO_TOL = 1e-12
 
 
-def quat_mul(q: Array, p: Array) -> Array:
+def quat_mul(q, p) -> tuple:
     """Hamilton product q * p, scalar-first."""
-    w1, x1, y1, z1 = q.tolist()
-    w2, x2, y2, z2 = p.tolist()
-    return np.array(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ]
+    w1, x1, y1, z1 = q
+    w2, x2, y2, z2 = p
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     )
 
 
-def quat_conj(q: Array) -> Array:
+def quat_conj(q) -> tuple:
     """Conjugate [q0, -q]; the inverse rotation for unit input."""
-    q0, q1, q2, q3 = q.tolist()
-    return np.array([q0, -q1, -q2, -q3])
+    q0, q1, q2, q3 = q
+    return (q0, -q1, -q2, -q3)
 
 
 def quat_normalize(q: Array) -> Array:
@@ -56,36 +57,49 @@ def quat_normalize(q: Array) -> Array:
     return np.asarray(q, dtype=float) / n
 
 
-def unit_or_warn(q: Array, label: str) -> Array:
-    """Normalize a configured quaternion, warning when it was not unit norm."""
+def unit_or_warn(q, label: str) -> tuple:
+    """Normalize a configured quaternion to a float tuple, warning when it was not unit norm."""
+    q = np.asarray(q, dtype=float)
     n = float(np.linalg.norm(q))
     if n <= 1e-12:
         raise ValueError("%s has zero norm" % label)
     if abs(n - 1.0) > 1e-9:
         warnings.warn("%s not unit norm (|Q| = %.6f); renormalizing" % (label, n))
-    return q / n
+    return tuple((q / n).tolist())
 
 
-def cross(u: Array, v: Array) -> Array:
+def cross(u, v) -> tuple:
     """u x v of two 3-vectors; equal to np.cross(u, v) bit for bit."""
-    u1, u2, u3 = u.tolist()
-    v1, v2, v3 = v.tolist()
-    return np.array([u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1])
+    u1, u2, u3 = u
+    v1, v2, v3 = v
+    return (u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1)
 
 
-def rotate(q: Array, v: Array) -> Array:
+def dot(u, v) -> float:
+    """u . v of two 3-vectors."""
+    u1, u2, u3 = u
+    v1, v2, v3 = v
+    return u1 * v1 + u2 * v2 + u3 * v3
+
+
+def mat_vec(rows, v) -> tuple:
+    """M v for a 3x3 matrix given as rows."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    v1, v2, v3 = v
+    return (a * v1 + b * v2 + c * v3, d * v1 + e * v2 + f * v3, g * v1 + h * v2 + i * v3)
+
+
+def rotate(q, v) -> tuple:
     """R(Q) v, R = (q0^2 - q.q) I + 2 q q^T - 2 q0 q^x; R(quat_conj(Q)) = R(Q)^T."""
-    q0, q1, q2, q3 = q.tolist()
-    v1, v2, v3 = v.tolist()
+    q0, q1, q2, q3 = q
+    v1, v2, v3 = v
     s = q0 * q0 - (q1 * q1 + q2 * q2 + q3 * q3)
     d = 2.0 * (q1 * v1 + q2 * v2 + q3 * v3)
     c = 2.0 * q0
-    return np.array(
-        [
-            s * v1 + d * q1 - c * (q2 * v3 - q3 * v2),
-            s * v2 + d * q2 - c * (q3 * v1 - q1 * v3),
-            s * v3 + d * q3 - c * (q1 * v2 - q2 * v1),
-        ]
+    return (
+        s * v1 + d * q1 - c * (q2 * v3 - q3 * v2),
+        s * v2 + d * q2 - c * (q3 * v1 - q1 * v3),
+        s * v3 + d * q3 - c * (q1 * v2 - q2 * v1),
     )
 
 
@@ -99,8 +113,9 @@ def from_axis_angle(axis: Array, angle: float) -> Array:
     return np.concatenate(([np.cos(half)], (np.sin(half) / norm) * axis))
 
 
-def to_axis_angle(q: Array) -> tuple[Array, float]:
+def to_axis_angle(q) -> tuple[Array, float]:
     """Eigenaxis and angle in [0, 2*pi); axis defaults to +x for tiny rotations."""
+    q = np.asarray(q, dtype=float)
     s = float(np.linalg.norm(q[1:]))
     if s <= ZERO_TOL:
         return np.array([1.0, 0.0, 0.0]), 0.0
@@ -119,10 +134,9 @@ def sgn_pow(x, alpha: float):
     return np.sign(x) * np.abs(x) ** alpha
 
 
-def sat_pow(x, alpha: float):
-    """Saturated signed power sgn(x)*min(|x|^alpha, 1), elementwise."""
-    x = np.asarray(x, dtype=float)
-    return np.sign(x) * np.minimum(np.abs(x) ** alpha, 1.0)
+def sat_pow(x: float, alpha: float) -> float:
+    """Saturated signed power sgn(x)*min(|x|^alpha, 1) of one float."""
+    return math.copysign(min(abs(x) ** alpha, 1.0), x) if x else 0.0
 
 
 def axis_pow(q_v: Array, alpha: float) -> Array:
@@ -148,17 +162,20 @@ def chord_len(q0: float) -> float:
     return math.sqrt(max(2.0 * (1.0 - q0), 0.0))
 
 
-def chord_pow(q: Array, alpha: float) -> Array:
-    """Vector part scaled by the chord to identity raised to -alpha.
+def chord_pow(q, alpha: float, h: int = 1) -> tuple:
+    """Vector part of h Q scaled by the chord from h Q to identity raised to -alpha.
 
-    q / sqrt(2(1-q0))^alpha, defined as 0 at q0 = 1.  Bounded by 1 in norm for
-    unit input and 0 <= alpha <= 1, and continuous there.
+    h q / sqrt(2(1-h q0))^alpha, defined as 0 at h q0 = 1; h = +-1 is a logic
+    variable.  Bounded by 1 in norm for unit input and 0 <= alpha <= 1, and
+    continuous there.
     """
-    q0, q1, q2, q3 = q.tolist()
+    q0, q1, q2, q3 = q
+    if h < 0:
+        q0, q1, q2, q3 = -q0, -q1, -q2, -q3
     if 1.0 - q0 <= ZERO_TOL:
-        return np.zeros(3)
+        return (0.0, 0.0, 0.0)
     s = chord_len(q0) ** alpha
-    return np.array([q1 / s, q2 / s, q3 / s])
+    return (q1 / s, q2 / s, q3 / s)
 
 
 def chord_gap(q: Array, alpha: float) -> Array:

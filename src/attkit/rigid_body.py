@@ -5,22 +5,28 @@ angular velocity w [rad/s].  The tracking error is Q_e = conj(Q_d) * Q with
 error velocity w_e = w - R(Q_e) w_d, where w_d is the desired rate expressed
 in the desired frame and R(Q_e) maps desired-frame coordinates into the body
 frame.
+
+The rate and error kernels take float sequences and return float tuples, as
+the quat kernels do.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .quat import Array, cross, quat_conj, quat_mul, rotate
+from .quat import cross, mat_vec, quat_conj, quat_mul, rotate
 
 
 class Inertia:
     """Inertia matrix [kg m^2] with cached inverse and norm bounds.
 
-    Validates symmetry and positive definiteness at construction.
+    matrix and inverse are 3x3 tuples of float rows (np.asarray turns them
+    into arrays).  Validates symmetry and positive definiteness at
+    construction.
     """
 
     def __init__(self, matrix) -> None:
@@ -33,55 +39,57 @@ class Inertia:
         eigs = np.linalg.eigvalsh(j)
         if eigs[0] <= 0.0:
             raise ValueError("inertia must be positive definite, eigenvalues %s" % eigs)
-        self.matrix = j
-        self.inverse = np.linalg.inv(j)
+        self.matrix = tuple(map(tuple, j.tolist()))
+        self.inverse = tuple(map(tuple, np.linalg.inv(j).tolist()))
         self.lambda_min = float(eigs[0])
         self.spectral_norm = float(eigs[-1])
 
     def __repr__(self) -> str:  # pragma: no cover
-        return "Inertia(%s)" % self.matrix.tolist()
+        return "Inertia(%s)" % (self.matrix,)
 
 
 @dataclass
 class DesiredTrajectory:
     """Desired attitude motion: initial quaternion plus rate and acceleration laws.
 
-    omega_fn / omega_dot_fn give the desired angular velocity [rad/s] and its
-    time derivative in the desired frame.  omega_bound / omega_dot_bound are
+    omega_fn / omega_dot_fn map a time t [s] to the desired angular velocity
+    [rad/s] and its time derivative in the desired frame, each a 3-tuple of
+    floats (any float sequence works).  omega_bound / omega_dot_bound are
     uniform norm bounds used by the torque-bound checks.
     """
 
-    q_d0: Array
-    omega_fn: Callable[[float], Array]
-    omega_dot_fn: Callable[[float], Array]
+    q_d0: Sequence[float]
+    omega_fn: Callable[[float], tuple]
+    omega_dot_fn: Callable[[float], tuple]
     omega_bound: float
     omega_dot_bound: float
 
 
 def sinusoid_trajectory(amplitude: float = 0.01, frequency: float = 0.01) -> DesiredTrajectory:
     """All-axes sinusoid w_d(t) = amplitude*sin(frequency*t)*[1,1,1] from identity."""
-    ones = np.ones(3)
 
-    def omega(t: float) -> Array:
-        return amplitude * np.sin(frequency * t) * ones
+    def omega(t: float) -> tuple:
+        s = amplitude * math.sin(frequency * t)
+        return (s, s, s)
 
-    def omega_dot(t: float) -> Array:
-        return amplitude * frequency * np.cos(frequency * t) * ones
+    def omega_dot(t: float) -> tuple:
+        c = amplitude * frequency * math.cos(frequency * t)
+        return (c, c, c)
 
     return DesiredTrajectory(
-        q_d0=np.array([1.0, 0.0, 0.0, 0.0]),
+        q_d0=(1.0, 0.0, 0.0, 0.0),
         omega_fn=omega,
         omega_dot_fn=omega_dot,
-        omega_bound=amplitude * np.sqrt(3.0),
-        omega_dot_bound=amplitude * frequency * np.sqrt(3.0),
+        omega_bound=amplitude * math.sqrt(3.0),
+        omega_dot_bound=amplitude * frequency * math.sqrt(3.0),
     )
 
 
 def regulation_trajectory() -> DesiredTrajectory:
     """Rest-to-rest pointing: desired frame fixed at identity."""
-    zero = np.zeros(3)
+    zero = (0.0, 0.0, 0.0)
     return DesiredTrajectory(
-        q_d0=np.array([1.0, 0.0, 0.0, 0.0]),
+        q_d0=(1.0, 0.0, 0.0, 0.0),
         omega_fn=lambda t: zero,
         omega_dot_fn=lambda t: zero,
         omega_bound=0.0,
@@ -89,53 +97,49 @@ def regulation_trajectory() -> DesiredTrajectory:
     )
 
 
-def kinematics_rate(q: Array, w: Array) -> Array:
+def kinematics_rate(q, w) -> tuple:
     """Qdot = 0.5 * Q * [0, w] = 0.5 * [-q.w, E(q) w]."""
-    q0, q1, q2, q3 = q.tolist()
-    w1, w2, w3 = w.tolist()
-    return np.array(
-        [
-            0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
-            0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
-            0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
-            0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
-        ]
+    q0, q1, q2, q3 = q
+    w1, w2, w3 = w
+    return (
+        0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
+        0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
+        0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
+        0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
     )
 
 
-def dynamics_rate(inertia: Inertia, w: Array, torque: Array) -> Array:
+def dynamics_rate(inertia: Inertia, w, torque) -> tuple:
     """Euler's equation: wdot = J^-1 (-w x Jw + torque)."""
-    return inertia.inverse @ (torque - cross(w, inertia.matrix @ w))
+    c1, c2, c3 = cross(w, mat_vec(inertia.matrix, w))
+    t1, t2, t3 = torque
+    return mat_vec(inertia.inverse, (t1 - c1, t2 - c2, t3 - c3))
 
 
-def error_quaternion(q_d: Array, q: Array) -> Array:
+def error_quaternion(q_d, q) -> tuple:
     """Attitude of the body frame relative to the desired frame: conj(Q_d) * Q."""
     return quat_mul(quat_conj(q_d), q)
 
 
-def error_velocity(q_e: Array, w: Array, w_d: Array) -> tuple[Array, Array]:
+def error_velocity(q_e, w, w_d) -> tuple[tuple, tuple]:
     """Return (w_e, w_d_body): the error rate and the desired rate in body axes."""
-    w_d_body = rotate(q_e, w_d)
-    return w - w_d_body, w_d_body
+    w_d_body = d1, d2, d3 = rotate(q_e, w_d)
+    w1, w2, w3 = w
+    return (w1 - d1, w2 - d2, w3 - d3), w_d_body
 
 
-def feedforward_torque(inertia: Inertia, q_e: Array, w_d: Array, w_d_dot: Array) -> Array:
+def feedforward_torque(inertia: Inertia, q_e, w_d, w_d_dot) -> tuple:
     """Torque that renders (Q_e, w_e) = (identity, 0) invariant.
 
     u_d = w_d_body x J w_d_body + J R(Q_e) wdot_d.
     """
     w_d_body = rotate(q_e, w_d)
-    return cross(w_d_body, inertia.matrix @ w_d_body) + inertia.matrix @ rotate(q_e, w_d_dot)
+    c1, c2, c3 = cross(w_d_body, mat_vec(inertia.matrix, w_d_body))
+    a1, a2, a3 = mat_vec(inertia.matrix, rotate(q_e, w_d_dot))
+    return (c1 + a1, c2 + a2, c3 + a3)
 
 
-def error_dynamics_rate(
-    inertia: Inertia,
-    q_e: Array,
-    w_e: Array,
-    w_d: Array,
-    w_d_dot: Array,
-    torque: Array,
-) -> tuple[Array, Array]:
+def error_dynamics_rate(inertia: Inertia, q_e, w_e, w_d, w_d_dot, torque) -> tuple[tuple, tuple]:
     """Flow of the tracking error under an applied torque.
 
     Qdot_e = 0.5 Q_e * [0, w_e];
@@ -143,6 +147,9 @@ def error_dynamics_rate(
     equation at the body rate w = w_e + w_d_body and the last two terms
     transport the desired rate into the turning body frame.
     """
-    w_d_body = rotate(q_e, w_d)
-    dw = dynamics_rate(inertia, w_e + w_d_body, torque) - rotate(q_e, w_d_dot)
-    return kinematics_rate(q_e, w_e), dw + cross(w_e, w_d_body)
+    w_d_body = d1, d2, d3 = rotate(q_e, w_d)
+    e1, e2, e3 = w_e
+    a1, a2, a3 = dynamics_rate(inertia, (e1 + d1, e2 + d2, e3 + d3), torque)
+    r1, r2, r3 = rotate(q_e, w_d_dot)
+    c1, c2, c3 = cross(w_e, w_d_body)
+    return kinematics_rate(q_e, w_e), (a1 - r1 + c1, a2 - r2 + c2, a3 - r3 + c3)

@@ -3,7 +3,8 @@
 Noise amounts are configured in degrees (matching how star tracker and gyro
 datasheets quote them) and converted to radians internally.  All draws come
 from the caller's Generator so a scenario's entire random history is fixed by
-one seed.
+one seed.  States and results are float sequences and tuples, as in the
+quat kernels.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import Array, ZERO_TOL, cross, from_axis_angle, to_axis_angle
+from .quat import ZERO_TOL, cross, from_axis_angle, to_axis_angle
 
 DEG = np.pi / 180.0
 
@@ -60,52 +61,57 @@ class DisturbanceConfig:
     frequency_rad_s: float = 0.1
 
 
-def disturbance_torque(cfg: DisturbanceConfig, t: float) -> Array:
+def disturbance_torque(cfg: DisturbanceConfig, t: float) -> tuple:
     if not cfg.enabled:
-        return np.zeros(3)
+        return (0.0, 0.0, 0.0)
     p = cfg.frequency_rad_s * t
     a = cfg.amplitude_nm
-    return np.array([a * math.cos(p), a * math.cos(p), -(a * math.sin(p))])
+    return (a * math.cos(p), a * math.cos(p), -(a * math.sin(p)))
 
 
-def measure_attitude(q_true: Array, cone_rad: float, rng: np.random.Generator) -> Array:
+def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator) -> tuple:
     """Star-tracker model: tilt the eigenaxis inside a cone, keep the angle.
 
     The tilt angle is uniform on [0, cone_rad] and the tilt direction uniform
     around the axis; the rotation angle (hence the scalar part) is unchanged,
     so the output is exactly unit norm.  Two variates are always consumed to
-    keep the draw sequence independent of the noise amount.
+    keep the draw sequence independent of the noise amount; rng.random()
+    draws exactly what rng.uniform() draws, without its argument handling.
     """
-    tilt = cone_rad * rng.uniform()
-    azimuth = rng.uniform(0.0, 2.0 * np.pi)
-    if tilt == 0.0 or np.linalg.norm(q_true[1:]) <= ZERO_TOL:
-        return np.asarray(q_true, dtype=float).copy()
+    tilt = cone_rad * rng.random()
+    azimuth = 2.0 * np.pi * rng.random()
+    if tilt == 0.0:
+        return tuple(q_true)
+    q_true = np.asarray(q_true, dtype=float)
+    if np.linalg.norm(q_true[1:]) <= ZERO_TOL:
+        return tuple(q_true.tolist())
     axis, angle = to_axis_angle(q_true)
     # orthonormal pad around the eigenaxis
     helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = cross(axis, helper)
+    e1 = np.asarray(cross(axis, helper))
     e1 /= np.linalg.norm(e1)
-    e2 = cross(axis, e1)
+    e2 = np.asarray(cross(axis, e1))
     tilted = (
         np.cos(tilt) * axis + np.sin(tilt) * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
     )
-    return from_axis_angle(tilted, angle)
+    return tuple(from_axis_angle(tilted, angle).tolist())
 
 
-def measure_gyro(
-    w_true: Array, bias: Array, sigma_rad_s: float, rng: np.random.Generator
-) -> Array:
+def measure_gyro(w_true, bias, sigma_rad_s: float, rng: np.random.Generator) -> tuple:
     """Rate gyro model: w + b + v with v zero-mean white, std sigma per axis."""
-    return w_true + bias + sigma_rad_s * rng.standard_normal(3)
+    w1, w2, w3 = w_true
+    b1, b2, b3 = bias
+    v1, v2, v3 = rng.standard_normal(3).tolist()
+    return (w1 + b1 + sigma_rad_s * v1, w2 + b2 + sigma_rad_s * v2, w3 + b3 + sigma_rad_s * v3)
 
 
-def bias_step(
-    bias: Array, walk_rad_s2: float, dt: float, rng: np.random.Generator
-) -> Array:
+def bias_step(bias, walk_rad_s2: float, dt: float, rng: np.random.Generator) -> tuple:
     """Advance the gyro bias one step of its random walk: b + w*dt."""
-    return bias + walk_rad_s2 * rng.standard_normal(3) * dt
+    b1, b2, b3 = bias
+    n1, n2, n3 = rng.standard_normal(3).tolist()
+    return (b1 + walk_rad_s2 * n1 * dt, b2 + walk_rad_s2 * n2 * dt, b3 + walk_rad_s2 * n3 * dt)
 
 
-def saturate(torque: Array, limit_nm: float) -> Array:
+def saturate(torque, limit_nm: float) -> tuple:
     """Componentwise clip of the commanded torque to +-limit_nm (limit_nm > 0)."""
-    return np.array([min(max(u, -limit_nm), limit_nm) for u in torque.tolist()])
+    return tuple([min(max(u, -limit_nm), limit_nm) for u in torque])

@@ -11,6 +11,10 @@ Each step does, in order:
    with torque and measurements held, then renormalize the quaternions and
    advance the gyro-bias random walk.
 
+The state travels through the step as tuples of Python floats: the flow state
+is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each row is
+written once into one preallocated array whose columns become the trace.
+
 Jumps are therefore detected at step boundaries; the hysteresis width is far
 wider than anything the error scalar can traverse in one step at sane rates,
 so no crossing is missed.  A trace row i holds the state at t_i after jump
@@ -28,6 +32,7 @@ import numpy as np
 from . import analysis, kinds
 from .config import ScenarioConfig
 from .controllers import check_logic
+from .integrate import SimulationError, _renorm, last_value, rk4_step  # noqa: F401
 from .quat import Array
 from .rigid_body import (
     dynamics_rate,
@@ -37,13 +42,6 @@ from .rigid_body import (
     kinematics_rate,
 )
 from .sensors import bias_step, disturbance_torque, measure_attitude, measure_gyro, saturate
-
-#: per-step quaternion norm drift above this aborts the run (blown-up dynamics)
-DRIFT_LIMIT = 1e-8
-
-
-class SimulationError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -92,52 +90,38 @@ class SimTrace:
     events: list[JumpEvent] = field(default_factory=list)
 
 
-def rk4_step(flow, t: float, y: Array, dt: float) -> Array:
-    """Classical fourth-order Runge-Kutta step for ydot = flow(t, y)."""
-    k1 = flow(t, y)
-    k2 = flow(t + 0.5 * dt, y + 0.5 * dt * k1)
-    k3 = flow(t + 0.5 * dt, y + 0.5 * dt * k2)
-    k4 = flow(t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-#: trace column of each Lyapunov candidate
-_V_COLUMNS = {"v1": "v1", "v2": "v2", "v2_matched": "v2m", "v3": "v3", "v3_matched": "v3m"}
+#: candidates recorded after v1, in trace column order (v2, v2m, v3, v3m)
+_V_NAMES = ("v2", "v2_matched", "v3", "v3_matched")
+_NAN = float("nan")
 
 
 def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     """Simulate one closed-loop scenario and return its trace."""
+    cfg.validate()
     kind = kinds.get(cfg.controller.kind)
     es = analysis.ERROR_SYSTEMS[kind.error_system]
     inertia = cfg.inertia()
     gains = cfg.controller.build()
     es_gains = cfg.observer.build() if es.observer else gains
     traj = cfg.trajectory.build()
+    omega = last_value(traj.omega_fn)
+    disturbance = last_value(lambda tt: disturbance_torque(cfg.disturbance, tt))
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.sim.dt_s
     n = int(round(cfg.sim.t_final_s / dt))
     cone = cfg.noise.attitude_cone_rad
     gyro_sig = cfg.noise.gyro_sigma_rad_s
     walk = cfg.noise.bias_walk_rad_s2
+    limit = cfg.torque_limit_nm
 
     q = cfg.initial_quat()
-    w = np.asarray(cfg.plant.omega0_rad_s, dtype=float)
-    q_d = traj.q_d0.copy()
-    b = np.asarray(cfg.plant.bias0_rad_s, dtype=float)
+    w = tuple(map(float, cfg.plant.omega0_rad_s))
+    q_d = traj.q_d0
+    b = tuple(map(float, cfg.plant.bias0_rad_s))
     h = check_logic(cfg.controller.h0, "controller.h0")
 
-    cols3 = lambda: np.full((n + 1, 3), np.nan)
-    cols4 = lambda: np.full((n + 1, 4), np.nan)
-    col1 = lambda: np.full(n + 1, np.nan)
-    tr = SimTrace(
-        name=cfg.name, kind=cfg.controller.kind, dt=dt,
-        t=np.arange(n + 1) * dt,
-        q=cols4(), w=cols3(), q_d=cols4(), q_e=cols4(), w_e=cols3(),
-        h=col1(), h_tilde=col1(), b=cols3(), b_hat=cols3(), q_est_err=cols4(),
-        u_cmd=cols3(), u_app=cols3(), d=cols3(),
-        v1=col1(), v2=col1(), v2m=col1(), v3=col1(), v3m=col1(),
-    )
-
+    rows = np.empty((n + 1, sum(width for _, _, width in _LAYOUT)))
+    events = []
     for i in range(n + 1):
         t = i * dt
         q_m = measure_attitude(q, cone, rng)
@@ -146,68 +130,54 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         if i == 0:
             est, h_t = kind.start(cfg, q_m, q_e_m)
 
-        w_d = traj.omega_fn(t)
+        w_d = omega(t)
         w_d_dot = traj.omega_dot_fn(t)
         q_lag_m = kind.lag(est, q_m, q_e_m)
 
         h_pre, ht_pre = h, h_t
-        h, h_t, jumped = kind.jump(h, h_t, float(q_e_m[0]), float(q_lag_m[0]), gains.delta)
+        h, h_t, jumped = kind.jump(h, h_t, q_e_m[0], q_lag_m[0], gains.delta)
         if jumped:
-            tr.events.append(JumpEvent(i, t, h_pre, h, ht_pre, h_t))
+            events.append(JumpEvent(i, t, h_pre, h, ht_pre, h_t))
 
         u_ff = feedforward_torque(inertia, q_e_m, w_d, w_d_dot)
         u_cmd = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t, u_ff)
-        u_app = saturate(u_cmd, cfg.torque_limit_nm)
-        d_now = disturbance_torque(cfg.disturbance, t)
+        u1, u2, u3 = u_app = saturate(u_cmd, limit)
 
         # truth-side record
         q_e = error_quaternion(q_d, q)
         w_e, _ = error_velocity(q_e, w, w_d)
         q_est_err, b_hat = kind.lag(est, q, q_e), kind.bias(est)
-        tr.q[i], tr.w[i], tr.q_d[i] = q, w, q_d
-        tr.q_e[i], tr.w_e[i] = q_e, w_e
-        tr.h[i], tr.h_tilde[i] = h, h_t
-        tr.b[i], tr.b_hat[i], tr.q_est_err[i] = b, b_hat, q_est_err
-        tr.u_cmd[i], tr.u_app[i], tr.d[i] = u_cmd, u_app, d_now
-        tr.v1[i] = analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
-        y_err = es.coords(q_e, w_e, q_est_err, b - b_hat)
-        for name, value in es.candidates(y_err, h, h_t, es_gains, inertia).items():
-            getattr(tr, _V_COLUMNS[name])[i] = value
+        b_err = (b[0] - b_hat[0], b[1] - b_hat[1], b[2] - b_hat[2])
+        v = es.candidates(es.coords(q_e, w_e, q_est_err, b_err), h, h_t, es_gains, inertia)
+        rows[i] = (  # in _LAYOUT order
+            t, *q, *w, *q_d, *q_e, *w_e, h, h_t, *b, *b_hat, *q_est_err,
+            *u_cmd, *u_app, *disturbance(t),
+            analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1),
+            *[v.get(name, _NAN) for name in _V_NAMES],
+        )
 
         if i == n:
             break
 
         # one RK4 flow step with torque and measurements held
-        y = np.concatenate([q, w, q_d, est])
+        def flow(tt, y):
+            d1, d2, d3 = disturbance(tt)
+            return (
+                *kinematics_rate(y[0:4], y[4:7]),
+                *dynamics_rate(inertia, y[4:7], (u1 + d1, u2 + d2, u3 + d3)),
+                *kinematics_rate(y[7:11], omega(tt)),
+                *kind.estimator_flow(es_gains, y[11:], h_t, q_m, w_m, q_e_m),
+            )
 
-        def flow(tt, yy):
-            fq, fw, fqd = yy[0:4], yy[4:7], yy[7:11]
-            dq = kinematics_rate(fq, fw)
-            dw = dynamics_rate(inertia, fw, u_app + disturbance_torque(cfg.disturbance, tt))
-            dqd = kinematics_rate(fqd, traj.omega_fn(tt))
-            d_est = kind.estimator_flow(es_gains, yy[11:], h_t, q_m, w_m, q_e_m)
-            return np.concatenate([dq, dw, dqd, *d_est])
-
-        y = rk4_step(flow, t, y, dt)
-        q = _renorm(y[0:4], i)
-        w = y[4:7]
-        q_d = _renorm(y[7:11], i)
-        est = y[11:]
-        if est.size:
-            est[0:4] = _renorm(est[0:4], i)
+        y = rk4_step(flow, t, (*q, *w, *q_d, *est), dt)
+        q, w, q_d = _renorm(y[0:4], i), y[4:7], _renorm(y[7:11], i)
+        if est:
+            est = (*_renorm(y[11:15], i), *y[15:])
         b = bias_step(b, walk, dt, rng)
 
-    return tr
-
-
-def _renorm(q: Array, step: int) -> Array:
-    n = float(np.linalg.norm(q))
-    drift = abs(n - 1.0)
-    if not drift <= DRIFT_LIMIT:  # also trips on NaN
-        raise SimulationError(
-            "quaternion norm drifted %.3e at step %d; reduce dt" % (drift, step)
-        )
-    return q / n
+    return SimTrace(
+        name=cfg.name, kind=cfg.controller.kind, dt=dt, events=events, **_split(rows)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +221,17 @@ def _columns() -> list[str]:
     return names
 
 
+def _split(data: Array) -> dict[str, Array]:
+    """Trace columns of a row block in _LAYOUT order, as views of it."""
+    parts = {}
+    ofs = 0
+    for attr, _, width in _LAYOUT:
+        chunk = data[:, ofs : ofs + width]
+        parts[attr] = chunk[:, 0] if width == 1 else chunk
+        ofs += width
+    return parts
+
+
 def save_trace(trace: SimTrace, out_dir: str | Path) -> tuple[Path, Path]:
     """Write trace.csv and events.csv; floats at full precision for round trips."""
     out = Path(out_dir)
@@ -286,12 +267,6 @@ def load_trace(out_dir: str | Path) -> SimTrace:
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if names != _columns():
         raise ValueError("trace.csv column names do not match this layout")
-    parts = {}
-    ofs = 0
-    for attr, _, width in _LAYOUT:
-        chunk = data[:, ofs : ofs + width]
-        parts[attr] = chunk[:, 0] if width == 1 else chunk
-        ofs += width
     events = []
     with open(out / "events.csv", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -304,5 +279,5 @@ def load_trace(out_dir: str | Path) -> SimTrace:
             )
     return SimTrace(
         name=fields["scenario"], kind=fields["kind"], dt=float(fields["dt_s"]),
-        events=events, **parts,
+        events=events, **_split(data),
     )

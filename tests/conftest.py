@@ -162,7 +162,7 @@ _N_DUAL = 10_000  # 10 s
 def _integrate(flow, y0, quat_blocks):
     y = np.asarray(y0, dtype=float).copy()
     for i in range(_N_DUAL):
-        y = sim.rk4_step(flow, i * _DT_DUAL, y, _DT_DUAL)
+        y = np.asarray(sim.rk4_step(flow, i * _DT_DUAL, y, _DT_DUAL))
         for sl in quat_blocks:
             y[sl] = quat_normalize(y[sl])
     return y
@@ -297,7 +297,7 @@ def rk4_error_slopes():
         y = y0.copy()
         for i in range(int(round(t_end / dt))):
             y = sim.rk4_step(flow, i * dt, y, dt)
-        return y
+        return np.asarray(y)
 
     ref = terminal(1.25e-3)
     errs = [float(np.abs(terminal(dt) - ref).max()) for dt in (0.02, 0.01, 0.005)]

@@ -145,16 +145,16 @@ def test_c04d_v2_rate_matches_finite_difference(flow_observer):
     exact_err, reported_err = [], []
     for _ in range(11):
         q_err, b_err = y[0:4], y[4:7]
-        f = flow(0.0, y, 1, 1)
+        f = np.asarray(flow(0.0, y, 1, 1))
         fd = (v2(y + eps * f) - v2(y - eps * f)) / (2.0 * eps)
-        k_a = chord_pow(q_err, 1.0 - g.beta1)
-        k_b = chord_pow(q_err, 1.0 - g.beta2)
+        k_a = np.asarray(chord_pow(q_err, 1.0 - g.beta1))
+        k_b = np.asarray(chord_pow(q_err, 1.0 - g.beta2))
         exact = -g.mu1 * g.mu2 * (k_a @ k_a) + g.mu2 * (b_err @ (k_b - k_a))
         reported = chord_rate(q_err, 1, g.mu1 * g.mu2, g.beta1, g.beta1)
         exact_err.append(abs(fd - exact) / abs(exact))
         reported_err.append(abs(fd - reported) / abs(reported))
         for _ in range(200):  # 1 s; the flow is autonomous
-            y = rk4_step(lambda t, yy: flow(t, yy, 1, 1), 0.0, y, dt)
+            y = np.asarray(rk4_step(lambda t, yy: flow(t, yy, 1, 1), 0.0, y, dt))
             y[0:4] = quat_normalize(y[0:4])
     assert max(exact_err) <= 1e-4
     assert max(reported_err) > 1e-4

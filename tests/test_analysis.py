@@ -196,6 +196,29 @@ def test_perturbation_blocks_vanish_under_dilation():
     assert len(seen) == 7
 
 
+def test_remainder_trajectory_coupling_vanishes_under_dilation():
+    # At t = 0 the sinusoid's rate is zero, which leaves the remainder's
+    # trajectory-coupling terms (gyroscopic transport of w_d) unexercised; a
+    # constant nonzero desired rate drives them.
+    w_d = (0.05, -0.03, 0.02)
+    traj = DesiredTrajectory(
+        q_d0=(1.0, 0.0, 0.0, 0.0),
+        omega_fn=lambda t: w_d,
+        omega_dot_fn=lambda t: (0.0, 0.0, 0.0),
+        omega_bound=float(np.linalg.norm(w_d)),
+        omega_dot_bound=0.0,
+    )
+    for system, gains in (("full_state", FS_GAINS), ("attitude_only", OF_GAINS)):
+        es = ERROR_SYSTEMS[system]
+        report = perturbation_vanishing_check(
+            es.remainder(gains, INERTIA, traj), es.weights(gains), es.blocks
+        )
+        for name, ratios in report.items():
+            assert all(a > b for a, b in zip(ratios, ratios[1:])), (system, name, ratios)
+        # the coupling is what the dynamic block now carries at eps = 0.1
+        assert report["dynamic"][0] > 0.05, (system, report["dynamic"])
+
+
 def test_kinematic_remainder_decays_fast():
     report = perturbation_vanishing_check(
         full_state_remainder(INERTIA, FS_GAINS, sinusoid_trajectory()),
@@ -394,6 +417,24 @@ def test_flow_report_validation():
     with pytest.raises(ValueError):
         lyapunov_flow_report(
             "observer", OBS_GAINS, y0=np.concatenate([FLIP_X, ZERO3]), t_final=1e-3
+        )
+
+
+def test_flow_report_guards_renormalization():
+    # the flow report renormalizes under the simulator's drift guard: a step
+    # far too coarse for the initial tumble stops the check at that step
+    from attkit.analysis import lyapunov_flow_report
+    from attkit.sim import SimulationError
+
+    with pytest.raises(SimulationError, match="norm drifted .* at step 0; reduce dt"):
+        lyapunov_flow_report(
+            "full_state",
+            FS_GAINS,
+            y0=np.concatenate([BENCH_Q_E0, BENCH_W_E0]),
+            inertia=INERTIA,
+            trajectory=sinusoid_trajectory(),
+            dt=0.5,
+            t_final=20.0,
         )
 
 

@@ -167,6 +167,13 @@ def test_verify_rejects_samples_below_one(tmp_path, capsys, samples):
     assert "samples" in record["message"]
 
 
+def test_verify_validates_field_set_after_construction():
+    cfg = _short("example2", seconds=0.4)
+    cfg.plant.bias0_rad_s = [0.1]
+    with pytest.raises(ValueError, match="plant.bias0_rad_s must have 3 components, got 1"):
+        cli.verify(cfg, n_samples=20)
+
+
 def test_verify_degenerate_exponent_reports_null():
     result = cli.verify(_short("example1", alpha1=1.0), n_samples=200)
     assert result["homogeneity_ok"] is None

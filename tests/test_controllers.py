@@ -108,7 +108,7 @@ def test_full_state_torque_rate_term():
 def test_full_state_torque_logic_sign():
     u_plus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, 1, ZERO3)
     u_minus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, -1, ZERO3)
-    assert np.allclose(u_minus, -u_plus)
+    assert np.allclose(u_minus, -np.asarray(u_plus))
     with pytest.raises(ValueError):
         full_state_torque(FS_GAINS, FLIP_X, ZERO3, 0, ZERO3)
 
@@ -182,7 +182,7 @@ def test_filter_lag_rate_matches_torque_exponent():
     # The filter correction uses chord_pow with the filter exponent alpha3,
     # not the torque exponent alpha1 = 2*alpha3 - 1.
     rate = filter_flow_rate(OF_GAINS, IDENTITY_QUAT, 1, FLIP_X)
-    expected = 0.5 * 1.1 * chord_pow(FLIP_X, 1.0 - 0.75)
+    expected = 0.5 * 1.1 * np.asarray(chord_pow(FLIP_X, 1.0 - 0.75))
     assert np.allclose(rate[1:], expected, rtol=1e-14)
     assert rate[0] == 0.0
 

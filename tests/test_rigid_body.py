@@ -58,7 +58,7 @@ def test_kinematics_rate_equals_quaternion_product():
     rng = np.random.default_rng(15)
     for _ in range(200):
         q, w = random_unit_quat(rng), rng.standard_normal(3)
-        assert np.array_equal(kinematics_rate(q, w), 0.5 * quat_mul(q, np.concatenate(([0.0], w))))
+        assert np.array_equal(kinematics_rate(q, w), 0.5 * np.asarray(quat_mul(q, np.concatenate(([0.0], w)))))
 
 
 def test_sinusoid_trajectory_values_and_bounds():
@@ -106,7 +106,7 @@ def test_xi_matrix_antisymmetric():
         w_d, w_d_dot = rng.standard_normal(3), rng.standard_normal(3)
         u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
         _, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u_ff)
-        assert w_e @ (inertia.matrix @ dw) == pytest.approx(0.0, abs=1e-12)
+        assert w_e @ (np.asarray(inertia.matrix) @ dw) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_feedforward_at_zero_error_reference_value():
@@ -153,7 +153,7 @@ def test_error_dynamics_matches_absolute_difference():
     def error_state(y, t):
         q_e = error_quaternion(y[7:11], y[0:4])
         w_e, _ = error_velocity(q_e, y[4:7], traj.omega_fn(t))
-        return q_e, w_e
+        return np.asarray(q_e), np.asarray(w_e)
 
     eps = 1e-4
     y0 = np.concatenate([q, w, q_d])

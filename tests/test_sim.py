@@ -133,6 +133,17 @@ def test_initial_logic_value_honored():
     assert not any(ev.step == 0 for ev in trace.events)
 
 
+def test_config_field_set_after_construction_is_validated():
+    cfg = _short("example2", 1.0)
+    cfg.plant.bias0_rad_s = [0.1]
+    with pytest.raises(ValueError, match="plant.bias0_rad_s must have 3 components, got 1"):
+        run_scenario(cfg)
+    cfg = _short("example1", 1.0)
+    cfg.sim.dt_s = -0.01
+    with pytest.raises(ValueError, match="sim.dt_s must be positive"):
+        run_scenario(cfg)
+
+
 def test_invalid_initial_logic_rejected():
     cfg = _short("example1", 1.0)
     cfg.controller.h0 = 0

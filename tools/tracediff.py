@@ -1,0 +1,151 @@
+"""Compare the numerics of this checkout with another one.
+
+    python3 tools/tracediff.py OTHER_CHECKOUT
+
+Runs the four bundled presets at full horizon (``attkit run``) and
+``attkit verify`` on example1..3 with 200 samples, once with this checkout's
+``src/`` and once with OTHER_CHECKOUT's, each in a fresh interpreter.  For
+each preset it prints the max |difference| of every trace column group (one
+line per trace attribute), then whether the jump events, the convergence
+verdict and settling time, the jump count and the bound flags are identical.
+For each verify run it prints whether the verdicts and jump counts are
+identical and the max |difference| of its figures.  Exits 1 when anything
+but the float differences differs.
+
+Run files go to a temporary directory that is removed afterwards.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve()
+PRESETS = ("example1", "example2", "example3", "fig3")
+VERIFY = ("example1", "example2", "example3")
+VERIFY_SAMPLES = 200
+#: summary entries that must match exactly
+CONVERGENCE_EXACT = ("converged", "settling_time_s", "jump_count")
+BOUND_FLAGS = ("torque_ok", "jump_ok", "gronwall_ok", "jump_count")
+VERIFY_EXACT = ("ok", "homogeneity_ok", "perturbations_monotone", "flow_ok", "jump_drops_ok")
+
+
+def dump(out: Path) -> None:
+    """Write every run of one checkout (the attkit on sys.path) under out."""
+    from attkit import cli, config
+
+    for name in PRESETS:
+        cli.run(config.preset(name), out / name)
+    for name in VERIFY:
+        res = cli.verify(config.preset(name), n_samples=VERIFY_SAMPLES)
+        (out / ("verify_%s.json" % name)).write_text(json.dumps(res))
+
+
+def _run(checkout: Path, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    subprocess.run([sys.executable, str(HERE), "--dump", str(out)], env=env, check=True)
+
+
+def _trace(run_dir: Path) -> tuple[list[str], np.ndarray]:
+    with open(run_dir / "trace.csv") as fh:
+        fh.readline()
+        names = fh.readline().strip().split(",")
+        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return names, data
+
+
+def _groups(names: list[str]) -> dict[str, list[int]]:
+    """Column indices per trace attribute: q_0..q_3 -> q, w_rad_s_x.. -> w_rad_s."""
+    out: dict[str, list[int]] = {}
+    for k, name in enumerate(names):
+        stem, _, sfx = name.rpartition("_")
+        key = stem if stem and sfx in ("0", "1", "2", "3", "x", "y", "z") else name
+        out.setdefault(key, []).append(k)
+    return out
+
+
+def _max_diff(a, b) -> float:
+    a, b = np.asarray(a, float), np.asarray(b, float)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return float("inf")
+    ok = ~np.isnan(a)
+    return float(np.abs(a[ok] - b[ok]).max()) if ok.any() else 0.0
+
+
+def _floats(obj) -> list[float]:
+    """Every number in a verify result, in a fixed order."""
+    if isinstance(obj, dict):
+        return [x for k in sorted(obj) for x in _floats(obj[k])]
+    if isinstance(obj, list):
+        return [x for v in obj for x in _floats(v)]
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return [float(obj)]
+    return []
+
+
+def compare(mine: Path, other: Path) -> bool:
+    same = True
+    for name in PRESETS:
+        names, a = _trace(mine / name)
+        names_b, b = _trace(other / name)
+        print("preset %s" % name)
+        if names != names_b or a.shape != b.shape:
+            print("  trace layout differs: %s vs %s" % (a.shape, b.shape))
+            same = False
+            continue
+        for key, cols in _groups(names).items():
+            print("  max |d| %-12s %.3g" % (key, _max_diff(a[:, cols], b[:, cols])))
+        sa = json.loads((mine / name / "summary.json").read_text())
+        sb = json.loads((other / name / "summary.json").read_text())
+        checks = {
+            "events": (mine / name / "events.csv").read_text()
+            == (other / name / "events.csv").read_text(),
+            "convergence": all(sa["convergence"][k] == sb["convergence"][k] for k in CONVERGENCE_EXACT),
+            "bound flags": all(sa["bounds"][k] == sb["bounds"][k] for k in BOUND_FLAGS),
+            "digest": sa["digest"] == sb["digest"],
+        }
+        for label, ok in checks.items():
+            print("  %-12s %s" % (label, "identical" if ok else "DIFFERENT"))
+        print("  settling_time_s %r (other %r)"
+              % (sa["convergence"]["settling_time_s"], sb["convergence"]["settling_time_s"]))
+        same &= all(ok for label, ok in checks.items() if label != "digest")
+    for name in VERIFY:
+        va = json.loads((mine / ("verify_%s.json" % name)).read_text())
+        vb = json.loads((other / ("verify_%s.json" % name)).read_text())
+        verdicts = all(va[k] == vb[k] for k in VERIFY_EXACT)
+        jumps = {k: len(v) for k, v in va["jump_drops"].items()} == {
+            k: len(v) for k, v in vb["jump_drops"].items()
+        }
+        print("verify %s: verdicts %s, jump counts %s, max |d| %.3g" % (
+            name, "identical" if verdicts else "DIFFERENT",
+            "identical" if jumps else "DIFFERENT", _max_diff(_floats(va), _floats(vb))))
+        same &= verdicts and jumps
+    return same
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--dump":
+        dump(Path(argv[1]))
+        return 0
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 2
+    other = Path(argv[0]).resolve()
+    if not (other / "src" / "attkit").is_dir():
+        print("tracediff: no attkit sources under %s" % other, file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        mine_out, other_out = Path(tmp) / "this", Path(tmp) / "other"
+        _run(HERE.parents[1], mine_out)
+        _run(other, other_out)
+        return 0 if compare(mine_out, other_out) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
