@@ -11,14 +11,15 @@ with applications to finite-time stability", MCSS 2005).  ERROR_SYSTEMS
 states, per error system, which gains and exponents these three take.
 
 Each error system's flow splits into a reduced field, homogeneous of negative
-degree, and a remainder field: the flow less the reduced field, written out
-by hand.  Both take the chart point x (quaternion vector parts, then w_e or
-b_err) to R^dim, and block b of the remainder is its rows 3b..3b+2.  Finite
-time needs each block to vanish under the dilation faster than the reduced
-field, which perturbation_vanishing_check measures.  Both fields are written
-at h = h_tilde = 1: Q -> -Q on a quaternion block maps the system at logic
-value -1 onto this one and commutes with the dilation, which scales only the
-vector part.
+degree, and a remainder field: the flow less the reduced field, its dynamic
+rows built from the error flows' rigid-body kernels.  Both take the chart
+point x (quaternion vector parts, then w_e or b_err) to R^dim, or a (dim, n)
+block of columns to its block of rates, and block b of the remainder is its
+rows 3b..3b+2.  Finite time needs each block to vanish under the dilation
+faster than the reduced field, which perturbation_vanishing_check measures.
+Both fields are written at h = h_tilde = 1: Q -> -Q on a quaternion block
+maps the system at logic value -1 onto this one and commutes with the
+dilation, which scales only the vector part.
 
 A potential's exponent must match the fractional power of the channel that
 couples back into it, otherwise a sign-indefinite cross term survives in the
@@ -58,7 +59,6 @@ from .quat import (
     flip_drop,
     mat_vec,
     quat_normalize,
-    rotate,
     sat_pow,
     sgn_pow,
 )
@@ -210,34 +210,34 @@ def homogeneity_check(
 ) -> float:
     """Max relative deviation of f(eps^r x) from eps^(r+k) f(x) over random x.
 
-    Exactly homogeneous fields come back at floating-point rounding level; a
-    wrong weight vector comes back at order one.
+    The field takes all samples as one block of columns per eps.  Exactly
+    homogeneous fields come back at floating-point rounding level; a wrong
+    weight vector comes back at order one.
     """
     rng = np.random.default_rng(7)
-    dim = weights.r.size
-    factors = [(eps**weights.r, eps ** (weights.r + weights.k)) for eps in eps_values]
+    xs = rng.standard_normal((n_samples, weights.r.size))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    fx = field(xs.T).T
     worst = 0.0
-    for _ in range(n_samples):
-        x = rng.standard_normal(dim)
-        x /= np.linalg.norm(x)
-        fx = field(x)
-        for x_scale, f_scale in factors:
-            lhs = field(x_scale * x)
-            rhs = f_scale * fx
-            dev = np.abs(lhs - rhs) / (np.abs(rhs) + 1e-300)
-            m = float(dev.max())
-            if m > worst:
-                worst = m
+    for eps in eps_values:
+        lhs = field(weights.scale(xs, eps).T).T
+        rhs = eps ** (weights.r + weights.k) * fx
+        dev = np.abs(lhs - rhs) / (np.abs(rhs) + 1e-300)
+        worst = max(worst, float(dev.max(initial=0.0)))
     return worst
 
 
 # ---------------------------------------------------------------------------
 # Remainder fields (error flow less reduced field) and their vanishing ratios
 
+#: the desired acceleration of the remainders' dynamic rows: it cancels against the feedforward
+_ZERO3 = (0.0, 0.0, 0.0)
+
 
 def _lift(q_v: Array) -> Array:
-    """Lift a chart point q_v (||q_v|| <= 1) to the unit quaternion with q0 >= 0."""
-    return np.concatenate(([np.sqrt(max(1.0 - float(q_v @ q_v), 0.0))], q_v))
+    """Lift chart points q_v (a vector or a (3, n) block) to unit quaternions with q0 >= 0."""
+    q0 = np.sqrt(np.maximum(1.0 - (q_v * q_v).sum(axis=0), 0.0))
+    return np.concatenate((q0[None], q_v))
 
 
 def _kinematic(q: Array, v: Array) -> Array:
@@ -246,21 +246,8 @@ def _kinematic(q: Array, v: Array) -> Array:
 
 
 def _estimator_gap(q: Array, a: float) -> Array:
-    """E(q) chord_pow(q, a) - axis_pow(q_v, a); q_v x chord_pow(q, a) = 0."""
-    return (q[0] - 1.0) * np.asarray(chord_pow(q, a)) + chord_gap(q, a)
-
-
-def _gyroscopic(j: Array, q: Array, w_e: Array, w_d) -> Array:
-    """Xi w_e = J w x w_e - w_db x J w_e - J (w_db x w_e), w_db = R(q) w_d, w = w_e + w_db.
-
-    The error dynamics less feedforward and feedback: J wdot_e = Xi w_e - u_d + u.
-    """
-    w_db = np.asarray(rotate(q, w_d))
-    return (
-        np.asarray(cross(j @ (w_e + w_db), w_e))
-        - np.asarray(cross(w_db, j @ w_e))
-        - j @ cross(w_db, w_e)
-    )
+    """E(q) chord_pow - axis_pow = (q0 - 1) axis_pow + q0 chord_gap, as q_v x chord_pow = 0."""
+    return (q[0] - 1.0) * axis_pow(q[1:], a) + q[0] * chord_gap(q, a)
 
 
 def full_state_remainder(inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory):
@@ -269,13 +256,13 @@ def full_state_remainder(inertia: Inertia, gains: FullStateGains, trajectory: De
     The desired rate is read at t = 0.
     """
     w_d = trajectory.omega_fn(0.0)
-    j, j_inv = np.asarray(inertia.matrix), np.asarray(inertia.inverse)
     a = 1.0 - gains.alpha1
 
     def field(x: Array) -> Array:
         q, w_e = _lift(x[:3]), x[3:]
         dq = 0.5 * _kinematic(q, w_e)
-        dw = j_inv @ (_gyroscopic(j, q, w_e, w_d) - gains.k1 * chord_gap(q, a))
+        u = np.asarray(feedforward_torque(inertia, q, w_d, _ZERO3)) - gains.k1 * chord_gap(q, a)
+        dw = np.asarray(error_dynamics_rate(inertia, q, w_e, w_d, _ZERO3, u)[1])
         return np.concatenate([dq, dw])
 
     return field
@@ -301,18 +288,15 @@ def output_feedback_remainder(
     The desired rate is read at t = 0.
     """
     w_d = trajectory.omega_fn(0.0)
-    j, j_inv = np.asarray(inertia.matrix), np.asarray(inertia.inverse)
     a = 1.0 - gains.alpha1
 
     def field(x: Array) -> Array:
         q_l, q, w_e = _lift(x[:3]), _lift(x[3:6]), x[6:]
         dql = 0.5 * _kinematic(q_l, w_e) - 0.5 * gains.k3 * _estimator_gap(q_l, 1.0 - gains.alpha3)
         dq = 0.5 * _kinematic(q, w_e)
-        dw = j_inv @ (
-            _gyroscopic(j, q, w_e, w_d)
-            - gains.k1 * chord_gap(q, a)
-            - gains.k2 * chord_gap(q_l, a)
-        )
+        u_gap = -gains.k1 * chord_gap(q, a) - gains.k2 * chord_gap(q_l, a)
+        u = np.asarray(feedforward_torque(inertia, q, w_d, _ZERO3)) + u_gap
+        dw = np.asarray(error_dynamics_rate(inertia, q, w_e, w_d, _ZERO3, u)[1])
         return np.concatenate([dql, dq, dw])
 
     return field
@@ -327,7 +311,8 @@ def perturbation_vanishing_check(
 ) -> dict[str, list[float]]:
     """Worst-case ratios ||f_b(eps^r x)|| / eps^(r_b + k) per block b and eps.
 
-    Block b of the remainder is its rows 3b..3b+2, named blocks[b].  The
+    Block b of the remainder is its rows 3b..3b+2, named blocks[b]; the
+    remainder takes all samples as one block of columns per eps.  The
     finite-time argument needs each ratio to vanish as eps -> 0; the report
     returns, for every block, the max ratio over samples at each eps of
     REMAINDER_EPS so monotone decay is directly checkable.
@@ -337,13 +322,10 @@ def perturbation_vanishing_check(
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
     report: dict[str, list[float]] = {name: [] for name in blocks}
     for eps in REMAINDER_EPS:
-        worst = [0.0] * len(blocks)
-        for xe in weights.scale(xs, eps):
-            f = remainder(xe)
-            for b in range(len(blocks)):
-                worst[b] = max(worst[b], float(np.linalg.norm(f[3 * b : 3 * b + 3])))
+        f = remainder(weights.scale(xs, eps).T)
         for b, name in enumerate(blocks):
-            report[name].append(worst[b] / eps ** (float(weights.r[3 * b]) + weights.k))
+            worst = float(np.linalg.norm(f[3 * b : 3 * b + 3], axis=0).max(initial=0.0))
+            report[name].append(worst / eps ** (float(weights.r[3 * b]) + weights.k))
     return report
 
 
@@ -539,8 +521,8 @@ class ErrorSystem:
     jump: Callable  # jump rule, see attkit.kinds
     flow: Callable  # (g, j, tr) -> (t, y, h, h_tilde) -> ydot
     coords: Callable  # (q_e, w_e, q_est_err, b_err) -> y
-    candidates: Callable  # (y, h, h_tilde, g, j) -> {candidate: V}
-    rates: Callable  # (y, h, h_tilde, g) -> {candidate: closed-form dV/dt}
+    candidates: Callable  # (y, h, h_tilde, g, j) -> {candidate: V}, plus v1 where V is built on it
+    rates: Callable  # (y, h, h_tilde, g) -> {candidate: closed-form dV/dt}; its keys are measured
     governing: str  # the certified candidate
     sigma: Callable  # (g, delta) -> guaranteed drop of the governing candidate per jump
     counts: Callable  # event -> whether a run's jump budget counts it
@@ -550,6 +532,16 @@ class ErrorSystem:
     blocks: tuple[str, ...]  # remainder block names, rows 3b..3b+2 for block b
     budget: tuple[str, Callable] | None = None  # (candidate, sigma); None: governing's
     observer: bool = False  # autonomous: needs no inertia or trajectory
+
+
+def _v3_candidates(y, h, ht, g, j) -> dict[str, float]:
+    """v3 and v3_matched, V1 of (Q_e, w_e) plus a lag potential; V1 rides along as v1."""
+    v1 = lyapunov_v1(y[4:8], y[8:11], h, j, g.k1, g.alpha1)
+    return {
+        "v1": v1,
+        "v3": v1 + potential_term(g.k2, ht * y[0], 1.0 + g.alpha3),
+        "v3_matched": v1 + potential_term(g.k2, ht * y[0], 1.0 + g.alpha1),
+    }
 
 
 # The reference candidates v2 and v3 are reported but not certified.  Along the
@@ -606,12 +598,7 @@ ERROR_SYSTEMS = {
         jump=kinds.jump_joint,
         flow=lambda g, j, tr: output_feedback_error_flow(j, g, tr),
         coords=lambda q_e, w_e, q_est_err, b_err: (*q_est_err, *q_e, *w_e),
-        candidates=lambda y, h, ht, g, j: {
-            "v3": lyapunov_v1(y[4:8], y[8:11], h, j, g.k1, g.alpha1)
-            + potential_term(g.k2, ht * y[0], 1.0 + g.alpha3),
-            "v3_matched": lyapunov_v1(y[4:8], y[8:11], h, j, g.k1, g.alpha1)
-            + potential_term(g.k2, ht * y[0], 1.0 + g.alpha1),
-        },
+        candidates=_v3_candidates,
         rates=lambda y, h, ht, g: {
             "v3": chord_rate(y[0:4], ht, g.k1 * g.k2 * g.k3, g.alpha3, g.alpha3),
             "v3_matched": chord_rate(y[0:4], ht, g.k2 * g.k3, g.alpha3, g.alpha1),
@@ -672,7 +659,7 @@ def lyapunov_flow_report(
         y[sl] = quat_normalize(y[sl])
     y = tuple(y.tolist())
     h, ht = check_logic(h0, "h0"), check_logic(h_tilde0, "h_tilde0")
-    names = tuple(es.candidates(y, h, ht, gains, inertia))
+    names = tuple(es.rates(y, h, ht, gains))
     v = {nm: np.empty(n + 1) for nm in names}
     rate = {nm: np.empty(n + 1) for nm in names}
     drops: dict[str, list[float]] = {nm: [] for nm in names}

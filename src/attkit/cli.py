@@ -100,7 +100,7 @@ def _verify_initial_state(cfg: config.ScenarioConfig) -> tuple[tuple, int]:
     traj = cfg.trajectory.build()
     q0 = cfg.initial_quat()
     q_e0 = error_quaternion(traj.q_d0, q0)
-    w_e0, _ = error_velocity(q_e0, cfg.plant.omega0_rad_s, traj.omega_fn(0.0))
+    w_e0 = error_velocity(q_e0, cfg.plant.omega0_rad_s, traj.omega_fn(0.0))
     est, h_tilde0 = kind.start(cfg, q0, q_e0)
     b_err0 = np.asarray(cfg.plant.bias0_rad_s, float) - np.asarray(kind.bias(est))
     es = analysis.ERROR_SYSTEMS[kind.error_system]

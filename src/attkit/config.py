@@ -125,6 +125,10 @@ class ScenarioConfig:
         Runs at construction and again where a run starts, so a field set on
         a built config is checked too.
         """
+        if "\n" in str(self.name) or "\r" in str(self.name):  # trace headers hold it on one line
+            raise ValueError("name must be one line, got %r" % (self.name,))
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
         kind = self.controller.kind
         section = kinds.get(kind).section
         if section is not None and getattr(self, section) is None:

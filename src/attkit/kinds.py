@@ -121,7 +121,7 @@ KINDS = {
         bias=lambda est: _NAN3,
         jump=jump_h,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, error_velocity(q_e, w_m, w_d)[0], h, u_ff
+            g, q_e, error_velocity(q_e, w_m, w_d), h, u_ff
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: (),
         torque_bounds=(2, 1),
@@ -134,7 +134,7 @@ KINDS = {
         bias=lambda est: est[4:7],
         jump=jump_each,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d)[0], h, u_ff
+            g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d), h, u_ff
         ),
         estimator_flow=_observer_flow,
         torque_bounds=(2, 1),

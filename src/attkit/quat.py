@@ -13,7 +13,8 @@ The per-step kernels (quat_mul, quat_conj, cross, dot, mat_vec, rotate,
 chord_pow, sat_pow) take any float sequence, ndarrays included, and return
 Python floats or float tuples: on 3- and 4-vectors NumPy's per-call overhead
 outweighs the arithmetic.  Callers that need vector arithmetic wrap the
-result with np.asarray.  The remaining helpers work on ndarrays.
+result with np.asarray.  The remaining helpers work on ndarrays; axis_pow
+and chord_gap also take a block of columns, one point per column.
 """
 
 from __future__ import annotations
@@ -142,16 +143,16 @@ def sat_pow(x: float, alpha: float) -> float:
 def axis_pow(q_v: Array, alpha: float) -> Array:
     """Vector part q_v scaled by ||q_v||^-alpha; defined as 0 at q_v = 0.
 
-    For 0 <= alpha < 1 this is continuous on the unit sphere and vanishes only
-    at the two attitude equilibria +-[1, 0, 0, 0].  Only an exact zero is
+    q_v is a 3-vector or a (3, n) block mapped column by column.  For
+    0 <= alpha < 1 this is continuous on the unit sphere and vanishes only at
+    the two attitude equilibria +-[1, 0, 0, 0].  Only an exact zero is
     special-cased: dilations put chart points far below ZERO_TOL, and the
     power is well defined there.
     """
     q_v = np.asarray(q_v, dtype=float)
-    n = float(np.linalg.norm(q_v))
-    if n == 0.0:
-        return np.zeros(3)
-    return q_v / n**alpha
+    n = np.sqrt((q_v * q_v).sum(axis=0))
+    # np.power, not **: a NumPy scalar's ** may round unlike a block's loop
+    return q_v / np.where(n == 0.0, 1.0, np.power(n, alpha))
 
 
 def chord_len(q0: float) -> float:
@@ -181,18 +182,20 @@ def chord_pow(q, alpha: float, h: int = 1) -> tuple:
 def chord_gap(q: Array, alpha: float) -> Array:
     """Difference chord_pow(q, alpha) - axis_pow(q[1:], alpha).
 
-    Near identity (q0 -> 1) this behaves like -(alpha/8) ||q||^2 axis_pow(q[1:], alpha),
+    q is one quaternion or a (4, n) block of columns.  Near identity
+    (q0 -> 1) this behaves like -(alpha/8) ||q||^2 axis_pow(q[1:], alpha),
     i.e. it vanishes two orders faster than either term.  Subtracting the two
     directly would cancel catastrophically there, so use the exact identity
     ||q_v||^2 / (2(1 - q0)) = (1 + q0)/2 on the unit sphere, which turns the
     difference into axis_pow * expm1((alpha/2) log1p(-(1 - q0)/2)).  For
     q0 > 0, 1 - q0 is itself formed as ||q_v||^2 / (1 + q0): the subtraction
     rounds to zero once ||q_v||^2 falls below the spacing of doubles near 1.
+    Dividing by 1 + |q0| keeps that where q0 > 0 and never divides by zero.
     """
-    q0 = float(q[0])
-    q_v = q[1:]
-    one_minus_q0 = float(q_v @ q_v) / (1.0 + q0) if q0 > 0.0 else 1.0 - q0
-    return axis_pow(q_v, alpha) * math.expm1(0.5 * alpha * math.log1p(-0.5 * one_minus_q0))
+    q0, q_v = q[0], q[1:]
+    one_minus_q0 = np.where(q0 > 0.0, (q_v * q_v).sum(axis=0) / (1.0 + abs(q0)), 1.0 - q0)
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf at q0 = -1, where axis_pow is 0
+        return axis_pow(q_v, alpha) * np.expm1(0.5 * alpha * np.log1p(-0.5 * one_minus_q0))
 
 
 def chord_potential(x: float, alpha: float) -> float:

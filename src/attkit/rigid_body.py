@@ -121,11 +121,11 @@ def error_quaternion(q_d, q) -> tuple:
     return quat_mul(quat_conj(q_d), q)
 
 
-def error_velocity(q_e, w, w_d) -> tuple[tuple, tuple]:
-    """Return (w_e, w_d_body): the error rate and the desired rate in body axes."""
-    w_d_body = d1, d2, d3 = rotate(q_e, w_d)
+def error_velocity(q_e, w, w_d) -> tuple:
+    """The error rate w_e = w - R(Q_e) w_d."""
+    d1, d2, d3 = rotate(q_e, w_d)
     w1, w2, w3 = w
-    return (w1 - d1, w2 - d2, w3 - d3), w_d_body
+    return (w1 - d1, w2 - d2, w3 - d3)
 
 
 def feedforward_torque(inertia: Inertia, q_e, w_d, w_d_dot) -> tuple:

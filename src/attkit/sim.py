@@ -90,8 +90,8 @@ class SimTrace:
     events: list[JumpEvent] = field(default_factory=list)
 
 
-#: candidates recorded after v1, in trace column order (v2, v2m, v3, v3m)
-_V_NAMES = ("v2", "v2_matched", "v3", "v3_matched")
+#: candidates recorded, in trace column order (v1, v2, v2m, v3, v3m)
+_V_NAMES = ("v1", "v2", "v2_matched", "v3", "v3_matched")
 _NAN = float("nan")
 
 
@@ -145,15 +145,15 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
         # truth-side record
         q_e = error_quaternion(q_d, q)
-        w_e, _ = error_velocity(q_e, w, w_d)
+        w_e = error_velocity(q_e, w, w_d)
         q_est_err, b_hat = kind.lag(est, q, q_e), kind.bias(est)
         b_err = (b[0] - b_hat[0], b[1] - b_hat[1], b[2] - b_hat[2])
         v = es.candidates(es.coords(q_e, w_e, q_est_err, b_err), h, h_t, es_gains, inertia)
+        if "v1" not in v:
+            v["v1"] = analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
         rows[i] = (  # in _LAYOUT order
             t, *q, *w, *q_d, *q_e, *w_e, h, h_t, *b, *b_hat, *q_est_err,
-            *u_cmd, *u_app, *disturbance(t),
-            analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1),
-            *[v.get(name, _NAN) for name in _V_NAMES],
+            *u_cmd, *u_app, *disturbance(t), *[v.get(name, _NAN) for name in _V_NAMES],
         )
 
         if i == n:
@@ -262,7 +262,8 @@ def load_trace(out_dir: str | Path) -> SimTrace:
         meta = fh.readline()
         if not meta.startswith("# scenario="):
             raise ValueError("trace.csv missing metadata line")
-        fields = dict(p.split("=", 1) for p in meta[2:].split())
+        # parsed from the right: kind and dt_s hold no spaces, the scenario name may
+        fields = dict(p.split("=", 1) for p in meta[2:].rstrip("\n").rsplit(" ", 2))
         names = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if names != _columns():

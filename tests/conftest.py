@@ -182,7 +182,7 @@ def dual_gap_full_state():
         q, w, q_d = y[0:4], y[4:7], y[7:11]
         w_d = traj.omega_fn(t)
         q_e = error_quaternion(q_d, q)
-        w_e, _ = error_velocity(q_e, w, w_d)
+        w_e = error_velocity(q_e, w, w_d)
         u_ff = feedforward_torque(inertia, q_e, w_d, traj.omega_dot_fn(t))
         u = full_state_torque(gains, q_e, w_e, h, u_ff)
         return np.concatenate(
@@ -191,14 +191,14 @@ def dual_gap_full_state():
 
     err_flow = analysis.full_state_error_flow(inertia, gains, traj)
     q_e0 = error_quaternion(traj.q_d0, q0)
-    w_e0, _ = error_velocity(q_e0, w0, traj.omega_fn(0.0))
+    w_e0 = error_velocity(q_e0, w0, traj.omega_fn(0.0))
 
     y = _integrate(absolute, np.concatenate([q0, w0, traj.q_d0]), (slice(0, 4), slice(7, 11)))
     z = _integrate(
         lambda t, yy: err_flow(t, yy, h, 1), np.concatenate([q_e0, w_e0]), (slice(0, 4),)
     )
     q_e_end = error_quaternion(y[7:11], y[0:4])
-    w_e_end, _ = error_velocity(q_e_end, y[4:7], traj.omega_fn(_N_DUAL * _DT_DUAL))
+    w_e_end = error_velocity(q_e_end, y[4:7], traj.omega_fn(_N_DUAL * _DT_DUAL))
     return float(max(np.abs(q_e_end - z[0:4]).max(), np.abs(w_e_end - z[4:7]).max()))
 
 

@@ -219,6 +219,29 @@ def test_remainder_trajectory_coupling_vanishes_under_dilation():
         assert report["dynamic"][0] > 0.05, (system, report["dynamic"])
 
 
+@pytest.mark.parametrize(
+    "system, gains",
+    [("full_state", FS_GAINS), ("observer", OBS_GAINS), ("attitude_only", OF_GAINS)],
+)
+def test_fields_map_a_column_block_as_its_points(system, gains):
+    # the dilation checks evaluate every sample at once as a (dim, n) block;
+    # a constant nonzero desired rate drives the remainders' transport terms
+    es = ERROR_SYSTEMS[system]
+    w_d = (0.05, -0.03, 0.02)
+    traj = DesiredTrajectory(IDENT, lambda t: w_d, lambda t: (0.0, 0.0, 0.0), 0.07, 0.0)
+    weights = es.weights(gains)
+    rng = np.random.default_rng(4)
+    xs = rng.standard_normal((200, weights.r.size))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    for field in (es.reduced_field(gains, INERTIA), es.remainder(gains, INERTIA, traj)):
+        for eps in (1e-3, 0.1, 1.0):
+            points = weights.scale(xs, eps)
+            want = np.stack([field(x) for x in points], axis=1)
+            got = field(points.T)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (system, eps)
+
+
 def test_kinematic_remainder_decays_fast():
     report = perturbation_vanishing_check(
         full_state_remainder(INERTIA, FS_GAINS, sinusoid_trajectory()),

@@ -109,6 +109,17 @@ def test_main_run_in_process(tmp_path, capsys):
     assert (out / "summary.json").exists()
 
 
+def test_main_rejects_a_negative_seed(tmp_path, capsys):
+    cfg_path = save_config(_short("fig3"), tmp_path / "cfg.json")
+    rc = cli.main(["run", str(cfg_path), "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert rc != 0
+    record = json.loads(capsys.readouterr().err)
+    assert record == {
+        "error": "ValueError", "message": "seed must be a non-negative integer, got -1"
+    }
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_reports_errors_as_json():
     # the child imports the same attkit as this process, installed or not
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))

@@ -1,6 +1,7 @@
 """Configuration schema, JSON round trip, and preset tests."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,16 @@ def test_vector_of_wrong_length_rejected(name, section, field, value, size):
     d = config_to_dict(preset(name))
     d[section][field] = value
     msg = r"^%s\.%s must have %d components, got %d$" % (section, field, size, len(value))
+    with pytest.raises(ValueError, match=msg):
+        config_from_dict(d)
+
+
+@pytest.mark.parametrize("seed", [None, 1.5, "7", -1, True])
+def test_seed_must_be_a_non_negative_integer(seed):
+    # None would draw from OS entropy; the others failed inside NumPy
+    d = config_to_dict(preset("example1"))
+    d["seed"] = seed
+    msg = "^seed must be a non-negative integer, got %s$" % re.escape(repr(seed))
     with pytest.raises(ValueError, match=msg):
         config_from_dict(d)
 

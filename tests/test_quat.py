@@ -5,6 +5,8 @@ the nearest double; tests compare against the literals, not the code's own
 output.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,23 @@ def test_axis_pow_is_a_power_below_zero_tol():
     # dilations put chart points at this size; only an exact zero maps to zero
     got = axis_pow(np.array([1e-14, 0.0, 0.0]), 0.9)
     assert got[0] == pytest.approx(1e-14**0.1, rel=1e-12)
+
+
+def test_axis_pow_and_chord_gap_map_a_column_block_as_its_points():
+    rng = np.random.default_rng(6)
+    q = rng.standard_normal((4, 50))
+    q /= np.linalg.norm(q, axis=0)
+    q[:, 0] = IDENTITY_QUAT  # q_v = 0
+    q[:, 1] = -IDENTITY_QUAT  # q0 = -1: no division by 1 + q0, no warning
+    q[:, 2] = [1.0 - 1e-17, 1e-9, 0.0, 0.0]  # q0 rounds to 1.0 while q_v is not zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.3, 0.9):
+            got = axis_pow(q[1:], alpha)
+            assert np.array_equal(got, np.stack([axis_pow(c, alpha) for c in q[1:].T], axis=1))
+            got = chord_gap(q, alpha)
+            assert np.array_equal(got, np.stack([chord_gap(c, alpha) for c in q.T], axis=1))
+    assert np.array_equal(got[:, :2], np.zeros((3, 2)))
 
 
 def test_chord_len_endpoints():

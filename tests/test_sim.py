@@ -6,7 +6,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from attkit import kinds
+from attkit import analysis, kinds
+from attkit.analysis import lyapunov_v1
 from attkit.config import preset
 from attkit.sim import (
     SimTrace,
@@ -48,6 +49,36 @@ def test_trace_round_trip(tmp_path):
     for field in _ARRAY_FIELDS:
         assert np.array_equal(getattr(loaded, field), getattr(trace, field), equal_nan=True), field
     assert loaded.events == trace.events
+
+
+def test_trace_round_trip_keeps_a_name_with_spaces(tmp_path):
+    cfg = _short("fig3", 0.1)
+    cfg.name = "my run  = 2"
+    save_trace(run_scenario(cfg), tmp_path)
+    assert load_trace(tmp_path).name == "my run  = 2"
+    cfg.name = "my\nrun"
+    with pytest.raises(ValueError, match="name must be one line"):
+        run_scenario(cfg)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_v1_is_computed_once_per_row(name, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lyapunov_v1(*args)
+
+    monkeypatch.setattr(analysis, "lyapunov_v1", counted)
+    trace = run_scenario(_short(name, 0.3, uncertainties=False))
+    assert len(trace.t) == 31 and len(calls) == 31
+    cfg = preset(name)
+    gains, inertia = cfg.controller.build(), cfg.inertia()
+    want = [
+        lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
+        for q_e, w_e, h in zip(trace.q_e, trace.w_e, trace.h)
+    ]
+    assert np.array_equal(trace.v1, want)
 
 
 def test_rk4_step_exact_on_cubic():

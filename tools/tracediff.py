@@ -7,10 +7,14 @@ Runs the four bundled presets at full horizon (``attkit run``) and
 ``src/`` and once with OTHER_CHECKOUT's, each in a fresh interpreter.  For
 each preset it prints the max |difference| of every trace column group (one
 line per trace attribute), then whether the jump events, the convergence
-verdict and settling time, the jump count and the bound flags are identical.
-For each verify run it prints whether the verdicts and jump counts are
-identical and the max |difference| of its figures.  Exits 1 when anything
-but the float differences differs.
+verdict and settling time, the jump count, the bound flags and the
+``summary.json`` digest are identical.  For each verify run it prints whether
+the verdicts and jump counts are identical, whether the JSON that ``attkit
+verify <config> --samples 200`` prints is byte-identical, and the max
+|difference| of each figure that differs.  A change meant to leave the
+numerics alone shows every digest and every verify JSON identical.  Exits 1
+when anything but the float differences (digests and JSON bytes included)
+differs.
 
 Run files go to a temporary directory that is removed afterwards.
 """
@@ -44,7 +48,8 @@ def dump(out: Path) -> None:
         cli.run(config.preset(name), out / name)
     for name in VERIFY:
         res = cli.verify(config.preset(name), n_samples=VERIFY_SAMPLES)
-        (out / ("verify_%s.json" % name)).write_text(json.dumps(res))
+        text = json.dumps(res, indent=2, sort_keys=True) + "\n"  # as `attkit verify` prints it
+        (out / ("verify_%s.json" % name)).write_text(text)
 
 
 def _run(checkout: Path, out: Path) -> None:
@@ -116,15 +121,21 @@ def compare(mine: Path, other: Path) -> bool:
               % (sa["convergence"]["settling_time_s"], sb["convergence"]["settling_time_s"]))
         same &= all(ok for label, ok in checks.items() if label != "digest")
     for name in VERIFY:
-        va = json.loads((mine / ("verify_%s.json" % name)).read_text())
-        vb = json.loads((other / ("verify_%s.json" % name)).read_text())
+        text_a = (mine / ("verify_%s.json" % name)).read_text()
+        text_b = (other / ("verify_%s.json" % name)).read_text()
+        va, vb = json.loads(text_a), json.loads(text_b)
         verdicts = all(va[k] == vb[k] for k in VERIFY_EXACT)
         jumps = {k: len(v) for k, v in va["jump_drops"].items()} == {
             k: len(v) for k, v in vb["jump_drops"].items()
         }
-        print("verify %s: verdicts %s, jump counts %s, max |d| %.3g" % (
+        print("verify %s: verdicts %s, jump counts %s, JSON %s" % (
             name, "identical" if verdicts else "DIFFERENT",
-            "identical" if jumps else "DIFFERENT", _max_diff(_floats(va), _floats(vb))))
+            "identical" if jumps else "DIFFERENT",
+            "byte-identical" if text_a == text_b else "differs"))
+        for key in sorted(va):
+            d = _max_diff(_floats(va[key]), _floats(vb.get(key)))
+            if d != 0.0:
+                print("  max |d| %-21s %.3g" % (key, d))
         same &= verdicts and jumps
     return same
 
