@@ -141,7 +141,9 @@ class DilationWeights:
             raise ValueError("homogeneity degree must be negative")
 
     def scale(self, x: Array, eps: float) -> Array:
-        return eps**self.r * x
+        """eps^r * x for one point x in R^dim or a (dim, n) block of columns."""
+        s = eps**self.r
+        return (s if np.ndim(x) == 1 else s[:, None]) * x
 
 
 def dilation_weights(p: float, quat_blocks: int) -> DilationWeights:
@@ -202,26 +204,24 @@ def output_feedback_reduced_field(inertia: Inertia, gains: OutputFeedbackGains):
     return field
 
 
-def homogeneity_check(
-    field,
-    weights: DilationWeights,
-    n_samples: int = 10_000,
-    eps_values=(1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0),
-) -> float:
+#: dilation factors at which homogeneity_check compares f(eps^r x) with eps^(r+k) f(x)
+HOMOGENEITY_EPS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0)
+
+
+def homogeneity_check(field, weights: DilationWeights, n_samples: int = 10_000) -> float:
     """Max relative deviation of f(eps^r x) from eps^(r+k) f(x) over random x.
 
-    The field takes all samples as one block of columns per eps.  Exactly
-    homogeneous fields come back at floating-point rounding level; a wrong
-    weight vector comes back at order one.
+    The field takes all samples as one block of columns per eps of
+    HOMOGENEITY_EPS.  Exactly homogeneous fields come back at floating-point
+    rounding level; a wrong weight vector comes back at order one.
     """
-    rng = np.random.default_rng(7)
-    xs = rng.standard_normal((n_samples, weights.r.size))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    fx = field(xs.T).T
+    xs = np.random.default_rng(7).standard_normal((n_samples, weights.r.size)).T
+    xs /= np.linalg.norm(xs, axis=0)
+    fx = field(xs)
     worst = 0.0
-    for eps in eps_values:
-        lhs = field(weights.scale(xs, eps).T).T
-        rhs = eps ** (weights.r + weights.k) * fx
+    for eps in HOMOGENEITY_EPS:
+        lhs = field(weights.scale(xs, eps))
+        rhs = (eps ** (weights.r + weights.k))[:, None] * fx
         dev = np.abs(lhs - rhs) / (np.abs(rhs) + 1e-300)
         worst = max(worst, float(dev.max(initial=0.0)))
     return worst
@@ -317,12 +317,11 @@ def perturbation_vanishing_check(
     returns, for every block, the max ratio over samples at each eps of
     REMAINDER_EPS so monotone decay is directly checkable.
     """
-    rng = np.random.default_rng(11)
-    xs = rng.standard_normal((n_samples, weights.r.size))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    xs = np.random.default_rng(11).standard_normal((n_samples, weights.r.size)).T
+    xs /= np.linalg.norm(xs, axis=0)
     report: dict[str, list[float]] = {name: [] for name in blocks}
     for eps in REMAINDER_EPS:
-        f = remainder(weights.scale(xs, eps).T)
+        f = remainder(weights.scale(xs, eps))
         for b, name in enumerate(blocks):
             worst = float(np.linalg.norm(f[3 * b : 3 * b + 3], axis=0).max(initial=0.0))
             report[name].append(worst / eps ** (float(weights.r[3 * b]) + weights.k))
@@ -331,6 +330,10 @@ def perturbation_vanishing_check(
 
 # ---------------------------------------------------------------------------
 # Trace-level metrics
+
+
+#: error-norm level whose last crossing convergence_metrics reports as the settling time
+SETTLING_THRESHOLD = 1e-3
 
 
 @dataclass
@@ -353,10 +356,10 @@ def error_norm(trace) -> Array:
     return np.maximum(qe, we)
 
 
-def convergence_metrics(trace, threshold: float = 1e-3) -> ConvergenceReport:
-    """Settling time (last crossing of threshold), steady-state rms, jump count."""
+def convergence_metrics(trace) -> ConvergenceReport:
+    """Settling time (last crossing of SETTLING_THRESHOLD), steady-state rms, jump count."""
     err = error_norm(trace)
-    above = np.flatnonzero(err >= threshold)
+    above = np.flatnonzero(err >= SETTLING_THRESHOLD)
     if above.size == 0:
         settling, converged = 0.0, True
     elif above[-1] == err.size - 1:
@@ -372,7 +375,7 @@ def convergence_metrics(trace, threshold: float = 1e-3) -> ConvergenceReport:
         steady_state_error=rms,
         jump_count=len(trace.events),
         max_torque_inf_nm=float(np.abs(u).max()),
-        threshold=threshold,
+        threshold=SETTLING_THRESHOLD,
     )
 
 
@@ -496,9 +499,6 @@ class FlowCheckReport:
                  maximum, with jump neighborhoods and endpoints excluded
     """
 
-    kind: str
-    dt: float
-    t_final: float
     jump_times: tuple[float, ...]
     flow_excess: dict[str, float]
     max_rate: dict[str, float]
@@ -714,9 +714,6 @@ def lyapunov_flow_report(
         )
 
     return FlowCheckReport(
-        kind=kind,
-        dt=dt,
-        t_final=t_final,
         jump_times=tuple(k * dt for k in jump_steps),
         flow_excess=flow_excess,
         max_rate=max_rate,
@@ -729,6 +726,10 @@ def lyapunov_flow_report(
 # Trace-level bound checks
 
 
+#: relative slack of the v1 envelope check, as a fraction of 1 + v1(0)
+GRONWALL_TOL = 1e-9
+
+
 @dataclass
 class BoundReport:
     """Closed-form run bounds checked against a recorded trace.
@@ -739,7 +740,7 @@ class BoundReport:
     bounds); torque_bound_alt_nm is the companion form, reported so both stay
     visible.  jump_bound is (initial Lyapunov value)/(guaranteed decrease per
     jump) for the governing logic variable.  gronwall_margin is the worst
-    v1(t) - envelope value (nonpositive within tolerance when the check holds).
+    v1(t) - envelope value (at most GRONWALL_TOL*(1 + v1(0)) when the check holds).
     """
 
     kind: str
@@ -773,7 +774,6 @@ def bound_checks(
     inertia: Inertia,
     trajectory: DesiredTrajectory,
     observer_gains: ObserverGains | None = None,
-    tol: float = 1e-9,
 ) -> BoundReport:
     """Check the componentwise torque bound, the jump-count bound, and the
     exponential v1 envelope on one trace.
@@ -822,5 +822,5 @@ def bound_checks(
         jump_count=int(count),
         jump_ok=bool(count <= v0 / sigma),
         gronwall_margin=margin,
-        gronwall_ok=bool(margin <= tol * (1.0 + v1_0)),
+        gronwall_ok=bool(margin <= GRONWALL_TOL * (1.0 + v1_0)),
     )

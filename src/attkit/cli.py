@@ -70,8 +70,8 @@ def _set_param(cfg: config.ScenarioConfig, path: str, value) -> config.ScenarioC
     if not hasattr(obj, parts[-1]):
         raise ValueError("unknown parameter %r" % path)
     setattr(obj, parts[-1], value)
-    # round-trip re-runs every section's validation on the mutated copy
-    return config.config_from_dict(config.config_to_dict(cfg))
+    cfg.validate()
+    return cfg
 
 
 def sweep(

@@ -8,13 +8,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import kinds
-from .controllers import ObserverGains
+from .controllers import ObserverGains, check_logic
 from .quat import unit_or_warn
 from .rigid_body import (
     DesiredTrajectory,
@@ -120,7 +120,7 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self) -> None:
-        """Check the whole config; ValueError naming the field.
+        """Check the whole config, the gain sets it builds included; ValueError naming the field.
 
         Runs at construction and again where a run starts, so a field set on
         a built config is checked too.
@@ -149,6 +149,16 @@ class ScenarioConfig:
                     raise ValueError("%s must have %d components, got %d" % (label, size, count))
         if not self.torque_limit_nm > 0.0:  # a clip to a non-positive limit is not saturation
             raise ValueError("torque_limit_nm must be positive, got %r" % self.torque_limit_nm)
+        check_logic(self.controller.h0, "controller.h0")
+        for key in ("controller", "observer"):  # the gain sets a run builds
+            sec = getattr(self, key)
+            if sec is not None:
+                try:
+                    sec.build()
+                except ValueError as exc:
+                    raise ValueError("%s: %s" % (key, exc)) from None
+        if section is not None:
+            check_logic(getattr(self, section).h_tilde0, "%s.h_tilde0" % section)
 
     def initial_quat(self) -> tuple:
         return unit_or_warn(self.plant.q0, "plant.q0")
@@ -289,7 +299,7 @@ def example2(
     cfg.plant.bias0_rad_s = [0.01, -0.05, 0.02]
     cfg.controller.kind = "biased_gyro"
     cfg.observer = ObserverConfig(mu1=0.33, mu2=0.12, beta1=beta1, h_tilde0=1)
-    cfg.noise = replace(cfg.noise, bias_walk_deg_s2=0.01)
+    cfg.noise.bias_walk_deg_s2 = 0.01
     return cfg
 
 

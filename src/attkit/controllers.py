@@ -1,10 +1,8 @@
 """Hybrid finite-time attitude tracking controllers.
 
-Three feedback laws share the same hysteresis mechanism.  A logic variable
-h in {-1, +1} selects which antipode of the error quaternion is being
-stabilized; it flows unchanged while h*q_e0 >= -delta and jumps to the sign of
-q_e0 once h*q_e0 <= -delta.  The width delta in (0, 1) is what defeats both
-unwinding and measurement-noise chattering near q_e0 = 0.
+The laws and estimator flows take logic values h, h_tilde in {-1, +1} that
+select which antipode of an error quaternion they stabilize; attkit.kinds
+states how those values jump.
 
 Controllers only ever see measured quantities.  Truth states never enter any
 function in this module.  Like the quat and rigid_body kernels, the laws and
@@ -22,11 +20,6 @@ from dataclasses import dataclass
 
 from .quat import chord_pow, quat_conj, rotate, sat_pow
 from .rigid_body import error_quaternion, kinematics_rate
-
-
-def sgn_bar(x: float) -> int:
-    """Outer-semicontinuous sign used by the jump maps; sgn_bar(0) = +1."""
-    return 1 if x >= 0.0 else -1
 
 
 def check_logic(h: int, name: str) -> int:
@@ -113,19 +106,6 @@ class OutputFeedbackGains:
         return 2.0 * self.alpha3 - 1.0
 
 
-def hysteresis_update(h: int, scalar: float, delta: float) -> tuple[int, bool]:
-    """One discrete update of a logic variable against its error scalar part.
-
-    Returns (new_h, jumped).  The jump set is h*scalar <= -delta, with the
-    boundary resolved in favor of jumping; the post-jump value sgn_bar(scalar)
-    always lands strictly inside the flow set, so a single update suffices.
-    """
-    h = check_logic(h, "h")
-    if h * scalar <= -delta:
-        return sgn_bar(scalar), True
-    return h, False
-
-
 def full_state_torque(gains: FullStateGains, q_e, w_e, h: int, u_ff) -> tuple:
     """Hybrid full-state law: u = u_ff - k1*chord_pow(h Q_e, 1-alpha1) - k2*sat_pow(w_e, alpha2)."""
     h = check_logic(h, "h")
@@ -189,17 +169,3 @@ def output_feedback_torque(
     f1, f2, f3 = u_ff
     return (f1 - k1 * c1 - k2 * l1, f2 - k1 * c2 - k2 * l2, f3 - k1 * c3 - k2 * l3)
 
-
-def joint_jump(
-    q_e0: float, q_lag0: float, h: int, h_tilde: int, delta: float
-) -> tuple[int, int]:
-    """Joint logic jump for the velocity-free loop.
-
-    Fires when either h*q_e0 <= -delta or h_tilde*q_lag0 <= -delta and resets
-    both logic variables to the signs of their scalars in one event.
-    """
-    h = check_logic(h, "h")
-    h_tilde = check_logic(h_tilde, "h_tilde")
-    if h * q_e0 > -delta and h_tilde * q_lag0 > -delta:
-        raise ValueError("joint jump requested outside the jump set")
-    return sgn_bar(q_e0), sgn_bar(q_lag0)

@@ -10,9 +10,18 @@ observer, [Q_f] for the attitude filter, empty for the full-state law.
 Estimators keep their quaternion in est[0:4].  Channels a kind does not have
 read as NaN.  Every callable takes float sequences and returns float tuples.
 
+All three laws share one hysteresis mechanism.  A logic variable h in
+{-1, +1} selects which antipode of an error quaternion is stabilized; it
+flows while h*s > -delta, s the scalar part, and jumps to the sign of s on
+the closed jump set h*s <= -delta.  The width delta in (0, 1) defeats both
+unwinding and noise chattering near s = 0.  in_jump_set states that set and
+reset_sign the post-jump value; no other module decides a jump.
+
 Jump rules share one signature, (h, h_tilde, s, s_tilde, delta) ->
 (h, h_tilde, jumped), where s and s_tilde are the scalar parts that h and
-h_tilde are checked against; one application re-enters the flow set.
+h_tilde are checked against; one application re-enters the flow set.  Each
+h a rule sees was checked where it entered or produced by a rule.  Rules
+look in_jump_set up here at call time, so a hook on it sees every test.
 """
 
 from __future__ import annotations
@@ -26,8 +35,6 @@ from .controllers import (
     check_logic,
     filter_flow_rate,
     full_state_torque,
-    hysteresis_update,
-    joint_jump,
     observer_flow_rate,
     output_feedback_torque,
 )
@@ -38,30 +45,44 @@ _NAN3 = (float("nan"),) * 3
 _NAN4 = (float("nan"),) * 4
 
 
+def in_jump_set(h, s, delta):
+    """Whether h*s <= -delta; the set is closed, so its boundary jumps."""
+    return h * s <= -delta
+
+
+def reset_sign(s):
+    """The post-jump logic value: the sign of s, +1 at s = 0 (-0.0 included)."""
+    return 1 if s >= 0.0 else -1
+
+
 def jump_h(h, h_tilde, s, s_tilde, delta):
     """Hysteresis jump of h against s; h_tilde is left alone."""
-    h, jumped = hysteresis_update(h, s, delta)
-    return h, h_tilde, jumped
+    if in_jump_set(h, s, delta):
+        return reset_sign(s), h_tilde, True
+    return h, h_tilde, False
 
 
 def jump_h_tilde(h, h_tilde, s, s_tilde, delta):
     """Hysteresis jump of h_tilde against s_tilde; h is left alone."""
-    h_tilde, jumped = hysteresis_update(h_tilde, s_tilde, delta)
-    return h, h_tilde, jumped
+    if in_jump_set(h_tilde, s_tilde, delta):
+        return h, reset_sign(s_tilde), True
+    return h, h_tilde, False
 
 
 def jump_each(h, h_tilde, s, s_tilde, delta):
-    """Independent jumps: h against s, then h_tilde against s_tilde."""
-    h, h_tilde, jumped = jump_h(h, h_tilde, s, s_tilde, delta)
-    h, h_tilde, jumped_tilde = jump_h_tilde(h, h_tilde, s, s_tilde, delta)
-    return h, h_tilde, jumped or jumped_tilde
+    """Independent jumps: h against s and h_tilde against s_tilde."""
+    jumped = False
+    if in_jump_set(h, s, delta):
+        h, jumped = reset_sign(s), True
+    if in_jump_set(h_tilde, s_tilde, delta):
+        h_tilde, jumped = reset_sign(s_tilde), True
+    return h, h_tilde, jumped
 
 
 def jump_joint(h, h_tilde, s, s_tilde, delta):
     """One joint reset of both variables once either lies in its jump set."""
-    if h * s <= -delta or h_tilde * s_tilde <= -delta:
-        h, h_tilde = joint_jump(s, s_tilde, h, h_tilde, delta)
-        return h, h_tilde, True
+    if in_jump_set(h, s, delta) or in_jump_set(h_tilde, s_tilde, delta):
+        return reset_sign(s), reset_sign(s_tilde), True
     return h, h_tilde, False
 
 

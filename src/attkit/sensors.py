@@ -19,7 +19,7 @@ from .quat import ZERO_TOL, cross, from_axis_angle, to_axis_angle
 DEG = np.pi / 180.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class NoiseConfig:
     """Sensor error magnitudes; enabled=False zeroes all of them.
 
@@ -52,7 +52,7 @@ class NoiseConfig:
         return self.bias_walk_deg_s2 * DEG if self.enabled else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class DisturbanceConfig:
     """Slow sinusoidal disturbance torque d(t) = A*[cos(ft), cos(ft), -sin(ft)]."""
 

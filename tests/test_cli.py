@@ -87,6 +87,31 @@ def test_sweep_rejects_empty_values(tmp_path):
         cli.sweep(_short("fig3"), "controller.alpha1", [], tmp_path)
 
 
+def test_sweep_over_a_noise_field(tmp_path, capsys):
+    cfg_path = save_config(_short("example1", 0.2), tmp_path / "cfg.json")
+    root = tmp_path / "sw"
+    argv = ["sweep", str(cfg_path), "--param", "noise.gyro_sigma_deg_s", "--values", "0.02,0.05"]
+    assert cli.main(argv + ["--out", str(root)]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert [r["name"] for r in result["runs"]] == [
+        "example1_gyro_sigma_deg_s_0.02", "example1_gyro_sigma_deg_s_0.05",
+    ]
+    for value in ("0.02", "0.05"):
+        assert (root / ("gyro_sigma_deg_s_" + value) / "summary.json").exists()
+
+
+def test_sweep_rejects_a_bad_gain_before_any_run(tmp_path, capsys):
+    cfg_path = save_config(_short("example1", 0.2), tmp_path / "cfg.json")
+    root = tmp_path / "sw"
+    argv = ["sweep", str(cfg_path), "--param", "controller.alpha1", "--values", "0.6,1.5"]
+    assert cli.main(argv + ["--out", str(root)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {
+        "error": "ValueError", "message": "controller: alpha1 must lie in (0, 1], got 1.5"
+    }
+    assert not root.exists()
+
+
 def test_set_param_validation():
     cfg = _short("example1")
     with pytest.raises(ValueError, match="unknown parameter"):

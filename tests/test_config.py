@@ -148,6 +148,25 @@ def test_attitude_only_requires_filter():
         config_from_dict(d)
 
 
+def test_gain_sets_and_logic_values_are_checked_at_load():
+    d = config_to_dict(preset("example2"))
+    d["observer"]["mu1"] = -1.0
+    with pytest.raises(ValueError, match=r"^observer: gains mu1, mu2 must be positive"):
+        config_from_dict(d)
+    d = config_to_dict(preset("example1"))
+    d["controller"]["alpha1"] = 1.5
+    with pytest.raises(ValueError, match=r"^controller: alpha1 must lie in \(0, 1\]"):
+        config_from_dict(d)
+    d["controller"]["alpha1"] = 0.6
+    d["controller"]["h0"] = 0
+    with pytest.raises(ValueError, match=r"^controller\.h0 must be \+1 or -1, got 0"):
+        config_from_dict(d)
+    d = config_to_dict(preset("example3"))
+    d["filter"]["h_tilde0"] = 2
+    with pytest.raises(ValueError, match=r"^filter\.h_tilde0 must be \+1 or -1, got 2"):
+        config_from_dict(d)
+
+
 def test_malformed_json_reports_path(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

@@ -16,11 +16,8 @@ from attkit.controllers import (
     OutputFeedbackGains,
     filter_flow_rate,
     full_state_torque,
-    hysteresis_update,
-    joint_jump,
     observer_flow_rate,
     output_feedback_torque,
-    sgn_bar,
 )
 from attkit.quat import IDENTITY_QUAT, chord_pow, quat_mul, random_unit_quat
 from attkit.rigid_body import error_quaternion
@@ -37,13 +34,6 @@ FS_SAT_TERM = 1.1962790249769764  # 4.0 * 0.2**0.75
 OF_BOTH_TERMS = 3.027227094913372  # (1.2 + 2.4) * 2**-0.25
 OBS_ATT_RATE = 0.15130566712877075  # 0.5 * 0.33 * 2**-0.125
 OBS_BIAS_RATE = 0.10090756983044574  # 0.12 * 2**-0.25
-
-
-def test_sgn_bar():
-    assert sgn_bar(0.3) == 1
-    assert sgn_bar(-0.2) == -1
-    assert sgn_bar(0.0) == 1
-    assert sgn_bar(-0.0) == 1
 
 
 def test_full_state_gains_validation():
@@ -80,15 +70,6 @@ def test_output_feedback_gains_validation():
         OutputFeedbackGains(k1=1.2, k2=2.4, k3=0.0, alpha3=0.75, delta=0.3)
     with pytest.raises(ValueError):
         OutputFeedbackGains(k1=1.2, k2=2.4, k3=1.1, alpha3=0.75, delta=1.0)
-
-
-def test_hysteresis_update():
-    assert hysteresis_update(1, -0.2, 0.3) == (1, False)
-    assert hysteresis_update(1, -0.3, 0.3) == (-1, True)  # boundary jumps
-    assert hysteresis_update(-1, 0.4, 0.3) == (1, True)
-    assert hysteresis_update(-1, -0.9, 0.3) == (-1, False)
-    with pytest.raises(ValueError):
-        hysteresis_update(0, 0.5, 0.3)
 
 
 def test_full_state_torque_attitude_term():
@@ -202,13 +183,3 @@ def test_output_feedback_torque_independent_logic_signs():
     assert u_pm[0] + u_mp[0] == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
         output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 2, ZERO3)
-
-
-def test_joint_jump():
-    assert joint_jump(-0.5, 0.2, 1, 1, 0.3) == (-1, 1)
-    assert joint_jump(0.5, -0.4, 1, 1, 0.3) == (1, -1)
-    assert joint_jump(-0.3, -0.3, 1, 1, 0.3) == (-1, -1)  # boundary fires
-    with pytest.raises(ValueError):
-        joint_jump(0.5, 0.2, 1, 1, 0.3)
-    with pytest.raises(ValueError):
-        joint_jump(-0.5, 0.2, 0, 1, 0.3)

@@ -97,6 +97,14 @@ def test_resolve_jumps_full_state():
     assert jump(1, 1, -0.5, -0.9, 0.3) == (-1, 1, True)
     assert jump(1, 1, 0.9, 0.9, 0.3) == (1, 1, False)
     assert jump(-1, 1, -0.2, 0.0, 0.3) == (-1, 1, False)
+    assert jump(1, 1, -0.2, 0.0, 0.3) == (1, 1, False)
+    # the jump set is closed: both boundaries h*s = -delta jump
+    assert jump(1, 1, -0.3, 0.0, 0.3) == (-1, 1, True)
+    assert jump(-1, 1, 0.3, 0.0, 0.3) == (1, 1, True)
+    assert jump(-1, 1, 0.4, 0.0, 0.3) == (1, 1, True)
+    assert jump(-1, 1, -0.9, 0.0, 0.3) == (-1, 1, False)
+    # the reset is the sign of the scalar
+    assert jump(1, 1, -0.2, 0.0, 0.2) == (-1, 1, True)
 
 
 def test_resolve_jumps_biased_gyro_independent_logic():
@@ -105,6 +113,10 @@ def test_resolve_jumps_biased_gyro_independent_logic():
     assert jump(1, 1, 0.5, -0.4, 0.3) == (1, -1, True)
     # a non-violating h_tilde is left alone even if h jumps
     assert jump(1, -1, -0.5, 0.2, 0.3) == (-1, -1, True)
+    # h_tilde's boundaries jump as h's do
+    assert jump(1, 1, 0.5, -0.3, 0.3) == (1, -1, True)
+    assert jump(1, -1, 0.5, 0.3, 0.3) == (1, 1, True)
+    assert jump(1, 1, 0.5, -0.2, 0.3) == (1, 1, False)
 
 
 def test_resolve_jumps_attitude_only_joint_reset():
@@ -113,6 +125,33 @@ def test_resolve_jumps_attitude_only_joint_reset():
     assert jump(1, -1, -0.5, 0.2, 0.3) == (-1, 1, True)
     assert jump(-1, 1, 0.5, -0.4, 0.3) == (1, -1, True)
     assert jump(1, -1, 0.9, -0.2, 0.3) == (1, -1, False)
+    assert jump(1, 1, -0.5, 0.2, 0.3) == (-1, 1, True)
+    assert jump(1, 1, 0.5, -0.4, 0.3) == (1, -1, True)
+    # the joint boundary fires and resets both variables
+    assert jump(1, 1, -0.3, -0.3, 0.3) == (-1, -1, True)
+    # a zero scalar, of either sign, resets its variable to +1
+    assert jump(1, -1, -0.5, 0.0, 0.3) == (-1, 1, True)
+    assert jump(1, -1, -0.5, -0.0, 0.3) == (-1, 1, True)
+    assert jump(-1, -1, 0.0, 0.5, 0.3) == (1, 1, True)
+    assert jump(-1, -1, -0.0, 0.5, 0.3) == (1, 1, True)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_every_jump_rule_tests_its_set_through_one_helper(name, monkeypatch):
+    # each step's rule call tests one (h) or two (h, h_tilde) jump sets
+    calls = []
+    in_jump_set = kinds.in_jump_set
+
+    def counted(h, s, delta):
+        calls.append((h, s, delta))
+        return in_jump_set(h, s, delta)
+
+    monkeypatch.setattr(kinds, "in_jump_set", counted)
+    trace = run_scenario(_short(name, 0.2))
+    rows = len(trace.t)
+    tests_per_step = {"full_state": (1, 1), "biased_gyro": (2, 2), "attitude_only": (1, 2)}
+    low, high = tests_per_step[trace.kind]
+    assert low * rows <= len(calls) <= high * rows
 
 
 @pytest.mark.parametrize("name", sorted(kinds.KINDS))
