@@ -58,9 +58,9 @@ from .quat import (
     dot,
     flip_drop,
     mat_vec,
-    quat_normalize,
     sat_pow,
     sgn_pow,
+    unit_or_warn,
 )
 from .rigid_body import (
     DesiredTrajectory,
@@ -635,9 +635,10 @@ def lyapunov_flow_report(
     width); the other kinds take it from their gains.  Reference candidates
     are finite-differenced against the rate they were reported to satisfy,
     matched candidates against their own exact rate.  The state travels as a
-    float tuple; y0's quaternion blocks are normalized once, and after every
-    step they are renormalized under the simulator's drift guard, which
-    raises SimulationError naming the step.
+    float tuple; y0's quaternion blocks are normalized once, with a warning
+    naming each block that was not unit norm, and after every step they are
+    renormalized under the simulator's drift guard, which raises
+    SimulationError naming the step.
     """
     if kind not in ERROR_SYSTEMS:
         raise ValueError("unknown flow-check kind %r" % kind)
@@ -656,7 +657,7 @@ def lyapunov_flow_report(
     if n < 4:
         raise ValueError("horizon too short for the finite-difference checks")
     for sl in es.quat_blocks:
-        y[sl] = quat_normalize(y[sl])
+        y[sl] = unit_or_warn(y[sl], "y0[%d:%d]" % (sl.start, sl.stop))
     y = tuple(y.tolist())
     h, ht = check_logic(h0, "h0"), check_logic(h_tilde0, "h_tilde0")
     names = tuple(es.rates(y, h, ht, gains))

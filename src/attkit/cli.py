@@ -59,7 +59,11 @@ def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
 
 
 def _set_param(cfg: config.ScenarioConfig, path: str, value) -> config.ScenarioConfig:
-    """Return a validated copy of cfg with the dotted parameter replaced."""
+    """Return a copy of cfg with the dotted parameter replaced, checked by a one-step run.
+
+    The step builds all that the run will (inertia, reference and initial
+    quaternions too, which validate() does not), so a bad value fails here.
+    """
     cfg = copy.deepcopy(cfg)
     obj = cfg
     parts = path.split(".")
@@ -71,6 +75,9 @@ def _set_param(cfg: config.ScenarioConfig, path: str, value) -> config.ScenarioC
         raise ValueError("unknown parameter %r" % path)
     setattr(obj, parts[-1], value)
     cfg.validate()
+    probe = copy.deepcopy(cfg)
+    probe.sim.t_final_s = probe.sim.dt_s
+    sim.run_scenario(probe)
     return cfg
 
 
@@ -188,7 +195,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = verbs.add_parser("sweep", help="run the config once per parameter value")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--param", required=True, help="dotted field path, e.g. controller.alpha1")
-    p_sweep.add_argument("--values", required=True, help="comma-separated JSON scalars")
+    p_sweep.add_argument(
+        "--values", required=True,
+        help="comma-separated JSON values, e.g. 0.6,1.0 or [1,0,0,0],[0,1,0,0]",
+    )
     p_sweep.add_argument("--out", default=None)
     p_sweep.add_argument("--seed", type=int, default=None)
 
@@ -218,7 +228,11 @@ def _dispatch(args: argparse.Namespace) -> dict:
     if args.verb == "run":
         return run(cfg, args.out if args.out is not None else Path("runs") / cfg.name)
     if args.verb == "sweep":
-        values = [json.loads(v) for v in args.values.split(",") if v.strip()]
+        try:  # one JSON array, so a list or matrix value may hold commas too
+            values = json.loads("[%s]" % args.values)
+        except json.JSONDecodeError:
+            raise ValueError("--values must be comma-separated JSON values, got %r"
+                             % args.values) from None
         out = args.out if args.out is not None else Path("runs") / ("%s_sweep" % cfg.name)
         return sweep(cfg, args.param, values, out)
     return verify(cfg, n_samples=args.samples)

@@ -164,7 +164,10 @@ class ScenarioConfig:
         return unit_or_warn(self.plant.q0, "plant.q0")
 
     def inertia(self) -> Inertia:
-        return Inertia(self.plant.inertia_kgm2)
+        try:
+            return Inertia(self.plant.inertia_kgm2)
+        except ValueError as exc:
+            raise ValueError("plant.inertia_kgm2: %s" % exc) from None
 
 
 #: component count of every vector a scenario configures

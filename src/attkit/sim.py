@@ -13,7 +13,7 @@ Each step does, in order:
 
 The state travels through the step as tuples of Python floats: the flow state
 is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each row is
-written once into one preallocated array whose columns become the trace.
+written once into one preallocated array, which becomes the trace's rows.
 
 Jumps are therefore detected at step boundaries; the hysteresis width is far
 wider than anything the error scalar can traverse in one step at sane rates,
@@ -58,8 +58,11 @@ class JumpEvent:
 
 @dataclass
 class SimTrace:
-    """Columnar run history plus the jump-event list.
+    """Run history as one row block, plus the jump-event list.
 
+    rows holds one row per sample, its columns in _LAYOUT order.  Each
+    _LAYOUT attribute (t, q, w, ..., v3m) is set once, at construction, to a
+    view of rows: a width-1 column as a 1-d array, a vector as (n, width).
     Quaternions are scalar-first.  q_est_err is the estimator/filter error
     quaternion computed against truth (NaN for the full-state scenario); all
     Lyapunov columns not applicable to the scenario are NaN.
@@ -68,26 +71,15 @@ class SimTrace:
     name: str
     kind: str
     dt: float
-    t: Array
-    q: Array
-    w: Array
-    q_d: Array
-    q_e: Array
-    w_e: Array
-    h: Array
-    h_tilde: Array
-    b: Array
-    b_hat: Array
-    q_est_err: Array
-    u_cmd: Array
-    u_app: Array
-    d: Array
-    v1: Array
-    v2: Array
-    v2m: Array
-    v3: Array
-    v3m: Array
+    rows: Array
     events: list[JumpEvent] = field(default_factory=list)
+
+    def __post_init__(self) -> None:
+        ofs = 0
+        for attr, _, width in _LAYOUT:
+            block = self.rows[:, ofs : ofs + width]
+            setattr(self, attr, block[:, 0] if width == 1 else block)
+            ofs += width
 
 
 #: candidates recorded, in trace column order (v1, v2, v2m, v3, v3m)
@@ -175,9 +167,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             est = (*_renorm(y[11:15], i), *y[15:])
         b = bias_step(b, walk, dt, rng)
 
-    return SimTrace(
-        name=cfg.name, kind=cfg.controller.kind, dt=dt, events=events, **_split(rows)
-    )
+    return SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)
 
 
 # ---------------------------------------------------------------------------
@@ -221,31 +211,16 @@ def _columns() -> list[str]:
     return names
 
 
-def _split(data: Array) -> dict[str, Array]:
-    """Trace columns of a row block in _LAYOUT order, as views of it."""
-    parts = {}
-    ofs = 0
-    for attr, _, width in _LAYOUT:
-        chunk = data[:, ofs : ofs + width]
-        parts[attr] = chunk[:, 0] if width == 1 else chunk
-        ofs += width
-    return parts
-
-
 def save_trace(trace: SimTrace, out_dir: str | Path) -> tuple[Path, Path]:
     """Write trace.csv and events.csv; floats at full precision for round trips."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    blocks = [
-        getattr(trace, attr).reshape(len(trace.t), -1) for attr, _, _ in _LAYOUT
-    ]
-    data = np.hstack(blocks)
     trace_path = out / "trace.csv"
     header = "# scenario=%s kind=%s dt_s=%.17g\n" % (trace.name, trace.kind, trace.dt)
     with open(trace_path, "w", newline="") as fh:
         fh.write(header)
         fh.write(",".join(_columns()) + "\n")
-        np.savetxt(fh, data, delimiter=",", fmt="%.17g")
+        np.savetxt(fh, trace.rows, delimiter=",", fmt="%.17g")
     events_path = out / "events.csv"
     with open(events_path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -278,7 +253,4 @@ def load_trace(out_dir: str | Path) -> SimTrace:
                     int(row["ht_pre"]), int(row["ht_post"]),
                 )
             )
-    return SimTrace(
-        name=fields["scenario"], kind=fields["kind"], dt=float(fields["dt_s"]),
-        events=events, **_split(data),
-    )
+    return SimTrace(fields["scenario"], fields["kind"], float(fields["dt_s"]), data, events)

@@ -4,6 +4,9 @@ Reference values were computed independently at 40-digit precision and frozen
 here as nearest-double literals.
 """
 
+import json
+import warnings
+from dataclasses import asdict
 from types import SimpleNamespace
 
 import numpy as np
@@ -453,6 +456,30 @@ def test_flow_report_validation():
         lyapunov_flow_report(
             "observer", OBS_GAINS, y0=np.concatenate([FLIP_X, ZERO3]), t_final=1e-3
         )
+    with pytest.raises(ValueError, match="full_state flow check needs inertia and trajectory"):
+        lyapunov_flow_report("full_state", FS_GAINS, y0=np.concatenate([BENCH_Q_E0, BENCH_W_E0]))
+
+
+def test_flow_report_warns_when_it_normalizes_y0():
+    from attkit.analysis import lyapunov_flow_report
+
+    def report(y0):
+        rep = lyapunov_flow_report(
+            "attitude_only", OF_GAINS, y0=y0, inertia=INERTIA,
+            trajectory=sinusoid_trajectory(), t_final=0.05,
+        )
+        return json.dumps(asdict(rep), sort_keys=True)
+
+    unit = np.concatenate([BENCH_Q_E0, BENCH_Q_E0, BENCH_W_E0])
+    scaled = unit.copy()
+    scaled[0:4] *= 2.0  # exact: the normalized block is the same to the bit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = report(unit)
+    with pytest.warns(UserWarning, match=r"y0\[0:4\] not unit norm") as caught:
+        got = report(scaled)
+    assert len(caught) == 1
+    assert got == want
 
 
 def test_flow_report_guards_renormalization():

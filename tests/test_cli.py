@@ -112,6 +112,42 @@ def test_sweep_rejects_a_bad_gain_before_any_run(tmp_path, capsys):
     assert not root.exists()
 
 
+def test_sweep_over_a_list_field(tmp_path, capsys):
+    cfg_path = save_config(_short("fig3", 0.1), tmp_path / "cfg.json")
+    argv = ["sweep", str(cfg_path), "--param", "plant.q0", "--values", "[0,1,0,0],[1,0,0,0]"]
+    assert cli.main(argv + ["--out", str(tmp_path / "sw")]) == 0
+    runs = json.loads(capsys.readouterr().out)["runs"]
+    assert [r["name"] for r in runs] == [
+        "fig3_q0_[0, 1, 0, 0]", "fig3_q0_[1, 0, 0, 0]",
+    ]
+    assert runs[1]["convergence"]["settling_time_s"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "param, values, message",
+    [
+        ("trajectory.kind", '"regulation","bogus"', "unknown trajectory kind 'bogus'"),
+        (
+            "plant.inertia_kgm2",
+            "[[15,0,0],[0,20,0],[0,0,10]],[[15,0,0],[0,-20,0],[0,0,10]]",
+            "plant.inertia_kgm2: inertia must be positive definite",
+        ),
+        ("plant.q0", "[1,0,0,0],[0,0,0,0]", "plant.q0 has zero norm"),
+    ],
+)
+def test_sweep_rejects_a_built_value_before_any_run(tmp_path, capsys, param, values, message):
+    # validate() does not build these; the bad value is the second, so a
+    # sweep that ran its values in turn would have written the first
+    cfg_path = save_config(_short("example1", 0.2), tmp_path / "cfg.json")
+    root = tmp_path / "sw"
+    argv = ["sweep", str(cfg_path), "--param", param, "--values", values, "--out", str(root)]
+    assert cli.main(argv) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(message)
+    assert not root.exists()
+
+
 def test_set_param_validation():
     cfg = _short("example1")
     with pytest.raises(ValueError, match="unknown parameter"):

@@ -10,6 +10,7 @@ from attkit import analysis, kinds
 from attkit.analysis import lyapunov_v1
 from attkit.config import preset
 from attkit.sim import (
+    _LAYOUT,
     SimTrace,
     _renorm,
     SimulationError,
@@ -19,11 +20,7 @@ from attkit.sim import (
     save_trace,
 )
 
-_ARRAY_FIELDS = [
-    f.name
-    for f in dataclasses.fields(SimTrace)
-    if f.name not in ("name", "kind", "dt", "events")
-]
+_ARRAY_FIELDS = [attr for attr, _, _ in _LAYOUT]
 
 
 def _short(name, seconds, **kwargs):
@@ -49,6 +46,34 @@ def test_trace_round_trip(tmp_path):
     for field in _ARRAY_FIELDS:
         assert np.array_equal(getattr(loaded, field), getattr(trace, field), equal_nan=True), field
     assert loaded.events == trace.events
+
+
+def test_trace_columns_are_views_of_its_rows(tmp_path):
+    assert [f.name for f in dataclasses.fields(SimTrace)] == [
+        "name", "kind", "dt", "rows", "events",
+    ]
+    trace = run_scenario(_short("example2", 0.2))
+    save_trace(trace, tmp_path)
+    for tr in (trace, load_trace(tmp_path)):
+        n = len(tr.rows)
+        assert tr.rows.shape == (n, sum(width for _, _, width in _LAYOUT))
+        for attr, _, width in _LAYOUT:
+            col = getattr(tr, attr)
+            assert col.shape == ((n,) if width == 1 else (n, width)), attr
+            assert np.shares_memory(col, tr.rows), attr
+            assert getattr(tr, attr) is col, attr  # set once, not sliced per read
+
+
+def test_load_trace_rejects_a_file_without_its_header(tmp_path):
+    save_trace(run_scenario(_short("fig3", 0.1)), tmp_path)
+    path = tmp_path / "trace.csv"
+    meta, names, *rows = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([names, *rows]))
+    with pytest.raises(ValueError, match="missing metadata line"):
+        load_trace(tmp_path)
+    path.write_text("".join([meta, names.replace("q_d_0", "qd_0"), *rows]))
+    with pytest.raises(ValueError, match="column names do not match this layout"):
+        load_trace(tmp_path)
 
 
 def test_trace_round_trip_keeps_a_name_with_spaces(tmp_path):
