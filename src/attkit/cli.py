@@ -81,19 +81,30 @@ def _set_param(cfg: config.ScenarioConfig, path: str, value) -> config.ScenarioC
     return cfg
 
 
+def _name_part(value) -> str:
+    """A swept value as part of a run name: lists flattened and joined with '_'."""
+    return "_".join(map(_name_part, value)) if isinstance(value, list) else str(value)
+
+
 def sweep(
     cfg: config.ScenarioConfig, param: str, values: list, out_root: str | Path
 ) -> dict:
-    """Run one scenario per parameter value, each in its own subdirectory."""
+    """Run one scenario per parameter value, each in its own `<leaf>_<value>` subdirectory."""
     if not values:
         raise ValueError("sweep needs at least one value for %r" % param)
     root = Path(out_root)
     leaf = param.split(".")[-1]
-    jobs = []
+    named = {}
     for value in values:
+        name = "%s_%s" % (leaf, _name_part(value))
+        if name in named:
+            raise ValueError("sweep values %r and %r share run %r" % (named[name], value, name))
+        named[name] = value
+    jobs = []
+    for name, value in named.items():
         sub = _set_param(cfg, param, value)
-        sub.name = "%s_%s_%s" % (cfg.name, leaf, value)
-        jobs.append((sub, root / ("%s_%s" % (leaf, value))))
+        sub.name = "%s_%s" % (cfg.name, name)
+        jobs.append((sub, root / name))
     summaries = [run(*job) for job in jobs]
     result = {"sweep": param, "values": values, "runs": summaries}
     root.mkdir(parents=True, exist_ok=True)

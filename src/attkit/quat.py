@@ -50,14 +50,6 @@ def quat_conj(q) -> tuple:
     return (q0, -q1, -q2, -q3)
 
 
-def quat_normalize(q: Array) -> Array:
-    """Rescale to unit norm.  Raises ValueError on (near-)zero input."""
-    n = float(np.linalg.norm(q))
-    if n <= ZERO_TOL:
-        raise ValueError("cannot normalize quaternion with norm %.3e" % n)
-    return np.asarray(q, dtype=float) / n
-
-
 def unit_or_warn(q, label: str) -> tuple:
     """Normalize a configured quaternion to a float tuple, warning when it was not unit norm."""
     q = np.asarray(q, dtype=float)
@@ -112,15 +104,6 @@ def from_axis_angle(axis: Array, angle: float) -> Array:
         raise ValueError("rotation axis must be nonzero")
     half = 0.5 * angle
     return np.concatenate(([np.cos(half)], (np.sin(half) / norm) * axis))
-
-
-def to_axis_angle(q) -> tuple[Array, float]:
-    """Eigenaxis and angle in [0, 2*pi); axis defaults to +x for tiny rotations."""
-    q = np.asarray(q, dtype=float)
-    s = float(np.linalg.norm(q[1:]))
-    if s <= ZERO_TOL:
-        return np.array([1.0, 0.0, 0.0]), 0.0
-    return q[1:] / s, 2.0 * float(np.arctan2(s, q[0]))
 
 
 def random_unit_quat(rng: np.random.Generator) -> Array:

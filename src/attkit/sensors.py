@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quat import ZERO_TOL, cross, from_axis_angle, to_axis_angle
+from .quat import ZERO_TOL, cross, dot
 
 DEG = np.pi / 180.0
 
@@ -73,28 +73,30 @@ def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator) -> tuple
     """Star-tracker model: tilt the eigenaxis inside a cone, keep the angle.
 
     The tilt angle is uniform on [0, cone_rad] and the tilt direction uniform
-    around the axis; the rotation angle (hence the scalar part) is unchanged,
-    so the output is exactly unit norm.  Two variates are always consumed to
-    keep the draw sequence independent of the noise amount; rng.random()
-    draws exactly what rng.uniform() draws, without its argument handling.
+    around the axis.  The rotation angle is unchanged: q0 is kept exactly and
+    the vector part keeps its length, so the output has the input's norm (unit
+    to rounding for unit input).  Two variates are always consumed to keep
+    the draw sequence independent of the noise amount; rng.random() draws
+    exactly what rng.uniform() draws, without its argument handling.
     """
     tilt = cone_rad * rng.random()
-    azimuth = 2.0 * np.pi * rng.random()
+    azimuth = 2.0 * math.pi * rng.random()
     if tilt == 0.0:
         return tuple(q_true)
-    q_true = np.asarray(q_true, dtype=float)
-    if np.linalg.norm(q_true[1:]) <= ZERO_TOL:
-        return tuple(q_true.tolist())
-    axis, angle = to_axis_angle(q_true)
-    # orthonormal pad around the eigenaxis
-    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
-    e1 = np.asarray(cross(axis, helper))
-    e1 /= np.linalg.norm(e1)
-    e2 = np.asarray(cross(axis, e1))
-    tilted = (
-        np.cos(tilt) * axis + np.sin(tilt) * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
+    q0, q1, q2, q3 = q_true
+    s = math.sqrt(q1 * q1 + q2 * q2 + q3 * q3)
+    if s <= ZERO_TOL:
+        return (q0, q1, q2, q3)
+    axis = (q1 / s, q2 / s, q3 / s)
+    # orthogonal pad around the eigenaxis: e2 = axis x e1 is as long as e1, so r scales both
+    e1 = cross(axis, (1.0, 0.0, 0.0) if abs(axis[0]) < 0.9 else (0.0, 1.0, 0.0))
+    e2 = cross(axis, e1)
+    r = s * math.sin(tilt) / math.sqrt(dot(e1, e1))
+    c, r1, r2 = s * math.cos(tilt), r * math.cos(azimuth), r * math.sin(azimuth)
+    (a1, a2, a3), (u1, u2, u3), (v1, v2, v3) = axis, e1, e2
+    return (
+        q0, c * a1 + r1 * u1 + r2 * v1, c * a2 + r1 * u2 + r2 * v2, c * a3 + r1 * u3 + r2 * v3
     )
-    return tuple(from_axis_angle(tilted, angle).tolist())
 
 
 def measure_gyro(w_true, bias, sigma_rad_s: float, rng: np.random.Generator) -> tuple:

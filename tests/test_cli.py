@@ -117,10 +117,23 @@ def test_sweep_over_a_list_field(tmp_path, capsys):
     argv = ["sweep", str(cfg_path), "--param", "plant.q0", "--values", "[0,1,0,0],[1,0,0,0]"]
     assert cli.main(argv + ["--out", str(tmp_path / "sw")]) == 0
     runs = json.loads(capsys.readouterr().out)["runs"]
-    assert [r["name"] for r in runs] == [
-        "fig3_q0_[0, 1, 0, 0]", "fig3_q0_[1, 0, 0, 0]",
-    ]
+    assert [r["name"] for r in runs] == ["fig3_q0_0_1_0_0", "fig3_q0_1_0_0_0"]
+    assert (tmp_path / "sw" / "q0_0_1_0_0" / "summary.json").exists()
     assert runs[1]["convergence"]["settling_time_s"] == 0.0
+
+
+def test_sweep_rejects_values_that_share_a_run_name(tmp_path, capsys):
+    # the third value flattens to the first one's name, which would overwrite its run
+    cfg_path = save_config(_short("fig3", 0.1), tmp_path / "cfg.json")
+    root = tmp_path / "sw"
+    values = "[0,1,0,0],[1,0,0,0],[[0,1],[0,0]]"
+    argv = ["sweep", str(cfg_path), "--param", "plant.q0", "--values", values, "--out", str(root)]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "sweep values [0, 1, 0, 0] and [[0, 1], [0, 0]] share run 'q0_0_1_0_0'",
+    }
+    assert not root.exists()
 
 
 @pytest.mark.parametrize(

@@ -22,12 +22,10 @@ from attkit.quat import (
     from_axis_angle,
     quat_conj,
     quat_mul,
-    quat_normalize,
     random_unit_quat,
     rotate,
     sat_pow,
     sgn_pow,
-    to_axis_angle,
 )
 
 # frozen references
@@ -51,13 +49,6 @@ def test_quat_mul_identity_and_conjugate():
         assert np.allclose(quat_mul(IDENTITY_QUAT, q), q)
         assert np.allclose(quat_mul(q, IDENTITY_QUAT), q)
         assert np.allclose(quat_mul(q, quat_conj(q)), IDENTITY_QUAT, atol=1e-14)
-
-
-def test_quat_normalize():
-    q = quat_normalize(np.array([2.0, 0.0, 0.0, 0.0]))
-    assert np.array_equal(q, IDENTITY_QUAT)
-    with pytest.raises(ValueError):
-        quat_normalize(np.zeros(4))
 
 
 def test_cross_matches_np_cross_exactly():
@@ -106,29 +97,12 @@ def test_rotate_passive_convention():
     assert np.array_equal(_rotation_columns(np.array([0.0, 1.0, 0.0, 0.0])), np.diag([1.0, -1.0, -1.0]))
 
 
-def test_axis_angle_round_trip():
-    rng = np.random.default_rng(6)
-    for _ in range(50):
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        angle = rng.uniform(0.1, 2.0 * np.pi - 0.1)
-        got_axis, got_angle = to_axis_angle(from_axis_angle(axis, angle))
-        assert got_angle == pytest.approx(angle, rel=1e-12)
-        assert np.allclose(got_axis, axis, atol=1e-12)
-
-
 def test_from_axis_angle_normalizes_and_rejects_zero():
     assert np.allclose(
         from_axis_angle([0.0, 0.0, 2.0], 0.5), from_axis_angle([0.0, 0.0, 1.0], 0.5)
     )
     with pytest.raises(ValueError):
         from_axis_angle([0.0, 0.0, 0.0], 0.5)
-
-
-def test_to_axis_angle_identity_default():
-    axis, angle = to_axis_angle(IDENTITY_QUAT)
-    assert angle == 0.0
-    assert axis.tolist() == [1.0, 0.0, 0.0]
 
 
 def test_random_unit_quat_unit_norm_both_hemispheres():

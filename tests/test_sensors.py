@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attkit.quat import from_axis_angle, to_axis_angle
+from attkit.quat import from_axis_angle, random_unit_quat
 from attkit.sensors import (
     DisturbanceConfig,
     NoiseConfig,
@@ -47,17 +47,57 @@ def test_disturbance_torque_phase():
     assert np.array_equal(disturbance_torque(off, 3.0), np.zeros(3))
 
 
+def _axis_angle(q):
+    """Eigenaxis q_v/|q_v| and angle 2*atan2(|q_v|, q0) of a quaternion with q_v != 0."""
+    q = np.asarray(q, dtype=float)
+    s = np.linalg.norm(q[1:])
+    return q[1:] / s, 2.0 * np.arctan2(s, q[0])
+
+
+def _axis_angle_measurement(q_true, tilt, azimuth):
+    """The star tracker as an axis-angle round trip in NumPy: the reference construction."""
+    axis, angle = _axis_angle(q_true)
+    helper = np.array([1.0, 0.0, 0.0]) if abs(axis[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    e1 = np.cross(axis, helper)
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(axis, e1)
+    tilted = np.cos(tilt) * axis + np.sin(tilt) * (np.cos(azimuth) * e1 + np.sin(azimuth) * e2)
+    return from_axis_angle(tilted, angle)
+
+
 def test_measure_attitude_preserves_angle_and_unit_norm():
     rng = np.random.default_rng(30)
     cone = 0.5 * DEG
     q_true = from_axis_angle([0.3, -1.0, 0.5], 1.2)
-    axis_true, angle_true = to_axis_angle(q_true)
+    axis_true, angle_true = _axis_angle(q_true)
     for _ in range(50):
         q_m = measure_attitude(q_true, cone, rng)
         assert np.linalg.norm(q_m) == pytest.approx(1.0, abs=1e-15)
-        axis_m, angle_m = to_axis_angle(q_m)
+        axis_m, angle_m = _axis_angle(q_m)
         assert angle_m == pytest.approx(angle_true, abs=1e-12)
         assert axis_m @ axis_true >= np.cos(cone) - 1e-12
+
+
+def test_measure_attitude_matches_axis_angle_construction():
+    rng = np.random.default_rng(38)
+    quats = [random_unit_quat(rng) for _ in range(200)]
+    # eigenaxes within 25 degrees of x, so the y-helper pad is taken
+    for _ in range(50):
+        axis = np.array([1.0, 0.0, 0.0]) + 0.25 * rng.standard_normal(3)
+        quats.append(from_axis_angle(axis, rng.uniform(-6.0, 6.0)))
+    axes = np.array([_axis_angle(q)[0] for q in quats])
+    assert (np.array(quats)[:, 0] < 0.0).sum() >= 50
+    assert (np.abs(axes[:, 0]) >= 0.9).sum() >= 50
+    for q_true, axis_true in zip(quats, axes):
+        cone = rng.uniform(0.0, 20.0 * DEG)
+        seed = int(rng.integers(2**32))
+        twin = np.random.default_rng(seed)
+        tilt, azimuth = cone * twin.random(), 2.0 * np.pi * twin.random()
+        q_m = measure_attitude(q_true, cone, np.random.default_rng(seed))
+        reference = _axis_angle_measurement(q_true, tilt, azimuth)
+        assert q_m[0] == q_true[0]
+        assert np.max(np.abs(np.subtract(q_m, reference))) <= 1e-14
+        assert _axis_angle(q_m)[0] @ axis_true >= np.cos(cone) - 1e-12
 
 
 def test_measure_attitude_zero_cone_is_exact_copy():
@@ -75,14 +115,15 @@ def test_measure_attitude_identity_passes_through():
 
 
 def test_measure_attitude_draw_count_is_state_independent():
-    # Identity input short-circuits, but the generator must advance exactly as
-    # in the generic path so downstream draws stay seed-reproducible.
-    rng_a = np.random.default_rng(33)
-    rng_b = np.random.default_rng(33)
-    measure_attitude(np.array([1.0, 0.0, 0.0, 0.0]), 0.5 * DEG, rng_a)
-    rng_b.uniform()
-    rng_b.uniform(0.0, 2.0 * np.pi)
-    assert rng_a.standard_normal() == rng_b.standard_normal()
+    # The identity short-circuit and the generic path each take exactly two
+    # random() draws, so downstream draws stay seed-reproducible.
+    for q_true in (np.array([1.0, 0.0, 0.0, 0.0]), from_axis_angle([0.3, -1.0, 0.5], 1.2)):
+        rng_a = np.random.default_rng(33)
+        rng_b = np.random.default_rng(33)
+        measure_attitude(q_true, 0.5 * DEG, rng_a)
+        rng_b.random()
+        rng_b.random()
+        assert rng_a.standard_normal() == rng_b.standard_normal()
 
 
 def test_measure_gyro_exact_without_noise():
