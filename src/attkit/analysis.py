@@ -759,14 +759,16 @@ class BoundReport:
         return asdict(self)
 
 
-def _pre_jump_logic(trace) -> tuple[int, int]:
-    """Logic pair (h, h_tilde) in force before any step-0 jump."""
-    for ev in trace.events:
-        if ev.step == 0:
-            return ev.h_pre, ev.ht_pre
-        if ev.step > 0:
-            break
-    return int(trace.h[0]), int(trace.h_tilde[0])
+def start_state(trace) -> tuple[tuple, int, int]:
+    """(y0, h0, h_tilde0): row 0 in the trace's error-system coordinates and the
+    logic pair in force before any step-0 jump (row 0 holds the pair after it;
+    events are appended in step order, so a step-0 event is events[0]).
+    """
+    es = ERROR_SYSTEMS[kinds.get(trace.kind).error_system]
+    y0 = es.coords(trace.q_e[0], trace.w_e[0], trace.q_est_err[0], trace.b[0] - trace.b_hat[0])
+    if trace.events and trace.events[0].step == 0:
+        return y0, trace.events[0].h_pre, trace.events[0].ht_pre
+    return y0, int(trace.h[0]), int(trace.h_tilde[0])
 
 
 def bound_checks(
@@ -788,7 +790,7 @@ def bound_checks(
     counts h flips against v1(0)/sigma1; biased_gyro counts h_tilde flips
     against v2(0)/sigma2 (its h flips are governed by the envelope, not by a
     monotone candidate); attitude_only counts joint events against
-    v3_matched(0)/min_joint_jump_decrease.
+    v3_matched(0)/min_joint_jump_decrease; v1(0) and V(0) are at start_state.
     """
     kind = kinds.get(trace.kind)
     es = ERROR_SYSTEMS[kind.error_system]
@@ -800,9 +802,8 @@ def bound_checks(
     bound, alt = (gains.k1 + gains.k2 + (w1**p + w2) * jn for p in kind.torque_bounds)
     u_max = float(np.abs(trace.u_cmd).max())
 
-    h0, ht0 = _pre_jump_logic(trace)
+    y0, h0, ht0 = start_state(trace)
     v1_0 = lyapunov_v1(trace.q_e[0], trace.w_e[0], h0, inertia, gains.k1, gains.alpha1)
-    y0 = es.coords(trace.q_e[0], trace.w_e[0], trace.q_est_err[0], trace.b[0] - trace.b_hat[0])
     candidate, budget_sigma = es.budget or (es.governing, es.sigma)
     v0 = es.candidates(y0, h0, ht0, es_gains, inertia)[candidate]
     sigma = budget_sigma(es_gains, gains.delta)

@@ -19,13 +19,11 @@ import argparse
 import copy
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, config, kinds, sim
-from .rigid_body import error_quaternion, error_velocity
 
 
 def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
@@ -58,12 +56,19 @@ def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
     return summary
 
 
-def _set_param(cfg: config.ScenarioConfig, path: str, value) -> config.ScenarioConfig:
-    """Return a copy of cfg with the dotted parameter replaced, checked by a one-step run.
-
-    The step builds all that the run will (inertia, reference and initial
-    quaternions too, which validate() does not), so a bad value fails here.
+def _first_step(cfg: config.ScenarioConfig) -> sim.SimTrace:
+    """A copy of cfg run one step with noise off.  run_scenario validates it and
+    builds all the run will (inertia, reference and initial quaternions too,
+    which validate() does not), so a config a run rejects fails with its message.
     """
+    probe = copy.deepcopy(cfg)
+    probe.noise.enabled = False
+    probe.sim.t_final_s = probe.sim.dt_s
+    return sim.run_scenario(probe)
+
+
+def _set_param(cfg: config.ScenarioConfig, path: str, value) -> config.ScenarioConfig:
+    """Return a copy of cfg with the dotted parameter replaced, checked by _first_step."""
     cfg = copy.deepcopy(cfg)
     obj = cfg
     parts = path.split(".")
@@ -74,10 +79,7 @@ def _set_param(cfg: config.ScenarioConfig, path: str, value) -> config.ScenarioC
     if not hasattr(obj, parts[-1]):
         raise ValueError("unknown parameter %r" % path)
     setattr(obj, parts[-1], value)
-    cfg.validate()
-    probe = copy.deepcopy(cfg)
-    probe.sim.t_final_s = probe.sim.dt_s
-    sim.run_scenario(probe)
+    _first_step(cfg)
     return cfg
 
 
@@ -97,6 +99,8 @@ def sweep(
     named = {}
     for value in values:
         name = "%s_%s" % (leaf, _name_part(value))
+        if any(sep and sep in name for sep in ("/", os.sep, os.altsep)):
+            raise ValueError("sweep value %r puts a path separator in run %r" % (value, name))
         if name in named:
             raise ValueError("sweep values %r and %r share run %r" % (named[name], value, name))
         named[name] = value
@@ -112,28 +116,17 @@ def sweep(
     return result
 
 
-def _verify_initial_state(cfg: config.ScenarioConfig) -> tuple[tuple, int]:
-    """Noise-free error-coordinate initial state and h_tilde for the config's flow check."""
-    kind = kinds.get(cfg.controller.kind)
-    traj = cfg.trajectory.build()
-    q0 = cfg.initial_quat()
-    q_e0 = error_quaternion(traj.q_d0, q0)
-    w_e0 = error_velocity(q_e0, cfg.plant.omega0_rad_s, traj.omega_fn(0.0))
-    est, h_tilde0 = kind.start(cfg, q0, q_e0)
-    b_err0 = np.asarray(cfg.plant.bias0_rad_s, float) - np.asarray(kind.bias(est))
-    es = analysis.ERROR_SYSTEMS[kind.error_system]
-    return es.coords(q_e0, w_e0, kind.lag(est, q0, q_e0), b_err0), h_tilde0
-
-
 def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     """Run the scenario's analysis suite: homogeneity, remainder decay, flow checks.
 
+    The flow check starts at analysis.start_state(_first_step(cfg)), so a
+    config whose first step fails fails here with the run's message.
     Degenerate exponents (alpha1 = 1, beta1 = 1, alpha3 = 1) have no negative
     homogeneity degree, so those checks report null instead of failing.
     """
     if n_samples < 1:  # zero samples would pass the homogeneity check unchecked
         raise ValueError("samples must be at least 1, got %r" % n_samples)
-    cfg.validate()
+    y0, h0, h_tilde0 = analysis.start_state(_first_step(cfg))
     error_system = kinds.get(cfg.controller.kind).error_system
     es = analysis.ERROR_SYSTEMS[error_system]
     gains = cfg.controller.build()
@@ -163,12 +156,11 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     sigma = es.sigma(es_gains, cfg.controller.delta)
     governing = es.governing
     dt = 1e-3
-    y0, h_tilde0 = _verify_initial_state(cfg)
     report = analysis.lyapunov_flow_report(
         error_system, es_gains,
         y0=y0,
         inertia=inertia, trajectory=traj,
-        h0=cfg.controller.h0, h_tilde0=h_tilde0, delta=cfg.controller.delta,
+        h0=h0, h_tilde0=h_tilde0, delta=cfg.controller.delta,
         dt=dt, t_final=min(30.0, cfg.sim.t_final_s),
     )
     # Configs that start an estimator error-free sit exactly at the fractional

@@ -10,8 +10,17 @@ import numpy as np
 import pytest
 
 from attkit import cli
-from attkit.analysis import bound_checks, convergence_metrics
+from attkit.analysis import (
+    bound_checks,
+    convergence_metrics,
+    lyapunov_v1,
+    min_joint_jump_decrease,
+    min_jump_decrease,
+    potential_term,
+    start_state,
+)
 from attkit.config import config_to_dict, load_config, preset, save_config
+from attkit.integrate import SimulationError
 from attkit.sim import load_trace, run_scenario
 
 SUMMARY_KEYS = {
@@ -136,6 +145,19 @@ def test_sweep_rejects_values_that_share_a_run_name(tmp_path, capsys):
     assert not root.exists()
 
 
+def test_sweep_rejects_a_value_with_a_path_separator(tmp_path, capsys):
+    # "name_a/b" would put a run inside run "name_a"'s directory
+    cfg_path = save_config(_short("fig3", 0.1), tmp_path / "cfg.json")
+    root = tmp_path / "sw"
+    argv = ["sweep", str(cfg_path), "--param", "name", "--values", '"a","a/b"', "--out", str(root)]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError",
+        "message": "sweep value 'a/b' puts a path separator in run 'name_a/b'",
+    }
+    assert not root.exists()
+
+
 @pytest.mark.parametrize(
     "param, values, message",
     [
@@ -227,6 +249,72 @@ def test_verify_starts_at_configured_h_tilde0():
     assert not any(ev.step == 0 for ev in run_scenario(cfg).events)
     result = cli.verify(cfg, n_samples=20)
     assert result["jump_drops"] == {"v2": [], "v2_matched": []}
+
+
+def _budget_at_start(cfg, trace, h, h_tilde):
+    """The jump budget bound_checks should report, V(0)/sigma, with V(0) at (h, h_tilde)."""
+    g, inertia = cfg.controller.build(), cfg.inertia()
+    v1 = lyapunov_v1(trace.q_e[0], trace.w_e[0], h, inertia, g.k1, g.alpha1)
+    if cfg.controller.kind == "full_state":
+        return v1 / min_jump_decrease(g.k1, g.alpha1, g.delta)
+    if cfg.controller.kind == "attitude_only":
+        v3m = v1 + potential_term(g.k2, h_tilde * trace.q_est_err[0][0], 1.0 + g.alpha1)
+        return v3m / min_joint_jump_decrease(g)
+    o = cfg.observer
+    b_err = trace.b[0] - trace.b_hat[0]
+    v2 = 0.5 * float(b_err @ b_err) + potential_term(o.mu2, h_tilde * trace.q_est_err[0][0],
+                                                      1.0 + o.beta1)
+    return v2 / min_jump_decrease(o.mu2, o.beta1, g.delta)
+
+
+@pytest.mark.parametrize(
+    "name, drops",
+    [
+        ("example1", {"v1": 4.168220557903595}),
+        ("example3", {"v3": 4.525483399593904, "v3_matched": 4.525483399593904}),
+        ("example2", {"v2": 0.4612917477963234, "v2_matched": 0.4525483399593905}),
+    ],
+)
+def test_a_step_0_jump_is_checked_from_the_pre_jump_pair(name, drops):
+    # each start puts a logic variable on the wrong antipode: h = -1 on q_e0 = +1,
+    # or h_tilde = -1 on the observer's q_err0 = +1 (it starts at the measurement)
+    cfg = _short(name, seconds=1.0, uncertainties=False)
+    if name == "example2":
+        cfg.observer.h_tilde0 = -1
+        pre, post = (1, -1), (1, 1)
+    else:
+        cfg.plant.q0 = [1.0, 0.0, 0.0, 0.0]
+        cfg.controller.h0 = -1
+        pre, post = (-1, 1), (1, 1)
+    trace = run_scenario(cfg)
+    assert [ev.step for ev in trace.events] == [0]
+    assert (trace.h[0], trace.h_tilde[0]) == post
+    assert start_state(trace)[1:] == pre
+
+    result = cli.verify(cfg, n_samples=20)
+    assert result["ok"] is True
+    assert {k: len(v) for k, v in result["jump_drops"].items()} == dict.fromkeys(drops, 1)
+    for key, drop in drops.items():
+        assert result["jump_drops"][key][0] == pytest.approx(drop, rel=1e-12)
+        assert result["jump_drops"][key][0] >= result["min_jump_decrease"]
+
+    obs = cfg.observer.build() if cfg.observer is not None else None
+    report = bound_checks(trace, cfg.controller.build(), cfg.inertia(), cfg.trajectory.build(),
+                          observer_gains=obs)
+    assert report.jump_count == 1
+    assert report.jump_bound == pytest.approx(_budget_at_start(cfg, trace, *pre), rel=1e-12)
+    assert report.jump_bound > _budget_at_start(cfg, trace, *post) + 1.0
+
+
+def test_verify_fails_where_the_first_step_fails():
+    # the run's first step drifts the quaternion norm past its guard; verify
+    # steps the same scenario before its flow check, so it fails the same way
+    cfg = _short("example1", uncertainties=False)
+    cfg.plant.omega0_rad_s = [25.0, 0.0, 0.0]
+    with pytest.raises(SimulationError, match="at step 0; reduce dt"):
+        run_scenario(cfg)
+    with pytest.raises(SimulationError, match="at step 0; reduce dt"):
+        cli.verify(cfg, n_samples=20)
 
 
 @pytest.mark.parametrize(
