@@ -74,22 +74,23 @@ from .rigid_body import (
 # Lyapunov functions
 
 
-def potential_term(gain: float, x: float, a: float) -> float:
+def potential_term(gain: float, x, a: float):
     """(2 gain/a) pot(x, a), the chord-potential term of every certificate.
 
-    x is a sign-weighted error scalar part, h*q0; a logic jump changes the term
-    by (2 gain/a) flip_drop(x, a).
+    x is a sign-weighted error scalar part, h*q0, or an (n,) column of them; a
+    logic jump changes the term by (2 gain/a) flip_drop(x, a).
     """
     return (2.0 * gain / a) * chord_potential(x, a)
 
 
-def lyapunov_v1(q_e, w_e, h: int, inertia: Inertia, k1: float, alpha1: float) -> float:
+def lyapunov_v1(q_e, w_e, h, inertia: Inertia, k1: float, alpha1: float):
     """V1 = 0.5 w_e' J w_e + potential_term(k1, h q_e0, 1+alpha1).
 
     Along full-state flows dV1/dt = -k2 w_e' sat_pow(w_e, alpha2) <= 0, and a
     logic jump changes V1 by (2 k1/(1+alpha1)) flip_drop(h q_e0, 1+alpha1).
+    q_e, w_e and h are floats, giving a float, or (n,) columns, giving a column.
     """
-    return float(
+    return (
         0.5 * dot(w_e, mat_vec(inertia.matrix, w_e))
         + potential_term(k1, h * q_e[0], 1.0 + alpha1)
     )
@@ -788,9 +789,12 @@ def bound_checks(
 
     Jumps are counted against the budget of the kind's error system: full_state
     counts h flips against v1(0)/sigma1; biased_gyro counts h_tilde flips
-    against v2(0)/sigma2 (its h flips are governed by the envelope, not by a
-    monotone candidate); attitude_only counts joint events against
-    v3_matched(0)/min_joint_jump_decrease; v1(0) and V(0) are at start_state.
+    against its ErrorSystem.budget, v2(0)/sigma(mu2, beta1): the reference
+    candidate v2, potential exponent 1+beta1, over min_jump_decrease(mu2,
+    beta1, delta), not the governing v2_matched (its h flips are governed by
+    the envelope, not by a monotone candidate); attitude_only counts joint
+    events against v3_matched(0)/min_joint_jump_decrease; v1(0) and V(0) are
+    at start_state.
     """
     kind = kinds.get(trace.kind)
     es = ERROR_SYSTEMS[kind.error_system]

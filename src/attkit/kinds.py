@@ -8,7 +8,9 @@ whose Lyapunov certificate covers it.
 Estimator state is one flat tuple of floats: [Q_hat, b_hat] for the bias
 observer, [Q_f] for the attitude filter, empty for the full-state law.
 Estimators keep their quaternion in est[0:4].  Channels a kind does not have
-read as NaN.  Every callable takes float sequences and returns float tuples.
+read as NaN.  Every callable takes float sequences and returns float tuples;
+lag and bias also take tuples of (n,) columns, as the simulator's record
+hands them, and return columns (or NaN floats).
 
 All three laws share one hysteresis mechanism.  A logic variable h in
 {-1, +1} selects which antipode of an error quaternion is stabilized; it

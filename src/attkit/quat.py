@@ -13,8 +13,11 @@ The per-step kernels (quat_mul, quat_conj, cross, dot, mat_vec, rotate,
 chord_pow, sat_pow) take any float sequence, ndarrays included, and return
 Python floats or float tuples: on 3- and 4-vectors NumPy's per-call overhead
 outweighs the arithmetic.  Callers that need vector arithmetic wrap the
-result with np.asarray.  The remaining helpers work on ndarrays; axis_pow
-and chord_gap also take a block of columns, one point per column.
+result with np.asarray.  quat_mul, quat_conj, rotate, mat_vec, dot and
+chord_potential also take tuples of (n,) columns, one point per entry, and
+return columns equal to the float results bit for bit; chord_pow and sat_pow
+take floats only.  The remaining helpers work on ndarrays; axis_pow and
+chord_gap also take a block of columns, one point per column.
 """
 
 from __future__ import annotations
@@ -181,15 +184,25 @@ def chord_gap(q: Array, alpha: float) -> Array:
         return axis_pow(q_v, alpha) * np.expm1(0.5 * alpha * np.log1p(-0.5 * one_minus_q0))
 
 
-def chord_potential(x: float, alpha: float) -> float:
+def chord_potential(x, alpha: float):
     """Scalar potential sqrt(2(1-x))^alpha for x in [-1, 1], alpha >= 0.
 
     This is the attitude-error potential used by the Lyapunov functions, as a
-    function of the (sign-weighted) error scalar part.
+    function of the (sign-weighted) error scalar part.  x is one float, or an
+    (n,) column mapped entry by entry.
     """
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative, got %r" % alpha)
-    x = float(x)
+    try:
+        x = float(x)
+    except TypeError:  # an (n,) column; no type test, as the flow report's float calls are hot
+        outside = np.abs(x) > 1.0 + 1e-9
+        if outside.any():
+            raise ValueError("scalar part %r outside [-1, 1]" % float(x[outside][0])) from None
+        base = 2.0 * (1.0 - x.clip(-1.0, 1.0))
+        # Python's float ** per entry: NumPy's vectorised power may round the
+        # last bit unlike it, and a column must equal the float path bit for bit
+        return np.array([c ** (0.5 * alpha) for c in base.tolist()])
     if abs(x) > 1.0 + 1e-9:
         raise ValueError("scalar part %r outside [-1, 1]" % x)
     x = min(max(x, -1.0), 1.0)

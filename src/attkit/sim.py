@@ -6,14 +6,18 @@ Each step does, in order:
 2. apply the kind's jump rule once to the measured error scalars (one
    application always re-enters the flow set),
 3. evaluate the controller on measurements only and clip to the torque limit,
-4. record the row (truth errors, logic state, torques, Lyapunov values),
+4. record the integrated state only: time, plant, reference, logic, bias,
+   torques, disturbance, desired rate and estimator state,
 5. advance plant + reference + estimator one RK4 step of the continuous flow
    with torque and measurements held, then renormalize the quaternions and
    advance the gyro-bias random walk.
 
 The state travels through the step as tuples of Python floats: the flow state
-is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each row is
-written once into one preallocated array, which becomes the trace's rows.
+is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each step
+writes its record once into one preallocated step block.  No step reads the
+truth errors or Lyapunov values, so _record forms them after the loop, once,
+by the same kernels applied to the block's (n,) columns, and fills the
+trace's rows.
 
 Jumps are therefore detected at step boundaries; the hysteresis width is far
 wider than anything the error scalar can traverse in one step at sane rates,
@@ -82,8 +86,14 @@ class SimTrace:
             ofs += width
 
 
-#: candidates recorded, in trace column order (v1, v2, v2m, v3, v3m)
-_V_NAMES = ("v1", "v2", "v2_matched", "v3", "v3_matched")
+#: the step block's columns (attribute, width): what each step integrated and
+#: the w_d it used; the estimator state fills the columns after these
+_STEP = (
+    ("t", 1), ("q", 4), ("w", 3), ("q_d", 4), ("h", 1), ("h_tilde", 1), ("b", 3),
+    ("u_cmd", 3), ("u_app", 3), ("d", 3), ("w_d", 3),
+)
+#: candidate recorded in each Lyapunov trace column
+_V_COLUMNS = {"v1": "v1", "v2": "v2", "v2m": "v2_matched", "v3": "v3", "v3m": "v3_matched"}
 _NAN = float("nan")
 
 
@@ -112,7 +122,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     b = tuple(map(float, cfg.plant.bias0_rad_s))
     h = check_logic(cfg.controller.h0, "controller.h0")
 
-    rows = np.empty((n + 1, sum(width for _, _, width in _LAYOUT)))
     events = []
     for i in range(n + 1):
         t = i * dt
@@ -121,6 +130,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         q_e_m = error_quaternion(q_d, q_m)
         if i == 0:
             est, h_t = kind.start(cfg, q_m, q_e_m)
+            step = np.empty((n + 1, sum(width for _, width in _STEP) + len(est)))
 
         w_d = omega(t)
         w_d_dot = traj.omega_dot_fn(t)
@@ -134,18 +144,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         u_ff = feedforward_torque(inertia, q_e_m, w_d, w_d_dot)
         u_cmd = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t, u_ff)
         u1, u2, u3 = u_app = saturate(u_cmd, limit)
-
-        # truth-side record
-        q_e = error_quaternion(q_d, q)
-        w_e = error_velocity(q_e, w, w_d)
-        q_est_err, b_hat = kind.lag(est, q, q_e), kind.bias(est)
-        b_err = (b[0] - b_hat[0], b[1] - b_hat[1], b[2] - b_hat[2])
-        v = es.candidates(es.coords(q_e, w_e, q_est_err, b_err), h, h_t, es_gains, inertia)
-        if "v1" not in v:
-            v["v1"] = analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
-        rows[i] = (  # in _LAYOUT order
-            t, *q, *w, *q_d, *q_e, *w_e, h, h_t, *b, *b_hat, *q_est_err,
-            *u_cmd, *u_app, *disturbance(t), *[v.get(name, _NAN) for name in _V_NAMES],
+        step[i] = (  # in _STEP order, then est
+            t, *q, *w, *q_d, h, h_t, *b, *u_cmd, *u_app, *disturbance(t), *w_d, *est
         )
 
         if i == n:
@@ -167,7 +167,35 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             est = (*_renorm(y[11:15], i), *y[15:])
         b = bias_step(b, walk, dt, rng)
 
+    rows = _record(step, kind, es, gains, es_gains, inertia)
     return SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)
+
+
+def _record(step: Array, kind, es, gains, es_gains, inertia) -> Array:
+    """The trace rows of a finished step block: its columns, and the truth
+    errors, estimator channels and candidates the kernels derive from them."""
+    cols, col = iter(step.T), {}
+    for attr, width in _STEP:
+        col[attr] = next(cols) if width == 1 else tuple(next(cols) for _ in range(width))
+    est = tuple(cols)
+    q_e = error_quaternion(col["q_d"], col["q"])
+    w_e = error_velocity(q_e, col["w"], col["w_d"])
+    q_est_err, b_hat = kind.lag(est, col["q"], q_e), kind.bias(est)
+    b_err = tuple(bj - cj for bj, cj in zip(col["b"], b_hat))
+    h, h_t = col["h"], col["h_tilde"]
+    v = es.candidates(es.coords(q_e, w_e, q_est_err, b_err), h, h_t, es_gains, inertia)
+    if "v1" not in v:
+        v["v1"] = analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
+    col.update(q_e=q_e, w_e=w_e, q_est_err=q_est_err, b_hat=b_hat)
+    col.update((attr, v.get(name, _NAN)) for attr, name in _V_COLUMNS.items())
+
+    rows = np.empty((len(step), sum(width for _, _, width in _LAYOUT)))
+    ofs = 0
+    for attr, _, width in _LAYOUT:  # a channel the kind lacks is one NaN float
+        for c in (col[attr],) if width == 1 else col[attr]:
+            rows[:, ofs] = c
+            ofs += 1
+    return rows
 
 
 # ---------------------------------------------------------------------------

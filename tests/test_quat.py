@@ -201,6 +201,15 @@ def test_chord_potential_values_and_validation():
         chord_potential(1.1, 1.6)
 
 
+def test_chord_potential_maps_a_column_and_fails_loudly():
+    x = np.array([-1.0, -0.3, 0.0, 0.7, 1.0, 1.0 + 5e-10])
+    assert np.array_equal(chord_potential(x, 1.6), [chord_potential(v, 1.6) for v in x])
+    with pytest.raises(ValueError, match="scalar part 1.1 outside"):
+        chord_potential(np.array([0.5, 1.1, -1.2]), 1.6)
+    with pytest.raises(ValueError, match="alpha must be nonnegative"):
+        chord_potential(np.array([0.0, 0.5]), -0.1)
+
+
 def test_flip_drop_sign_structure_and_value():
     assert flip_drop(-0.3, 1.6) == pytest.approx(FLIP_M03, rel=1e-15)
     assert flip_drop(0.0, 1.6) == 0.0

@@ -9,6 +9,7 @@ import pytest
 from attkit import analysis, kinds
 from attkit.analysis import lyapunov_v1
 from attkit.config import preset
+from attkit.rigid_body import error_quaternion, error_velocity
 from attkit.sim import (
     _LAYOUT,
     SimTrace,
@@ -21,6 +22,7 @@ from attkit.sim import (
 )
 
 _ARRAY_FIELDS = [attr for attr, _, _ in _LAYOUT]
+_V_ATTRS = ("v1", "v2", "v2m", "v3", "v3m")
 
 
 def _short(name, seconds, **kwargs):
@@ -96,7 +98,10 @@ def test_v1_is_computed_once_per_row(name, monkeypatch):
 
     monkeypatch.setattr(analysis, "lyapunov_v1", counted)
     trace = run_scenario(_short(name, 0.3, uncertainties=False))
-    assert len(trace.t) == 31 and len(calls) == 31
+    # one call per run, on the whole column block: no row's v1 is formed twice
+    assert len(trace.t) == 31 and len(calls) == 1
+    q_e, w_e, h = calls[0][:3]
+    assert np.shape(h) == np.shape(q_e[0]) == (31,)
     cfg = preset(name)
     gains, inertia = cfg.controller.build(), cfg.inertia()
     want = [
@@ -104,6 +109,44 @@ def test_v1_is_computed_once_per_row(name, monkeypatch):
         for q_e, w_e, h in zip(trace.q_e, trace.w_e, trace.h)
     ]
     assert np.array_equal(trace.v1, want)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_record_equals_the_float_kernels_row_by_row(name, monkeypatch):
+    # the derived columns, rebuilt one row at a time from the trace's own state
+    # and the estimator state each step's torque law was handed
+    cfg = _short(name, 0.3)
+    kind = kinds.get(cfg.controller.kind)
+    ests = []
+
+    def torque(g, q_e, w_m, w_d, est, *rest):
+        ests.append(est)
+        return kind.torque(g, q_e, w_m, w_d, est, *rest)
+
+    monkeypatch.setitem(kinds.KINDS, cfg.controller.kind, dataclasses.replace(kind, torque=torque))
+    trace = run_scenario(cfg)
+    assert len(ests) == len(trace.t) == 31
+    es = analysis.ERROR_SYSTEMS[kind.error_system]
+    gains, inertia = cfg.controller.build(), cfg.inertia()
+    es_gains = cfg.observer.build() if es.observer else gains
+    omega = cfg.trajectory.build().omega_fn
+    want = {attr: [] for attr in ("q_e", "w_e", "q_est_err", "b_hat", *_V_ATTRS)}
+    for i, est in enumerate(ests):
+        q, w, q_d, b = (tuple(getattr(trace, a)[i].tolist()) for a in ("q", "w", "q_d", "b"))
+        h, h_t = int(trace.h[i]), int(trace.h_tilde[i])
+        q_e = error_quaternion(q_d, q)
+        w_e = error_velocity(q_e, w, omega(float(trace.t[i])))
+        q_est_err, b_hat = kind.lag(est, q, q_e), kind.bias(est)
+        b_err = tuple(bj - cj for bj, cj in zip(b, b_hat))
+        v = es.candidates(es.coords(q_e, w_e, q_est_err, b_err), h, h_t, es_gains, inertia)
+        if "v1" not in v:
+            v["v1"] = lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
+        for attr, row in (("q_e", q_e), ("w_e", w_e), ("q_est_err", q_est_err), ("b_hat", b_hat)):
+            want[attr].append(row)
+        for attr, cand in zip(_V_ATTRS, ("v1", "v2", "v2_matched", "v3", "v3_matched")):
+            want[attr].append(v.get(cand, np.nan))
+    for attr, rows in want.items():
+        assert np.array_equal(getattr(trace, attr), rows, equal_nan=True), attr
 
 
 def test_rk4_step_exact_on_cubic():
