@@ -482,6 +482,8 @@ def output_feedback_error_flow(
 
 #: per-step decrease tolerance of flow_excess, relative to 1 + V
 FLOW_STEP_TOL = 1e-8
+#: fewest steps a flow report's centered differences and guard bands run on
+MIN_FLOW_STEPS = 4
 #: fd_rel_error skips steps whose |rate| is below this fraction of its run maximum
 FD_FLOOR = 1e-3
 
@@ -522,7 +524,9 @@ class ErrorSystem:
     jump: Callable  # jump rule, see attkit.kinds
     flow: Callable  # (g, j, tr) -> (t, y, h, h_tilde) -> ydot
     coords: Callable  # (q_e, w_e, q_est_err, b_err) -> y
-    candidates: Callable  # (y, h, h_tilde, g, j) -> {candidate: V}, plus v1 where V is built on it
+    # (y, h, h_tilde, g, j) -> {candidate: V}, plus v1 where V is built on it; y, h and
+    # h_tilde are floats, or (n,) columns giving columns
+    candidates: Callable
     rates: Callable  # (y, h, h_tilde, g) -> {candidate: closed-form dV/dt}; its keys are measured
     governing: str  # the certified candidate
     sigma: Callable  # (g, delta) -> guaranteed drop of the governing candidate per jump
@@ -631,15 +635,16 @@ def lyapunov_flow_report(
     """Integrate one hybrid error system and check every Lyapunov claim on it.
 
     kind, a key of ERROR_SYSTEMS ("full_state", "observer", "attitude_only"),
-    selects the flow, the state layout, and the candidates measured.  delta
-    is only read for the observer kind (whose gain set carries no hysteresis
-    width); the other kinds take it from their gains.  Reference candidates
-    are finite-differenced against the rate they were reported to satisfy,
-    matched candidates against their own exact rate.  The state travels as a
-    float tuple; y0's quaternion blocks are normalized once, with a warning
-    naming each block that was not unit norm, and after every step they are
+    selects the flow, the state layout, and the candidates measured.  delta,
+    in (0, 1), is only read for the observer kind (whose gain set carries no
+    hysteresis width); the other kinds take it from their gains.  Reference
+    candidates are finite-differenced against the rate they were reported to
+    satisfy, matched candidates against their own exact rate.  The state
+    travels as a float tuple; y0's quaternion blocks are normalized once, with
+    a warning naming each block that was not unit norm, and after every step
     renormalized under the simulator's drift guard, which raises
-    SimulationError naming the step.
+    SimulationError naming the step.  As in run_scenario, the candidates are
+    formed once over the recorded run: its states and post-jump logic pairs.
     """
     if kind not in ERROR_SYSTEMS:
         raise ValueError("unknown flow-check kind %r" % kind)
@@ -649,35 +654,32 @@ def lyapunov_flow_report(
         if inertia is None or trajectory is None:
             raise ValueError("%s flow check needs inertia and trajectory" % kind)
         delta = gains.delta
+    elif not 0.0 < delta < 1.0:  # so that every jump flips a logic variable
+        raise ValueError("delta must lie in (0, 1), got %r" % delta)
     if y.shape != (es.size,):
         raise ValueError("%s flow state is %s in R^%d" % (kind, es.layout, es.size))
     flow = es.flow(gains, inertia, trajectory)
     s, s_tilde = es.scalars
 
     n = int(round(t_final / dt))
-    if n < 4:
-        raise ValueError("horizon too short for the finite-difference checks")
+    if n < MIN_FLOW_STEPS:
+        raise ValueError("t_final = %r at dt = %r gives %d steps; the finite-difference checks"
+                         " need at least %d" % (t_final, dt, n, MIN_FLOW_STEPS))
     for sl in es.quat_blocks:
         y[sl] = unit_or_warn(y[sl], "y0[%d:%d]" % (sl.start, sl.stop))
     y = tuple(y.tolist())
     h, ht = check_logic(h0, "h0"), check_logic(h_tilde0, "h_tilde0")
     names = tuple(es.rates(y, h, ht, gains))
-    v = {nm: np.empty(n + 1) for nm in names}
     rate = {nm: np.empty(n + 1) for nm in names}
-    drops: dict[str, list[float]] = {nm: [] for nm in names}
-    jump_steps: list[int] = []
+    ys, logic = np.empty((n + 1, es.size)), np.empty((n + 1, 2))
+    jumps: list[tuple[int, int, int]] = []  # (step, h, h_tilde before the jump)
 
     for i in range(n + 1):
-        vals = es.candidates(y, h, ht, gains, inertia)
         h2, ht2, jumped = es.jump(h, ht, y[s], y[s_tilde], delta)
         if jumped:
-            jump_steps.append(i)
-            post = es.candidates(y, h2, ht2, gains, inertia)
-            for nm in names:
-                drops[nm].append(vals[nm] - post[nm])
-            vals, h, ht = post, h2, ht2
-        for nm in names:
-            v[nm][i] = vals[nm]
+            jumps.append((i, h, ht))
+            h, ht = h2, ht2
+        ys[i], logic[i] = y, (h, ht)
         r = es.rates(y, h, ht, gains)
         for nm in names:
             rate[nm][i] = r[nm]
@@ -688,11 +690,12 @@ def lyapunov_flow_report(
             y[sl] = _renorm(y[sl], i)
         y = tuple(y)
 
-    # step i -> i+1 is a pure flow transition unless a jump fired at i+1
-    flow_step = np.ones(n, dtype=bool)
-    for k in jump_steps:
-        if k >= 1:
-            flow_step[k - 1] = False
+    v = es.candidates(tuple(ys.T), logic[:, 0], logic[:, 1], gains, inertia)
+    jump_steps = [k for k, _, _ in jumps]
+    pre = [es.candidates(tuple(ys[k].tolist()), hk, htk, gains, inertia) for k, hk, htk in jumps]
+    drops = {nm: tuple(float(p[nm] - v[nm][k]) for p, k in zip(pre, jump_steps)) for nm in names}
+    # every jump flips a logic variable, so step i -> i+1 flows where the pair holds
+    flow_step = (logic[1:] == logic[:-1]).all(axis=1)
     # centered differences at j = 1..n-1; drop a guard band around each jump
     fd_ok = np.zeros(n + 1, dtype=bool)
     fd_ok[1:n] = True
@@ -719,7 +722,7 @@ def lyapunov_flow_report(
         jump_times=tuple(k * dt for k in jump_steps),
         flow_excess=flow_excess,
         max_rate=max_rate,
-        jump_drops={nm: tuple(drops[nm]) for nm in names},
+        jump_drops=drops,
         fd_rel_error=fd_rel,
     )
 

@@ -120,13 +120,23 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     """Run the scenario's analysis suite: homogeneity, remainder decay, flow checks.
 
     The flow check starts at analysis.start_state(_first_step(cfg)), so a
-    config whose first step fails fails here with the run's message.
-    Degenerate exponents (alpha1 = 1, beta1 = 1, alpha3 = 1) have no negative
+    config whose first step fails fails here with the run's message.  The
+    flow check runs min(30, sim.t_final_s) at dt = 1e-3; a horizon under
+    analysis.MIN_FLOW_STEPS steps fails naming sim.t_final_s.  Degenerate
+    exponents (alpha1 = 1, beta1 = 1, alpha3 = 1) have no negative
     homogeneity degree, so those checks report null instead of failing.
     """
     if n_samples < 1:  # zero samples would pass the homogeneity check unchecked
         raise ValueError("samples must be at least 1, got %r" % n_samples)
     y0, h0, h_tilde0 = analysis.start_state(_first_step(cfg))
+    dt = 1e-3
+    horizon = min(30.0, cfg.sim.t_final_s)
+    steps = round(horizon / dt)
+    if steps < analysis.MIN_FLOW_STEPS:
+        raise ValueError(
+            "sim.t_final_s: %r s gives the flow check %d steps of %r s; it needs at least %d"
+            % (cfg.sim.t_final_s, steps, dt, analysis.MIN_FLOW_STEPS)
+        )
     error_system = kinds.get(cfg.controller.kind).error_system
     es = analysis.ERROR_SYSTEMS[error_system]
     gains = cfg.controller.build()
@@ -155,13 +165,12 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
 
     sigma = es.sigma(es_gains, cfg.controller.delta)
     governing = es.governing
-    dt = 1e-3
     report = analysis.lyapunov_flow_report(
         error_system, es_gains,
         y0=y0,
         inertia=inertia, trajectory=traj,
         h0=h0, h_tilde0=h_tilde0, delta=cfg.controller.delta,
-        dt=dt, t_final=min(30.0, cfg.sim.t_final_s),
+        dt=dt, t_final=horizon,
     )
     # Configs that start an estimator error-free sit exactly at the fractional
     # powers' Holder point, where one fixed RK4 step carries O(dt^1.5) local

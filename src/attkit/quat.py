@@ -195,7 +195,9 @@ def chord_potential(x, alpha: float):
         raise ValueError("alpha must be nonnegative, got %r" % alpha)
     try:
         x = float(x)
-    except TypeError:  # an (n,) column; no type test, as the flow report's float calls are hot
+    except TypeError:  # an (n,) column; float() admits every scalar kind with no type list.
+        # No float call is hot: bound_checks' budget, flow-report jump drops and
+        # flip_drop via min_jump_decrease run once per run or per jump.
         outside = np.abs(x) > 1.0 + 1e-9
         if outside.any():
             raise ValueError("scalar part %r outside [-1, 1]" % float(x[outside][0])) from None

@@ -36,7 +36,7 @@ import numpy as np
 from . import analysis, kinds
 from .config import ScenarioConfig
 from .controllers import check_logic
-from .integrate import SimulationError, _renorm, last_value, rk4_step  # noqa: F401
+from .integrate import _renorm, last_value, rk4_step
 from .quat import Array
 from .rigid_body import (
     dynamics_rate,

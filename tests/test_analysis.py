@@ -6,7 +6,7 @@ here as nearest-double literals.
 
 import json
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -452,12 +452,66 @@ def test_flow_report_validation():
         )
     with pytest.raises(ValueError, match="unknown"):
         lyapunov_flow_report("observer2", OBS_GAINS, y0=np.zeros(7))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"t_final = 0\.001 at dt = 0\.001 gives 1 steps"):
         lyapunov_flow_report(
             "observer", OBS_GAINS, y0=np.concatenate([FLIP_X, ZERO3]), t_final=1e-3
         )
     with pytest.raises(ValueError, match="full_state flow check needs inertia and trajectory"):
         lyapunov_flow_report("full_state", FS_GAINS, y0=np.concatenate([BENCH_Q_E0, BENCH_W_E0]))
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.95, 1.0, 1.5])
+def test_flow_report_rejects_observer_delta_outside_the_unit_interval(delta):
+    # at delta <= 0 a "jump" may keep the value it holds; at delta >= 1 none can fire
+    y0 = [0.9, 0.3, 0.3, 0.1, 0.01, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\), got"):
+        analysis.lyapunov_flow_report("observer", OBS_GAINS, y0=y0, delta=delta, t_final=0.05)
+
+
+_EDGE_Q = [-0.25, float(np.sqrt(1.0 - 0.0625)), 0.0, 0.0]
+#: (gains, y0) per error system: the flow report crosses one jump within 0.3 s
+_ONE_JUMP = {
+    "full_state": (FS_GAINS, _EDGE_Q + [0.8, 0.0, 0.0]),
+    "observer": (OBS_GAINS, _EDGE_Q + [-1.0, 0.0, 0.0]),
+    "attitude_only": (OF_GAINS, _EDGE_Q + _EDGE_Q + [0.8, 0.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_JUMP))
+def test_flow_report_forms_its_candidates_once_over_the_record(name, monkeypatch):
+    es = ERROR_SYSTEMS[name]
+    calls = []
+
+    def candidates(y, h, ht, g, j):
+        calls.append((y, h, ht, es.candidates(y, h, ht, g, j)))
+        return calls[-1][-1]
+
+    monkeypatch.setitem(ERROR_SYSTEMS, name, replace(es, candidates=candidates))
+    gains, y0 = _ONE_JUMP[name]
+    rep = analysis.lyapunov_flow_report(
+        name, gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(), t_final=0.3
+    )
+    assert len(rep.jump_times) == 1
+    # one call on the recorded columns per run, one float call per jump
+    columns = [c for c in calls if np.ndim(c[1]) == 1]
+    floats = [c for c in calls if np.ndim(c[1]) == 0]
+    assert len(columns) == 1 and len(floats) == 1
+    cols, h, ht, got = columns[0]
+    assert np.shape(h) == np.shape(ht) == np.shape(cols[0]) == (301,)
+
+    def row(i):
+        return tuple(float(c[i]) for c in cols)
+
+    # each column equals the float candidates row by row, at the recorded pair
+    want = [es.candidates(row(i), int(h[i]), int(ht[i]), gains, INERTIA) for i in range(301)]
+    for nm in rep.jump_drops:
+        assert np.array_equal(got[nm], [w[nm] for w in want]), nm
+    # each drop: the float candidates before the jump less those after it
+    k = round(rep.jump_times[0] / 1e-3)
+    y_k, h_pre, ht_pre, before = floats[0]
+    assert y_k == row(k) and (h_pre, ht_pre) != (h[k], ht[k])
+    for nm, drops in rep.jump_drops.items():
+        assert drops == (before[nm] - want[k][nm],), nm
 
 
 def test_flow_report_warns_when_it_normalizes_y0():
@@ -486,7 +540,7 @@ def test_flow_report_guards_renormalization():
     # the flow report renormalizes under the simulator's drift guard: a step
     # far too coarse for the initial tumble stops the check at that step
     from attkit.analysis import lyapunov_flow_report
-    from attkit.sim import SimulationError
+    from attkit.integrate import SimulationError
 
     with pytest.raises(SimulationError, match="norm drifted .* at step 0; reduce dt"):
         lyapunov_flow_report(

@@ -340,6 +340,15 @@ def test_verify_rejects_samples_below_one(tmp_path, capsys, samples):
     assert "samples" in record["message"]
 
 
+def test_verify_names_sim_t_final_s_when_the_flow_horizon_is_too_short(tmp_path, capsys):
+    # 3 ms is 3 flow-check steps of 1 ms, under the finite-difference floor of 4
+    path = save_config(_short("example1", seconds=0.003), tmp_path / "cfg.json")
+    assert cli.main(["verify", str(path), "--samples", "20"]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith("sim.t_final_s: 0.003 s gives the flow check 3 steps")
+
+
 def test_verify_validates_field_set_after_construction():
     cfg = _short("example2", seconds=0.4)
     cfg.plant.bias0_rad_s = [0.1]

@@ -9,12 +9,12 @@ import pytest
 from attkit import analysis, kinds
 from attkit.analysis import lyapunov_v1
 from attkit.config import preset
+from attkit.integrate import SimulationError
 from attkit.rigid_body import error_quaternion, error_velocity
 from attkit.sim import (
     _LAYOUT,
     SimTrace,
     _renorm,
-    SimulationError,
     load_trace,
     rk4_step,
     run_scenario,

@@ -3,18 +3,21 @@
     python3 tools/tracediff.py OTHER_CHECKOUT
 
 Runs the four bundled presets at full horizon (``attkit run``) and
-``attkit verify`` on example1..3 with 200 samples, once with this checkout's
-``src/`` and once with OTHER_CHECKOUT's, each in a fresh interpreter.  For
-each preset it prints the max |difference| of every trace column group (one
-line per trace attribute), then whether the jump events, the convergence
-verdict and settling time, the jump count, the bound flags and the
-``summary.json`` digest are identical.  For each verify run it prints whether
-the verdicts and jump counts are identical, whether the JSON that ``attkit
-verify <config> --samples 200`` prints is byte-identical, and the max
-|difference| of each figure that differs.  A change meant to leave the
-numerics alone shows every digest and every verify JSON identical.  Exits 1
-when anything but the float differences (digests and JSON bytes included)
-differs.
+``attkit verify`` with 200 samples on example1..3 and on example2_ht_jump:
+example2 over 2 s from a 0.5 rad/s bias error and an estimate whose error
+scalar part starts at -0.25, just outside the jump set at delta = 0.3, so
+that the observer's flow check crosses one h_tilde jump (near 0.54 s; on
+the presets as shipped it crosses none).  It does so once with this
+checkout's ``src/`` and once with OTHER_CHECKOUT's, each in a fresh
+interpreter.  For each preset it prints the max |difference| of every trace
+column group (one line per trace attribute), then whether the jump events,
+the convergence verdict and settling time, the jump count, the bound flags
+and the ``summary.json`` digest are identical.  For each verify run it
+prints whether the verdicts and jump counts are identical, whether the JSON
+that ``attkit verify`` prints is byte-identical, and the max |difference| of
+each figure that differs.  A change meant to leave the numerics alone shows
+every digest and every verify JSON identical.  Exits 1 when anything but the
+float differences (digests and JSON bytes included) differs.
 
 Run files go to a temporary directory that is removed afterwards.
 """
@@ -22,6 +25,7 @@ Run files go to a temporary directory that is removed afterwards.
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -32,7 +36,19 @@ import numpy as np
 
 HERE = Path(__file__).resolve()
 PRESETS = ("example1", "example2", "example3", "fig3")
-VERIFY = ("example1", "example2", "example3")
+_S = -0.25  # scalar part of example2_ht_jump's starting estimate error
+#: verify runs: name -> (preset, {"section.field": value} set on it)
+VERIFY = {
+    "example1": ("example1", {}),
+    "example2": ("example2", {}),
+    "example3": ("example3", {}),
+    "example2_ht_jump": ("example2", {
+        "plant.q0": [1.0, 0.0, 0.0, 0.0],
+        "plant.bias0_rad_s": [0.5, 0.0, 0.0],
+        "observer.q_hat0": [_S, math.sqrt(1.0 - _S * _S), 0.0, 0.0],
+        "sim.t_final_s": 2.0,
+    }),
+}
 VERIFY_SAMPLES = 200
 #: summary entries that must match exactly
 CONVERGENCE_EXACT = ("converged", "settling_time_s", "jump_count")
@@ -46,8 +62,12 @@ def dump(out: Path) -> None:
 
     for name in PRESETS:
         cli.run(config.preset(name), out / name)
-    for name in VERIFY:
-        res = cli.verify(config.preset(name), n_samples=VERIFY_SAMPLES)
+    for name, (preset, fields) in VERIFY.items():
+        cfg = config.preset(preset)
+        for path, value in fields.items():
+            section, attr = path.split(".")
+            setattr(getattr(cfg, section), attr, value)
+        res = cli.verify(cfg, n_samples=VERIFY_SAMPLES)
         text = json.dumps(res, indent=2, sort_keys=True) + "\n"  # as `attkit verify` prints it
         (out / ("verify_%s.json" % name)).write_text(text)
 
