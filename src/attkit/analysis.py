@@ -54,6 +54,7 @@ from .quat import (
     chord_gap,
     chord_potential,
     chord_pow,
+    chord_pow_columns,
     cross,
     dot,
     flip_drop,
@@ -384,23 +385,37 @@ def convergence_metrics(trace) -> ConvergenceReport:
 # Closed-form flow derivatives, for finite-difference comparison
 
 
-def v1_flow_rate(w_e, gains: FullStateGains) -> float:
+def v1_flow_rate(w_e, gains: FullStateGains):
     """Flow derivative of lyapunov_v1 under the full-state law.
 
     dV1/dt = -k2 * w_e' sat_pow(w_e, alpha2); exact, all cross terms cancel.
+    w_e is one 3-vector, giving a float, or a tuple of three (n,) columns,
+    giving an (n,) column equal to the float calls bit for bit.
     """
     p = gains.alpha2
     w1, w2, w3 = w_e
+    try:
+        float(w1)
+    except TypeError:  # (n,) columns: the float sat_pow on each entry
+        s1, s2, s3 = (np.array([sat_pow(x, p) for x in w.tolist()]) for w in w_e)
+        return -gains.k2 * (w1 * s1 + w2 * s2 + w3 * s3)
     return float(-gains.k2 * (w1 * sat_pow(w1, p) + w2 * sat_pow(w2, p) + w3 * sat_pow(w3, p)))
 
 
-def chord_rate(q, h: int, c: float, a: float, b: float) -> float:
+def chord_rate(q, h, c: float, a: float, b: float):
     """-c chord_pow(h Q, 1-a)' chord_pow(h Q, 1-b), the flow rate of a potential.
 
     This is the exact rate of a matched candidate whose potential has exponent
     1+b and is driven through a channel of exponent a.  a = b is the rate a
-    reference candidate would need in order to be monotone.
+    reference candidate would need in order to be monotone.  q is one
+    quaternion and h = +-1, giving a float, or q is a tuple of four (n,)
+    columns and h an (n,) column, giving an (n,) column equal to the float
+    calls bit for bit.
     """
+    try:
+        float(q[0])
+    except TypeError:  # (n,) columns
+        return -c * dot(chord_pow_columns(q, 1.0 - a, h), chord_pow_columns(q, 1.0 - b, h))
     return float(-c * dot(chord_pow(q, 1.0 - a, h), chord_pow(q, 1.0 - b, h)))
 
 
@@ -527,7 +542,9 @@ class ErrorSystem:
     # (y, h, h_tilde, g, j) -> {candidate: V}, plus v1 where V is built on it; y, h and
     # h_tilde are floats, or (n,) columns giving columns
     candidates: Callable
-    rates: Callable  # (y, h, h_tilde, g) -> {candidate: closed-form dV/dt}; its keys are measured
+    # (y, h, h_tilde, g) -> {candidate: closed-form dV/dt}, its keys the candidates measured;
+    # floats, or (n,) columns giving columns, as for candidates
+    rates: Callable
     governing: str  # the certified candidate
     sigma: Callable  # (g, delta) -> guaranteed drop of the governing candidate per jump
     counts: Callable  # event -> whether a run's jump budget counts it
@@ -643,8 +660,9 @@ def lyapunov_flow_report(
     travels as a float tuple; y0's quaternion blocks are normalized once, with
     a warning naming each block that was not unit norm, and after every step
     renormalized under the simulator's drift guard, which raises
-    SimulationError naming the step.  As in run_scenario, the candidates are
-    formed once over the recorded run: its states and post-jump logic pairs.
+    SimulationError naming the step.  As in run_scenario, the candidates and
+    their closed-form rates are formed once over the recorded run, its states
+    and post-jump logic pairs; the loop only jumps, records and steps.
     """
     if kind not in ERROR_SYSTEMS:
         raise ValueError("unknown flow-check kind %r" % kind)
@@ -669,8 +687,6 @@ def lyapunov_flow_report(
         y[sl] = unit_or_warn(y[sl], "y0[%d:%d]" % (sl.start, sl.stop))
     y = tuple(y.tolist())
     h, ht = check_logic(h0, "h0"), check_logic(h_tilde0, "h_tilde0")
-    names = tuple(es.rates(y, h, ht, gains))
-    rate = {nm: np.empty(n + 1) for nm in names}
     ys, logic = np.empty((n + 1, es.size)), np.empty((n + 1, 2))
     jumps: list[tuple[int, int, int]] = []  # (step, h, h_tilde before the jump)
 
@@ -680,9 +696,6 @@ def lyapunov_flow_report(
             jumps.append((i, h, ht))
             h, ht = h2, ht2
         ys[i], logic[i] = y, (h, ht)
-        r = es.rates(y, h, ht, gains)
-        for nm in names:
-            rate[nm][i] = r[nm]
         if i == n:
             break
         y = list(rk4_step(lambda tt, yy: flow(tt, yy, h, ht), i * dt, y, dt))
@@ -690,7 +703,10 @@ def lyapunov_flow_report(
             y[sl] = _renorm(y[sl], i)
         y = tuple(y)
 
-    v = es.candidates(tuple(ys.T), logic[:, 0], logic[:, 1], gains, inertia)
+    cols, hs, hts = tuple(ys.T), logic[:, 0], logic[:, 1]
+    v = es.candidates(cols, hs, hts, gains, inertia)
+    rate = es.rates(cols, hs, hts, gains)
+    names = tuple(rate)
     jump_steps = [k for k, _, _ in jumps]
     pre = [es.candidates(tuple(ys[k].tolist()), hk, htk, gains, inertia) for k, hk, htk in jumps]
     drops = {nm: tuple(float(p[nm] - v[nm][k]) for p, k in zip(pre, jump_steps)) for nm in names}

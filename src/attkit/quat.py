@@ -15,8 +15,12 @@ Python floats or float tuples: on 3- and 4-vectors NumPy's per-call overhead
 outweighs the arithmetic.  Callers that need vector arithmetic wrap the
 result with np.asarray.  quat_mul, quat_conj, rotate, mat_vec, dot and
 chord_potential also take tuples of (n,) columns, one point per entry, and
-return columns equal to the float results bit for bit; chord_pow and sat_pow
-take floats only.  The remaining helpers work on ndarrays; axis_pow and
+return columns equal to the float results bit for bit.  chord_pow and sat_pow
+take floats only, so that the simulator's step pays no type test.  The flow
+report forms its candidates and rates once over the recorded run, so
+analysis.chord_rate and analysis.v1_flow_rate take columns too: the one
+through chord_pow_columns, chord_pow's column form, the other by mapping
+sat_pow entry by entry.  The remaining helpers work on ndarrays; axis_pow and
 chord_gap also take a block of columns, one point per column.
 """
 
@@ -165,6 +169,29 @@ def chord_pow(q, alpha: float, h: int = 1) -> tuple:
     return (q1 / s, q2 / s, q3 / s)
 
 
+def _pow_each(base: Array, p: float) -> Array:
+    """base ** p for an (n,) column, with Python's float ** on each entry.
+
+    NumPy's vectorised power may round the last bit unlike Python's **, and
+    every column kernel here must equal its float path bit for bit.
+    """
+    return np.array([c ** p for c in base.tolist()])
+
+
+def chord_pow_columns(q, alpha: float, h) -> tuple:
+    """chord_pow over a tuple of (n,) columns q, with h an (n,) column of +-1.
+
+    Returns three (n,) columns equal to chord_pow's floats bit for bit: the
+    sign flip h * column is exact, the guard is chord_pow's, and each power
+    is Python's float ** (_pow_each).
+    """
+    q0, q1, q2, q3 = (h * c for c in q)
+    gap = 1.0 - q0
+    at_identity = gap <= ZERO_TOL
+    s = _pow_each(np.sqrt(2.0 * np.where(at_identity, 0.5, gap)), alpha)
+    return tuple(np.where(at_identity, 0.0, c / s) for c in (q1, q2, q3))
+
+
 def chord_gap(q: Array, alpha: float) -> Array:
     """Difference chord_pow(q, alpha) - axis_pow(q[1:], alpha).
 
@@ -201,10 +228,7 @@ def chord_potential(x, alpha: float):
         outside = np.abs(x) > 1.0 + 1e-9
         if outside.any():
             raise ValueError("scalar part %r outside [-1, 1]" % float(x[outside][0])) from None
-        base = 2.0 * (1.0 - x.clip(-1.0, 1.0))
-        # Python's float ** per entry: NumPy's vectorised power may round the
-        # last bit unlike it, and a column must equal the float path bit for bit
-        return np.array([c ** (0.5 * alpha) for c in base.tolist()])
+        return _pow_each(2.0 * (1.0 - x.clip(-1.0, 1.0)), 0.5 * alpha)
     if abs(x) > 1.0 + 1e-9:
         raise ValueError("scalar part %r outside [-1, 1]" % x)
     x = min(max(x, -1.0), 1.0)

@@ -4,6 +4,7 @@ Reference values were computed independently at 40-digit precision and frozen
 here as nearest-double literals.
 """
 
+import itertools
 import json
 import warnings
 from dataclasses import asdict, replace
@@ -17,6 +18,7 @@ from attkit.analysis import (
     ERROR_SYSTEMS,
     DilationWeights,
     bound_checks,
+    chord_rate,
     convergence_metrics,
     dilation_weights,
     error_norm,
@@ -35,7 +37,7 @@ from attkit.analysis import (
 )
 from attkit.config import preset
 from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
-from attkit.quat import chord_potential
+from attkit.quat import ZERO_TOL, chord_potential, chord_pow, chord_pow_columns
 from attkit.rigid_body import (
     DesiredTrajectory,
     Inertia,
@@ -512,6 +514,78 @@ def test_flow_report_forms_its_candidates_once_over_the_record(name, monkeypatch
     assert y_k == row(k) and (h_pre, ht_pre) != (h[k], ht[k])
     for nm, drops in rep.jump_drops.items():
         assert drops == (before[nm] - want[k][nm],), nm
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_JUMP))
+def test_flow_report_forms_its_rates_once_over_the_record(name, monkeypatch):
+    es = ERROR_SYSTEMS[name]
+    calls = []
+
+    def rates(y, h, ht, g):
+        calls.append((y, h, ht, es.rates(y, h, ht, g)))
+        return calls[-1][-1]
+
+    monkeypatch.setitem(ERROR_SYSTEMS, name, replace(es, rates=rates))
+    gains, y0 = _ONE_JUMP[name]
+    rep = analysis.lyapunov_flow_report(
+        name, gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(), t_final=0.3
+    )
+    assert len(rep.jump_times) == 1
+    # one call on the recorded columns per run, and no float call
+    assert len(calls) == 1
+    cols, h, ht, got = calls[0]
+    assert len(cols) == es.size
+    assert {np.shape(c) for c in (h, ht, *cols)} == {(301,)}
+    assert set(got) == set(rep.fd_rel_error)
+
+    def row(i):
+        return tuple(float(c[i]) for c in cols)
+
+    # each rate column equals the float rates row by row, at the recorded pair
+    want = [es.rates(row(i), int(h[i]), int(ht[i]), gains) for i in range(301)]
+    for nm in got:
+        assert np.array_equal(got[nm], [w[nm] for w in want]), nm
+
+
+def _same_bits(a, b):
+    """Equal as doubles bit for bit, so that 0.0 and -0.0 differ."""
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+def test_column_rates_match_the_float_calls_at_the_edges():
+    # q0 = 1 exactly, and 1 - q0 on both sides of chord_pow's identity guard
+    near = 1.0 - ZERO_TOL
+    steps = [np.nextafter(near, 0.0), near, np.nextafter(near, 2.0)]
+    guarded = [1.0 - q0 <= ZERO_TOL for q0 in steps]
+    assert True in guarded and False in guarded
+    q0s = [1.0, *steps, 0.3, -0.7]
+    q0s += [-x for x in q0s]  # at h = -1 these are the rows next to identity
+    rows = [(x, *(np.sqrt(max(1.0 - x * x, 0.0)) * np.array([0.6, -0.8, 0.0])).tolist())
+            for x in q0s]
+    rows = [(r, hk) for r in rows for hk in (1, -1)]
+    q = tuple(np.array(c) for c in zip(*(r for r, _ in rows)))
+    h = np.array([float(hk) for _, hk in rows])
+    for alpha in (0.25, 0.5):  # chord_rate's factors, whose signs cancel in it
+        got = np.transpose(chord_pow_columns(q, alpha, h))
+        assert _same_bits(got, [chord_pow(r, alpha, hk) for r, hk in rows]), alpha
+    for c, a, b in [(0.0396, 0.75, 0.75), (0.0396, 0.75, 0.5), (2.9, 0.6, 0.3)]:
+        got = chord_rate(q, h, c, a, b)
+        want = [chord_rate(r, hk, c, a, b) for r, hk in rows]
+        assert all(type(w) is float for w in want)
+        assert got.shape == (len(rows),) and _same_bits(got, want), (a, b)
+
+    # w_e rows of every mix of zero of either sign, saturated and tiny entries,
+    # then a spread of interior ones, where NumPy's power would round unlike **
+    rows = list(itertools.product([0.0, -0.0, 1.5, -1.5, 1e-300, -1e-300], repeat=3))
+    rows += [(x, -0.7 * x, 0.3 * x) for x in np.linspace(-1.2, 1.2, 41).tolist()]
+    got = v1_flow_rate(tuple(np.array(c) for c in zip(*rows)), FS_GAINS)
+    want = [v1_flow_rate(r, FS_GAINS) for r in rows]
+    assert got.shape == (len(rows),) and _same_bits(got, want)
+
+    # a 3-vector and a 7-vector y still take the float path
+    assert type(v1_flow_rate(np.array([0.2, 0.0, 0.0]), FS_GAINS)) is float
+    r2 = ERROR_SYSTEMS["observer"].rates(np.concatenate([FLIP_X, ZERO3]), 1, 1, OBS_GAINS)
+    assert {type(r) for r in r2.values()} == {float}
 
 
 def test_flow_report_warns_when_it_normalizes_y0():

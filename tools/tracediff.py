@@ -16,8 +16,11 @@ and the ``summary.json`` digest are identical.  For each verify run it
 prints whether the verdicts and jump counts are identical, whether the JSON
 that ``attkit verify`` prints is byte-identical, and the max |difference| of
 each figure that differs.  A change meant to leave the numerics alone shows
-every digest and every verify JSON identical.  Exits 1 when anything but the
-float differences (digests and JSON bytes included) differs.
+every digest and every verify JSON identical.  The last line is the verdict
+on those bytes: ``byte-identical: all digests and verify JSON``, or
+``byte-identical: no (...)`` naming each preset digest and verify JSON that
+moved.  Exits 1 when anything but the float differences (digests and JSON
+bytes included) differs.
 
 Run files go to a temporary directory that is removed afterwards.
 """
@@ -116,9 +119,14 @@ def _floats(obj) -> list[float]:
 
 def compare(mine: Path, other: Path) -> bool:
     same = True
+    moved = []  # digests and verify JSON documents whose bytes differ
     for name in PRESETS:
         names, a = _trace(mine / name)
         names_b, b = _trace(other / name)
+        sa = json.loads((mine / name / "summary.json").read_text())
+        sb = json.loads((other / name / "summary.json").read_text())
+        if sa["digest"] != sb["digest"]:
+            moved.append("%s digest" % name)
         print("preset %s" % name)
         if names != names_b or a.shape != b.shape:
             print("  trace layout differs: %s vs %s" % (a.shape, b.shape))
@@ -126,8 +134,6 @@ def compare(mine: Path, other: Path) -> bool:
             continue
         for key, cols in _groups(names).items():
             print("  max |d| %-12s %.3g" % (key, _max_diff(a[:, cols], b[:, cols])))
-        sa = json.loads((mine / name / "summary.json").read_text())
-        sb = json.loads((other / name / "summary.json").read_text())
         checks = {
             "events": (mine / name / "events.csv").read_text()
             == (other / name / "events.csv").read_text(),
@@ -157,6 +163,10 @@ def compare(mine: Path, other: Path) -> bool:
             if d != 0.0:
                 print("  max |d| %-21s %.3g" % (key, d))
         same &= verdicts and jumps
+        if text_a != text_b:
+            moved.append("verify_%s.json" % name)
+    print("byte-identical: %s" % ("no (%s)" % ", ".join(moved) if moved
+                                  else "all digests and verify JSON"))
     return same
 
 
