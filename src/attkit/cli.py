@@ -27,7 +27,8 @@ from . import analysis, config, kinds, sim
 
 
 def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
-    """Simulate one scenario; write trace.csv, events.csv, summary.json."""
+    """Simulate one scenario; write trace.npz and events.csv (save_trace) and
+    summary.json, whose digest covers the reports and both trace files."""
     out = Path(out_dir)
     trace = sim.run_scenario(cfg)
     trace_path, events_path = sim.save_trace(trace, out)

@@ -125,7 +125,8 @@ class ScenarioConfig:
         Runs at construction and again where a run starts, so a field set on
         a built config is checked too.
         """
-        if "\n" in str(self.name) or "\r" in str(self.name):  # trace headers hold it on one line
+        # run and sweep name their default output directory after it
+        if "\n" in str(self.name) or "\r" in str(self.name):
             raise ValueError("name must be one line, got %r" % (self.name,))
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))

@@ -7,10 +7,11 @@ whose Lyapunov certificate covers it.
 
 Estimator state is one flat tuple of floats: [Q_hat, b_hat] for the bias
 observer, [Q_f] for the attitude filter, empty for the full-state law.
-Estimators keep their quaternion in est[0:4].  Channels a kind does not have
-read as NaN.  Every callable takes float sequences and returns float tuples;
-lag and bias also take tuples of (n,) columns, as the simulator's record
-hands them, and return columns (or NaN floats).
+Estimators keep their quaternion in est[0:4]; the simulator records est in
+the trace's q_hat and b_hat columns, NaN past its length.  Every callable
+takes float sequences and returns float tuples; lag also takes tuples of (n,)
+columns, as the simulator's record hands them, and returns columns (NaN
+floats for the full-state law, which has no estimator).
 
 All three laws share one hysteresis mechanism.  A logic variable h in
 {-1, +1} selects which antipode of an error quaternion is stabilized; it
@@ -43,7 +44,6 @@ from .controllers import (
 from .quat import unit_or_warn
 from .rigid_body import error_quaternion, error_velocity
 
-_NAN3 = (float("nan"),) * 3
 _NAN4 = (float("nan"),) * 4
 
 
@@ -127,8 +127,7 @@ class ControllerKind:
     section: str | None  # config section that holds the estimator start
     error_system: str  # key of analysis.ERROR_SYSTEMS
     start: Callable  # (cfg, q_meas, q_e_meas) -> (est, h_tilde)
-    lag: Callable  # (est, q, q_e) -> estimator error quaternion
-    bias: Callable  # est -> gyro-bias estimate
+    lag: Callable  # (est, q, q_e) -> estimator error quaternion, NaN without one
     jump: Callable  # jump rule (module docstring)
     torque: Callable  # (g, q_e, w_meas, w_d, est, q_lag, h, h_tilde, u_ff) -> torque
     estimator_flow: Callable  # (g, est, h_tilde, q_meas, w_meas, q_e_meas) -> rates of est
@@ -141,7 +140,6 @@ KINDS = {
         gains=FullStateGains, section=None, error_system="full_state",
         start=lambda cfg, q_m, q_e_m: ((), 1),
         lag=lambda est, q, q_e: _NAN4,
-        bias=lambda est: _NAN3,
         jump=jump_h,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
             g, q_e, error_velocity(q_e, w_m, w_d), h, u_ff
@@ -154,7 +152,6 @@ KINDS = {
         gains=FullStateGains, section="observer", error_system="observer",
         start=_observer_start,
         lag=lambda est, q, q_e: error_quaternion(est[0:4], q),
-        bias=lambda est: est[4:7],
         jump=jump_each,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
             g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d), h, u_ff
@@ -166,7 +163,6 @@ KINDS = {
         gains=OutputFeedbackGains, section="filter", error_system="attitude_only",
         start=_filter_start,
         lag=lambda est, q, q_e: error_quaternion(est[0:4], q_e),
-        bias=lambda est: _NAN3,
         jump=jump_joint,
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: output_feedback_torque(
             g, q_e, q_lag, h, ht, u_ff

@@ -6,18 +6,18 @@ Each step does, in order:
 2. apply the kind's jump rule once to the measured error scalars (one
    application always re-enters the flow set),
 3. evaluate the controller on measurements only and clip to the torque limit,
-4. record the integrated state only: time, plant, reference, logic, bias,
-   torques, disturbance, desired rate and estimator state,
+4. write its row of the trace: time, plant, reference, logic, bias, torques,
+   disturbance, desired rate and estimator state,
 5. advance plant + reference + estimator one RK4 step of the continuous flow
    with torque and measurements held, then renormalize the quaternions and
    advance the gyro-bias random walk.
 
 The state travels through the step as tuples of Python floats: the flow state
 is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each step
-writes its record once into one preallocated step block.  No step reads the
-truth errors or Lyapunov values, so _record forms them after the loop, once,
-by the same kernels applied to the block's (n,) columns, and fills the
-trace's rows.
+writes its columns once into the trace's preallocated row block.  No step
+reads the truth errors or Lyapunov values, so _record forms them after the
+loop, once, by the same kernels applied to the block's (n,) columns, and
+writes them into the same rows.  save_trace stores that block as it is.
 
 Jumps are therefore detected at step boundaries; the hysteresis width is far
 wider than anything the error scalar can traverse in one step at sane rates,
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -67,9 +68,12 @@ class SimTrace:
     rows holds one row per sample, its columns in _LAYOUT order.  Each
     _LAYOUT attribute (t, q, w, ..., v3m) is set once, at construction, to a
     view of rows: a width-1 column as a 1-d array, a vector as (n, width).
-    Quaternions are scalar-first.  q_est_err is the estimator/filter error
-    quaternion computed against truth (NaN for the full-state scenario); all
-    Lyapunov columns not applicable to the scenario are NaN.
+    Quaternions are scalar-first.  w_d is the desired rate each step used.
+    q_hat and b_hat hold the estimator state: Q_hat and b_hat for the bias
+    observer, Q_f and NaN for the attitude filter, NaN for the full-state
+    law.  q_est_err is the estimator/filter error quaternion computed against
+    truth (NaN for the full-state scenario); all Lyapunov columns not
+    applicable to the scenario are NaN.
     """
 
     name: str
@@ -79,19 +83,24 @@ class SimTrace:
     events: list[JumpEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        ofs = 0
-        for attr, _, width in _LAYOUT:
-            block = self.rows[:, ofs : ofs + width]
+        for attr, width in _LAYOUT:
+            block = self.rows[:, _OFFSET[attr] : _OFFSET[attr] + width]
             setattr(self, attr, block[:, 0] if width == 1 else block)
-            ofs += width
 
 
-#: the step block's columns (attribute, width): what each step integrated and
-#: the w_d it used; the estimator state fills the columns after these
-_STEP = (
+#: the trace's columns (attribute, width) in row order.  A step writes every
+#: column up to q_e: what it integrated, the w_d it used and its estimator
+#: state est across q_hat and b_hat, NaN past the kind's est.  _record derives
+#: the columns from q_e on after the loop.
+_LAYOUT = (
     ("t", 1), ("q", 4), ("w", 3), ("q_d", 4), ("h", 1), ("h_tilde", 1), ("b", 3),
-    ("u_cmd", 3), ("u_app", 3), ("d", 3), ("w_d", 3),
+    ("u_cmd", 3), ("u_app", 3), ("d", 3), ("w_d", 3), ("q_hat", 4), ("b_hat", 3),
+    ("q_e", 4), ("w_e", 3), ("q_est_err", 4),
+    ("v1", 1), ("v2", 1), ("v2m", 1), ("v3", 1), ("v3m", 1),
 )
+_WIDTH = sum(width for _, width in _LAYOUT)
+#: first column of each attribute
+_OFFSET = dict(zip((attr for attr, _ in _LAYOUT), accumulate((w for _, w in _LAYOUT), initial=0)))
 #: candidate recorded in each Lyapunov trace column
 _V_COLUMNS = {"v1": "v1", "v2": "v2", "v2m": "v2_matched", "v3": "v3", "v3m": "v3_matched"}
 _NAN = float("nan")
@@ -130,7 +139,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         q_e_m = error_quaternion(q_d, q_m)
         if i == 0:
             est, h_t = kind.start(cfg, q_m, q_e_m)
-            step = np.empty((n + 1, sum(width for _, width in _STEP) + len(est)))
+            stepped = _OFFSET["q_hat"] + len(est)
+            rows = np.empty((n + 1, _WIDTH))
+            rows[:, stepped : _OFFSET["q_e"]] = _NAN  # estimator columns the kind lacks
 
         w_d = omega(t)
         w_d_dot = traj.omega_dot_fn(t)
@@ -144,7 +155,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         u_ff = feedforward_torque(inertia, q_e_m, w_d, w_d_dot)
         u_cmd = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t, u_ff)
         u1, u2, u3 = u_app = saturate(u_cmd, limit)
-        step[i] = (  # in _STEP order, then est
+        rows[i, :stepped] = (  # in _LAYOUT order
             t, *q, *w, *q_d, h, h_t, *b, *u_cmd, *u_app, *disturbance(t), *w_d, *est
         )
 
@@ -167,88 +178,40 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             est = (*_renorm(y[11:15], i), *y[15:])
         b = bias_step(b, walk, dt, rng)
 
-    rows = _record(step, kind, es, gains, es_gains, inertia)
-    return SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)
+    trace = SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)
+    _record(trace, kind, es, gains, es_gains, inertia)
+    return trace
 
 
-def _record(step: Array, kind, es, gains, es_gains, inertia) -> Array:
-    """The trace rows of a finished step block: its columns, and the truth
-    errors, estimator channels and candidates the kernels derive from them."""
-    cols, col = iter(step.T), {}
-    for attr, width in _STEP:
-        col[attr] = next(cols) if width == 1 else tuple(next(cols) for _ in range(width))
-    est = tuple(cols)
-    q_e = error_quaternion(col["q_d"], col["q"])
-    w_e = error_velocity(q_e, col["w"], col["w_d"])
-    q_est_err, b_hat = kind.lag(est, col["q"], q_e), kind.bias(est)
-    b_err = tuple(bj - cj for bj, cj in zip(col["b"], b_hat))
-    h, h_t = col["h"], col["h_tilde"]
+def _record(trace: SimTrace, kind, es, gains, es_gains, inertia) -> None:
+    """Fill a finished run's derived columns in place: the truth errors, the
+    estimator error and the candidates the kernels derive from its columns."""
+    q, w, q_d, w_d = (tuple(getattr(trace, attr).T) for attr in ("q", "w", "q_d", "w_d"))
+    q_e = error_quaternion(q_d, q)
+    w_e = error_velocity(q_e, w, w_d)
+    q_est_err = kind.lag(tuple(trace.q_hat.T), q, q_e)
+    b_err = tuple((trace.b - trace.b_hat).T)
+    h, h_t = trace.h, trace.h_tilde
     v = es.candidates(es.coords(q_e, w_e, q_est_err, b_err), h, h_t, es_gains, inertia)
     if "v1" not in v:
         v["v1"] = analysis.lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
-    col.update(q_e=q_e, w_e=w_e, q_est_err=q_est_err, b_hat=b_hat)
-    col.update((attr, v.get(name, _NAN)) for attr, name in _V_COLUMNS.items())
-
-    rows = np.empty((len(step), sum(width for _, _, width in _LAYOUT)))
-    ofs = 0
-    for attr, _, width in _LAYOUT:  # a channel the kind lacks is one NaN float
-        for c in (col[attr],) if width == 1 else col[attr]:
-            rows[:, ofs] = c
-            ofs += 1
-    return rows
+    # a channel the kind lacks is one NaN float, broadcast down its column
+    trace.q_e[:], trace.w_e[:] = np.transpose(q_e), np.transpose(w_e)
+    trace.q_est_err[:] = np.transpose(q_est_err)
+    for attr, name in _V_COLUMNS.items():
+        getattr(trace, attr)[:] = v.get(name, _NAN)
 
 
 # ---------------------------------------------------------------------------
-# Trace files: one delimited text file for rows, one for jump events.
-
-_VEC_SUFFIX = ("x", "y", "z")
-_QUAT_SUFFIX = ("0", "1", "2", "3")
-
-#: (attribute, column stem, width); stems carry units where they have them
-_LAYOUT = [
-    ("t", "t_s", 1),
-    ("q", "q", 4),
-    ("w", "w_rad_s", 3),
-    ("q_d", "q_d", 4),
-    ("q_e", "q_e", 4),
-    ("w_e", "w_e_rad_s", 3),
-    ("h", "h", 1),
-    ("h_tilde", "h_tilde", 1),
-    ("b", "b_rad_s", 3),
-    ("b_hat", "b_hat_rad_s", 3),
-    ("q_est_err", "q_est_err", 4),
-    ("u_cmd", "u_cmd_nm", 3),
-    ("u_app", "u_app_nm", 3),
-    ("d", "d_nm", 3),
-    ("v1", "v1", 1),
-    ("v2", "v2", 1),
-    ("v2m", "v2m", 1),
-    ("v3", "v3", 1),
-    ("v3m", "v3m", 1),
-]
-
-
-def _columns() -> list[str]:
-    names = []
-    for _, stem, width in _LAYOUT:
-        if width == 1:
-            names.append(stem)
-        else:
-            sfx = _QUAT_SUFFIX if width == 4 else _VEC_SUFFIX
-            names.extend("%s_%s" % (stem, s) for s in sfx)
-    return names
+# Trace files: trace.npz holds the row block, events.csv the jump events.
 
 
 def save_trace(trace: SimTrace, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write trace.csv and events.csv; floats at full precision for round trips."""
+    """Write trace.npz (rows, name, kind, dt) and events.csv; both round-trip exactly."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.csv"
-    header = "# scenario=%s kind=%s dt_s=%.17g\n" % (trace.name, trace.kind, trace.dt)
-    with open(trace_path, "w", newline="") as fh:
-        fh.write(header)
-        fh.write(",".join(_columns()) + "\n")
-        np.savetxt(fh, trace.rows, delimiter=",", fmt="%.17g")
+    trace_path = out / "trace.npz"
+    np.savez(trace_path, rows=trace.rows, name=trace.name, kind=trace.kind, dt=trace.dt)
     events_path = out / "events.csv"
     with open(events_path, "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -261,16 +224,12 @@ def save_trace(trace: SimTrace, out_dir: str | Path) -> tuple[Path, Path]:
 def load_trace(out_dir: str | Path) -> SimTrace:
     """Rebuild a SimTrace from save_trace output."""
     out = Path(out_dir)
-    with open(out / "trace.csv") as fh:
-        meta = fh.readline()
-        if not meta.startswith("# scenario="):
-            raise ValueError("trace.csv missing metadata line")
-        # parsed from the right: kind and dt_s hold no spaces, the scenario name may
-        fields = dict(p.split("=", 1) for p in meta[2:].rstrip("\n").rsplit(" ", 2))
-        names = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if names != _columns():
-        raise ValueError("trace.csv column names do not match this layout")
+    with np.load(out / "trace.npz") as data:
+        rows, name, kind, dt = data["rows"], str(data["name"]), str(data["kind"]), float(data["dt"])
+    if rows.ndim != 2 or rows.shape[1] != _WIDTH:
+        raise ValueError(
+            "trace.npz rows have shape %s; this layout is %d columns wide" % (rows.shape, _WIDTH)
+        )
     events = []
     with open(out / "events.csv", newline="") as fh:
         for row in csv.DictReader(fh):
@@ -281,4 +240,4 @@ def load_trace(out_dir: str | Path) -> SimTrace:
                     int(row["ht_pre"]), int(row["ht_post"]),
                 )
             )
-    return SimTrace(fields["scenario"], fields["kind"], float(fields["dt_s"]), data, events)
+    return SimTrace(name, kind, dt, rows, events)

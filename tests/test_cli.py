@@ -52,7 +52,7 @@ def test_run_writes_artifacts(tmp_path):
     out = tmp_path / "out"
     summary = cli.run(_short("example1"), out)
     assert set(summary) == SUMMARY_KEYS
-    assert (out / "trace.csv").exists() and (out / "events.csv").exists()
+    assert (out / "trace.npz").exists() and (out / "events.csv").exists()
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk == summary
 
@@ -86,7 +86,7 @@ def test_sweep_layout(tmp_path):
     result = cli.sweep(_short("fig3"), "controller.alpha1", [0.6, 1.0], root)
     assert result["sweep"] == "controller.alpha1"
     assert [r["name"] for r in result["runs"]] == ["fig3_alpha1_0.6", "fig3_alpha1_1.0"]
-    assert (root / "alpha1_0.6" / "trace.csv").exists()
+    assert (root / "alpha1_0.6" / "trace.npz").exists()
     assert (root / "alpha1_1.0" / "summary.json").exists()
     assert json.loads((root / "sweep.json").read_text()) == result
 

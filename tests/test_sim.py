@@ -2,6 +2,7 @@
 and jump-resolution semantics."""
 
 import dataclasses
+import zipfile
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from attkit.sim import (
     save_trace,
 )
 
-_ARRAY_FIELDS = [attr for attr, _, _ in _LAYOUT]
+_ARRAY_FIELDS = [attr for attr, _ in _LAYOUT]
 _V_ATTRS = ("v1", "v2", "v2m", "v3", "v3m")
 
 
@@ -58,24 +59,31 @@ def test_trace_columns_are_views_of_its_rows(tmp_path):
     save_trace(trace, tmp_path)
     for tr in (trace, load_trace(tmp_path)):
         n = len(tr.rows)
-        assert tr.rows.shape == (n, sum(width for _, _, width in _LAYOUT))
-        for attr, _, width in _LAYOUT:
+        assert tr.rows.shape == (n, sum(width for _, width in _LAYOUT))
+        for attr, width in _LAYOUT:
             col = getattr(tr, attr)
             assert col.shape == ((n,) if width == 1 else (n, width)), attr
             assert np.shares_memory(col, tr.rows), attr
             assert getattr(tr, attr) is col, attr  # set once, not sliced per read
 
 
-def test_load_trace_rejects_a_file_without_its_header(tmp_path):
-    save_trace(run_scenario(_short("fig3", 0.1)), tmp_path)
-    path = tmp_path / "trace.csv"
-    meta, names, *rows = path.read_text().splitlines(keepends=True)
-    path.write_text("".join([names, *rows]))
-    with pytest.raises(ValueError, match="missing metadata line"):
+def test_load_trace_rejects_rows_of_another_width(tmp_path):
+    trace = run_scenario(_short("fig3", 0.1))
+    save_trace(trace, tmp_path)
+    np.savez(tmp_path / "trace.npz", rows=trace.rows[:, :-1], name=trace.name,
+             kind=trace.kind, dt=trace.dt)
+    with pytest.raises(ValueError, match="layout is %d columns wide" % trace.rows.shape[1]):
         load_trace(tmp_path)
-    path.write_text("".join([meta, names.replace("q_d_0", "qd_0"), *rows]))
-    with pytest.raises(ValueError, match="column names do not match this layout"):
-        load_trace(tmp_path)
+
+
+def test_trace_file_bytes_do_not_depend_on_the_clock(tmp_path):
+    # the summary digest hashes trace.npz, so its bytes must not carry a save time
+    trace = run_scenario(_short("example3", 0.2))
+    first, _ = save_trace(trace, tmp_path / "a")
+    with zipfile.ZipFile(first) as zf:
+        assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
+    second, _ = save_trace(trace, tmp_path / "b")
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_trace_round_trip_keeps_a_name_with_spaces(tmp_path):
@@ -130,18 +138,22 @@ def test_record_equals_the_float_kernels_row_by_row(name, monkeypatch):
     gains, inertia = cfg.controller.build(), cfg.inertia()
     es_gains = cfg.observer.build() if es.observer else gains
     omega = cfg.trajectory.build().omega_fn
-    want = {attr: [] for attr in ("q_e", "w_e", "q_est_err", "b_hat", *_V_ATTRS)}
+    want = {attr: [] for attr in ("w_d", "q_hat", "b_hat", "q_e", "w_e", "q_est_err", *_V_ATTRS)}
     for i, est in enumerate(ests):
         q, w, q_d, b = (tuple(getattr(trace, a)[i].tolist()) for a in ("q", "w", "q_d", "b"))
         h, h_t = int(trace.h[i]), int(trace.h_tilde[i])
+        w_d = omega(float(trace.t[i]))
+        padded = (*est, *[np.nan] * (7 - len(est)))  # est across q_hat and b_hat
+        q_hat, b_hat = padded[:4], padded[4:]
         q_e = error_quaternion(q_d, q)
-        w_e = error_velocity(q_e, w, omega(float(trace.t[i])))
-        q_est_err, b_hat = kind.lag(est, q, q_e), kind.bias(est)
+        w_e = error_velocity(q_e, w, w_d)
+        q_est_err = kind.lag(est, q, q_e)
         b_err = tuple(bj - cj for bj, cj in zip(b, b_hat))
         v = es.candidates(es.coords(q_e, w_e, q_est_err, b_err), h, h_t, es_gains, inertia)
         if "v1" not in v:
             v["v1"] = lyapunov_v1(q_e, w_e, h, inertia, gains.k1, gains.alpha1)
-        for attr, row in (("q_e", q_e), ("w_e", w_e), ("q_est_err", q_est_err), ("b_hat", b_hat)):
+        for attr, row in (("w_d", w_d), ("q_hat", q_hat), ("b_hat", b_hat), ("q_e", q_e),
+                          ("w_e", w_e), ("q_est_err", q_est_err)):
             want[attr].append(row)
         for attr, cand in zip(_V_ATTRS, ("v1", "v2", "v2_matched", "v3", "v3_matched")):
             want[attr].append(v.get(cand, np.nan))

@@ -9,8 +9,10 @@ scalar part starts at -0.25, just outside the jump set at delta = 0.3, so
 that the observer's flow check crosses one h_tilde jump (near 0.54 s; on
 the presets as shipped it crosses none).  It does so once with this
 checkout's ``src/`` and once with OTHER_CHECKOUT's, each in a fresh
-interpreter.  For each preset it prints the max |difference| of every trace
-column group (one line per trace attribute), then whether the jump events,
+interpreter, which loads each preset's trace back through that checkout's
+own ``sim.load_trace``, whatever file format it writes.  For each preset it
+prints the max |difference| of every trace attribute, by name, and each
+attribute that only one side has; then whether the jump events,
 the convergence verdict and settling time, the jump count, the bound flags
 and the ``summary.json`` digest are identical.  For each verify run it
 prints whether the verdicts and jump counts are identical, whether the JSON
@@ -20,7 +22,8 @@ every digest and every verify JSON identical.  The last line is the verdict
 on those bytes: ``byte-identical: all digests and verify JSON``, or
 ``byte-identical: no (...)`` naming each preset digest and verify JSON that
 moved.  Exits 1 when anything but the float differences (digests and JSON
-bytes included) differs.
+bytes included) differs; an attribute whose shape or NaN pattern differs
+prints max |d| inf and counts.
 
 Run files go to a temporary directory that is removed afterwards.
 """
@@ -61,10 +64,13 @@ VERIFY_EXACT = ("ok", "homogeneity_ok", "perturbations_monotone", "flow_ok", "ju
 
 def dump(out: Path) -> None:
     """Write every run of one checkout (the attkit on sys.path) under out."""
-    from attkit import cli, config
+    from attkit import cli, config, sim
 
     for name in PRESETS:
         cli.run(config.preset(name), out / name)
+        trace = sim.load_trace(out / name)
+        attrs = [entry[0] for entry in sim._LAYOUT]  # (attribute, ...) on every side
+        np.savez(out / name / "attrs.npz", **{a: getattr(trace, a) for a in attrs})
     for name, (preset, fields) in VERIFY.items():
         cfg = config.preset(preset)
         for path, value in fields.items():
@@ -78,24 +84,6 @@ def dump(out: Path) -> None:
 def _run(checkout: Path, out: Path) -> None:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     subprocess.run([sys.executable, str(HERE), "--dump", str(out)], env=env, check=True)
-
-
-def _trace(run_dir: Path) -> tuple[list[str], np.ndarray]:
-    with open(run_dir / "trace.csv") as fh:
-        fh.readline()
-        names = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return names, data
-
-
-def _groups(names: list[str]) -> dict[str, list[int]]:
-    """Column indices per trace attribute: q_0..q_3 -> q, w_rad_s_x.. -> w_rad_s."""
-    out: dict[str, list[int]] = {}
-    for k, name in enumerate(names):
-        stem, _, sfx = name.rpartition("_")
-        key = stem if stem and sfx in ("0", "1", "2", "3", "x", "y", "z") else name
-        out.setdefault(key, []).append(k)
-    return out
 
 
 def _max_diff(a, b) -> float:
@@ -121,19 +109,22 @@ def compare(mine: Path, other: Path) -> bool:
     same = True
     moved = []  # digests and verify JSON documents whose bytes differ
     for name in PRESETS:
-        names, a = _trace(mine / name)
-        names_b, b = _trace(other / name)
+        a, b = np.load(mine / name / "attrs.npz"), np.load(other / name / "attrs.npz")
         sa = json.loads((mine / name / "summary.json").read_text())
         sb = json.loads((other / name / "summary.json").read_text())
         if sa["digest"] != sb["digest"]:
             moved.append("%s digest" % name)
         print("preset %s" % name)
-        if names != names_b or a.shape != b.shape:
-            print("  trace layout differs: %s vs %s" % (a.shape, b.shape))
-            same = False
-            continue
-        for key, cols in _groups(names).items():
-            print("  max |d| %-12s %.3g" % (key, _max_diff(a[:, cols], b[:, cols])))
+        for key in a.files:
+            if key in b.files:
+                d = _max_diff(a[key], b[key])
+                print("  max |d| %-12s %.3g" % (key, d))
+                same &= math.isfinite(d)
+            else:
+                print("  %-20s only in this checkout" % key)
+        for key in b.files:
+            if key not in a.files:
+                print("  %-20s only in the other checkout" % key)
         checks = {
             "events": (mine / name / "events.csv").read_text()
             == (other / name / "events.csv").read_text(),
