@@ -385,38 +385,29 @@ def convergence_metrics(trace) -> ConvergenceReport:
 # Closed-form flow derivatives, for finite-difference comparison
 
 
-def v1_flow_rate(w_e, gains: FullStateGains):
+def v1_flow_rate(w_e, gains: FullStateGains) -> Array:
     """Flow derivative of lyapunov_v1 under the full-state law.
 
     dV1/dt = -k2 * w_e' sat_pow(w_e, alpha2); exact, all cross terms cancel.
-    w_e is one 3-vector, giving a float, or a tuple of three (n,) columns,
-    giving an (n,) column equal to the float calls bit for bit.
+    w_e is a tuple of three (n,) columns; the (n,) result maps the float
+    sat_pow over each entry, so each entry is the point's rate bit for bit.
     """
     p = gains.alpha2
     w1, w2, w3 = w_e
-    try:
-        float(w1)
-    except TypeError:  # (n,) columns: the float sat_pow on each entry
-        s1, s2, s3 = (np.array([sat_pow(x, p) for x in w.tolist()]) for w in w_e)
-        return -gains.k2 * (w1 * s1 + w2 * s2 + w3 * s3)
-    return float(-gains.k2 * (w1 * sat_pow(w1, p) + w2 * sat_pow(w2, p) + w3 * sat_pow(w3, p)))
+    s1, s2, s3 = (np.array([sat_pow(x, p) for x in w.tolist()]) for w in w_e)
+    return -gains.k2 * (w1 * s1 + w2 * s2 + w3 * s3)
 
 
-def chord_rate(q, h, c: float, a: float, b: float):
+def chord_rate(q, h, c: float, a: float, b: float) -> Array:
     """-c chord_pow(h Q, 1-a)' chord_pow(h Q, 1-b), the flow rate of a potential.
 
     This is the exact rate of a matched candidate whose potential has exponent
     1+b and is driven through a channel of exponent a.  a = b is the rate a
-    reference candidate would need in order to be monotone.  q is one
-    quaternion and h = +-1, giving a float, or q is a tuple of four (n,)
-    columns and h an (n,) column, giving an (n,) column equal to the float
-    calls bit for bit.
+    reference candidate would need in order to be monotone.  q is a tuple of
+    four (n,) columns and h an (n,) column of +-1; the (n,) result is formed
+    through chord_pow_columns, so each entry is chord_pow's bit for bit.
     """
-    try:
-        float(q[0])
-    except TypeError:  # (n,) columns
-        return -c * dot(chord_pow_columns(q, 1.0 - a, h), chord_pow_columns(q, 1.0 - b, h))
-    return float(-c * dot(chord_pow(q, 1.0 - a, h), chord_pow(q, 1.0 - b, h)))
+    return -c * dot(chord_pow_columns(q, 1.0 - a, h), chord_pow_columns(q, 1.0 - b, h))
 
 
 # ---------------------------------------------------------------------------
@@ -543,7 +534,7 @@ class ErrorSystem:
     # h_tilde are floats, or (n,) columns giving columns
     candidates: Callable
     # (y, h, h_tilde, g) -> {candidate: closed-form dV/dt}, its keys the candidates measured;
-    # floats, or (n,) columns giving columns, as for candidates
+    # (n,) columns only, giving columns
     rates: Callable
     governing: str  # the certified candidate
     sigma: Callable  # (g, delta) -> guaranteed drop of the governing candidate per jump
@@ -662,7 +653,8 @@ def lyapunov_flow_report(
     renormalized under the simulator's drift guard, which raises
     SimulationError naming the step.  As in run_scenario, the candidates and
     their closed-form rates are formed once over the recorded run, its states
-    and post-jump logic pairs; the loop only jumps, records and steps.
+    and post-jump logic pairs, and the pre-jump candidates once over the jump
+    rows at their pre-jump pairs; the loop only jumps, records and steps.
     """
     if kind not in ERROR_SYSTEMS:
         raise ValueError("unknown flow-check kind %r" % kind)
@@ -708,8 +700,10 @@ def lyapunov_flow_report(
     rate = es.rates(cols, hs, hts, gains)
     names = tuple(rate)
     jump_steps = [k for k, _, _ in jumps]
-    pre = [es.candidates(tuple(ys[k].tolist()), hk, htk, gains, inertia) for k, hk, htk in jumps]
-    drops = {nm: tuple(float(p[nm] - v[nm][k]) for p, k in zip(pre, jump_steps)) for nm in names}
+    # the jump rows at their pre-jump logic pairs; each drop is that less the record
+    pre_logic = np.array([pair for _, *pair in jumps], dtype=float).reshape(-1, 2)
+    pre = es.candidates(tuple(ys[jump_steps].T), *pre_logic.T, gains, inertia)
+    drops = {nm: tuple((pre[nm] - v[nm][jump_steps]).tolist()) for nm in names}
     # every jump flips a logic variable, so step i -> i+1 flows where the pair holds
     flow_step = (logic[1:] == logic[:-1]).all(axis=1)
     # centered differences at j = 1..n-1; drop a guard band around each jump

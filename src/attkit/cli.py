@@ -27,11 +27,11 @@ from . import analysis, config, kinds, sim
 
 
 def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
-    """Simulate one scenario; write trace.npz and events.csv (save_trace) and
-    summary.json, whose digest covers the reports and both trace files."""
+    """Simulate one scenario; write trace.npz (save_trace: rows and jump events)
+    and summary.json, whose digest covers the reports and trace.npz."""
     out = Path(out_dir)
     trace = sim.run_scenario(cfg)
-    trace_path, events_path = sim.save_trace(trace, out)
+    (trace_path,) = sim.save_trace(trace, out)
     conv = analysis.convergence_metrics(trace)
     obs_gains = cfg.observer.build() if cfg.observer is not None else None
     bounds = analysis.bound_checks(
@@ -48,11 +48,9 @@ def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
     digest = hashlib.sha256()
     digest.update(json.dumps(payload, sort_keys=True).encode())
     digest.update(trace_path.read_bytes())
-    digest.update(events_path.read_bytes())
     summary = dict(payload)
     summary["digest"] = digest.hexdigest()
     summary["trace_file"] = str(trace_path)
-    summary["events_file"] = str(events_path)
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 

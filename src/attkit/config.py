@@ -1,7 +1,8 @@
 """Scenario configuration: dataclasses, JSON round-trip, bundled presets.
 
-A scenario file is plain JSON with unit-suffixed field names.  Unknown keys
-are rejected so typos fail loudly instead of silently running defaults.
+A scenario file is plain JSON with unit-suffixed field names.  Unknown keys,
+and gains or sections that the controller kind does not read, are rejected so
+typos fail loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
@@ -65,9 +66,13 @@ class ControllerConfig:
     def build(self):
         gains = kinds.get(self.kind).gains
         names = [f.name for f in fields(gains)]
-        needs = [f.name for f in fields(self) if f.default is None and f.name in names]
+        optional = [f.name for f in fields(self) if f.default is None]
+        needs = [n for n in optional if n in names]
         if any(getattr(self, name) is None for name in needs):
             raise ValueError("controller kind %r requires %s" % (self.kind, " and ".join(needs)))
+        extra = [n for n in optional if n not in names and getattr(self, n) is not None]
+        if extra:
+            raise ValueError("controller kind %r takes no %s" % (self.kind, " or ".join(extra)))
         return gains(**{name: getattr(self, name) for name in names})
 
 
@@ -134,6 +139,9 @@ class ScenarioConfig:
         section = kinds.get(kind).section
         if section is not None and getattr(self, section) is None:
             raise ValueError("%s scenario requires the %s section" % (kind, section))
+        for key in ("observer", "filter"):
+            if key != section and getattr(self, key) is not None:
+                raise ValueError("%s scenario does not read the %s section" % (kind, key))
         numbers = [("torque_limit_nm", self.torque_limit_nm)]
         for key in _SECTIONS:
             sec = getattr(self, key)
@@ -206,6 +214,8 @@ _SECTIONS = {
 
 
 def _build_section(cls, data: dict, label: str):
+    if not isinstance(data, dict):
+        raise ValueError("section %r must be a JSON object, got %s" % (label, type(data).__name__))
     allowed = {f for f in cls.__dataclass_fields__}
     unknown = set(data) - allowed
     if unknown:
@@ -222,7 +232,8 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    data = dict(data)
+    if not isinstance(data, dict):
+        raise ValueError("scenario config must be a JSON object, got %s" % type(data).__name__)
     top_allowed = {"name", "seed", "torque_limit_nm"} | set(_SECTIONS)
     unknown = set(data) - top_allowed
     if unknown:

@@ -4,7 +4,7 @@ Each step does, in order:
 
 1. sample the sensors (measurements are zero-order-held across the step),
 2. apply the kind's jump rule once to the measured error scalars (one
-   application always re-enters the flow set),
+   application always re-enters the flow set) and record a JumpEvent if it fired,
 3. evaluate the controller on measurements only and clip to the torque limit,
 4. write its row of the trace: time, plant, reference, logic, bias, torques,
    disturbance, desired rate and estimator state,
@@ -17,7 +17,7 @@ is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each step
 writes its columns once into the trace's preallocated row block.  No step
 reads the truth errors or Lyapunov values, so _record forms them after the
 loop, once, by the same kernels applied to the block's (n,) columns, and
-writes them into the same rows.  save_trace stores that block as it is.
+writes them into the same rows.  save_trace stores it, and the jump events.
 
 Jumps are therefore detected at step boundaries; the hysteresis width is far
 wider than anything the error scalar can traverse in one step at sane rates,
@@ -27,8 +27,7 @@ resolution, and the torque applied over [t_i, t_i+dt).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from itertools import accumulate
 from pathlib import Path
 
@@ -203,41 +202,33 @@ def _record(trace: SimTrace, kind, es, gains, es_gains, inertia) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Trace files: trace.npz holds the row block, events.csv the jump events.
+# The trace file: trace.npz holds the row block and the jump events.
 
 
-def save_trace(trace: SimTrace, out_dir: str | Path) -> tuple[Path, Path]:
-    """Write trace.npz (rows, name, kind, dt) and events.csv; both round-trip exactly."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.npz"
-    np.savez(trace_path, rows=trace.rows, name=trace.name, kind=trace.kind, dt=trace.dt)
-    events_path = out / "events.csv"
-    with open(events_path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["step", "t_s", "h_pre", "h_post", "ht_pre", "ht_post"])
-        for ev in trace.events:
-            wr.writerow([ev.step, "%.17g" % ev.t, ev.h_pre, ev.h_post, ev.ht_pre, ev.ht_post])
-    return trace_path, events_path
+def save_trace(trace: SimTrace, out_dir: str | Path) -> tuple[Path]:
+    """Write trace.npz and return its path, the run's one file, as a 1-tuple.
+
+    Its members are rows, name, kind, dt and events: one row per jump of
+    JumpEvent's six fields in order, (0, 6) for a run with no jump.
+    """
+    path = Path(out_dir) / "trace.npz"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    events = np.array([astuple(ev) for ev in trace.events], dtype=float).reshape(-1, 6)
+    np.savez(path, rows=trace.rows, name=trace.name, kind=trace.kind, dt=trace.dt, events=events)
+    return (path,)
 
 
 def load_trace(out_dir: str | Path) -> SimTrace:
-    """Rebuild a SimTrace from save_trace output."""
-    out = Path(out_dir)
-    with np.load(out / "trace.npz") as data:
+    """Rebuild a SimTrace, its rows and events bit for bit, from save_trace output."""
+    with np.load(Path(out_dir) / "trace.npz") as data:
         rows, name, kind, dt = data["rows"], str(data["name"]), str(data["kind"]), float(data["dt"])
+        events = data["events"]
     if rows.ndim != 2 or rows.shape[1] != _WIDTH:
         raise ValueError(
             "trace.npz rows have shape %s; this layout is %d columns wide" % (rows.shape, _WIDTH)
         )
-    events = []
-    with open(out / "events.csv", newline="") as fh:
-        for row in csv.DictReader(fh):
-            events.append(
-                JumpEvent(
-                    int(row["step"]), float(row["t_s"]),
-                    int(row["h_pre"]), int(row["h_post"]),
-                    int(row["ht_pre"]), int(row["ht_post"]),
-                )
-            )
+    if events.ndim != 2 or events.shape[1] != 6:
+        raise ValueError("trace.npz events have shape %s, not (m, 6)" % (events.shape,))
+    events = [JumpEvent(int(i), t, int(a), int(b), int(c), int(d))
+              for i, t, a, b, c, d in events.tolist()]
     return SimTrace(name, kind, dt, rows, events)

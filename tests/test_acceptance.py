@@ -150,7 +150,7 @@ def test_c04d_v2_rate_matches_finite_difference(flow_observer):
         k_a = np.asarray(chord_pow(q_err, 1.0 - g.beta1))
         k_b = np.asarray(chord_pow(q_err, 1.0 - g.beta2))
         exact = -g.mu1 * g.mu2 * (k_a @ k_a) + g.mu2 * (b_err @ (k_b - k_a))
-        reported = chord_rate(q_err, 1, g.mu1 * g.mu2, g.beta1, g.beta1)
+        reported = chord_rate(tuple(q_err[:, None]), np.ones(1), g.mu1 * g.mu2, g.beta1, g.beta1)[0]
         exact_err.append(abs(fd - exact) / abs(exact))
         reported_err.append(abs(fd - reported) / abs(reported))
         for _ in range(200):  # 1 s; the flow is autonomous

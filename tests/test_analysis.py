@@ -37,7 +37,7 @@ from attkit.analysis import (
 )
 from attkit.config import preset
 from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
-from attkit.quat import ZERO_TOL, chord_potential, chord_pow, chord_pow_columns
+from attkit.quat import ZERO_TOL, chord_potential, chord_pow, chord_pow_columns, dot, sat_pow
 from attkit.rigid_body import (
     DesiredTrajectory,
     Inertia,
@@ -126,17 +126,23 @@ def test_min_jump_decrease_matches_potential_difference():
         assert min_jump_decrease(gain, alpha, delta) == pytest.approx(direct, rel=1e-14)
 
 
+def _point(y):
+    """One point as a tuple of (1,) columns, the form the rate kernels take."""
+    return tuple(np.array([x]) for x in np.asarray(y, dtype=float).tolist())
+
+
 def test_flow_rate_reference_values():
-    assert v1_flow_rate(np.array([0.2, 0.0, 0.0]), FS_GAINS) == pytest.approx(
+    assert v1_flow_rate(_point([0.2, 0.0, 0.0]), FS_GAINS)[0] == pytest.approx(
         V1_RATE, rel=1e-13
     )
-    r2 = ERROR_SYSTEMS["observer"].rates(np.concatenate([FLIP_X, ZERO3]), 1, 1, OBS_GAINS)
-    assert r2["v2_matched"] == pytest.approx(V2M_RATE, rel=1e-13)
-    assert r2["v2"] == pytest.approx(V2R_RATE, rel=1e-13)
-    y3 = np.concatenate([FLIP_X, FLIP_X, ZERO3])
-    r3 = ERROR_SYSTEMS["attitude_only"].rates(y3, 1, 1, OF_GAINS)
-    assert r3["v3_matched"] == pytest.approx(V3M_RATE, rel=1e-13)
-    assert r3["v3"] == pytest.approx(V3R_RATE, rel=1e-13)
+    one = np.ones(1)
+    r2 = ERROR_SYSTEMS["observer"].rates(_point([*FLIP_X, *ZERO3]), one, one, OBS_GAINS)
+    assert r2["v2_matched"][0] == pytest.approx(V2M_RATE, rel=1e-13)
+    assert r2["v2"][0] == pytest.approx(V2R_RATE, rel=1e-13)
+    y3 = _point([*FLIP_X, *FLIP_X, *ZERO3])
+    r3 = ERROR_SYSTEMS["attitude_only"].rates(y3, one, one, OF_GAINS)
+    assert r3["v3_matched"][0] == pytest.approx(V3M_RATE, rel=1e-13)
+    assert r3["v3"][0] == pytest.approx(V3R_RATE, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -494,11 +500,9 @@ def test_flow_report_forms_its_candidates_once_over_the_record(name, monkeypatch
         name, gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(), t_final=0.3
     )
     assert len(rep.jump_times) == 1
-    # one call on the recorded columns per run, one float call per jump
-    columns = [c for c in calls if np.ndim(c[1]) == 1]
-    floats = [c for c in calls if np.ndim(c[1]) == 0]
-    assert len(columns) == 1 and len(floats) == 1
-    cols, h, ht, got = columns[0]
+    # two column calls per run: the recorded rows, then the jump rows
+    assert len(calls) == 2 and all(np.ndim(c[1]) == 1 for c in calls)
+    (cols, h, ht, got), (jump_cols, h_pre, ht_pre, before) = calls
     assert np.shape(h) == np.shape(ht) == np.shape(cols[0]) == (301,)
 
     def row(i):
@@ -508,12 +512,16 @@ def test_flow_report_forms_its_candidates_once_over_the_record(name, monkeypatch
     want = [es.candidates(row(i), int(h[i]), int(ht[i]), gains, INERTIA) for i in range(301)]
     for nm in rep.jump_drops:
         assert np.array_equal(got[nm], [w[nm] for w in want]), nm
-    # each drop: the float candidates before the jump less those after it
+    # each drop: the jump row's candidates at its pre-jump pair less those after it,
+    # each equal to the float candidates
     k = round(rep.jump_times[0] / 1e-3)
-    y_k, h_pre, ht_pre, before = floats[0]
-    assert y_k == row(k) and (h_pre, ht_pre) != (h[k], ht[k])
+    assert [c.tolist() for c in jump_cols] == [[x] for x in row(k)]
+    pre_pair = (int(h_pre[0]), int(ht_pre[0]))
+    assert pre_pair != (h[k], ht[k])
+    want_pre = es.candidates(row(k), *pre_pair, gains, INERTIA)
     for nm, drops in rep.jump_drops.items():
-        assert drops == (before[nm] - want[k][nm],), nm
+        assert before[nm].tolist() == [want_pre[nm]], nm
+        assert drops == (want_pre[nm] - want[k][nm],), nm
 
 
 @pytest.mark.parametrize("name", sorted(_ONE_JUMP))
@@ -541,10 +549,11 @@ def test_flow_report_forms_its_rates_once_over_the_record(name, monkeypatch):
     def row(i):
         return tuple(float(c[i]) for c in cols)
 
-    # each rate column equals the float rates row by row, at the recorded pair
-    want = [es.rates(row(i), int(h[i]), int(ht[i]), gains) for i in range(301)]
+    # each rate column equals the rates of each row alone, at the recorded pair
+    want = [es.rates(tuple(c[i : i + 1] for c in cols), h[i : i + 1], ht[i : i + 1], gains)
+            for i in range(301)]
     for nm in got:
-        assert np.array_equal(got[nm], [w[nm] for w in want]), nm
+        assert np.array_equal(got[nm], [w[nm][0] for w in want]), nm
 
 
 def _same_bits(a, b):
@@ -570,8 +579,7 @@ def test_column_rates_match_the_float_calls_at_the_edges():
         assert _same_bits(got, [chord_pow(r, alpha, hk) for r, hk in rows]), alpha
     for c, a, b in [(0.0396, 0.75, 0.75), (0.0396, 0.75, 0.5), (2.9, 0.6, 0.3)]:
         got = chord_rate(q, h, c, a, b)
-        want = [chord_rate(r, hk, c, a, b) for r, hk in rows]
-        assert all(type(w) is float for w in want)
+        want = [-c * dot(chord_pow(r, 1.0 - a, hk), chord_pow(r, 1.0 - b, hk)) for r, hk in rows]
         assert got.shape == (len(rows),) and _same_bits(got, want), (a, b)
 
     # w_e rows of every mix of zero of either sign, saturated and tiny entries,
@@ -579,13 +587,10 @@ def test_column_rates_match_the_float_calls_at_the_edges():
     rows = list(itertools.product([0.0, -0.0, 1.5, -1.5, 1e-300, -1e-300], repeat=3))
     rows += [(x, -0.7 * x, 0.3 * x) for x in np.linspace(-1.2, 1.2, 41).tolist()]
     got = v1_flow_rate(tuple(np.array(c) for c in zip(*rows)), FS_GAINS)
-    want = [v1_flow_rate(r, FS_GAINS) for r in rows]
+    p, k2 = FS_GAINS.alpha2, FS_GAINS.k2
+    want = [-k2 * (w1 * sat_pow(w1, p) + w2 * sat_pow(w2, p) + w3 * sat_pow(w3, p))
+            for w1, w2, w3 in rows]
     assert got.shape == (len(rows),) and _same_bits(got, want)
-
-    # a 3-vector and a 7-vector y still take the float path
-    assert type(v1_flow_rate(np.array([0.2, 0.0, 0.0]), FS_GAINS)) is float
-    r2 = ERROR_SYSTEMS["observer"].rates(np.concatenate([FLIP_X, ZERO3]), 1, 1, OBS_GAINS)
-    assert {type(r) for r in r2.values()} == {float}
 
 
 def test_flow_report_warns_when_it_normalizes_y0():
@@ -633,7 +638,7 @@ def test_simulator_hold_floors_dissipation_accuracy(ex1_clean):
     rate to finite-difference accuracy; the mismatch floor is well above the
     continuous-flow figure yet still small in absolute terms."""
     trace = ex1_clean[0.6]
-    rate = np.array([v1_flow_rate(w, FS_GAINS) for w in trace.w_e])
+    rate = v1_flow_rate(tuple(trace.w_e.T), FS_GAINS)
     fd = (trace.v1[2:] - trace.v1[:-2]) / (2.0 * trace.dt)
     keep = np.abs(rate[1:-1]) >= 1e-3 * np.abs(rate).max()
     for ev in trace.events:

@@ -24,7 +24,7 @@ from attkit.integrate import SimulationError
 from attkit.sim import load_trace, run_scenario
 
 SUMMARY_KEYS = {
-    "name", "kind", "seed", "convergence", "bounds", "digest", "trace_file", "events_file",
+    "name", "kind", "seed", "convergence", "bounds", "digest", "trace_file",
 }
 
 
@@ -52,7 +52,7 @@ def test_run_writes_artifacts(tmp_path):
     out = tmp_path / "out"
     summary = cli.run(_short("example1"), out)
     assert set(summary) == SUMMARY_KEYS
-    assert (out / "trace.npz").exists() and (out / "events.csv").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["summary.json", "trace.npz"]
     on_disk = json.loads((out / "summary.json").read_text())
     assert on_disk == summary
 

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from attkit import cli
 from attkit.config import (
     ControllerConfig,
     SimConfig,
@@ -118,6 +119,42 @@ def test_nan_inside_list_rejected_from_json():
     assert np.isnan(data["plant"]["q0"][0])
     with pytest.raises(ValueError, match="plant.q0 must be finite"):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "section, value, label",
+    [(None, [1, 2], "scenario config"), ("plant", 5, "section 'plant'"),
+     ("sim", [0.01, 100], "section 'sim'")],
+)
+def test_config_or_section_not_an_object_is_named(tmp_path, capsys, section, value, label):
+    d = value if section is None else dict(config_to_dict(preset("example1")), **{section: value})
+    message = "%s must be a JSON object, got %s" % (label, type(value).__name__)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(d)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
+
+
+def test_input_the_kind_does_not_read_is_rejected():
+    d = config_to_dict(preset("example3"))
+    d["controller"]["alpha1"] = 0.9  # attitude_only derives alpha1 = 2 alpha3 - 1
+    with pytest.raises(ValueError, match=r"^controller: .*'attitude_only' takes no alpha1$"):
+        config_from_dict(d)
+    d = config_to_dict(preset("example1"))
+    d["controller"]["k3"] = 7.0
+    with pytest.raises(ValueError, match=r"^controller: .*'full_state' takes no k3$"):
+        config_from_dict(d)
+    observer = config_to_dict(preset("example2"))["observer"]
+    filt = config_to_dict(preset("example3"))["filter"]
+    for name, key, section in [("example1", "observer", observer), ("example1", "filter", filt),
+                               ("example2", "filter", filt), ("example3", "observer", observer)]:
+        d = config_to_dict(preset(name))
+        d[key] = section
+        with pytest.raises(ValueError, match="scenario does not read the %s section" % key):
+            config_from_dict(d)
 
 
 def test_missing_required_section_rejected():

@@ -42,13 +42,25 @@ def test_run_scenario_is_bitwise_deterministic():
 
 
 def test_trace_round_trip(tmp_path):
-    trace = run_scenario(_short("example2", 5.0))
-    save_trace(trace, tmp_path)
-    loaded = load_trace(tmp_path)
-    assert (loaded.name, loaded.kind, loaded.dt) == (trace.name, trace.kind, trace.dt)
-    for field in _ARRAY_FIELDS:
-        assert np.array_equal(getattr(loaded, field), getattr(trace, field), equal_nan=True), field
-    assert loaded.events == trace.events
+    jump_at_0 = _short("example1", 0.5, uncertainties=False)
+    jump_at_0.plant.q0 = [1.0, 0.0, 0.0, 0.0]
+    jump_at_0.controller.h0 = -1  # the wrong antipode: h jumps at step 0
+    runs = [("none", _short("fig3", 0.1), []), ("one", _short("example2", 5.0), [181]),
+            ("at0", jump_at_0, [0])]
+    for out, cfg, steps in runs:
+        trace = run_scenario(cfg)
+        assert [ev.step for ev in trace.events] == steps
+        (path,) = save_trace(trace, tmp_path / out)
+        loaded = load_trace(tmp_path / out)
+        assert (loaded.name, loaded.kind, loaded.dt) == (trace.name, trace.kind, trace.dt)
+        for field in _ARRAY_FIELDS:
+            assert np.array_equal(getattr(loaded, field), getattr(trace, field), equal_nan=True)
+        assert loaded.events == trace.events
+        # one file; its events member is step, t, h_pre, h_post, ht_pre, ht_post per jump
+        assert [p.name for p in (tmp_path / out).iterdir()] == ["trace.npz"]
+        with np.load(path) as data:
+            assert data["events"].shape == (len(steps), 6)
+            assert data["events"].tolist() == [list(dataclasses.astuple(ev)) for ev in trace.events]
 
 
 def test_trace_columns_are_views_of_its_rows(tmp_path):
@@ -71,18 +83,22 @@ def test_load_trace_rejects_rows_of_another_width(tmp_path):
     trace = run_scenario(_short("fig3", 0.1))
     save_trace(trace, tmp_path)
     np.savez(tmp_path / "trace.npz", rows=trace.rows[:, :-1], name=trace.name,
-             kind=trace.kind, dt=trace.dt)
+             kind=trace.kind, dt=trace.dt, events=np.empty((0, 6)))
     with pytest.raises(ValueError, match="layout is %d columns wide" % trace.rows.shape[1]):
+        load_trace(tmp_path)
+    np.savez(tmp_path / "trace.npz", rows=trace.rows, name=trace.name,
+             kind=trace.kind, dt=trace.dt, events=np.zeros((1, 5)))
+    with pytest.raises(ValueError, match=r"events have shape \(1, 5\)"):
         load_trace(tmp_path)
 
 
 def test_trace_file_bytes_do_not_depend_on_the_clock(tmp_path):
     # the summary digest hashes trace.npz, so its bytes must not carry a save time
     trace = run_scenario(_short("example3", 0.2))
-    first, _ = save_trace(trace, tmp_path / "a")
+    (first,) = save_trace(trace, tmp_path / "a")
     with zipfile.ZipFile(first) as zf:
         assert {info.date_time for info in zf.infolist()} == {(1980, 1, 1, 0, 0, 0)}
-    second, _ = save_trace(trace, tmp_path / "b")
+    (second,) = save_trace(trace, tmp_path / "b")
     assert first.read_bytes() == second.read_bytes()
 
 

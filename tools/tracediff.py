@@ -3,33 +3,41 @@
     python3 tools/tracediff.py OTHER_CHECKOUT
 
 Runs the four bundled presets at full horizon (``attkit run``) and
-``attkit verify`` with 200 samples on example1..3 and on example2_ht_jump:
-example2 over 2 s from a 0.5 rad/s bias error and an estimate whose error
-scalar part starts at -0.25, just outside the jump set at delta = 0.3, so
-that the observer's flow check crosses one h_tilde jump (near 0.54 s; on
-the presets as shipped it crosses none).  It does so once with this
-checkout's ``src/`` and once with OTHER_CHECKOUT's, each in a fresh
-interpreter, which loads each preset's trace back through that checkout's
-own ``sim.load_trace``, whatever file format it writes.  For each preset it
-prints the max |difference| of every trace attribute, by name, and each
-attribute that only one side has; then whether the jump events,
-the convergence verdict and settling time, the jump count, the bound flags
-and the ``summary.json`` digest are identical.  For each verify run it
-prints whether the verdicts and jump counts are identical, whether the JSON
-that ``attkit verify`` prints is byte-identical, and the max |difference| of
-each figure that differs.  A change meant to leave the numerics alone shows
-every digest and every verify JSON identical.  The last line is the verdict
-on those bytes: ``byte-identical: all digests and verify JSON``, or
-``byte-identical: no (...)`` naming each preset digest and verify JSON that
-moved.  Exits 1 when anything but the float differences (digests and JSON
-bytes included) differs; an attribute whose shape or NaN pattern differs
-prints max |d| inf and counts.
+``attkit verify`` with 200 samples on example1..3 and on three jump cases,
+each started just outside a jump set at delta = 0.3 (error scalar part
+-0.25) so that its flow check crosses one jump; on the presets as shipped
+the flow checks cross none:
+
+* example2_ht_jump: example2 over 2 s from a 0.5 rad/s bias error and an
+  estimate at that scalar part (one h_tilde jump, near 0.54 s);
+* example1_h_jump and example3_h_jump: example1 and example3 over 0.4 s
+  from plant.q0 at that scalar part, tumbling at 0.8 rad/s about x (one h
+  jump, and one joint jump, whose v1, v3 and v3_matched drops are compared).
+
+It does so once with this checkout's ``src/`` and once with OTHER_CHECKOUT's,
+each in a fresh interpreter, which loads each preset's trace back through
+that checkout's own ``sim.load_trace``, whatever file layout it writes, and
+dumps its trace attributes and jump events.  For each preset it prints the
+max |difference| of every trace attribute, by name, and each attribute that
+only one side has; then whether the jump events, the convergence verdict and
+settling time, the jump count, the bound flags and the ``summary.json``
+digest are identical.  For each verify run it prints whether the verdicts
+and jump counts are identical, whether the JSON that ``attkit verify``
+prints is byte-identical, and the max |difference| of each figure that
+differs.  A change meant to leave the numerics alone shows every digest and
+every verify JSON identical.  The last line is the verdict on those bytes:
+``byte-identical: all digests and verify JSON``, or ``byte-identical: no
+(...)`` naming each preset digest and verify JSON that moved.  Exits 1 when
+anything but the float differences (digests and JSON bytes included)
+differs; an attribute whose shape or NaN pattern differs prints max |d| inf
+and counts.
 
 Run files go to a temporary directory that is removed afterwards.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -42,7 +50,9 @@ import numpy as np
 
 HERE = Path(__file__).resolve()
 PRESETS = ("example1", "example2", "example3", "fig3")
-_S = -0.25  # scalar part of example2_ht_jump's starting estimate error
+_S = -0.25  # the jump cases' starting error scalar part
+_EDGE_Q = [_S, math.sqrt(1.0 - _S * _S), 0.0, 0.0]  # [-0.25, sqrt(0.9375), 0, 0]
+_H_JUMP = {"plant.q0": _EDGE_Q, "plant.omega0_rad_s": [0.8, 0.0, 0.0], "sim.t_final_s": 0.4}
 #: verify runs: name -> (preset, {"section.field": value} set on it)
 VERIFY = {
     "example1": ("example1", {}),
@@ -51,9 +61,11 @@ VERIFY = {
     "example2_ht_jump": ("example2", {
         "plant.q0": [1.0, 0.0, 0.0, 0.0],
         "plant.bias0_rad_s": [0.5, 0.0, 0.0],
-        "observer.q_hat0": [_S, math.sqrt(1.0 - _S * _S), 0.0, 0.0],
+        "observer.q_hat0": _EDGE_Q,
         "sim.t_final_s": 2.0,
     }),
+    "example1_h_jump": ("example1", _H_JUMP),
+    "example3_h_jump": ("example3", _H_JUMP),
 }
 VERIFY_SAMPLES = 200
 #: summary entries that must match exactly
@@ -71,6 +83,8 @@ def dump(out: Path) -> None:
         trace = sim.load_trace(out / name)
         attrs = [entry[0] for entry in sim._LAYOUT]  # (attribute, ...) on every side
         np.savez(out / name / "attrs.npz", **{a: getattr(trace, a) for a in attrs})
+        events = [list(dataclasses.astuple(ev)) for ev in trace.events]
+        (out / name / "events.json").write_text(json.dumps(events) + "\n")
     for name, (preset, fields) in VERIFY.items():
         cfg = config.preset(preset)
         for path, value in fields.items():
@@ -126,8 +140,8 @@ def compare(mine: Path, other: Path) -> bool:
             if key not in a.files:
                 print("  %-20s only in the other checkout" % key)
         checks = {
-            "events": (mine / name / "events.csv").read_text()
-            == (other / name / "events.csv").read_text(),
+            "events": (mine / name / "events.json").read_text()
+            == (other / name / "events.json").read_text(),
             "convergence": all(sa["convergence"][k] == sb["convergence"][k] for k in CONVERGENCE_EXACT),
             "bound flags": all(sa["bounds"][k] == sb["bounds"][k] for k in BOUND_FLAGS),
             "digest": sa["digest"] == sb["digest"],
