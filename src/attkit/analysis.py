@@ -67,7 +67,6 @@ from .rigid_body import (
     DesiredTrajectory,
     Inertia,
     error_dynamics_rate,
-    feedforward_torque,
     kinematics_rate,
 )
 
@@ -232,9 +231,6 @@ def homogeneity_check(field, weights: DilationWeights, n_samples: int = 10_000) 
 # ---------------------------------------------------------------------------
 # Remainder fields (error flow less reduced field) and their vanishing ratios
 
-#: the desired acceleration of the remainders' dynamic rows: it cancels against the feedforward
-_ZERO3 = (0.0, 0.0, 0.0)
-
 
 def _lift(q_v: Array) -> Array:
     """Lift chart points q_v (a vector or a (3, n) block) to unit quaternions with q0 >= 0."""
@@ -263,8 +259,7 @@ def full_state_remainder(inertia: Inertia, gains: FullStateGains, trajectory: De
     def field(x: Array) -> Array:
         q, w_e = _lift(x[:3]), x[3:]
         dq = 0.5 * _kinematic(q, w_e)
-        u = np.asarray(feedforward_torque(inertia, q, w_d, _ZERO3)) - gains.k1 * chord_gap(q, a)
-        dw = np.asarray(error_dynamics_rate(inertia, q, w_e, w_d, _ZERO3, u)[1])
+        dw = np.asarray(error_dynamics_rate(inertia, q, w_e, w_d, -gains.k1 * chord_gap(q, a))[1])
         return np.concatenate([dq, dw])
 
     return field
@@ -297,8 +292,7 @@ def output_feedback_remainder(
         dql = 0.5 * _kinematic(q_l, w_e) - 0.5 * gains.k3 * _estimator_gap(q_l, 1.0 - gains.alpha3)
         dq = 0.5 * _kinematic(q, w_e)
         u_gap = -gains.k1 * chord_gap(q, a) - gains.k2 * chord_gap(q_l, a)
-        u = np.asarray(feedforward_torque(inertia, q, w_d, _ZERO3)) + u_gap
-        dw = np.asarray(error_dynamics_rate(inertia, q, w_e, w_d, _ZERO3, u)[1])
+        dw = np.asarray(error_dynamics_rate(inertia, q, w_e, w_d, u_gap)[1])
         return np.concatenate([dql, dq, dw])
 
     return field
@@ -418,19 +412,20 @@ def chord_rate(q, h, c: float, a: float, b: float) -> Array:
 # disturbances are deliberately absent.  Like the simulator's flow, each takes
 # a flat float sequence y and returns a float tuple.
 
+#: the feedforward the error flows hand their law: 0.0 - x is -x, so it returns its feedback part
+_ZERO3 = (0.0, 0.0, 0.0)
+
 
 def full_state_error_flow(
     inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory
 ):
-    """(t, y, h, h_tilde) -> ydot for y = [Q_e, w_e] under the continuous full-state law."""
-    omega, omega_dot = last_value(trajectory.omega_fn), last_value(trajectory.omega_dot_fn)
+    """(t, y, h, h_tilde) -> ydot for y = [Q_e, w_e], continuous full-state law; reads w_d only."""
+    omega = last_value(trajectory.omega_fn)
 
     def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_e, w_e = y[0:4], y[4:7]
-        w_d, w_d_dot = omega(t), omega_dot(t)
-        u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
-        u = full_state_torque(gains, q_e, w_e, h, u_ff)
-        dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u)
+        u_fb = full_state_torque(gains, q_e, w_e, h, _ZERO3)
+        dq, dw = error_dynamics_rate(inertia, q_e, w_e, omega(t), u_fb)
         return dq + dw
 
     return flow
@@ -467,17 +462,16 @@ def output_feedback_error_flow(
     """(t, y, h, h_tilde) -> ydot for y = [Q_lag, Q_e, w_e], velocity-free law.
 
     The filter lag obeys Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~
-    Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.
+    Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.  Reads
+    w_d only.
     """
-    omega, omega_dot = last_value(trajectory.omega_fn), last_value(trajectory.omega_dot_fn)
+    omega = last_value(trajectory.omega_fn)
     k3 = gains.k3
 
     def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
-        w_d, w_d_dot = omega(t), omega_dot(t)
-        u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
-        u = output_feedback_torque(gains, q_e, q_lag, h, h_tilde, u_ff)
-        dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u)
+        u_fb = output_feedback_torque(gains, q_e, q_lag, h, h_tilde, _ZERO3)
+        dq, dw = error_dynamics_rate(inertia, q_e, w_e, omega(t), u_fb)
         e1, e2, e3 = w_e
         c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
         dlag = kinematics_rate(q_lag, (e1 - k3 * c1, e2 - k3 * c2, e3 - k3 * c3))
@@ -636,21 +630,22 @@ def lyapunov_flow_report(
     trajectory: DesiredTrajectory | None = None,
     h0: int = 1,
     h_tilde0: int = 1,
-    delta: float = 0.3,
+    delta: float | None = None,
     dt: float = 1e-3,
     t_final: float = 30.0,
 ) -> FlowCheckReport:
     """Integrate one hybrid error system and check every Lyapunov claim on it.
 
     kind, a key of ERROR_SYSTEMS ("full_state", "observer", "attitude_only"),
-    selects the flow, the state layout, and the candidates measured.  delta,
-    in (0, 1), is only read for the observer kind (whose gain set carries no
-    hysteresis width); the other kinds take it from their gains.  Reference
-    candidates are finite-differenced against the rate they were reported to
-    satisfy, matched candidates against their own exact rate.  The state
-    travels as a float tuple; y0's quaternion blocks are normalized once, with
-    a warning naming each block that was not unit norm, and after every step
-    renormalized under the simulator's drift guard, which raises
+    selects the flow, the state layout, and the candidates measured.  delta is
+    the observer kind's hysteresis width, in (0, 1), 0.3 when None (its gain
+    set carries none); the other kinds use their gains' delta, and a different
+    delta raises ValueError.  dt and t_final must be positive and finite.
+    Reference candidates are finite-differenced against the rate they were
+    reported to satisfy, matched candidates against their own exact rate.  The
+    state travels as a float tuple; y0's quaternion blocks are normalized once,
+    with a warning naming each block that was not unit norm, and after every
+    step renormalized under the simulator's drift guard, which raises
     SimulationError naming the step.  As in run_scenario, the candidates and
     their closed-form rates are formed once over the recorded run, its states
     and post-jump logic pairs, and the pre-jump candidates once over the jump
@@ -663,9 +658,16 @@ def lyapunov_flow_report(
     if not es.observer:
         if inertia is None or trajectory is None:
             raise ValueError("%s flow check needs inertia and trajectory" % kind)
+        if delta not in (None, gains.delta):
+            raise ValueError("delta = %r differs from the gains' delta = %r" % (delta, gains.delta))
         delta = gains.delta
-    elif not 0.0 < delta < 1.0:  # so that every jump flips a logic variable
-        raise ValueError("delta must lie in (0, 1), got %r" % delta)
+    else:
+        delta = 0.3 if delta is None else delta
+        if not 0.0 < delta < 1.0:  # so that every jump flips a logic variable
+            raise ValueError("delta must lie in (0, 1), got %r" % delta)
+    for name, value in (("dt", dt), ("t_final", t_final)):
+        if not 0.0 < value < float("inf"):
+            raise ValueError("%s must be positive and finite, got %r" % (name, value))
     if y.shape != (es.size,):
         raise ValueError("%s flow state is %s in R^%d" % (kind, es.layout, es.size))
     flow = es.flow(gains, inertia, trajectory)

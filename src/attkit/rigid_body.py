@@ -4,7 +4,8 @@ States: unit quaternion Q (scalar-first, body relative to inertial) and body
 angular velocity w [rad/s].  The tracking error is Q_e = conj(Q_d) * Q with
 error velocity w_e = w - R(Q_e) w_d, where w_d is the desired rate expressed
 in the desired frame and R(Q_e) maps desired-frame coordinates into the body
-frame.
+frame.  The error flow is stated under feedforward_torque plus feedback, where
+the desired acceleration cancels; only the simulator's plant reads it.
 
 The rate and error kernels take float sequences and return float tuples, as
 the quat kernels do.
@@ -80,8 +81,8 @@ def sinusoid_trajectory(amplitude: float = 0.01, frequency: float = 0.01) -> Des
         q_d0=(1.0, 0.0, 0.0, 0.0),
         omega_fn=omega,
         omega_dot_fn=omega_dot,
-        omega_bound=amplitude * math.sqrt(3.0),
-        omega_dot_bound=amplitude * frequency * math.sqrt(3.0),
+        omega_bound=abs(amplitude) * math.sqrt(3.0),
+        omega_dot_bound=abs(amplitude * frequency) * math.sqrt(3.0),
     )
 
 
@@ -139,17 +140,18 @@ def feedforward_torque(inertia: Inertia, q_e, w_d, w_d_dot) -> tuple:
     return (c1 + a1, c2 + a2, c3 + a3)
 
 
-def error_dynamics_rate(inertia: Inertia, q_e, w_e, w_d, w_d_dot, torque) -> tuple[tuple, tuple]:
-    """Flow of the tracking error under an applied torque.
+def error_dynamics_rate(inertia: Inertia, q_e, w_e, w_d, u_fb) -> tuple[tuple, tuple]:
+    """Flow of the tracking error under feedforward_torque plus a feedback torque u_fb.
 
     Qdot_e = 0.5 Q_e * [0, w_e];
-    wdot_e = wdot - R(Q_e) wdot_d + w_e x w_d_body, where wdot is Euler's
-    equation at the body rate w = w_e + w_d_body and the last two terms
-    transport the desired rate into the turning body frame.
+    wdot_e = J^-1 (w_d_body x J w_d_body - w x Jw + u_fb) + w_e x w_d_body,
+    w_d_body = R(Q_e) w_d, w = w_e + w_d_body: the feedforward's J R(Q_e) wdot_d
+    cancels exactly (Wen & Kreutz-Delgado, IEEE TAC 1991), so wdot_d is not read.
     """
     w_d_body = d1, d2, d3 = rotate(q_e, w_d)
     e1, e2, e3 = w_e
-    a1, a2, a3 = dynamics_rate(inertia, (e1 + d1, e2 + d2, e3 + d3), torque)
-    r1, r2, r3 = rotate(q_e, w_d_dot)
+    f1, f2, f3 = cross(w_d_body, mat_vec(inertia.matrix, w_d_body))
+    u1, u2, u3 = u_fb
+    a1, a2, a3 = dynamics_rate(inertia, (e1 + d1, e2 + d2, e3 + d3), (f1 + u1, f2 + u2, f3 + u3))
     c1, c2, c3 = cross(w_e, w_d_body)
-    return kinematics_rate(q_e, w_e), (a1 - r1 + c1, a2 - r2 + c2, a3 - r3 + c3)
+    return kinematics_rate(q_e, w_e), (a1 + c1, a2 + c2, a3 + c3)

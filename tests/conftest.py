@@ -241,12 +241,9 @@ def dual_gap_attitude_only():
 
     def full(t, y):
         q_e, w_e, q_f = y[0:4], y[4:7], y[7:11]
-        w_d = traj.omega_fn(t)
-        w_d_dot = traj.omega_dot_fn(t)
         q_lag = error_quaternion(q_f, q_e)
-        u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
-        u = output_feedback_torque(gains, q_e, q_lag, h, ht, u_ff)
-        dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u)
+        u_fb = output_feedback_torque(gains, q_e, q_lag, h, ht, np.zeros(3))
+        dq, dw = error_dynamics_rate(inertia, q_e, w_e, traj.omega_fn(t), u_fb)
         dqf = filter_flow_rate(gains, q_f, ht, q_e)
         return np.concatenate([dq, dw, dqf])
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attkit import analysis
+from attkit import analysis, rigid_body
 from attkit.analysis import (
     ERROR_SYSTEMS,
     DilationWeights,
@@ -37,7 +37,16 @@ from attkit.analysis import (
 )
 from attkit.config import preset
 from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
-from attkit.quat import ZERO_TOL, chord_potential, chord_pow, chord_pow_columns, dot, sat_pow
+from attkit.quat import (
+    ZERO_TOL,
+    chord_potential,
+    chord_pow,
+    chord_pow_columns,
+    dot,
+    random_unit_quat,
+    rotate,
+    sat_pow,
+)
 from attkit.rigid_body import (
     DesiredTrajectory,
     Inertia,
@@ -315,6 +324,41 @@ def test_remainder_is_error_flow_less_reduced_field(system, gains):
         assert np.all(gap <= 1e-3 * size), (eps, dict(zip(es.blocks, gap / size)))
 
 
+def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monkeypatch):
+    # the feedforward's J R(Q_e) wdot_d cancels in the error flow, so a trajectory
+    # whose acceleration cannot be read gives the same flows and remainders, and
+    # each flow evaluation rotates w_d into the body frame once
+    w_d = (0.05, -0.03, 0.02)
+
+    def unreadable(t):
+        raise AssertionError("omega_dot_fn read at t = %r" % t)
+
+    seen = DesiredTrajectory(IDENT, lambda t: w_d, lambda t: (1e-3, 2e-3, -1e-3), 0.07, 3e-3)
+    blind = replace(seen, omega_dot_fn=unreadable)
+    rng = np.random.default_rng(6)
+    for system, gains in (("full_state", FS_GAINS), ("attitude_only", OF_GAINS)):
+        es = ERROR_SYSTEMS[system]
+        y = np.concatenate([random_unit_quat(rng) for _ in es.quat_blocks] + [[0.3, -0.4, 0.1]])
+        x = 0.2 * rng.standard_normal((es.weights(gains).r.size, 20))
+        want_flow = es.flow(gains, INERTIA, seen)(2.0, tuple(y), 1, -1)
+        want_rem = es.remainder(gains, INERTIA, seen)(x)
+        assert es.flow(gains, INERTIA, blind)(2.0, tuple(y), 1, -1) == want_flow, system
+        assert np.array_equal(es.remainder(gains, INERTIA, blind)(x), want_rem), system
+
+        calls = []
+
+        def counted(q, v):
+            calls.append(1)
+            return rotate(q, v)
+
+        flow = es.flow(gains, INERTIA, blind)
+        with monkeypatch.context() as m:
+            m.setattr(rigid_body, "rotate", counted)
+            for t in (0.0, 0.5, 1.0):
+                flow(t, tuple(y), 1, 1)
+        assert len(calls) == 3, (system, len(calls))
+
+
 # ---------------------------------------------------------------------------
 # Trace metrics
 
@@ -384,6 +428,20 @@ def test_bound_checks_attitude_only(ex3_noisy):
     assert rep.torque_bound_nm == pytest.approx(EX3_TORQUE_BOUND, rel=1e-12)
     assert rep.torque_bound_alt_nm == pytest.approx(EX3_TORQUE_ALT, rel=1e-12)
     assert rep.torque_ok and rep.jump_ok and rep.gronwall_ok
+
+
+def test_torque_bound_ignores_the_sinusoid_sign():
+    # a negative amplitude or frequency is the same motion shifted in time
+    bounds = []
+    for amplitude, frequency in ((0.01, 0.01), (-0.01, 0.01), (0.01, -0.01)):
+        cfg = preset("example3", uncertainties=False)
+        cfg.trajectory.amplitude_rad_s, cfg.trajectory.frequency_rad_s = amplitude, frequency
+        cfg.sim.t_final_s = 1.0
+        rep = bound_checks(
+            run_scenario(cfg), cfg.controller.build(), cfg.inertia(), cfg.trajectory.build()
+        )
+        bounds.append(rep.torque_bound_nm)
+    assert bounds == [pytest.approx(EX3_TORQUE_BOUND, rel=1e-12)] * 3
 
 
 def test_bound_checks_regulation(fig3_trace):
@@ -466,6 +524,19 @@ def test_flow_report_validation():
         )
     with pytest.raises(ValueError, match="full_state flow check needs inertia and trajectory"):
         lyapunov_flow_report("full_state", FS_GAINS, y0=np.concatenate([BENCH_Q_E0, BENCH_W_E0]))
+    observer_y0 = np.concatenate([FLIP_X, ZERO3])
+    for kwargs, name in (({"dt": -1e-3, "t_final": -0.5}, "dt"), ({"dt": 0.0}, "dt"),
+                         ({"t_final": float("inf")}, "t_final"),
+                         ({"t_final": float("nan")}, "t_final")):
+        with pytest.raises(ValueError, match=name + " must be positive and finite, got"):
+            lyapunov_flow_report("observer", OBS_GAINS, y0=observer_y0, **kwargs)
+    # the rate-feedback systems jump at their gains' delta; another delta is refused
+    y0s = {"full_state": np.concatenate([BENCH_Q_E0, BENCH_W_E0]),
+           "attitude_only": np.concatenate([BENCH_Q_E0, BENCH_Q_E0, BENCH_W_E0])}
+    for system, gains in (("full_state", FS_GAINS), ("attitude_only", OF_GAINS)):
+        with pytest.raises(ValueError, match=r"delta = 0\.9 differs from the gains' delta = 0\.3"):
+            lyapunov_flow_report(system, gains, y0=y0s[system], inertia=INERTIA,
+                                 trajectory=sinusoid_trajectory(), delta=0.9, t_final=0.05)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.95, 1.0, 1.5])

@@ -70,6 +70,12 @@ def test_sinusoid_trajectory_values_and_bounds():
     assert np.allclose(traj.omega_dot_fn(0.0), 1e-4)
     assert traj.omega_bound == pytest.approx(0.01 * np.sqrt(3.0), rel=1e-15)
     assert traj.omega_dot_bound == pytest.approx(1e-4 * np.sqrt(3.0), rel=1e-15)
+    # the bounds are norms: a sign flip of the amplitude or the frequency is
+    # the same motion shifted in time
+    for amplitude, frequency in ((-0.01, 0.01), (0.01, -0.01), (-0.01, -0.01)):
+        flipped = sinusoid_trajectory(amplitude, frequency)
+        assert flipped.omega_bound == traj.omega_bound > 0.0
+        assert flipped.omega_dot_bound == traj.omega_dot_bound > 0.0
 
 
 def test_regulation_trajectory_is_rest():
@@ -98,15 +104,13 @@ def test_error_velocity_at_zero_attitude_error():
 
 
 def test_xi_matrix_antisymmetric():
-    # with the feedforward applied, J wdot_e = Xi w_e, and the skew-symmetric
-    # gyroscopic coupling Xi does no work: w_e' Xi w_e = 0
+    # under the feedforward alone (zero feedback) J wdot_e = Xi w_e, and the
+    # skew-symmetric gyroscopic coupling Xi does no work: w_e' Xi w_e = 0
     inertia = Inertia(BENCH_J)
     rng = np.random.default_rng(12)
     for _ in range(20):
-        q_e, w_e = random_unit_quat(rng), rng.standard_normal(3)
-        w_d, w_d_dot = rng.standard_normal(3), rng.standard_normal(3)
-        u_ff = feedforward_torque(inertia, q_e, w_d, w_d_dot)
-        _, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, w_d_dot, u_ff)
+        q_e, w_e, w_d = random_unit_quat(rng), rng.standard_normal(3), rng.standard_normal(3)
+        _, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, np.zeros(3))
         assert w_e @ (np.asarray(inertia.matrix) @ dw) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -123,17 +127,17 @@ def test_feedforward_renders_zero_error_invariant():
     inertia = Inertia(BENCH_J)
     traj = sinusoid_trajectory(0.01, 0.01)
     t = 50.0
-    w_d, w_d_dot = traj.omega_fn(t), traj.omega_dot_fn(t)
     q_e = np.array([1.0, 0.0, 0.0, 0.0])
-    u = feedforward_torque(inertia, q_e, w_d, w_d_dot)
-    dq, dw = error_dynamics_rate(inertia, q_e, np.zeros(3), w_d, w_d_dot, u)
+    dq, dw = error_dynamics_rate(inertia, q_e, np.zeros(3), traj.omega_fn(t), np.zeros(3))
     assert np.allclose(dq, 0.0, atol=1e-16)
     assert np.allclose(dw, 0.0, atol=1e-16)
 
 
 def test_error_dynamics_matches_absolute_difference():
     """Centered difference of the error computed from absolute states must
-    reproduce error_dynamics_rate, confirming the gyroscopic coupling terms."""
+    reproduce error_dynamics_rate, confirming the gyroscopic coupling terms.
+    The plant applies u; the error flow takes u less feedforward_torque, so
+    this also pins the feedforward and its desired-acceleration cancellation."""
     inertia = Inertia(BENCH_J)
     traj = sinusoid_trajectory(0.01, 0.01)
     q = from_axis_angle([0.3, -1.0, 0.5], 1.2)
@@ -164,7 +168,9 @@ def test_error_dynamics_matches_absolute_difference():
     fd_dw = (we_p - we_m) / (2.0 * eps)
 
     q_e0, w_e0 = error_state(y0, t0)
-    dq, dw = error_dynamics_rate(inertia, q_e0, w_e0, traj.omega_fn(t0), traj.omega_dot_fn(t0), u)
+    w_d, w_d_dot = traj.omega_fn(t0), traj.omega_dot_fn(t0)
+    u_fb = u - feedforward_torque(inertia, q_e0, w_d, w_d_dot)
+    dq, dw = error_dynamics_rate(inertia, q_e0, w_e0, w_d, u_fb)
     assert np.allclose(fd_dq, dq, atol=1e-8)
     assert np.allclose(fd_dw, dw, atol=1e-8)
 

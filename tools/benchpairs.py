@@ -16,6 +16,10 @@ and kept.  Exits 1 if any run was not clean.
 It writes ``pairs[W]`` of the --out file, merging into the file if it exists
 (so all workloads can share one file):
 
+* ``checkouts``: the ``change`` and ``parent`` roots, relative to the working
+  directory.  Both should be sibling directories: ``peak_rss_mb`` moves by
+  about 0.5 MB with the checkout's directory, so the tool warns on stderr
+  when the two roots do not share a parent directory;
 * ``attempted`` / ``failed``: items per side, summed over the seeds, and
   ``failed_runs``: the runs per side that exited nonzero, printed no result
   or failed an item;
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -123,6 +128,9 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if ROOT.parent != parent.parent:
+        print("warning: %s and %s do not share a parent directory, so peak_rss_mb may differ"
+              " by where each side lives" % (ROOT, parent), file=sys.stderr, flush=True)
 
     runs = {"change": [], "parent": []}
     for seed in range(1, args.pairs + 1):
@@ -137,7 +145,9 @@ def main(argv=None) -> int:
 
     out = Path(args.out)
     data = json.loads(out.read_text()) if out.exists() else {}
-    data.setdefault("pairs", {})[args.workload] = summarize(args.workload, runs, end_to_end)
+    pairs = summarize(args.workload, runs, end_to_end)
+    pairs["checkouts"] = {"change": os.path.relpath(ROOT), "parent": os.path.relpath(parent)}
+    data.setdefault("pairs", {})[args.workload] = pairs
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0 if all(_clean(r) for side in runs.values() for r in side) else 1
 
