@@ -47,7 +47,7 @@ from .controllers import (
     full_state_torque,
     output_feedback_torque,
 )
-from .integrate import _renorm, last_value, rk4_step
+from .integrate import _renorm, rk4_step
 from .quat import (
     Array,
     axis_pow,
@@ -420,12 +420,11 @@ def full_state_error_flow(
     inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory
 ):
     """(t, y, h, h_tilde) -> ydot for y = [Q_e, w_e], continuous full-state law; reads w_d only."""
-    omega = last_value(trajectory.omega_fn)
 
     def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_e, w_e = y[0:4], y[4:7]
         u_fb = full_state_torque(gains, q_e, w_e, h, _ZERO3)
-        dq, dw = error_dynamics_rate(inertia, q_e, w_e, omega(t), u_fb)
+        dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
         return dq + dw
 
     return flow
@@ -465,13 +464,12 @@ def output_feedback_error_flow(
     Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.  Reads
     w_d only.
     """
-    omega = last_value(trajectory.omega_fn)
     k3 = gains.k3
 
     def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
         u_fb = output_feedback_torque(gains, q_e, q_lag, h, h_tilde, _ZERO3)
-        dq, dw = error_dynamics_rate(inertia, q_e, w_e, omega(t), u_fb)
+        dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
         e1, e2, e3 = w_e
         c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
         dlag = kinematics_rate(q_lag, (e1 - k3 * c1, e2 - k3 * c2, e3 - k3 * c3))

@@ -46,16 +46,3 @@ def _renorm(q, step: int) -> tuple:
         )
     return (q0 / n, q1 / n, q2 / n, q3 / n)
 
-
-def last_value(fn):
-    """fn(t) remembering its last call: the RK4 stages meet their midpoint
-    twice, and a step's first stage is the time its loop has just read."""
-    last_t, last = None, None
-
-    def cached(t):
-        nonlocal last_t, last
-        if t != last_t:
-            last_t, last = t, fn(t)
-        return last
-
-    return cached

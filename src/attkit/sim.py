@@ -36,7 +36,7 @@ import numpy as np
 from . import analysis, kinds
 from .config import ScenarioConfig
 from .controllers import check_logic
-from .integrate import _renorm, last_value, rk4_step
+from .integrate import _renorm, rk4_step
 from .quat import Array
 from .rigid_body import (
     dynamics_rate,
@@ -114,8 +114,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     gains = cfg.controller.build()
     es_gains = cfg.observer.build() if es.observer else gains
     traj = cfg.trajectory.build()
-    omega = last_value(traj.omega_fn)
-    disturbance = last_value(lambda tt: disturbance_torque(cfg.disturbance, tt))
     rng = np.random.default_rng(cfg.seed)
     dt = cfg.sim.dt_s
     n = int(round(cfg.sim.t_final_s / dt))
@@ -142,7 +140,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             rows = np.empty((n + 1, _WIDTH))
             rows[:, stepped : _OFFSET["q_e"]] = _NAN  # estimator columns the kind lacks
 
-        w_d = omega(t)
+        w_d = traj.omega_fn(t)
         w_d_dot = traj.omega_dot_fn(t)
         q_lag_m = kind.lag(est, q_m, q_e_m)
 
@@ -154,20 +152,19 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         u_ff = feedforward_torque(inertia, q_e_m, w_d, w_d_dot)
         u_cmd = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t, u_ff)
         u1, u2, u3 = u_app = saturate(u_cmd, limit)
-        rows[i, :stepped] = (  # in _LAYOUT order
-            t, *q, *w, *q_d, h, h_t, *b, *u_cmd, *u_app, *disturbance(t), *w_d, *est
-        )
+        d = disturbance_torque(cfg.disturbance, t)
+        rows[i, :stepped] = (t, *q, *w, *q_d, h, h_t, *b, *u_cmd, *u_app, *d, *w_d, *est)
 
         if i == n:
             break
 
         # one RK4 flow step with torque and measurements held
         def flow(tt, y):
-            d1, d2, d3 = disturbance(tt)
+            d1, d2, d3 = disturbance_torque(cfg.disturbance, tt)
             return (
                 *kinematics_rate(y[0:4], y[4:7]),
                 *dynamics_rate(inertia, y[4:7], (u1 + d1, u2 + d2, u3 + d3)),
-                *kinematics_rate(y[7:11], omega(tt)),
+                *kinematics_rate(y[7:11], traj.omega_fn(tt)),
                 *kind.estimator_flow(es_gains, y[11:], h_t, q_m, w_m, q_e_m),
             )
 
