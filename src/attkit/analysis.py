@@ -410,10 +410,9 @@ def chord_rate(q, h, c: float, a: float, b: float) -> Array:
 # these flows close the loop continuously in error coordinates so the
 # Lyapunov claims can be checked at integrator precision.  Noise and
 # disturbances are deliberately absent.  Like the simulator's flow, each takes
-# a flat float sequence y and returns a float tuple.
-
-#: the feedforward the error flows hand their law: 0.0 - x is -x, so it returns its feedback part
-_ZERO3 = (0.0, 0.0, 0.0)
+# a flat float sequence y and returns a float tuple.  A law returns its
+# feedback torque, and error_dynamics_rate states the flow under the
+# feedforward plus that feedback, so no flow forms the feedforward itself.
 
 
 def full_state_error_flow(
@@ -423,7 +422,7 @@ def full_state_error_flow(
 
     def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_e, w_e = y[0:4], y[4:7]
-        u_fb = full_state_torque(gains, q_e, w_e, h, _ZERO3)
+        u_fb = full_state_torque(gains, q_e, w_e, h)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
         return dq + dw
 
@@ -468,7 +467,7 @@ def output_feedback_error_flow(
 
     def flow(t: float, y, h: int, h_tilde: int) -> tuple:
         q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
-        u_fb = output_feedback_torque(gains, q_e, q_lag, h, h_tilde, _ZERO3)
+        u_fb = output_feedback_torque(gains, q_e, q_lag, h, h_tilde)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
         e1, e2, e3 = w_e
         c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
@@ -638,7 +637,8 @@ def lyapunov_flow_report(
     selects the flow, the state layout, and the candidates measured.  delta is
     the observer kind's hysteresis width, in (0, 1), 0.3 when None (its gain
     set carries none); the other kinds use their gains' delta, and a different
-    delta raises ValueError.  dt and t_final must be positive and finite.
+    delta raises ValueError.  dt and t_final must be positive and finite, and
+    y0 finite.
     Reference candidates are finite-differenced against the rate they were
     reported to satisfy, matched candidates against their own exact rate.  The
     state travels as a float tuple; y0's quaternion blocks are normalized once,
@@ -668,6 +668,8 @@ def lyapunov_flow_report(
             raise ValueError("%s must be positive and finite, got %r" % (name, value))
     if y.shape != (es.size,):
         raise ValueError("%s flow state is %s in R^%d" % (kind, es.layout, es.size))
+    if not np.isfinite(y).all():
+        raise ValueError("y0 is not finite: %s" % y.tolist())
     flow = es.flow(gains, inertia, trajectory)
     s, s_tilde = es.scalars
 

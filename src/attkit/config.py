@@ -2,7 +2,9 @@
 
 A scenario file is plain JSON with unit-suffixed field names.  Unknown keys,
 and gains or sections that the controller kind does not read, are rejected so
-typos fail loudly instead of silently running defaults.
+typos fail loudly instead of silently running defaults.  Every field is
+checked against its annotation (float, bool, int for a logic value, str,
+list, "| None"), by _check_section, with a ValueError naming section.field.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import kinds
-from .controllers import ObserverGains, check_logic
+from .controllers import ObserverGains
 from .quat import unit_or_warn
 from .rigid_body import (
     DesiredTrajectory,
@@ -130,8 +130,15 @@ class ScenarioConfig:
         Runs at construction and again where a run starts, so a field set on
         a built config is checked too.
         """
+        _check_string("name", self.name)
+        _check_number("torque_limit_nm", self.torque_limit_nm)
+        for key in _SECTIONS:
+            sec = getattr(self, key)
+            if sec is not None:
+                _check_section(key, vars(sec))  # before the section's own checks
+                getattr(sec, "__post_init__", lambda: None)()
         # run and sweep name their default output directory after it
-        if "\n" in str(self.name) or "\r" in str(self.name):
+        if "\n" in self.name or "\r" in self.name:
             raise ValueError("name must be one line, got %r" % (self.name,))
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
@@ -142,23 +149,8 @@ class ScenarioConfig:
         for key in ("observer", "filter"):
             if key != section and getattr(self, key) is not None:
                 raise ValueError("%s scenario does not read the %s section" % (kind, key))
-        numbers = [("torque_limit_nm", self.torque_limit_nm)]
-        for key in _SECTIONS:
-            sec = getattr(self, key)
-            if sec is not None:
-                getattr(sec, "__post_init__", lambda: None)()  # the section's own checks
-                numbers += [("%s.%s" % (key, f.name), getattr(sec, f.name)) for f in fields(sec)]
-        for label, value in numbers:
-            if not _finite(value):
-                raise ValueError("%s must be finite, got %r" % (label, value))
-            size = _VECTOR_SIZES.get(label)
-            if size is not None and value is not None:
-                count = len(value) if isinstance(value, (list, tuple)) else np.size(value)
-                if count != size:
-                    raise ValueError("%s must have %d components, got %d" % (label, size, count))
         if not self.torque_limit_nm > 0.0:  # a clip to a non-positive limit is not saturation
             raise ValueError("torque_limit_nm must be positive, got %r" % self.torque_limit_nm)
-        check_logic(self.controller.h0, "controller.h0")
         for key in ("controller", "observer"):  # the gain sets a run builds
             sec = getattr(self, key)
             if sec is not None:
@@ -166,8 +158,6 @@ class ScenarioConfig:
                     sec.build()
                 except ValueError as exc:
                     raise ValueError("%s: %s" % (key, exc)) from None
-        if section is not None:
-            check_logic(getattr(self, section).h_tilde0, "%s.h_tilde0" % section)
 
     def initial_quat(self) -> tuple:
         return unit_or_warn(self.plant.q0, "plant.q0")
@@ -179,23 +169,65 @@ class ScenarioConfig:
             raise ValueError("plant.inertia_kgm2: %s" % exc) from None
 
 
-#: component count of every vector a scenario configures
-_VECTOR_SIZES = {
-    "plant.q0": 4,
-    "plant.omega0_rad_s": 3,
-    "plant.bias0_rad_s": 3,
-    "trajectory.q_d0": 4,
-    "observer.q_hat0": 4,
-    "observer.b_hat0_rad_s": 3,
-    "filter.q_f0": 4,
+#: shape of every vector a scenario configures, and of the inertia matrix
+_SHAPES = {
+    "plant.inertia_kgm2": (3, 3),
+    "plant.q0": (4,),
+    "plant.omega0_rad_s": (3,),
+    "plant.bias0_rad_s": (3,),
+    "trajectory.q_d0": (4,),
+    "observer.q_hat0": (4,),
+    "observer.b_hat0_rad_s": (3,),
+    "filter.q_f0": (4,),
 }
 
 
-def _finite(value) -> bool:
-    """False for a NaN or infinite float, also inside (nested) lists."""
-    if isinstance(value, (list, tuple)):
-        return all(_finite(v) for v in value)
-    return not isinstance(value, float) or math.isfinite(value)
+def _check_number(label: str, value) -> None:
+    if not (isinstance(value, float) or type(value) is int):  # a bool is an int subclass
+        raise ValueError("%s must be a number, got %r" % (label, value))
+    if not math.isfinite(value):
+        raise ValueError("%s must be finite, got %r" % (label, value))
+
+
+def _check_flag(label: str, value) -> None:
+    if value is not True and value is not False:
+        raise ValueError("%s must be true or false, got %r" % (label, value))
+
+
+def _check_logic(label: str, value) -> None:
+    if type(value) is not int or value not in (-1, 1):
+        raise ValueError("%s must be +1 or -1, got %r" % (label, value))
+
+
+def _check_string(label: str, value) -> None:
+    if not isinstance(value, str):
+        raise ValueError("%s must be a string, got %r" % (label, value))
+
+
+def _check_array(label: str, value, shape=None) -> None:
+    """A list (or tuple) of finite numbers of shape _SHAPES[label]; rows are named label[i]."""
+    shape = shape or _SHAPES[label]
+    if not isinstance(value, (list, tuple)):
+        raise ValueError("%s must be a list, got %r" % (label, value))
+    if len(value) != shape[0]:
+        raise ValueError("%s must have %d components, got %d" % (label, shape[0], len(value)))
+    if len(shape) > 1:
+        for i, row in enumerate(value):
+            _check_array("%s[%d]" % (label, i), row, shape[1:])
+    elif not all([isinstance(v, float) or type(v) is int for v in value]):
+        raise ValueError("%s must hold numbers only, got %r" % (label, value))
+    elif not all(map(math.isfinite, value)):
+        raise ValueError("%s must be finite, got %r" % (label, value))
+
+
+#: the check of each field annotation; "| None" admits None
+_CHECKS = {
+    "float": _check_number,
+    "bool": _check_flag,
+    "int": _check_logic,
+    "str": _check_string,
+    "list": _check_array,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +245,26 @@ _SECTIONS = {
 }
 
 
+#: per section, (field, "section.field", check, None admitted) from each annotation
+_FIELD_CHECKS = {
+    key: [
+        (f.name, "%s.%s" % (key, f.name), _CHECKS[f.type.partition(" | ")[0]],
+         f.type.endswith(" | None"))
+        for f in fields(cls)
+    ]
+    for key, cls in _SECTIONS.items()
+}
+
+
+def _check_section(key: str, values: dict) -> None:
+    """Check each field of section key that values holds against its annotation."""
+    for name, label, check, optional in _FIELD_CHECKS[key]:
+        if name in values:
+            value = values[name]
+            if value is not None or not optional:
+                check(label, value)
+
+
 def _build_section(cls, data: dict, label: str):
     if not isinstance(data, dict):
         raise ValueError("section %r must be a JSON object, got %s" % (label, type(data).__name__))
@@ -220,6 +272,7 @@ def _build_section(cls, data: dict, label: str):
     unknown = set(data) - allowed
     if unknown:
         raise ValueError("unknown field(s) %s in section %r" % (sorted(unknown), label))
+    _check_section(label, data)  # before the section's own checks compare its values
     return cls(**data)
 
 

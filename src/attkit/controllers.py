@@ -1,5 +1,9 @@
 """Hybrid finite-time attitude tracking controllers.
 
+Each law returns only its feedback torque.  The simulator adds
+rigid_body.feedforward_torque, which keeps zero tracking error invariant, and
+the certificate's error flows (attkit.analysis) take the feedback as it is.
+
 The laws and estimator flows take logic values h, h_tilde in {-1, +1} that
 select which antipode of an error quaternion they stabilize; attkit.kinds
 states how those values jump.
@@ -106,17 +110,16 @@ class OutputFeedbackGains:
         return 2.0 * self.alpha3 - 1.0
 
 
-def full_state_torque(gains: FullStateGains, q_e, w_e, h: int, u_ff) -> tuple:
-    """Hybrid full-state law: u = u_ff - k1*chord_pow(h Q_e, 1-alpha1) - k2*sat_pow(w_e, alpha2)."""
+def full_state_torque(gains: FullStateGains, q_e, w_e, h: int) -> tuple:
+    """Hybrid full-state feedback: -k1*chord_pow(h Q_e, 1-alpha1) - k2*sat_pow(w_e, alpha2)."""
     h = check_logic(h, "h")
     k1, k2, p = gains.k1, gains.k2, gains.alpha2
     c1, c2, c3 = chord_pow(q_e, 1.0 - gains.alpha1, h)
     w1, w2, w3 = w_e
-    f1, f2, f3 = u_ff
     return (
-        f1 - k1 * c1 - k2 * sat_pow(w1, p),
-        f2 - k1 * c2 - k2 * sat_pow(w2, p),
-        f3 - k1 * c3 - k2 * sat_pow(w3, p),
+        -k1 * c1 - k2 * sat_pow(w1, p),
+        -k1 * c2 - k2 * sat_pow(w2, p),
+        -k1 * c3 - k2 * sat_pow(w3, p),
     )
 
 
@@ -157,15 +160,12 @@ def filter_flow_rate(gains: OutputFeedbackGains, q_f, h_tilde: int, q_e_meas) ->
     return kinematics_rate(q_f, rotate(quat_conj(q_lag), (k3 * c1, k3 * c2, k3 * c3)))
 
 
-def output_feedback_torque(
-    gains: OutputFeedbackGains, q_e, q_lag, h: int, h_tilde: int, u_ff
-) -> tuple:
-    """Velocity-free law: u = u_ff - k1*chord_pow(h Q_e, 1-alpha1) - k2*chord_pow(h~ Q_lag, 1-alpha1)."""
+def output_feedback_torque(gains: OutputFeedbackGains, q_e, q_lag, h: int, h_tilde: int) -> tuple:
+    """Velocity-free feedback: -k1*chord_pow(h Q_e, 1-alpha1) - k2*chord_pow(h~ Q_lag, 1-alpha1)."""
     h = check_logic(h, "h")
     h_tilde = check_logic(h_tilde, "h_tilde")
     k1, k2, a = gains.k1, gains.k2, 1.0 - gains.alpha1
     c1, c2, c3 = chord_pow(q_e, a, h)
     l1, l2, l3 = chord_pow(q_lag, a, h_tilde)
-    f1, f2, f3 = u_ff
-    return (f1 - k1 * c1 - k2 * l1, f2 - k1 * c2 - k2 * l2, f3 - k1 * c3 - k2 * l3)
+    return (-k1 * c1 - k2 * l1, -k1 * c2 - k2 * l2, -k1 * c3 - k2 * l3)
 

@@ -129,7 +129,7 @@ class ControllerKind:
     start: Callable  # (cfg, q_meas, q_e_meas) -> (est, h_tilde)
     lag: Callable  # (est, q, q_e) -> estimator error quaternion, NaN without one
     jump: Callable  # jump rule (module docstring)
-    torque: Callable  # (g, q_e, w_meas, w_d, est, q_lag, h, h_tilde, u_ff) -> torque
+    torque: Callable  # (g, q_e, w_meas, w_d, est, q_lag, h, h_tilde) -> feedback torque
     estimator_flow: Callable  # (g, est, h_tilde, q_meas, w_meas, q_e_meas) -> rates of est
     # (p, p_alt): the law's torque bound k1 + k2 + (w1^p + w2)||J|| and its companion
     torque_bounds: tuple[int, int]
@@ -141,8 +141,8 @@ KINDS = {
         start=lambda cfg, q_m, q_e_m: ((), 1),
         lag=lambda est, q, q_e: _NAN4,
         jump=jump_h,
-        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, error_velocity(q_e, w_m, w_d), h, u_ff
+        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: full_state_torque(
+            g, q_e, error_velocity(q_e, w_m, w_d), h
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: (),
         torque_bounds=(2, 1),
@@ -153,8 +153,8 @@ KINDS = {
         start=_observer_start,
         lag=lambda est, q, q_e: error_quaternion(est[0:4], q),
         jump=jump_each,
-        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: full_state_torque(
-            g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d), h, u_ff
+        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: full_state_torque(
+            g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d), h
         ),
         estimator_flow=_observer_flow,
         torque_bounds=(2, 1),
@@ -164,8 +164,8 @@ KINDS = {
         start=_filter_start,
         lag=lambda est, q, q_e: error_quaternion(est[0:4], q_e),
         jump=jump_joint,
-        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht, u_ff: output_feedback_torque(
-            g, q_e, q_lag, h, ht, u_ff
+        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: output_feedback_torque(
+            g, q_e, q_lag, h, ht
         ),
         estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: filter_flow_rate(
             g, est[0:4], ht, q_e_m

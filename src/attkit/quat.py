@@ -59,8 +59,13 @@ def quat_conj(q) -> tuple:
 
 
 def unit_or_warn(q, label: str) -> tuple:
-    """Normalize a configured quaternion to a float tuple, warning when it was not unit norm."""
+    """Normalize a configured quaternion to a float tuple, warning when it was not unit norm.
+
+    ValueError naming label when q holds a NaN or an infinity, or has zero norm.
+    """
     q = np.asarray(q, dtype=float)
+    if not np.isfinite(q).all():
+        raise ValueError("%s is not finite: %s" % (label, q.tolist()))
     n = float(np.linalg.norm(q))
     if n <= 1e-12:
         raise ValueError("%s has zero norm" % label)

@@ -5,7 +5,8 @@ Each step does, in order:
 1. sample the sensors (measurements are zero-order-held across the step),
 2. apply the kind's jump rule once to the measured error scalars (one
    application always re-enters the flow set) and record a JumpEvent if it fired,
-3. evaluate the controller on measurements only and clip to the torque limit,
+3. form the commanded torque from measurements only, as feedforward_torque
+   plus the kind's feedback torque, and clip it to the torque limit,
 4. write its row of the trace: time, plant, reference, logic, bias, torques,
    disturbance, desired rate and estimator state,
 5. advance plant + reference + estimator one RK4 step of the continuous flow
@@ -141,7 +142,6 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             rows[:, stepped : _OFFSET["q_e"]] = _NAN  # estimator columns the kind lacks
 
         w_d = traj.omega_fn(t)
-        w_d_dot = traj.omega_dot_fn(t)
         q_lag_m = kind.lag(est, q_m, q_e_m)
 
         h_pre, ht_pre = h, h_t
@@ -149,11 +149,14 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         if jumped:
             events.append(JumpEvent(i, t, h_pre, h, ht_pre, h_t))
 
-        u_ff = feedforward_torque(inertia, q_e_m, w_d, w_d_dot)
-        u_cmd = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t, u_ff)
+        f1, f2, f3 = feedforward_torque(inertia, q_e_m, w_d, traj.omega_dot_fn(t))
+        fb1, fb2, fb3 = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t)
+        u_cmd = (f1 + fb1, f2 + fb2, f3 + fb3)
         u1, u2, u3 = u_app = saturate(u_cmd, limit)
         d = disturbance_torque(cfg.disturbance, t)
-        rows[i, :stepped] = (t, *q, *w, *q_d, h, h_t, *b, *u_cmd, *u_app, *d, *w_d, *est)
+        rows[i, :stepped] = (  # in _LAYOUT order
+            t, *q, *w, *q_d, h, h_t, *b, *u_cmd, *u_app, *d, *w_d, *est
+        )
 
         if i == n:
             break

@@ -182,7 +182,7 @@ def dual_gap_full_state():
         q_e = error_quaternion(q_d, q)
         w_e = error_velocity(q_e, w, w_d)
         u_ff = feedforward_torque(inertia, q_e, w_d, traj.omega_dot_fn(t))
-        u = full_state_torque(gains, q_e, w_e, h, u_ff)
+        u = np.add(u_ff, full_state_torque(gains, q_e, w_e, h))
         return np.concatenate(
             [kinematics_rate(q, w), dynamics_rate(inertia, w, u), kinematics_rate(q_d, w_d)]
         )
@@ -242,7 +242,7 @@ def dual_gap_attitude_only():
     def full(t, y):
         q_e, w_e, q_f = y[0:4], y[4:7], y[7:11]
         q_lag = error_quaternion(q_f, q_e)
-        u_fb = output_feedback_torque(gains, q_e, q_lag, h, ht, np.zeros(3))
+        u_fb = output_feedback_torque(gains, q_e, q_lag, h, ht)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, traj.omega_fn(t), u_fb)
         dqf = filter_flow_rate(gains, q_f, ht, q_e)
         return np.concatenate([dq, dw, dqf])

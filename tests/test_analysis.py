@@ -537,6 +537,17 @@ def test_flow_report_validation():
         with pytest.raises(ValueError, match=r"delta = 0\.9 differs from the gains' delta = 0\.3"):
             lyapunov_flow_report(system, gains, y0=y0s[system], inertia=INERTIA,
                                  trajectory=sinusoid_trajectory(), delta=0.9, t_final=0.05)
+    # a NaN or an infinity anywhere in y0 is named before any step, not blamed on dt
+    y0s["observer"] = observer_y0
+    for system, gains in (("full_state", FS_GAINS), ("observer", OBS_GAINS),
+                          ("attitude_only", OF_GAINS)):
+        for k in (0, len(y0s[system]) - 1):
+            for bad in (np.nan, np.inf):
+                y0 = y0s[system].copy()
+                y0[k] = bad
+                with pytest.raises(ValueError, match=r"^y0 is not finite: \["):
+                    lyapunov_flow_report(system, gains, y0=y0, inertia=INERTIA,
+                                         trajectory=sinusoid_trajectory(), t_final=0.05)
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.95, 1.0, 1.5])

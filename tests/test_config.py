@@ -122,6 +122,56 @@ def test_nan_inside_list_rejected_from_json():
 
 
 @pytest.mark.parametrize(
+    "path, value, message",
+    [
+        # JSON true ran as 1.0, or as h = +1
+        ("controller.k1", True, "controller.k1 must be a number, got True"),
+        ("torque_limit_nm", True, "torque_limit_nm must be a number, got True"),
+        ("controller.h0", True, "controller.h0 must be +1 or -1, got True"),
+        ("controller.h0", 1.0, "controller.h0 must be +1 or -1, got 1.0"),
+        # these raised a TypeError naming no field
+        ("controller.k1", "1.1", "controller.k1 must be a number, got '1.1'"),
+        ("sim.dt_s", "0.01", "sim.dt_s must be a number, got '0.01'"),
+        ("noise.attitude_cone_deg", "0.1", "noise.attitude_cone_deg must be a number, got '0.1'"),
+        ("trajectory.amplitude_rad_s", "0.1",
+         "trajectory.amplitude_rad_s must be a number, got '0.1'"),
+        ("disturbance.amplitude_nm", "0.1", "disturbance.amplitude_nm must be a number, got '0.1'"),
+        ("trajectory.amplitude_rad_s", None, "trajectory.amplitude_rad_s must be a number, got None"),
+        ("plant.omega0_rad_s", None, "plant.omega0_rad_s must be a list, got None"),
+        # NumPy converted the strings
+        ("plant.q0", ["1", "0", "0", "0"],
+         "plant.q0 must hold numbers only, got ['1', '0', '0', '0']"),
+        ("plant.inertia_kgm2", [[15, 0, 0], [0, 20], [0, 0, 10]],
+         "plant.inertia_kgm2[1] must have 3 components, got 2"),
+        # any non-empty string switched the channel on
+        ("noise.enabled", "no", "noise.enabled must be true or false, got 'no'"),
+        ("disturbance.enabled", "yes", "disturbance.enabled must be true or false, got 'yes'"),
+        # the run's default output directory is named after it
+        ("name", 5, "name must be a string, got 5"),
+    ],
+)
+def test_fields_are_checked_against_their_declared_types(path, value, message):
+    *section, field = path.split(".")
+    d = config_to_dict(preset("example1"))
+    (d[section[0]] if section else d)[field] = value
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        config_from_dict(d)
+    cfg = preset("example1")  # a field set on a built config, checked where a run starts
+    setattr(getattr(cfg, section[0]) if section else cfg, field, value)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        cfg.validate()
+
+
+def test_declared_types_admit_ints_and_null_where_optional():
+    d = config_to_dict(preset("example2"))
+    d["controller"]["k1"], d["torque_limit_nm"] = 1, 5
+    d["plant"]["inertia_kgm2"] = [[15, 0, 0], [0, 20, 0], [0, 0, 10]]
+    d["observer"]["q_hat0"] = None  # start at the measurement
+    cfg = config_from_dict(d)
+    assert cfg.controller.k1 == 1 and cfg.observer.q_hat0 is None
+
+
+@pytest.mark.parametrize(
     "section, value, label",
     [(None, [1, 2], "scenario config"), ("plant", 5, "section 'plant'"),
      ("sim", [0.01, 100], "section 'sim'")],

@@ -73,38 +73,32 @@ def test_output_feedback_gains_validation():
 
 
 def test_full_state_torque_attitude_term():
-    u = full_state_torque(FS_GAINS, FLIP_X, ZERO3, 1, ZERO3)
+    u = full_state_torque(FS_GAINS, FLIP_X, ZERO3, 1)
     assert u[0] == pytest.approx(-FS_ATT_TERM, rel=1e-15)
     assert u[1] == u[2] == 0.0
 
 
 def test_full_state_torque_rate_term():
     u = full_state_torque(
-        FS_GAINS, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.2, 0.0, 0.0]), 1, ZERO3
+        FS_GAINS, np.array([1.0, 0.0, 0.0, 0.0]), np.array([0.2, 0.0, 0.0]), 1
     )
     assert u[0] == pytest.approx(-FS_SAT_TERM, rel=1e-15)
     assert u[1] == u[2] == 0.0
 
 
 def test_full_state_torque_logic_sign():
-    u_plus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, 1, ZERO3)
-    u_minus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, -1, ZERO3)
+    u_plus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, 1)
+    u_minus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, -1)
     assert np.allclose(u_minus, -np.asarray(u_plus))
     with pytest.raises(ValueError):
-        full_state_torque(FS_GAINS, FLIP_X, ZERO3, 0, ZERO3)
-
-
-def test_full_state_torque_feedforward_passthrough():
-    u_ff = np.array([1.0, 2.0, 3.0])
-    u = full_state_torque(FS_GAINS, np.array([1.0, 0.0, 0.0, 0.0]), ZERO3, 1, u_ff)
-    assert np.array_equal(u, u_ff)
+        full_state_torque(FS_GAINS, FLIP_X, ZERO3, 0)
 
 
 def test_full_state_torque_smooth_limit():
     gains = FullStateGains(k1=1.1, k2=4.0, alpha1=1.0, delta=0.3)
     q_e = np.array([0.0, 0.6, -0.8, 0.0])
     w_e = np.array([2.0, -0.5, 0.3])
-    u = full_state_torque(gains, q_e, w_e, 1, ZERO3)
+    u = full_state_torque(gains, q_e, w_e, 1)
     expected = -1.1 * q_e[1:] - 4.0 * np.array([1.0, -0.5, 0.3])
     assert np.allclose(u, expected, rtol=1e-15)
 
@@ -169,17 +163,17 @@ def test_filter_lag_rate_matches_torque_exponent():
 
 
 def test_output_feedback_torque_reference_value():
-    u = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 1, ZERO3)
+    u = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 1)
     assert u[0] == pytest.approx(-OF_BOTH_TERMS, rel=1e-15)
     assert u[1] == u[2] == 0.0
 
 
 def test_output_feedback_torque_independent_logic_signs():
-    u_pp = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 1, ZERO3)
-    u_pm = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, -1, ZERO3)
-    u_mp = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, -1, 1, ZERO3)
+    u_pp = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 1)
+    u_pm = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, -1)
+    u_mp = output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, -1, 1)
     assert u_pm[0] > u_pp[0]  # flipping h~ negates only the k2 term
     assert u_mp[0] > u_pp[0]
     assert u_pm[0] + u_mp[0] == pytest.approx(0.0, abs=1e-15)
     with pytest.raises(ValueError):
-        output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 2, ZERO3)
+        output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 2)

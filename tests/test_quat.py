@@ -26,6 +26,7 @@ from attkit.quat import (
     rotate,
     sat_pow,
     sgn_pow,
+    unit_or_warn,
 )
 
 # frozen references
@@ -103,6 +104,22 @@ def test_from_axis_angle_normalizes_and_rejects_zero():
     )
     with pytest.raises(ValueError):
         from_axis_angle([0.0, 0.0, 0.0], 0.5)
+
+
+def test_unit_or_warn_normalizes_warns_and_names_bad_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert unit_or_warn([0.0, 1.0, 0.0, 0.0], "q") == (0.0, 1.0, 0.0, 0.0)
+    with pytest.warns(UserWarning, match=r"^q_a not unit norm \(\|Q\| = 2\.000000\)"):
+        assert unit_or_warn([0.0, 0.0, 2.0, 0.0], "q_a") == (0.0, 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="^q_b has zero norm"):
+        unit_or_warn([0.0, 0.0, 0.0, 0.0], "q_b")
+    # NaN came back as four NaNs, silently; inf warned and came back as (nan, 0, 0, 0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^q_c is not finite: \["):
+                unit_or_warn([bad, 0.0, 0.0, 0.0], "q_c")
 
 
 def test_random_unit_quat_unit_norm_both_hemispheres():

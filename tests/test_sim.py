@@ -11,7 +11,7 @@ from attkit import analysis, kinds
 from attkit.analysis import lyapunov_v1
 from attkit.config import preset
 from attkit.integrate import SimulationError
-from attkit.rigid_body import error_quaternion, error_velocity
+from attkit.rigid_body import error_quaternion, error_velocity, feedforward_torque
 from attkit.sim import (
     _LAYOUT,
     SimTrace,
@@ -175,6 +175,40 @@ def test_record_equals_the_float_kernels_row_by_row(name, monkeypatch):
             want[attr].append(v.get(cand, np.nan))
     for attr, rows in want.items():
         assert np.array_equal(getattr(trace, attr), rows, equal_nan=True), attr
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_commanded_torque_is_feedforward_plus_the_kinds_feedback(name, monkeypatch):
+    # noise-free, so each step's measured error quaternion is the recorded q_e
+    cfg = _short(name, 0.3, uncertainties=False)
+    kind = kinds.get(cfg.controller.kind)
+    inertia, traj = cfg.inertia(), cfg.trajectory.build()
+
+    def feedforward(trace):
+        return [
+            feedforward_torque(inertia, tuple(q_e.tolist()), tuple(w_d.tolist()),
+                               traj.omega_dot_fn(float(t)))
+            for q_e, w_d, t in zip(trace.q_e, trace.w_d, trace.t)
+        ]
+
+    def zero(*args):
+        return (0.0, 0.0, 0.0)
+
+    monkeypatch.setitem(kinds.KINDS, cfg.controller.kind, dataclasses.replace(kind, torque=zero))
+    trace = run_scenario(cfg)
+    assert np.array_equal(trace.u_cmd, feedforward(trace))
+
+    feedbacks = []
+
+    def law(*args):
+        feedbacks.append(kind.torque(*args))
+        return feedbacks[-1]
+
+    monkeypatch.setitem(kinds.KINDS, cfg.controller.kind, dataclasses.replace(kind, torque=law))
+    trace = run_scenario(cfg)
+    assert len(feedbacks) == len(trace.t) == 31
+    want = [tuple(f + u for f, u in zip(ff, fb)) for ff, fb in zip(feedforward(trace), feedbacks)]
+    assert np.array_equal(trace.u_cmd, want)
 
 
 def test_rk4_step_exact_on_cubic():

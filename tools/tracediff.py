@@ -24,8 +24,12 @@ settling time, the jump count, the bound flags and the ``summary.json``
 digest are identical.  For each verify run it prints whether the verdicts
 and jump counts are identical, whether the JSON that ``attkit verify``
 prints is byte-identical, and the max |difference| of each figure that
-differs.  A change meant to leave the numerics alone shows every digest and
-every verify JSON identical.  The last line is the verdict on those bytes:
+differs.  After the preset blocks it prints the largest of those preset
+differences and where it lies, ``max |d| over presets: <value>
+(<preset>.<attribute>)``, and after the verify blocks ``max |d| over verify
+figures: <value> (<case>.<key>)``.  A change meant to leave the numerics
+alone shows every digest and every verify JSON identical.  The last line is
+the verdict on those bytes:
 ``byte-identical: all digests and verify JSON``, or ``byte-identical: no
 (...)`` naming each preset digest and verify JSON that moved.  Exits 1 when
 anything but the float differences (digests and JSON bytes included)
@@ -122,6 +126,7 @@ def _floats(obj) -> list[float]:
 def compare(mine: Path, other: Path) -> bool:
     same = True
     moved = []  # digests and verify JSON documents whose bytes differ
+    worst = (-1.0, "")  # (max |d|, where) over the preset attributes
     for name in PRESETS:
         a, b = np.load(mine / name / "attrs.npz"), np.load(other / name / "attrs.npz")
         sa = json.loads((mine / name / "summary.json").read_text())
@@ -133,6 +138,8 @@ def compare(mine: Path, other: Path) -> bool:
             if key in b.files:
                 d = _max_diff(a[key], b[key])
                 print("  max |d| %-12s %.3g" % (key, d))
+                if d > worst[0]:
+                    worst = (d, "%s.%s" % (name, key))
                 same &= math.isfinite(d)
             else:
                 print("  %-20s only in this checkout" % key)
@@ -151,6 +158,8 @@ def compare(mine: Path, other: Path) -> bool:
         print("  settling_time_s %r (other %r)"
               % (sa["convergence"]["settling_time_s"], sb["convergence"]["settling_time_s"]))
         same &= all(ok for label, ok in checks.items() if label != "digest")
+    print("max |d| over presets: %.3g (%s)" % worst)
+    worst = (-1.0, "")  # over the verify figures
     for name in VERIFY:
         text_a = (mine / ("verify_%s.json" % name)).read_text()
         text_b = (other / ("verify_%s.json" % name)).read_text()
@@ -167,9 +176,12 @@ def compare(mine: Path, other: Path) -> bool:
             d = _max_diff(_floats(va[key]), _floats(vb.get(key)))
             if d != 0.0:
                 print("  max |d| %-21s %.3g" % (key, d))
+            if d > worst[0]:
+                worst = (d, "%s.%s" % (name, key))
         same &= verdicts and jumps
         if text_a != text_b:
             moved.append("verify_%s.json" % name)
+    print("max |d| over verify figures: %.3g (%s)" % worst)
     print("byte-identical: %s" % ("no (%s)" % ", ".join(moved) if moved
                                   else "all digests and verify JSON"))
     return same
