@@ -495,8 +495,9 @@ class FlowCheckReport:
                  genuinely grows somewhere along the flow
     jump_drops   V_pre - V_post at each logic jump, in event order
     fd_rel_error worst |centered-difference V - closed-form rate| / |rate|
-                 over steps where |rate| clears FD_FLOOR times its run
-                 maximum, with jump neighborhoods and endpoints excluded
+                 over steps where |rate| is nonzero and clears FD_FLOOR times
+                 its run maximum, with jump neighborhoods and endpoints
+                 excluded; nan when no step qualifies
     """
 
     jump_times: tuple[float, ...]
@@ -680,7 +681,7 @@ def lyapunov_flow_report(
     for sl in es.quat_blocks:
         y[sl] = unit_or_warn(y[sl], "y0[%d:%d]" % (sl.start, sl.stop))
     y = tuple(y.tolist())
-    h, ht = check_logic(h0, "h0"), check_logic(h_tilde0, "h_tilde0")
+    h, ht = check_logic("h0", h0), check_logic("h_tilde0", h_tilde0)
     ys, logic = np.empty((n + 1, es.size)), np.empty((n + 1, 2))
     jumps: list[tuple[int, int, int]] = []  # (step, h, h_tilde before the jump)
 
@@ -721,9 +722,9 @@ def lyapunov_flow_report(
         max_rate[nm] = float(dv[flow_step].max() / dt)
         fd = (v[nm][2:] - v[nm][:-2]) / (2.0 * dt)
         r_mid = rate[nm][1:n]
-        sel = fd_ok[1:n]
+        sel = fd_ok[1:n] & (r_mid != 0.0)  # no relative error against a zero rate
         if sel.any():
-            sel = sel & (np.abs(r_mid) >= FD_FLOOR * float(np.abs(r_mid[sel]).max()))
+            sel &= np.abs(r_mid) >= FD_FLOOR * float(np.abs(r_mid[sel]).max())
         fd_rel[nm] = (
             float(np.max(np.abs(fd[sel] - r_mid[sel]) / np.abs(r_mid[sel])))
             if sel.any()

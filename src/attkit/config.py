@@ -1,21 +1,21 @@
 """Scenario configuration: dataclasses, JSON round-trip, bundled presets.
 
 A scenario file is plain JSON with unit-suffixed field names.  Unknown keys,
-and gains or sections that the controller kind does not read, are rejected so
-typos fail loudly instead of silently running defaults.  Every field is
-checked against its annotation (float, bool, int for a logic value, str,
-list, "| None"), by _check_section, with a ValueError naming section.field.
+missing fields, and gains or sections that the controller kind does not read
+are rejected so typos fail loudly.  Sections are plain records that only
+ScenarioConfig.validate checks: each field once against its annotation, then
+ranges and kind names, with a ValueError naming section.field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import kinds
-from .controllers import ObserverGains
+from .controllers import ObserverGains, check_logic
 from .quat import unit_or_warn
 from .rigid_body import (
     DesiredTrajectory,
@@ -34,6 +34,13 @@ class PlantConfig:
     bias0_rad_s: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
+#: trajectory kind -> its DesiredTrajectory, built from a TrajectoryConfig
+_TRAJECTORIES = {
+    "regulation": lambda tc: regulation_trajectory(),
+    "sinusoid": lambda tc: sinusoid_trajectory(tc.amplitude_rad_s, tc.frequency_rad_s),
+}
+
+
 @dataclass
 class TrajectoryConfig:
     kind: str = "sinusoid"  # or "regulation"
@@ -42,12 +49,9 @@ class TrajectoryConfig:
     q_d0: list = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0])
 
     def build(self) -> DesiredTrajectory:
-        if self.kind == "sinusoid":
-            traj = sinusoid_trajectory(self.amplitude_rad_s, self.frequency_rad_s)
-        elif self.kind == "regulation":
-            traj = regulation_trajectory()
-        else:
+        if self.kind not in _TRAJECTORIES:
             raise ValueError("unknown trajectory kind %r" % self.kind)
+        traj = _TRAJECTORIES[self.kind](self)
         traj.q_d0 = unit_or_warn(self.q_d0, "trajectory.q_d0")
         return traj
 
@@ -100,12 +104,6 @@ class SimConfig:
     dt_s: float = 0.01
     t_final_s: float = 100.0
 
-    def __post_init__(self) -> None:
-        for name in ("dt_s", "t_final_s"):
-            value = getattr(self, name)
-            if value <= 0.0:
-                raise ValueError("sim.%s must be positive, got %r" % (name, value))
-
 
 @dataclass
 class ScenarioConfig:
@@ -135,8 +133,22 @@ class ScenarioConfig:
         for key in _SECTIONS:
             sec = getattr(self, key)
             if sec is not None:
-                _check_section(key, vars(sec))  # before the section's own checks
-                getattr(sec, "__post_init__", lambda: None)()
+                _check_section(key, sec)
+        positive = {"torque_limit_nm": self.torque_limit_nm,  # else a clip is not saturation
+                    "sim.dt_s": self.sim.dt_s, "sim.t_final_s": self.sim.t_final_s}
+        for label, value in positive.items():
+            if value <= 0.0:
+                raise ValueError("%s must be positive, got %r" % (label, value))
+        for name in ("attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2"):
+            value = getattr(self.noise, name)
+            if value < 0.0:
+                raise ValueError("noise.%s must be nonnegative, got %r" % (name, value))
+        for key, table in (("trajectory", _TRAJECTORIES), ("controller", kinds.KINDS)):
+            kind = getattr(self, key).kind
+            if kind not in table:
+                *names, last = map(repr, table)
+                raise ValueError("%s.kind must be %s or %s, got %r"
+                                 % (key, ", ".join(names), last, kind))
         # run and sweep name their default output directory after it
         if "\n" in self.name or "\r" in self.name:
             raise ValueError("name must be one line, got %r" % (self.name,))
@@ -149,8 +161,6 @@ class ScenarioConfig:
         for key in ("observer", "filter"):
             if key != section and getattr(self, key) is not None:
                 raise ValueError("%s scenario does not read the %s section" % (kind, key))
-        if not self.torque_limit_nm > 0.0:  # a clip to a non-positive limit is not saturation
-            raise ValueError("torque_limit_nm must be positive, got %r" % self.torque_limit_nm)
         for key in ("controller", "observer"):  # the gain sets a run builds
             sec = getattr(self, key)
             if sec is not None:
@@ -194,11 +204,6 @@ def _check_flag(label: str, value) -> None:
         raise ValueError("%s must be true or false, got %r" % (label, value))
 
 
-def _check_logic(label: str, value) -> None:
-    if type(value) is not int or value not in (-1, 1):
-        raise ValueError("%s must be +1 or -1, got %r" % (label, value))
-
-
 def _check_string(label: str, value) -> None:
     if not isinstance(value, str):
         raise ValueError("%s must be a string, got %r" % (label, value))
@@ -224,7 +229,7 @@ def _check_array(label: str, value, shape=None) -> None:
 _CHECKS = {
     "float": _check_number,
     "bool": _check_flag,
-    "int": _check_logic,
+    "int": check_logic,
     "str": _check_string,
     "list": _check_array,
 }
@@ -256,24 +261,24 @@ _FIELD_CHECKS = {
 }
 
 
-def _check_section(key: str, values: dict) -> None:
-    """Check each field of section key that values holds against its annotation."""
+def _check_section(key: str, sec) -> None:
+    """Check each field of section sec, the config's `key`, against its annotation."""
     for name, label, check, optional in _FIELD_CHECKS[key]:
-        if name in values:
-            value = values[name]
-            if value is not None or not optional:
-                check(label, value)
+        value = getattr(sec, name)
+        if value is not None or not optional:
+            check(label, value)
 
 
 def _build_section(cls, data: dict, label: str):
     if not isinstance(data, dict):
         raise ValueError("section %r must be a JSON object, got %s" % (label, type(data).__name__))
-    allowed = {f for f in cls.__dataclass_fields__}
-    unknown = set(data) - allowed
+    unknown = set(data) - set(cls.__dataclass_fields__)
     if unknown:
         raise ValueError("unknown field(s) %s in section %r" % (sorted(unknown), label))
-    _check_section(label, data)  # before the section's own checks compare its values
-    return cls(**data)
+    for f in fields(cls):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError("missing required field %s.%s" % (label, f.name))
+    return cls(**data)  # ScenarioConfig.validate checks the values
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:

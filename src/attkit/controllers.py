@@ -26,11 +26,11 @@ from .quat import chord_pow, quat_conj, rotate, sat_pow
 from .rigid_body import error_quaternion, kinematics_rate
 
 
-def check_logic(h: int, name: str) -> int:
-    """h as an int; ValueError naming `name` unless h is +1 or -1."""
-    if h not in (-1, 1):
-        raise ValueError("%s must be +1 or -1, got %r" % (name, h))
-    return int(h)
+def check_logic(label: str, h) -> int:
+    """The one logic-value rule: h if it is the int +1 or -1 (not True or 1.0), else ValueError."""
+    if type(h) is not int or h not in (-1, 1):  # a bool is an int subclass
+        raise ValueError("%s must be +1 or -1, got %r" % (label, h))
+    return h
 
 
 @dataclass(frozen=True)
@@ -112,7 +112,7 @@ class OutputFeedbackGains:
 
 def full_state_torque(gains: FullStateGains, q_e, w_e, h: int) -> tuple:
     """Hybrid full-state feedback: -k1*chord_pow(h Q_e, 1-alpha1) - k2*sat_pow(w_e, alpha2)."""
-    h = check_logic(h, "h")
+    check_logic("h", h)
     k1, k2, p = gains.k1, gains.k2, gains.alpha2
     c1, c2, c3 = chord_pow(q_e, 1.0 - gains.alpha1, h)
     w1, w2, w3 = w_e
@@ -162,8 +162,8 @@ def filter_flow_rate(gains: OutputFeedbackGains, q_f, h_tilde: int, q_e_meas) ->
 
 def output_feedback_torque(gains: OutputFeedbackGains, q_e, q_lag, h: int, h_tilde: int) -> tuple:
     """Velocity-free feedback: -k1*chord_pow(h Q_e, 1-alpha1) - k2*chord_pow(h~ Q_lag, 1-alpha1)."""
-    h = check_logic(h, "h")
-    h_tilde = check_logic(h_tilde, "h_tilde")
+    check_logic("h", h)
+    check_logic("h_tilde", h_tilde)
     k1, k2, a = gains.k1, gains.k2, 1.0 - gains.alpha1
     c1, c2, c3 = chord_pow(q_e, a, h)
     l1, l2, l3 = chord_pow(q_lag, a, h_tilde)

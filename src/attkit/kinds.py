@@ -20,11 +20,11 @@ the closed jump set h*s <= -delta.  The width delta in (0, 1) defeats both
 unwinding and noise chattering near s = 0.  in_jump_set states that set and
 reset_sign the post-jump value; no other module decides a jump.
 
-Jump rules share one signature, (h, h_tilde, s, s_tilde, delta) ->
-(h, h_tilde, jumped), where s and s_tilde are the scalar parts that h and
-h_tilde are checked against; one application re-enters the flow set.  Each
-h a rule sees was checked where it entered or produced by a rule.  Rules
-look in_jump_set up here at call time, so a hook on it sees every test.
+Jump rules share one signature, (h, h_tilde, s, s_tilde, delta) -> (h, h_tilde,
+jumped), where s and s_tilde are the scalar parts that h and h_tilde are
+checked against; one application re-enters the flow set.  Each h a rule sees
+came from a rule or was checked by ScenarioConfig.validate or the flow report.
+Rules look in_jump_set up here at call time, so a hook on it sees every test.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from typing import Callable
 from .controllers import (
     FullStateGains,
     OutputFeedbackGains,
-    check_logic,
     filter_flow_rate,
     full_state_torque,
     observer_flow_rate,
@@ -97,7 +96,7 @@ def _observer_start(cfg, q_m, q_e_m):
     oc = cfg.observer
     q_hat = _start_quat(oc.q_hat0, q_m, "observer.q_hat0")
     est = (*q_hat, *map(float, oc.b_hat0_rad_s))
-    return est, check_logic(oc.h_tilde0, "observer.h_tilde0")
+    return est, oc.h_tilde0
 
 
 def _observer_flow(g, est, h_tilde, q_m, w_m, q_e_m):
@@ -116,7 +115,7 @@ def _bias_corrected(w_m, b_hat):
 def _filter_start(cfg, q_m, q_e_m):
     fc = cfg.filter
     q_f = _start_quat(fc.q_f0, q_e_m, "filter.q_f0")
-    return q_f, check_logic(fc.h_tilde0, "filter.h_tilde0")
+    return q_f, fc.h_tilde0
 
 
 @dataclass(frozen=True)

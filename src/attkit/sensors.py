@@ -21,7 +21,7 @@ DEG = np.pi / 180.0
 
 @dataclass
 class NoiseConfig:
-    """Sensor error magnitudes; enabled=False zeroes all of them.
+    """Sensor error magnitudes, nonnegative; enabled=False zeroes all of them.
 
     attitude_cone_deg   half-angle of the eigenaxis error cone (star tracker)
     gyro_sigma_deg_s    per-axis white noise std dev on the measured rate
@@ -32,12 +32,6 @@ class NoiseConfig:
     attitude_cone_deg: float = 0.01
     gyro_sigma_deg_s: float = 0.01
     bias_walk_deg_s2: float = 0.01
-
-    def __post_init__(self) -> None:
-        for name in ("attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2"):
-            value = getattr(self, name)
-            if value < 0.0:
-                raise ValueError("noise.%s must be nonnegative, got %r" % (name, value))
 
     @property
     def attitude_cone_rad(self) -> float:

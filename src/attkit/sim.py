@@ -36,7 +36,6 @@ import numpy as np
 
 from . import analysis, kinds
 from .config import ScenarioConfig
-from .controllers import check_logic
 from .integrate import _renorm, rk4_step
 from .quat import Array
 from .rigid_body import (
@@ -127,7 +126,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     w = tuple(map(float, cfg.plant.omega0_rad_s))
     q_d = traj.q_d0
     b = tuple(map(float, cfg.plant.bias0_rad_s))
-    h = check_logic(cfg.controller.h0, "controller.h0")
+    h = cfg.controller.h0
 
     events = []
     for i in range(n + 1):

@@ -548,6 +548,37 @@ def test_flow_report_validation():
                 with pytest.raises(ValueError, match=r"^y0 is not finite: \["):
                     lyapunov_flow_report(system, gains, y0=y0, inertia=INERTIA,
                                          trajectory=sinusoid_trajectory(), t_final=0.05)
+    # a logic value is the int +1 or -1, as in a config
+    for name in ("h0", "h_tilde0"):
+        for bad in (True, 1.0):
+            with pytest.raises(ValueError, match=r"^%s must be \+1 or -1, got %r$" % (name, bad)):
+                lyapunov_flow_report("observer", OBS_GAINS, y0=observer_y0, t_final=0.05,
+                                     **{name: bad})
+
+
+_REST = [1.0, 0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize(
+    "system, gains, y0, trajectory",
+    [
+        ("full_state", FS_GAINS, _REST + [0.0] * 3, regulation_trajectory),
+        ("full_state", FS_GAINS, _REST + [0.0] * 3, sinusoid_trajectory),
+        ("observer", OBS_GAINS, _REST + [0.0] * 3, None),
+        ("attitude_only", OF_GAINS, _REST + _REST + [0.0] * 3, regulation_trajectory),
+        ("attitude_only", OF_GAINS, _REST + _REST + [0.0] * 3, sinusoid_trajectory),
+    ],
+    ids=["full_state-regulation", "full_state-sinusoid", "observer",
+         "attitude_only-regulation", "attitude_only-sinusoid"],
+)
+def test_flow_report_at_equilibrium_selects_no_fd_step(system, gains, y0, trajectory):
+    # every rate is 0 at rest, so no step has a relative error: nan, and no 0/0 warning
+    kwargs = {} if trajectory is None else {"inertia": INERTIA, "trajectory": trajectory()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analysis.lyapunov_flow_report(system, gains, y0=y0, t_final=0.05, **kwargs)
+    assert report.fd_rel_error and all(np.isnan(e) for e in report.fd_rel_error.values())
+    assert report.jump_times == ()
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.95, 1.0, 1.5])

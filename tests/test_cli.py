@@ -161,7 +161,8 @@ def test_sweep_rejects_a_value_with_a_path_separator(tmp_path, capsys):
 @pytest.mark.parametrize(
     "param, values, message",
     [
-        ("trajectory.kind", '"regulation","bogus"', "unknown trajectory kind 'bogus'"),
+        ("trajectory.kind", '"regulation","bogus"',
+         "trajectory.kind must be 'regulation' or 'sinusoid', got 'bogus'"),
         (
             "plant.inertia_kgm2",
             "[[15,0,0],[0,20,0],[0,0,10]],[[15,0,0],[0,-20,0],[0,0,10]]",
@@ -171,8 +172,8 @@ def test_sweep_rejects_a_value_with_a_path_separator(tmp_path, capsys):
     ],
 )
 def test_sweep_rejects_a_built_value_before_any_run(tmp_path, capsys, param, values, message):
-    # validate() does not build these; the bad value is the second, so a
-    # sweep that ran its values in turn would have written the first
+    # the bad value is the second, so a sweep that ran its values in turn
+    # would have written the first
     cfg_path = save_config(_short("example1", 0.2), tmp_path / "cfg.json")
     root = tmp_path / "sw"
     argv = ["sweep", str(cfg_path), "--param", param, "--values", values, "--out", str(root)]

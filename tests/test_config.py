@@ -1,15 +1,15 @@
 """Configuration schema, JSON round trip, and preset tests."""
 
+import dataclasses
 import json
 import re
 
 import numpy as np
 import pytest
 
-from attkit import cli
+from attkit import cli, config
 from attkit.config import (
     ControllerConfig,
-    SimConfig,
     TrajectoryConfig,
     config_from_dict,
     config_to_dict,
@@ -105,10 +105,14 @@ def test_noise_and_sim_messages_name_the_field():
     d["noise"]["gyro_sigma_deg_s"] = -0.1
     with pytest.raises(ValueError, match=r"^noise\.gyro_sigma_deg_s must be nonnegative"):
         config_from_dict(d)
+    d = config_to_dict(preset("example1"))
+    d["sim"]["dt_s"] = 0.0
     with pytest.raises(ValueError, match=r"^sim\.dt_s must be positive"):
-        SimConfig(dt_s=0.0)
+        config_from_dict(d)
+    cfg = preset("example1")  # a field set on a built config, checked where a run starts
+    cfg.sim.t_final_s = -1.0
     with pytest.raises(ValueError, match=r"^sim\.t_final_s must be positive"):
-        SimConfig(t_final_s=-1.0)
+        cfg.validate()
 
 
 def test_nan_inside_list_rejected_from_json():
@@ -148,6 +152,11 @@ def test_nan_inside_list_rejected_from_json():
         ("disturbance.enabled", "yes", "disturbance.enabled must be true or false, got 'yes'"),
         # the run's default output directory is named after it
         ("name", 5, "name must be a string, got 5"),
+        # a kind is a key of the one table that dispatches it
+        ("trajectory.kind", "spiral",
+         "trajectory.kind must be 'regulation' or 'sinusoid', got 'spiral'"),
+        ("controller.kind", "pid",
+         "controller.kind must be 'full_state', 'biased_gyro' or 'attitude_only', got 'pid'"),
     ],
 )
 def test_fields_are_checked_against_their_declared_types(path, value, message):
@@ -160,6 +169,39 @@ def test_fields_are_checked_against_their_declared_types(path, value, message):
     setattr(getattr(cfg, section[0]) if section else cfg, field, value)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         cfg.validate()
+
+
+def test_each_section_is_checked_once_per_load(monkeypatch):
+    d = config_to_dict(preset("example2"))
+    calls, check = [], config._check_section
+    monkeypatch.setattr(
+        config, "_check_section", lambda key, sec: (calls.append(key), check(key, sec))
+    )
+    config_from_dict(d)
+    assert calls == ["plant", "trajectory", "controller", "observer", "noise", "disturbance", "sim"]
+
+
+#: (section, field) of every section field without a default
+_REQUIRED = [
+    (key, f.name)
+    for key, cls in config._SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+]
+
+
+@pytest.mark.parametrize("section, field", _REQUIRED)
+def test_a_missing_required_field_is_named(tmp_path, capsys, section, field):
+    d = config_to_dict(preset("example2"))
+    del d[section][field]
+    message = "missing required field %s.%s" % (section, field)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        config_from_dict(d)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(d))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": message}
+    assert not (tmp_path / "out").exists()
 
 
 def test_declared_types_admit_ints_and_null_where_optional():
@@ -299,10 +341,11 @@ def test_observer_config_build():
 
 
 def test_sim_config_validation():
-    with pytest.raises(ValueError):
-        SimConfig(dt_s=0.0)
-    with pytest.raises(ValueError):
-        SimConfig(t_final_s=-1.0)
+    for name, value in (("dt_s", 0.0), ("t_final_s", -1.0)):
+        cfg = preset("example1")
+        setattr(cfg.sim, name, value)
+        with pytest.raises(ValueError):
+            cfg.validate()
 
 
 def test_trajectory_config_build():

@@ -7,7 +7,6 @@ here as nearest-double literals.
 import numpy as np
 import pytest
 
-from attkit import kinds
 from attkit.analysis import lyapunov_flow_report
 from attkit.config import preset
 from attkit.controllers import (
@@ -21,6 +20,7 @@ from attkit.controllers import (
 )
 from attkit.quat import IDENTITY_QUAT, chord_pow, quat_mul, random_unit_quat
 from attkit.rigid_body import error_quaternion
+from attkit.sim import run_scenario
 
 FS_GAINS = FullStateGains(k1=1.1, k2=4.0, alpha1=0.6, delta=0.3)
 OBS_GAINS = ObserverGains(mu1=0.33, mu2=0.12, beta1=0.75)
@@ -90,8 +90,9 @@ def test_full_state_torque_logic_sign():
     u_plus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, 1)
     u_minus = full_state_torque(FS_GAINS, FLIP_X, ZERO3, -1)
     assert np.allclose(u_minus, -np.asarray(u_plus))
-    with pytest.raises(ValueError):
-        full_state_torque(FS_GAINS, FLIP_X, ZERO3, 0)
+    for bad in (0, True, 1.0):  # a logic value is the int +1 or -1
+        with pytest.raises(ValueError, match=r"^h must be \+1 or -1, got %r$" % bad):
+            full_state_torque(FS_GAINS, FLIP_X, ZERO3, bad)
 
 
 def test_full_state_torque_smooth_limit():
@@ -112,11 +113,11 @@ def test_observer_error_composition():
 
 
 def test_observer_state_validates_logic():
-    # h_tilde is checked where it enters: the estimator start and the flow check
+    # h_tilde is checked where it enters: the config, again where a run starts, and the flow check
     cfg = preset("example2")
     cfg.observer.h_tilde0 = 0
-    with pytest.raises(ValueError, match="observer.h_tilde0 must be"):
-        kinds.get("biased_gyro").start(cfg, IDENTITY_QUAT, IDENTITY_QUAT)
+    with pytest.raises(ValueError, match=r"^observer\.h_tilde0 must be \+1 or -1, got 0$"):
+        run_scenario(cfg)
     y0 = np.concatenate([FLIP_X, ZERO3])
     with pytest.raises(ValueError, match="h_tilde0 must be"):
         lyapunov_flow_report("observer", OBS_GAINS, y0=y0, h_tilde0=0, t_final=0.01)
@@ -175,5 +176,7 @@ def test_output_feedback_torque_independent_logic_signs():
     assert u_pm[0] > u_pp[0]  # flipping h~ negates only the k2 term
     assert u_mp[0] > u_pp[0]
     assert u_pm[0] + u_mp[0] == pytest.approx(0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, 1, 2)
+    for h, ht, name, bad in ((1, 2, "h_tilde", 2), (True, 1, "h", True), (1, 1.0, "h_tilde", 1.0),
+                             (-1.0, 1, "h", -1.0)):
+        with pytest.raises(ValueError, match=r"^%s must be \+1 or -1, got %r$" % (name, bad)):
+            output_feedback_torque(OF_GAINS, FLIP_X, FLIP_X, h, ht)

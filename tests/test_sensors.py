@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from attkit.config import preset
 from attkit.quat import from_axis_angle, random_unit_quat
 from attkit.sensors import (
     DisturbanceConfig,
@@ -34,8 +35,10 @@ def test_noise_config_disabled_zeroes_everything():
 
 
 def test_noise_config_rejects_negative_magnitudes():
-    with pytest.raises(ValueError):
-        NoiseConfig(gyro_sigma_deg_s=-0.01)
+    cfg = preset("example1")  # ScenarioConfig.validate checks the section's ranges
+    cfg.noise.gyro_sigma_deg_s = -0.01
+    with pytest.raises(ValueError, match=r"^noise\.gyro_sigma_deg_s must be nonnegative"):
+        cfg.validate()
 
 
 def test_disturbance_torque_phase():
