@@ -44,6 +44,7 @@ from .controllers import (
     ObserverGains,
     OutputFeedbackGains,
     check_logic,
+    check_positive,
     full_state_torque,
     output_feedback_torque,
 )
@@ -106,18 +107,19 @@ def min_jump_decrease(gain: float, alpha: float, delta: float) -> float:
     return -2.0 * gain * flip_drop(-delta, a) / a
 
 
-def min_joint_jump_decrease(gains: OutputFeedbackGains) -> float:
+def min_joint_jump_decrease(gains: OutputFeedbackGains, delta: float) -> float:
     """Guaranteed decrease of the v3_matched candidate over one joint logic jump.
 
     A joint jump fires from the jump set of h or of h_tilde (or both).  The
     variable whose set fired contributes at least its own min_jump_decrease;
     the other is reset to the sign of its scalar, which can only shrink its
     potential term.  The floor is therefore the smaller single-variable
-    decrease, both taken at the matched exponent 1+alpha1.
+    decrease, both taken at the matched exponent 1+alpha1 and hysteresis width
+    delta.
     """
     return min(
-        min_jump_decrease(gains.k1, gains.alpha1, gains.delta),
-        min_jump_decrease(gains.k2, gains.alpha1, gains.delta),
+        min_jump_decrease(gains.k1, gains.alpha1, delta),
+        min_jump_decrease(gains.k2, gains.alpha1, delta),
     )
 
 
@@ -609,7 +611,7 @@ ERROR_SYSTEMS = {
             "v3_matched": chord_rate(y[0:4], ht, g.k2 * g.k3, g.alpha3, g.alpha1),
         },
         governing="v3_matched",
-        sigma=lambda g, delta: min_joint_jump_decrease(g),
+        sigma=lambda g, delta: min_joint_jump_decrease(g, delta),
         counts=lambda ev: True,
         weights=lambda g: dilation_weights(g.alpha1, 2),
         reduced_field=lambda g, j: output_feedback_reduced_field(j, g),
@@ -664,9 +666,8 @@ def lyapunov_flow_report(
         delta = 0.3 if delta is None else delta
         if not 0.0 < delta < 1.0:  # so that every jump flips a logic variable
             raise ValueError("delta must lie in (0, 1), got %r" % delta)
-    for name, value in (("dt", dt), ("t_final", t_final)):
-        if not 0.0 < value < float("inf"):
-            raise ValueError("%s must be positive and finite, got %r" % (name, value))
+    check_positive("dt", dt)
+    check_positive("t_final", t_final)
     if y.shape != (es.size,):
         raise ValueError("%s flow state is %s in R^%d" % (kind, es.layout, es.size))
     if not np.isfinite(y).all():

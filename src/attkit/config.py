@@ -1,17 +1,20 @@
 """Scenario configuration: dataclasses, JSON round-trip, bundled presets.
 
-A scenario file is plain JSON with unit-suffixed field names.  Unknown keys,
-missing fields, and gains or sections that the controller kind does not read
-are rejected so typos fail loudly.  Sections are plain records that only
-ScenarioConfig.validate checks: each field once against its annotation, then
-ranges and kind names, with a ValueError naming section.field.
+A scenario file is plain JSON with unit-suffixed field names.  The dataclass
+declarations are the only schema: one table per record, read off them at
+import, loads, checks and dumps the top level and each section alike.  An
+annotation names its field's check ("| None" admits None), a default lives
+only in its declaration, and every bad field, missing or wrong section, and
+gain or section that the controller kind does not read raises a ValueError
+naming section.field.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 
 from . import kinds
@@ -25,13 +28,18 @@ from .rigid_body import (
 )
 from .sensors import DisturbanceConfig, NoiseConfig
 
+#: annotation aliases with checks of their own: Logic is +1 or -1; Vec3, Quat and
+#: Matrix3 hold 3, 4, and 3 rows of 3 finite numbers
+Logic = int
+Vec3 = Quat = Matrix3 = list
+
 
 @dataclass
 class PlantConfig:
-    inertia_kgm2: list
-    q0: list
-    omega0_rad_s: list
-    bias0_rad_s: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    inertia_kgm2: Matrix3
+    q0: Quat
+    omega0_rad_s: Vec3
+    bias0_rad_s: Vec3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
 #: trajectory kind -> its DesiredTrajectory, built from a TrajectoryConfig
@@ -46,7 +54,7 @@ class TrajectoryConfig:
     kind: str = "sinusoid"  # or "regulation"
     amplitude_rad_s: float = 0.01
     frequency_rad_s: float = 0.01
-    q_d0: list = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0])
+    q_d0: Quat = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0])
 
     def build(self) -> DesiredTrajectory:
         if self.kind not in _TRAJECTORIES:
@@ -65,16 +73,15 @@ class ControllerConfig:
     alpha1: float | None = None  # full_state / biased_gyro
     alpha3: float | None = None  # attitude_only
     k3: float | None = None  # attitude_only
-    h0: int = 1
+    h0: Logic = 1
 
     def build(self):
         gains = kinds.get(self.kind).gains
-        names = [f.name for f in fields(gains)]
-        optional = [f.name for f in fields(self) if f.default is None]
-        needs = [n for n in optional if n in names]
+        names = gains.__dataclass_fields__  # the gain set's fields, by name
+        needs = [n for n in _OPTIONAL_GAINS if n in names]
         if any(getattr(self, name) is None for name in needs):
             raise ValueError("controller kind %r requires %s" % (self.kind, " and ".join(needs)))
-        extra = [n for n in optional if n not in names and getattr(self, n) is not None]
+        extra = [n for n in _OPTIONAL_GAINS if n not in names and getattr(self, n) is not None]
         if extra:
             raise ValueError("controller kind %r takes no %s" % (self.kind, " or ".join(extra)))
         return gains(**{name: getattr(self, name) for name in names})
@@ -85,9 +92,9 @@ class ObserverConfig:
     mu1: float
     mu2: float
     beta1: float
-    h_tilde0: int = 1
-    b_hat0_rad_s: list = field(default_factory=lambda: [0.0, 0.0, 0.0])
-    q_hat0: list | None = None  # None: start at the measured initial attitude
+    h_tilde0: Logic = 1
+    b_hat0_rad_s: Vec3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
+    q_hat0: Quat | None = None  # None: start at the measured initial attitude
 
     def build(self) -> ObserverGains:
         return ObserverGains(self.mu1, self.mu2, self.beta1)
@@ -95,8 +102,8 @@ class ObserverConfig:
 
 @dataclass
 class FilterConfig:
-    h_tilde0: int = 1
-    q_f0: list | None = None  # None: start at the measured initial error
+    h_tilde0: Logic = 1
+    q_f0: Quat | None = None  # None: start at the measured initial error
 
 
 @dataclass
@@ -107,15 +114,15 @@ class SimConfig:
 
 @dataclass
 class ScenarioConfig:
-    name: str
     plant: PlantConfig
     trajectory: TrajectoryConfig
     controller: ControllerConfig
     noise: NoiseConfig
     disturbance: DisturbanceConfig
     sim: SimConfig
-    observer: ObserverConfig | None = None
+    observer: ObserverConfig | None = None  # the section of the kind that reads it
     filter: FilterConfig | None = None
+    name: str = "scenario"
     torque_limit_nm: float = 5.0
     seed: int = 0
 
@@ -128,12 +135,7 @@ class ScenarioConfig:
         Runs at construction and again where a run starts, so a field set on
         a built config is checked too.
         """
-        _check_string("name", self.name)
-        _check_number("torque_limit_nm", self.torque_limit_nm)
-        for key in _SECTIONS:
-            sec = getattr(self, key)
-            if sec is not None:
-                _check_section(key, sec)
+        _check_record(ScenarioConfig, "scenario", self)
         positive = {"torque_limit_nm": self.torque_limit_nm,  # else a clip is not saturation
                     "sim.dt_s": self.sim.dt_s, "sim.t_final_s": self.sim.t_final_s}
         for label, value in positive.items():
@@ -152,13 +154,11 @@ class ScenarioConfig:
         # run and sweep name their default output directory after it
         if "\n" in self.name or "\r" in self.name:
             raise ValueError("name must be one line, got %r" % (self.name,))
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer, got %r" % (self.seed,))
         kind = self.controller.kind
         section = kinds.get(kind).section
         if section is not None and getattr(self, section) is None:
             raise ValueError("%s scenario requires the %s section" % (kind, section))
-        for key in ("observer", "filter"):
+        for key in _OPTIONAL_SECTIONS:
             if key != section and getattr(self, key) is not None:
                 raise ValueError("%s scenario does not read the %s section" % (kind, key))
         for key in ("controller", "observer"):  # the gain sets a run builds
@@ -179,17 +179,8 @@ class ScenarioConfig:
             raise ValueError("plant.inertia_kgm2: %s" % exc) from None
 
 
-#: shape of every vector a scenario configures, and of the inertia matrix
-_SHAPES = {
-    "plant.inertia_kgm2": (3, 3),
-    "plant.q0": (4,),
-    "plant.omega0_rad_s": (3,),
-    "plant.bias0_rad_s": (3,),
-    "trajectory.q_d0": (4,),
-    "observer.q_hat0": (4,),
-    "observer.b_hat0_rad_s": (3,),
-    "filter.q_f0": (4,),
-}
+# ---------------------------------------------------------------------------
+# The schema: one table per record, read off the declarations above
 
 
 def _check_number(label: str, value) -> None:
@@ -197,6 +188,11 @@ def _check_number(label: str, value) -> None:
         raise ValueError("%s must be a number, got %r" % (label, value))
     if not math.isfinite(value):
         raise ValueError("%s must be finite, got %r" % (label, value))
+
+
+def _check_count(label: str, value) -> None:
+    if type(value) is not int or value < 0:  # a bool is an int subclass
+        raise ValueError("%s must be a non-negative integer, got %r" % (label, value))
 
 
 def _check_flag(label: str, value) -> None:
@@ -209,107 +205,113 @@ def _check_string(label: str, value) -> None:
         raise ValueError("%s must be a string, got %r" % (label, value))
 
 
-def _check_array(label: str, value, shape=None) -> None:
-    """A list (or tuple) of finite numbers of shape _SHAPES[label]; rows are named label[i]."""
-    shape = shape or _SHAPES[label]
+def _check_array(shape: tuple, label: str, value) -> None:
+    """A list (or tuple) of finite numbers of the given shape; rows are named label[i]."""
     if not isinstance(value, (list, tuple)):
         raise ValueError("%s must be a list, got %r" % (label, value))
     if len(value) != shape[0]:
         raise ValueError("%s must have %d components, got %d" % (label, shape[0], len(value)))
     if len(shape) > 1:
         for i, row in enumerate(value):
-            _check_array("%s[%d]" % (label, i), row, shape[1:])
+            _check_array(shape[1:], "%s[%d]" % (label, i), row)
     elif not all([isinstance(v, float) or type(v) is int for v in value]):
         raise ValueError("%s must hold numbers only, got %r" % (label, value))
     elif not all(map(math.isfinite, value)):
         raise ValueError("%s must be finite, got %r" % (label, value))
 
 
-#: the check of each field annotation; "| None" admits None
+#: the check of each annotation that names no record
 _CHECKS = {
     "float": _check_number,
     "bool": _check_flag,
-    "int": check_logic,
+    "int": _check_count,
     "str": _check_string,
-    "list": _check_array,
+    "Logic": check_logic,
+    "Vec3": partial(_check_array, (3,)),
+    "Quat": partial(_check_array, (4,)),
+    "Matrix3": partial(_check_array, (3, 3)),
 }
+
+
+#: record type -> (name, label, check, optional, required, record) per field, in
+#: order: label "section.field" (the bare name at the top level), optional if
+#: annotated "| None", required if it has no default, record a section slot's type
+#: (else None).  Plain tuples, which the hot loops unpack fastest.
+_SCHEMA: dict[type, list[tuple]] = {}
+
+
+def _add_schema(cls, prefix: str = "") -> None:
+    """Enter record cls, labelled prefix + name, and each section it holds in _SCHEMA."""
+    table = []
+    for f in fields(cls):
+        kind, _, none = f.type.partition(" | ")
+        record = None if kind in _CHECKS else globals()[kind]  # a record declared here
+        if record is not None:
+            _add_schema(record, f.name + ".")
+        check = _CHECKS[kind] if record is None else partial(_check_record, record)
+        required = f.default is MISSING and f.default_factory is MISSING
+        table.append((f.name, prefix + f.name, check, none == "None", required, record))
+    _SCHEMA[cls] = table
+
+
+def _check_record(cls, slot: str, rec) -> None:
+    """rec, in the config's `slot`, is a cls whose every field passes its check."""
+    if not isinstance(rec, cls):
+        raise ValueError("%s must be of type %s, got %r" % (slot, cls.__name__, rec))
+    for name, label, check, optional, _, _ in _SCHEMA[cls]:
+        value = getattr(rec, name)
+        if value is not None or not optional:
+            check(label, value)
+
+
+_add_schema(ScenarioConfig)
+#: the sections a scenario may leave out; a kind reads at most one of them
+_OPTIONAL_SECTIONS = [name for name, _, _, optional, _, _ in _SCHEMA[ScenarioConfig] if optional]
+#: the gains that only some kinds read
+_OPTIONAL_GAINS = [name for name, _, _, optional, _, _ in _SCHEMA[ControllerConfig] if optional]
 
 
 # ---------------------------------------------------------------------------
 # JSON round trip
 
-_SECTIONS = {
-    "plant": PlantConfig,
-    "trajectory": TrajectoryConfig,
-    "controller": ControllerConfig,
-    "observer": ObserverConfig,
-    "filter": FilterConfig,
-    "noise": NoiseConfig,
-    "disturbance": DisturbanceConfig,
-    "sim": SimConfig,
-}
 
-
-#: per section, (field, "section.field", check, None admitted) from each annotation
-_FIELD_CHECKS = {
-    key: [
-        (f.name, "%s.%s" % (key, f.name), _CHECKS[f.type.partition(" | ")[0]],
-         f.type.endswith(" | None"))
-        for f in fields(cls)
-    ]
-    for key, cls in _SECTIONS.items()
-}
-
-
-def _check_section(key: str, sec) -> None:
-    """Check each field of section sec, the config's `key`, against its annotation."""
-    for name, label, check, optional in _FIELD_CHECKS[key]:
-        value = getattr(sec, name)
-        if value is not None or not optional:
-            check(label, value)
-
-
-def _build_section(cls, data: dict, label: str):
+def _build(cls, data, where: str):
+    """A cls from its JSON object; ValueError naming a non-object, unknown or missing field."""
     if not isinstance(data, dict):
-        raise ValueError("section %r must be a JSON object, got %s" % (label, type(data).__name__))
-    unknown = set(data) - set(cls.__dataclass_fields__)
+        raise ValueError("%s must be a JSON object, got %s" % (where, type(data).__name__))
+    unknown = data.keys() - cls.__dataclass_fields__.keys()
     if unknown:
-        raise ValueError("unknown field(s) %s in section %r" % (sorted(unknown), label))
-    for f in fields(cls):
-        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-            raise ValueError("missing required field %s.%s" % (label, f.name))
-    return cls(**data)  # ScenarioConfig.validate checks the values
+        raise ValueError("unknown field(s) %s in %s" % (sorted(unknown), where))
+    kwargs = {}
+    for name, label, _, _, required, record in _SCHEMA[cls]:
+        if record is None:
+            if name in data:
+                kwargs[name] = data[name]
+            elif required:
+                raise ValueError("missing required field %s" % label)
+        elif data.get(name) is not None:
+            kwargs[name] = _build(record, data[name], "section %r" % name)
+        elif required:
+            raise ValueError("missing required section %r" % name)
+    return cls(**kwargs)  # ScenarioConfig.validate checks the values
+
+
+def _to_json(value):
+    """value as JSON data: a record becomes an object of its fields, a sequence a list."""
+    table = _SCHEMA.get(type(value))
+    if table is not None:
+        return {f[0]: _to_json(getattr(value, f[0])) for f in table}
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    return value
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    out = {"name": cfg.name, "seed": cfg.seed, "torque_limit_nm": cfg.torque_limit_nm}
-    for key in _SECTIONS:
-        val = getattr(cfg, key)
-        out[key] = None if val is None else asdict(val)
-    return out
+    return _to_json(cfg)
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ValueError("scenario config must be a JSON object, got %s" % type(data).__name__)
-    top_allowed = {"name", "seed", "torque_limit_nm"} | set(_SECTIONS)
-    unknown = set(data) - top_allowed
-    if unknown:
-        raise ValueError("unknown top-level field(s) %s" % sorted(unknown))
-    kwargs = {
-        "name": data.get("name", "scenario"),
-        "seed": data.get("seed", 0),
-        "torque_limit_nm": data.get("torque_limit_nm", 5.0),
-    }
-    for key, cls in _SECTIONS.items():
-        raw = data.get(key)
-        if raw is None:
-            if key in ("observer", "filter"):
-                kwargs[key] = None
-                continue
-            raise ValueError("missing required section %r" % key)
-        kwargs[key] = _build_section(cls, raw, key)
-    return ScenarioConfig(**kwargs)
+    return _build(ScenarioConfig, data, "scenario config")
 
 
 def save_config(cfg: ScenarioConfig, path: str | Path) -> Path:

@@ -20,6 +20,7 @@ output_feedback_torque velocity-free law fed by an auxiliary attitude filter
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .quat import chord_pow, quat_conj, rotate, sat_pow
@@ -33,11 +34,17 @@ def check_logic(label: str, h) -> int:
     return h
 
 
+def check_positive(label: str, value) -> None:
+    """The one gain rule: ValueError naming label and value unless 0 < value < inf (not NaN)."""
+    if not 0.0 < value < math.inf:
+        raise ValueError("%s must be positive and finite, got %r" % (label, value))
+
+
 @dataclass(frozen=True)
 class FullStateGains:
     """Gains for the full-state law.
 
-    k1, k2 > 0; attitude exponent alpha1 in (0, 1]; hysteresis delta in (0, 1).
+    k1, k2 > 0 and finite; attitude exponent alpha1 in (0, 1]; hysteresis delta in (0, 1).
     The velocity exponent alpha2 = 2*alpha1/(1+alpha1) is derived, never set.
     alpha1 = 1 degenerates to the asymptotic (non-finite-time) hybrid law.
     """
@@ -48,8 +55,8 @@ class FullStateGains:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0.0 or self.k2 <= 0.0:
-            raise ValueError("gains k1, k2 must be positive")
+        check_positive("k1", self.k1)
+        check_positive("k2", self.k2)
         if not 0.0 < self.alpha1 <= 1.0:
             raise ValueError("alpha1 must lie in (0, 1], got %r" % self.alpha1)
         if not 0.0 < self.delta < 1.0:
@@ -62,7 +69,7 @@ class FullStateGains:
 
 @dataclass(frozen=True)
 class ObserverGains:
-    """Gains for the biased-rate observer: mu1, mu2 > 0, beta1 in (1/2, 1].
+    """Gains for the biased-rate observer: mu1, mu2 > 0 and finite, beta1 in (1/2, 1].
 
     beta2 = 2*beta1 - 1 is derived.  beta1 = 1 reduces the correction terms to
     plain vector parts (the exponential-observer limit).
@@ -73,8 +80,8 @@ class ObserverGains:
     beta1: float
 
     def __post_init__(self) -> None:
-        if self.mu1 <= 0.0 or self.mu2 <= 0.0:
-            raise ValueError("gains mu1, mu2 must be positive")
+        check_positive("mu1", self.mu1)
+        check_positive("mu2", self.mu2)
         if not 0.5 < self.beta1 <= 1.0:
             raise ValueError("beta1 must lie in (1/2, 1], got %r" % self.beta1)
 
@@ -85,7 +92,7 @@ class ObserverGains:
 
 @dataclass(frozen=True)
 class OutputFeedbackGains:
-    """Gains for the velocity-free law: k1, k2, k3 > 0, alpha3 in (1/2, 1].
+    """Gains for the velocity-free law: k1, k2, k3 > 0 and finite, alpha3 in (1/2, 1].
 
     The torque exponent alpha1 = 2*alpha3 - 1 is derived from the filter
     exponent alpha3; delta is the shared hysteresis width.
@@ -98,8 +105,8 @@ class OutputFeedbackGains:
     delta: float
 
     def __post_init__(self) -> None:
-        if self.k1 <= 0.0 or self.k2 <= 0.0 or self.k3 <= 0.0:
-            raise ValueError("gains k1, k2, k3 must be positive")
+        for name in ("k1", "k2", "k3"):
+            check_positive(name, getattr(self, name))
         if not 0.5 < self.alpha3 <= 1.0:
             raise ValueError("alpha3 must lie in (1/2, 1], got %r" % self.alpha3)
         if not 0.0 < self.delta < 1.0:

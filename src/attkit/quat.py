@@ -34,8 +34,6 @@ import numpy as np
 
 Array = np.ndarray
 
-IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
-
 #: vector parts (or chord lengths) below this are treated as exactly zero
 ZERO_TOL = 1e-12
 
@@ -107,16 +105,6 @@ def rotate(q, v) -> tuple:
         s * v2 + d * q2 - c * (q3 * v1 - q1 * v3),
         s * v3 + d * q3 - c * (q1 * v2 - q2 * v1),
     )
-
-
-def from_axis_angle(axis: Array, angle: float) -> Array:
-    """Unit quaternion for a rotation of `angle` about `axis` (normalized here)."""
-    axis = np.asarray(axis, dtype=float)
-    norm = np.linalg.norm(axis)
-    if norm <= ZERO_TOL:
-        raise ValueError("rotation axis must be nonzero")
-    half = 0.5 * angle
-    return np.concatenate(([np.cos(half)], (np.sin(half) / norm) * axis))
 
 
 def random_unit_quat(rng: np.random.Generator) -> Array:

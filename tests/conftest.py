@@ -2,6 +2,8 @@
 
 Everything here is deterministic but costs real simulation time, so each
 artifact is built once per session and shared read-only across test modules.
+Test modules import the quaternion helpers IDENTITY_QUAT and from_axis_angle
+from here (`from conftest import ...`); the package itself needs neither.
 """
 
 from __future__ import annotations
@@ -19,12 +21,7 @@ from attkit.controllers import (
     observer_flow_rate,
     output_feedback_torque,
 )
-from attkit.quat import (
-    IDENTITY_QUAT,
-    from_axis_angle,
-    quat_conj,
-    quat_mul,
-)
+from attkit.quat import ZERO_TOL, quat_conj, quat_mul
 from attkit.rigid_body import (
     Inertia,
     dynamics_rate,
@@ -39,6 +36,18 @@ from attkit.rigid_body import (
 BENCH_J = [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
 BENCH_Q_E0 = np.array([0.0, 0.6, -0.8, 0.0])
 BENCH_W_E0 = np.array([0.3, -0.4, 0.0])
+
+IDENTITY_QUAT = np.array([1.0, 0.0, 0.0, 0.0])
+
+
+def from_axis_angle(axis, angle: float) -> np.ndarray:
+    """Unit quaternion for a rotation of `angle` about `axis` (normalized here)."""
+    axis = np.asarray(axis, dtype=float)
+    norm = np.linalg.norm(axis)
+    if norm <= ZERO_TOL:
+        raise ValueError("rotation axis must be nonzero")
+    half = 0.5 * angle
+    return np.concatenate(([np.cos(half)], (np.sin(half) / norm) * axis))
 
 
 # ---------------------------------------------------------------------------

@@ -33,11 +33,12 @@ from attkit.quat import (
     axis_pow,
     chord_gap,
     chord_pow,
-    from_axis_angle,
     random_unit_quat,
 )
 from attkit.rigid_body import Inertia, sinusoid_trajectory
 from attkit.sim import rk4_step, run_scenario
+
+from conftest import from_axis_angle
 
 FS_GAINS = FullStateGains(k1=1.1, k2=4.0, alpha1=0.6, delta=0.3)
 OBS_GAINS = ObserverGains(mu1=0.33, mu2=0.12, beta1=0.75)

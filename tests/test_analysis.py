@@ -123,9 +123,19 @@ def test_min_jump_decrease_values():
     assert min_jump_decrease(1.1, 0.6, 0.3) == pytest.approx(SIGMA1, rel=1e-13)
     assert min_jump_decrease(0.12, 0.75, 0.3) == pytest.approx(SIGMA2_PRINTED, rel=1e-13)
     assert min_jump_decrease(0.12, 0.5, 0.3) == pytest.approx(SIGMA2_MATCHED, rel=1e-13)
-    assert min_joint_jump_decrease(OF_GAINS) == pytest.approx(SIGMA3, rel=1e-13)
+    assert min_joint_jump_decrease(OF_GAINS, 0.3) == pytest.approx(SIGMA3, rel=1e-13)
     # same exponent and delta, gain ratio 1.2/0.12
     assert SIGMA3 == pytest.approx(10.0 * SIGMA2_MATCHED, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "kind, gains",
+    [("full_state", FS_GAINS), ("observer", OBS_GAINS), ("attitude_only", OF_GAINS)],
+)
+def test_sigma_uses_the_delta_it_is_handed(kind, gains):
+    # attitude_only's sigma read g.delta, so sigma(g, 0.6) was sigma at 0.3
+    sigma = ERROR_SYSTEMS[kind].sigma
+    assert sigma(gains, 0.6) > sigma(gains, 0.3)
 
 
 def test_min_jump_decrease_matches_potential_difference():

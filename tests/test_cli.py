@@ -260,7 +260,7 @@ def _budget_at_start(cfg, trace, h, h_tilde):
         return v1 / min_jump_decrease(g.k1, g.alpha1, g.delta)
     if cfg.controller.kind == "attitude_only":
         v3m = v1 + potential_term(g.k2, h_tilde * trace.q_est_err[0][0], 1.0 + g.alpha1)
-        return v3m / min_joint_jump_decrease(g)
+        return v3m / min_joint_jump_decrease(g, g.delta)
     o = cfg.observer
     b_err = trace.b[0] - trace.b_hat[0]
     v2 = 0.5 * float(b_err @ b_err) + potential_term(o.mu2, h_tilde * trace.q_est_err[0][0],

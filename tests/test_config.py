@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from attkit import cli, config
 from attkit.config import (
     ControllerConfig,
+    FilterConfig,
+    SimConfig,
     TrajectoryConfig,
     config_from_dict,
     config_to_dict,
@@ -18,6 +21,7 @@ from attkit.config import (
     save_config,
 )
 from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
+from attkit.sim import run_scenario
 
 
 def test_save_load_round_trip(tmp_path):
@@ -30,7 +34,7 @@ def test_save_load_round_trip(tmp_path):
 def test_unknown_top_level_field_rejected():
     d = config_to_dict(preset("example1"))
     d["extra"] = 1
-    with pytest.raises(ValueError, match="unknown top-level"):
+    with pytest.raises(ValueError, match=r"^unknown field\(s\) \['extra'\] in scenario config$"):
         config_from_dict(d)
 
 
@@ -171,21 +175,48 @@ def test_fields_are_checked_against_their_declared_types(path, value, message):
         cfg.validate()
 
 
-def test_each_section_is_checked_once_per_load(monkeypatch):
+def test_each_section_is_checked_once_per_load():
     d = config_to_dict(preset("example2"))
-    calls, check = [], config._check_section
-    monkeypatch.setattr(
-        config, "_check_section", lambda key, sec: (calls.append(key), check(key, sec))
-    )
-    config_from_dict(d)
-    assert calls == ["plant", "trajectory", "controller", "observer", "noise", "disturbance", "sim"]
+    calls = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is config._check_record.__code__:
+            calls.append(frame.f_locals["slot"])
+
+    sys.setprofile(count)
+    try:
+        config_from_dict(d)
+    finally:
+        sys.setprofile(None)
+    assert calls == ["scenario", "plant", "trajectory", "controller", "noise", "disturbance",
+                     "sim", "observer"]
 
 
-#: (section, field) of every section field without a default
+@pytest.mark.parametrize(
+    "name, slot, value",
+    [("example1", slot, None)
+     for slot in ("plant", "trajectory", "controller", "noise", "disturbance", "sim")]
+    + [("example1", "noise", SimConfig()), ("example2", "observer", FilterConfig())],
+)
+def test_a_section_slot_must_hold_its_record(name, slot, value):
+    # each raised AttributeError from validate() or from the run, naming no slot
+    cfg = preset(name)
+    setattr(cfg, slot, value)
+    cls = type(getattr(preset(name), slot)).__name__
+    message = "^%s must be of type %s, got %s$" % (slot, cls, re.escape(repr(value)))
+    with pytest.raises(ValueError, match=message):
+        cfg.validate()
+    with pytest.raises(ValueError, match=message):
+        run_scenario(cfg)
+
+
+_EX2 = preset("example2")
+#: (section, field) of every field without a default in example2's sections
 _REQUIRED = [
-    (key, f.name)
-    for key, cls in config._SECTIONS.items()
-    for f in dataclasses.fields(cls)
+    (slot.name, f.name)
+    for slot in dataclasses.fields(_EX2)
+    if dataclasses.is_dataclass(getattr(_EX2, slot.name))
+    for f in dataclasses.fields(getattr(_EX2, slot.name))
     if f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
 ]
 
@@ -254,6 +285,9 @@ def test_missing_required_section_rejected():
     del d["sim"]
     with pytest.raises(ValueError, match="missing required section"):
         config_from_dict(d)
+    d["sim"] = None  # JSON null
+    with pytest.raises(ValueError, match=r"^missing required section 'sim'$"):
+        config_from_dict(d)
 
 
 def test_observer_and_filter_sections_optional_for_full_state():
@@ -280,7 +314,11 @@ def test_attitude_only_requires_filter():
 def test_gain_sets_and_logic_values_are_checked_at_load():
     d = config_to_dict(preset("example2"))
     d["observer"]["mu1"] = -1.0
-    with pytest.raises(ValueError, match=r"^observer: gains mu1, mu2 must be positive"):
+    with pytest.raises(ValueError, match=r"^observer: mu1 must be positive and finite, got -1\.0$"):
+        config_from_dict(d)
+    d = config_to_dict(preset("example1"))
+    d["controller"]["k2"] = -4.0
+    with pytest.raises(ValueError, match=r"^controller: k2 must be positive and finite, got -4\.0$"):
         config_from_dict(d)
     d = config_to_dict(preset("example1"))
     d["controller"]["alpha1"] = 1.5

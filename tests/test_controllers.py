@@ -4,6 +4,9 @@ Reference values were computed independently at 40-digit precision and frozen
 here as nearest-double literals.
 """
 
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,9 +21,11 @@ from attkit.controllers import (
     observer_flow_rate,
     output_feedback_torque,
 )
-from attkit.quat import IDENTITY_QUAT, chord_pow, quat_mul, random_unit_quat
+from attkit.quat import chord_pow, quat_mul, random_unit_quat
 from attkit.rigid_body import error_quaternion
 from attkit.sim import run_scenario
+
+from conftest import IDENTITY_QUAT
 
 FS_GAINS = FullStateGains(k1=1.1, k2=4.0, alpha1=0.6, delta=0.3)
 OBS_GAINS = ObserverGains(mu1=0.33, mu2=0.12, beta1=0.75)
@@ -70,6 +75,20 @@ def test_output_feedback_gains_validation():
         OutputFeedbackGains(k1=1.2, k2=2.4, k3=0.0, alpha3=0.75, delta=0.3)
     with pytest.raises(ValueError):
         OutputFeedbackGains(k1=1.2, k2=2.4, k3=1.1, alpha3=0.75, delta=1.0)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -4.0, 0.0])
+@pytest.mark.parametrize(
+    "gains, name",
+    [(FS_GAINS, "k1"), (FS_GAINS, "k2"), (OBS_GAINS, "mu1"), (OBS_GAINS, "mu2"),
+     (OF_GAINS, "k1"), (OF_GAINS, "k2"), (OF_GAINS, "k3")],
+    ids=lambda x: x if isinstance(x, str) else type(x).__name__,
+)
+def test_each_gain_must_be_positive_and_finite(gains, name, value):
+    # NaN passed the old `k <= 0.0` test, and a run then failed on the quaternion norm
+    message = "^%s must be positive and finite, got %s$" % (name, re.escape(repr(value)))
+    with pytest.raises(ValueError, match=message):
+        replace(gains, **{name: value})
 
 
 def test_full_state_torque_attitude_term():

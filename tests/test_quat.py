@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from attkit.quat import (
-    IDENTITY_QUAT,
     axis_pow,
     chord_gap,
     chord_len,
@@ -19,7 +18,6 @@ from attkit.quat import (
     chord_pow,
     cross,
     flip_drop,
-    from_axis_angle,
     quat_conj,
     quat_mul,
     random_unit_quat,
@@ -28,6 +26,8 @@ from attkit.quat import (
     sgn_pow,
     unit_or_warn,
 )
+
+from conftest import IDENTITY_QUAT, from_axis_angle
 
 # frozen references
 CHORD_POW_HALF = 0.8408964152537145  # 2**-0.25 = chord_pow([0,1,0,0], 0.5)[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attkit.quat import from_axis_angle, quat_mul, random_unit_quat, rotate
+from attkit.quat import quat_mul, random_unit_quat, rotate
 from attkit.rigid_body import (
     DesiredTrajectory,
     Inertia,
@@ -17,6 +17,8 @@ from attkit.rigid_body import (
     sinusoid_trajectory,
 )
 from attkit.sim import rk4_step
+
+from conftest import from_axis_angle
 
 BENCH_J = np.diag([15.0, 20.0, 10.0])
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attkit.config import preset
-from attkit.quat import from_axis_angle, random_unit_quat
+from attkit.quat import random_unit_quat
 from attkit.sensors import (
     DisturbanceConfig,
     NoiseConfig,
@@ -14,6 +14,8 @@ from attkit.sensors import (
     measure_gyro,
     saturate,
 )
+
+from conftest import from_axis_angle
 
 DEG = np.pi / 180.0
 
