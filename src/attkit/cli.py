@@ -56,12 +56,12 @@ def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
 
 
 def _first_step(cfg: config.ScenarioConfig) -> sim.SimTrace:
-    """A copy of cfg run one step with noise off.  run_scenario validates it and
-    builds all the run will (inertia, reference and initial quaternions too,
-    which validate() does not), so a config a run rejects fails with its message.
-    """
+    """A validated copy of cfg run one step with zero noise magnitudes.  run_scenario
+    builds all the run will (inertia, reference and initial quaternions too, which
+    validate() does not), so a config a run rejects fails with its message."""
     probe = copy.deepcopy(cfg)
-    probe.noise.enabled = False
+    probe.validate()
+    probe.noise = config.NoiseConfig(0.0, 0.0, 0.0)
     probe.sim.t_final_s = probe.sim.dt_s
     return sim.run_scenario(probe)
 

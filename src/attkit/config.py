@@ -6,7 +6,9 @@ import, loads, checks and dumps the top level and each section alike.  An
 annotation names its field's check ("| None" admits None), a default lives
 only in its declaration, and every bad field, missing or wrong section, and
 gain or section that the controller kind does not read raises a ValueError
-naming section.field.
+naming section.field.  Zero is off: a run is noise-free when the noise.*
+magnitudes are 0, disturbance-free at disturbance.amplitude_nm = 0, and
+rest-to-rest at trajectory.amplitude_rad_s = 0.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ from pathlib import Path
 from . import kinds
 from .controllers import ObserverGains, check_logic
 from .quat import unit_or_warn
-from .rigid_body import (
-    DesiredTrajectory,
-    Inertia,
-    regulation_trajectory,
-    sinusoid_trajectory,
-)
+from .rigid_body import DesiredTrajectory, Inertia, sinusoid_trajectory
 from .sensors import DisturbanceConfig, NoiseConfig
 
 #: annotation aliases with checks of their own: Logic is +1 or -1; Vec3, Quat and
@@ -42,24 +39,14 @@ class PlantConfig:
     bias0_rad_s: Vec3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
-#: trajectory kind -> its DesiredTrajectory, built from a TrajectoryConfig
-_TRAJECTORIES = {
-    "regulation": lambda tc: regulation_trajectory(),
-    "sinusoid": lambda tc: sinusoid_trajectory(tc.amplitude_rad_s, tc.frequency_rad_s),
-}
-
-
 @dataclass
 class TrajectoryConfig:
-    kind: str = "sinusoid"  # or "regulation"
-    amplitude_rad_s: float = 0.01
+    amplitude_rad_s: float = 0.01  # 0: rest-to-rest pointing at q_d0
     frequency_rad_s: float = 0.01
     q_d0: Quat = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0])
 
     def build(self) -> DesiredTrajectory:
-        if self.kind not in _TRAJECTORIES:
-            raise ValueError("unknown trajectory kind %r" % self.kind)
-        traj = _TRAJECTORIES[self.kind](self)
+        traj = sinusoid_trajectory(self.amplitude_rad_s, self.frequency_rad_s)
         traj.q_d0 = unit_or_warn(self.q_d0, "trajectory.q_d0")
         return traj
 
@@ -145,16 +132,14 @@ class ScenarioConfig:
             value = getattr(self.noise, name)
             if value < 0.0:
                 raise ValueError("noise.%s must be nonnegative, got %r" % (name, value))
-        for key, table in (("trajectory", _TRAJECTORIES), ("controller", kinds.KINDS)):
-            kind = getattr(self, key).kind
-            if kind not in table:
-                *names, last = map(repr, table)
-                raise ValueError("%s.kind must be %s or %s, got %r"
-                                 % (key, ", ".join(names), last, kind))
+        kind = self.controller.kind
+        if kind not in kinds.KINDS:
+            *names, last = map(repr, kinds.KINDS)
+            raise ValueError("controller.kind must be %s or %s, got %r"
+                             % (", ".join(names), last, kind))
         # run and sweep name their default output directory after it
         if "\n" in self.name or "\r" in self.name:
             raise ValueError("name must be one line, got %r" % (self.name,))
-        kind = self.controller.kind
         section = kinds.get(kind).section
         if section is not None and getattr(self, section) is None:
             raise ValueError("%s scenario requires the %s section" % (kind, section))
@@ -195,11 +180,6 @@ def _check_count(label: str, value) -> None:
         raise ValueError("%s must be a non-negative integer, got %r" % (label, value))
 
 
-def _check_flag(label: str, value) -> None:
-    if value is not True and value is not False:
-        raise ValueError("%s must be true or false, got %r" % (label, value))
-
-
 def _check_string(label: str, value) -> None:
     if not isinstance(value, str):
         raise ValueError("%s must be a string, got %r" % (label, value))
@@ -223,7 +203,6 @@ def _check_array(shape: tuple, label: str, value) -> None:
 #: the check of each annotation that names no record
 _CHECKS = {
     "float": _check_number,
-    "bool": _check_flag,
     "int": _check_count,
     "str": _check_string,
     "Logic": check_logic,
@@ -346,20 +325,20 @@ def _plant() -> PlantConfig:
 
 def example1(alpha1: float = 0.6, uncertainties: bool = True, seed: int = 2024) -> ScenarioConfig:
     """Full-state tracking benchmark.  Gyro noise only; no bias."""
+    scale = 1.0 if uncertainties else 0.0
     return ScenarioConfig(
         name="example1",
         plant=_plant(),
-        trajectory=TrajectoryConfig("sinusoid", 0.01, 0.01),
+        trajectory=TrajectoryConfig(0.01, 0.01),
         controller=ControllerConfig(
             kind="full_state", k1=1.1, k2=4.0, delta=0.3, alpha1=alpha1, h0=1
         ),
         noise=NoiseConfig(
-            enabled=uncertainties,
-            attitude_cone_deg=0.01,
-            gyro_sigma_deg_s=0.01,
+            attitude_cone_deg=0.01 * scale,
+            gyro_sigma_deg_s=0.01 * scale,
             bias_walk_deg_s2=0.0,
         ),
-        disturbance=DisturbanceConfig(enabled=uncertainties),
+        disturbance=DisturbanceConfig(amplitude_nm=0.02 * scale),
         sim=SimConfig(dt_s=0.01, t_final_s=100.0),
         seed=seed,
     )
@@ -374,7 +353,7 @@ def example2(
     cfg.plant.bias0_rad_s = [0.01, -0.05, 0.02]
     cfg.controller.kind = "biased_gyro"
     cfg.observer = ObserverConfig(mu1=0.33, mu2=0.12, beta1=beta1, h_tilde0=1)
-    cfg.noise.bias_walk_deg_s2 = 0.01
+    cfg.noise.bias_walk_deg_s2 = 0.01 if uncertainties else 0.0
     return cfg
 
 
@@ -398,7 +377,7 @@ def fig3(uncertainties: bool = False, seed: int = 2024) -> ScenarioConfig:
     cfg.name = "fig3"
     cfg.plant.q0 = [0.0, 1.0, 0.0, 0.0]
     cfg.plant.omega0_rad_s = [0.0, 0.0, 0.0]
-    cfg.trajectory = TrajectoryConfig("regulation")
+    cfg.trajectory = TrajectoryConfig(amplitude_rad_s=0.0)
     return cfg
 
 

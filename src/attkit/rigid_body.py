@@ -56,7 +56,7 @@ class DesiredTrajectory:
     omega_fn / omega_dot_fn map a time t [s] to the desired angular velocity
     [rad/s] and its time derivative in the desired frame, each a 3-tuple of
     floats (any float sequence works).  omega_bound / omega_dot_bound are
-    uniform norm bounds used by the torque-bound checks.
+    uniform norm bounds used by the torque-bound checks, both 0 at rest.
     """
 
     q_d0: Sequence[float]
@@ -67,7 +67,10 @@ class DesiredTrajectory:
 
 
 def sinusoid_trajectory(amplitude: float = 0.01, frequency: float = 0.01) -> DesiredTrajectory:
-    """All-axes sinusoid w_d(t) = amplitude*sin(frequency*t)*[1,1,1] from identity."""
+    """All-axes sinusoid w_d(t) = amplitude*sin(frequency*t)*[1,1,1] from identity.
+
+    amplitude = 0 is rest-to-rest pointing, with rates of exact +0.0.
+    """
 
     def omega(t: float) -> tuple:
         s = amplitude * math.sin(frequency * t)
@@ -77,24 +80,14 @@ def sinusoid_trajectory(amplitude: float = 0.01, frequency: float = 0.01) -> Des
         c = amplitude * frequency * math.cos(frequency * t)
         return (c, c, c)
 
+    if not amplitude:  # 0.0 * sin(x) is -0.0 where sin(x) < 0
+        omega = omega_dot = lambda t: (0.0, 0.0, 0.0)
     return DesiredTrajectory(
         q_d0=(1.0, 0.0, 0.0, 0.0),
         omega_fn=omega,
         omega_dot_fn=omega_dot,
         omega_bound=abs(amplitude) * math.sqrt(3.0),
         omega_dot_bound=abs(amplitude * frequency) * math.sqrt(3.0),
-    )
-
-
-def regulation_trajectory() -> DesiredTrajectory:
-    """Rest-to-rest pointing: desired frame fixed at identity."""
-    zero = (0.0, 0.0, 0.0)
-    return DesiredTrajectory(
-        q_d0=(1.0, 0.0, 0.0, 0.0),
-        omega_fn=lambda t: zero,
-        omega_dot_fn=lambda t: zero,
-        omega_bound=0.0,
-        omega_dot_bound=0.0,
     )
 
 

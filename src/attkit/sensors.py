@@ -21,42 +21,40 @@ DEG = np.pi / 180.0
 
 @dataclass
 class NoiseConfig:
-    """Sensor error magnitudes, nonnegative; enabled=False zeroes all of them.
+    """Sensor error magnitudes, nonnegative; a run is noise-free when all three are 0.
 
     attitude_cone_deg   half-angle of the eigenaxis error cone (star tracker)
     gyro_sigma_deg_s    per-axis white noise std dev on the measured rate
     bias_walk_deg_s2    per-axis random-walk intensity of the gyro bias
     """
 
-    enabled: bool = True
     attitude_cone_deg: float = 0.01
     gyro_sigma_deg_s: float = 0.01
     bias_walk_deg_s2: float = 0.01
 
     @property
     def attitude_cone_rad(self) -> float:
-        return self.attitude_cone_deg * DEG if self.enabled else 0.0
+        return self.attitude_cone_deg * DEG
 
     @property
     def gyro_sigma_rad_s(self) -> float:
-        return self.gyro_sigma_deg_s * DEG if self.enabled else 0.0
+        return self.gyro_sigma_deg_s * DEG
 
     @property
     def bias_walk_rad_s2(self) -> float:
-        return self.bias_walk_deg_s2 * DEG if self.enabled else 0.0
+        return self.bias_walk_deg_s2 * DEG
 
 
 @dataclass
 class DisturbanceConfig:
-    """Slow sinusoidal disturbance torque d(t) = A*[cos(ft), cos(ft), -sin(ft)]."""
+    """Slow sinusoidal disturbance torque d(t) = A*[cos(ft), cos(ft), -sin(ft)]; A = 0 is off."""
 
-    enabled: bool = True
     amplitude_nm: float = 0.02
     frequency_rad_s: float = 0.1
 
 
 def disturbance_torque(cfg: DisturbanceConfig, t: float) -> tuple:
-    if not cfg.enabled:
+    if not cfg.amplitude_nm:  # exact +0.0: 0.0 * sin(p) is -0.0 where sin(p) < 0
         return (0.0, 0.0, 0.0)
     p = cfg.frequency_rad_s * t
     a = cfg.amplitude_nm

@@ -47,12 +47,7 @@ from attkit.quat import (
     rotate,
     sat_pow,
 )
-from attkit.rigid_body import (
-    DesiredTrajectory,
-    Inertia,
-    regulation_trajectory,
-    sinusoid_trajectory,
-)
+from attkit.rigid_body import DesiredTrajectory, Inertia, sinusoid_trajectory
 from attkit.sim import run_scenario
 
 BENCH_J = [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
@@ -455,7 +450,7 @@ def test_torque_bound_ignores_the_sinusoid_sign():
 
 
 def test_bound_checks_regulation(fig3_trace):
-    rep = bound_checks(fig3_trace, FS_GAINS, INERTIA, regulation_trajectory())
+    rep = bound_checks(fig3_trace, FS_GAINS, INERTIA, sinusoid_trajectory(0.0))
     assert rep.torque_bound_nm == pytest.approx(5.1, rel=1e-12)  # k1 + k2, no trajectory terms
     assert rep.torque_ok and rep.jump_ok and rep.gronwall_ok
 
@@ -570,20 +565,21 @@ _REST = [1.0, 0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize(
-    "system, gains, y0, trajectory",
+    "system, gains, y0, amplitude",
     [
-        ("full_state", FS_GAINS, _REST + [0.0] * 3, regulation_trajectory),
-        ("full_state", FS_GAINS, _REST + [0.0] * 3, sinusoid_trajectory),
+        ("full_state", FS_GAINS, _REST + [0.0] * 3, 0.0),
+        ("full_state", FS_GAINS, _REST + [0.0] * 3, 0.01),
         ("observer", OBS_GAINS, _REST + [0.0] * 3, None),
-        ("attitude_only", OF_GAINS, _REST + _REST + [0.0] * 3, regulation_trajectory),
-        ("attitude_only", OF_GAINS, _REST + _REST + [0.0] * 3, sinusoid_trajectory),
+        ("attitude_only", OF_GAINS, _REST + _REST + [0.0] * 3, 0.0),
+        ("attitude_only", OF_GAINS, _REST + _REST + [0.0] * 3, 0.01),
     ],
     ids=["full_state-regulation", "full_state-sinusoid", "observer",
          "attitude_only-regulation", "attitude_only-sinusoid"],
 )
-def test_flow_report_at_equilibrium_selects_no_fd_step(system, gains, y0, trajectory):
+def test_flow_report_at_equilibrium_selects_no_fd_step(system, gains, y0, amplitude):
     # every rate is 0 at rest, so no step has a relative error: nan, and no 0/0 warning
-    kwargs = {} if trajectory is None else {"inertia": INERTIA, "trajectory": trajectory()}
+    kwargs = {} if amplitude is None else {
+        "inertia": INERTIA, "trajectory": sinusoid_trajectory(amplitude)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = analysis.lyapunov_flow_report(system, gains, y0=y0, t_final=0.05, **kwargs)

@@ -161,8 +161,6 @@ def test_sweep_rejects_a_value_with_a_path_separator(tmp_path, capsys):
 @pytest.mark.parametrize(
     "param, values, message",
     [
-        ("trajectory.kind", '"regulation","bogus"',
-         "trajectory.kind must be 'regulation' or 'sinusoid', got 'bogus'"),
         (
             "plant.inertia_kgm2",
             "[[15,0,0],[0,20,0],[0,0,10]],[[15,0,0],[0,-20,0],[0,0,10]]",
@@ -181,6 +179,22 @@ def test_sweep_rejects_a_built_value_before_any_run(tmp_path, capsys, param, val
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ValueError"
     assert record["message"].startswith(message)
+    assert not root.exists()
+
+
+def test_a_file_holding_a_dropped_switch_fails_before_any_run(tmp_path, capsys):
+    # rest-to-rest is trajectory.amplitude_rad_s = 0; the old trajectory.kind
+    # switch is refused at load, so no run is written
+    d = config_to_dict(_short("example1", 0.2))
+    d["trajectory"]["kind"] = "regulation"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(d))
+    root = tmp_path / "sw"
+    argv = ["sweep", str(cfg_path), "--param", "seed", "--values", "1,2", "--out", str(root)]
+    assert cli.main(argv) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ValueError", "message": "unknown field(s) ['kind'] in section 'trajectory'",
+    }
     assert not root.exists()
 
 

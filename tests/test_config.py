@@ -151,14 +151,9 @@ def test_nan_inside_list_rejected_from_json():
          "plant.q0 must hold numbers only, got ['1', '0', '0', '0']"),
         ("plant.inertia_kgm2", [[15, 0, 0], [0, 20], [0, 0, 10]],
          "plant.inertia_kgm2[1] must have 3 components, got 2"),
-        # any non-empty string switched the channel on
-        ("noise.enabled", "no", "noise.enabled must be true or false, got 'no'"),
-        ("disturbance.enabled", "yes", "disturbance.enabled must be true or false, got 'yes'"),
         # the run's default output directory is named after it
         ("name", 5, "name must be a string, got 5"),
         # a kind is a key of the one table that dispatches it
-        ("trajectory.kind", "spiral",
-         "trajectory.kind must be 'regulation' or 'sinusoid', got 'spiral'"),
         ("controller.kind", "pid",
          "controller.kind must be 'full_state', 'biased_gyro' or 'attitude_only', got 'pid'"),
     ],
@@ -173,6 +168,23 @@ def test_fields_are_checked_against_their_declared_types(path, value, message):
     setattr(getattr(cfg, section[0]) if section else cfg, field, value)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("noise", "enabled", False), ("disturbance", "enabled", False),
+     ("trajectory", "kind", "regulation")],
+)
+def test_a_file_holding_a_dropped_switch_fails_at_load(tmp_path, section, key, value):
+    # zero magnitudes are the off state: a file that still switches a channel
+    # off is refused, not run with the channel on
+    d = config_to_dict(preset("example1"))
+    d[section][key] = value
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(d))
+    message = "unknown field(s) ['%s'] in section '%s'" % (key, section)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        load_config(path)
 
 
 def test_each_section_is_checked_once_per_load():
@@ -199,7 +211,8 @@ def test_each_section_is_checked_once_per_load():
     + [("example1", "noise", SimConfig()), ("example2", "observer", FilterConfig())],
 )
 def test_a_section_slot_must_hold_its_record(name, slot, value):
-    # each raised AttributeError from validate() or from the run, naming no slot
+    # each raised AttributeError from validate() or from the run, naming no
+    # slot; verify's and sweep's first step wrote into noise and sim first
     cfg = preset(name)
     setattr(cfg, slot, value)
     cls = type(getattr(preset(name), slot)).__name__
@@ -208,6 +221,10 @@ def test_a_section_slot_must_hold_its_record(name, slot, value):
         cfg.validate()
     with pytest.raises(ValueError, match=message):
         run_scenario(cfg)
+    with pytest.raises(ValueError, match=message):
+        cli.verify(cfg, n_samples=20)
+    with pytest.raises(ValueError, match=message):
+        cli._set_param(cfg, "seed", 1)
 
 
 _EX2 = preset("example2")
@@ -387,13 +404,13 @@ def test_sim_config_validation():
 
 
 def test_trajectory_config_build():
-    sin = TrajectoryConfig("sinusoid", 0.02, 0.05).build()
+    sin = TrajectoryConfig(0.02, 0.05).build()
     assert sin.omega_bound == pytest.approx(0.02 * np.sqrt(3.0), rel=1e-15)
     assert np.allclose(sin.omega_fn(0.5 * np.pi / 0.05), [0.02, 0.02, 0.02])
-    reg = TrajectoryConfig("regulation").build()
-    assert reg.omega_bound == 0.0
-    with pytest.raises(ValueError, match="unknown trajectory kind"):
-        TrajectoryConfig("spiral").build()
+    rest = TrajectoryConfig(amplitude_rad_s=0.0, q_d0=[0.0, 1.0, 0.0, 0.0]).build()
+    assert rest.omega_bound == rest.omega_dot_bound == 0.0
+    assert rest.omega_fn(12.3) == rest.omega_dot_fn(12.3) == (0.0, 0.0, 0.0)
+    assert rest.q_d0 == (0.0, 1.0, 0.0, 0.0)
 
 
 def test_preset_example1():
@@ -405,11 +422,14 @@ def test_preset_example1():
     assert cfg.plant.q0 == [0.0, 0.6, -0.8, 0.0]
     assert cfg.plant.omega0_rad_s == [0.3, -0.4, 0.0]
     assert cfg.plant.inertia_kgm2 == [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
-    assert cfg.noise.enabled and cfg.noise.bias_walk_deg_s2 == 0.0
+    assert (cfg.noise.attitude_cone_deg, cfg.noise.gyro_sigma_deg_s) == (0.01, 0.01)
+    assert cfg.noise.bias_walk_deg_s2 == 0.0 and cfg.disturbance.amplitude_nm == 0.02
     assert (cfg.sim.dt_s, cfg.sim.t_final_s) == (0.01, 100.0)
     assert preset("example1", alpha1=0.8).controller.alpha1 == 0.8
-    quiet = preset("example1", uncertainties=False)
-    assert not quiet.noise.enabled and not quiet.disturbance.enabled
+    for name in ("example1", "example2", "example3"):
+        quiet = preset(name, uncertainties=False)
+        assert dataclasses.astuple(quiet.noise) == (0.0, 0.0, 0.0)
+        assert quiet.disturbance.amplitude_nm == 0.0
 
 
 def test_preset_example2():
@@ -436,8 +456,9 @@ def test_preset_fig3():
     assert cfg.name == "fig3"
     assert cfg.plant.q0 == [0.0, 1.0, 0.0, 0.0]
     assert cfg.plant.omega0_rad_s == [0.0, 0.0, 0.0]
-    assert cfg.trajectory.kind == "regulation"
-    assert not cfg.noise.enabled and not cfg.disturbance.enabled
+    assert cfg.trajectory.amplitude_rad_s == 0.0
+    assert dataclasses.astuple(cfg.noise) == (0.0, 0.0, 0.0)
+    assert cfg.disturbance.amplitude_nm == 0.0
 
 
 def test_preset_unknown_name():

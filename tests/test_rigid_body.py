@@ -13,7 +13,6 @@ from attkit.rigid_body import (
     error_velocity,
     feedforward_torque,
     kinematics_rate,
-    regulation_trajectory,
     sinusoid_trajectory,
 )
 from attkit.sim import rk4_step
@@ -81,7 +80,7 @@ def test_sinusoid_trajectory_values_and_bounds():
 
 
 def test_regulation_trajectory_is_rest():
-    traj = regulation_trajectory()
+    traj = sinusoid_trajectory(0.0)
     assert np.array_equal(traj.omega_fn(12.3), np.zeros(3))
     assert np.array_equal(traj.omega_dot_fn(12.3), np.zeros(3))
     assert traj.omega_bound == traj.omega_dot_bound == 0.0

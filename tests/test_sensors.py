@@ -1,10 +1,13 @@
 """Sensor models, disturbance torque, and saturation tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from attkit.config import preset
 from attkit.quat import random_unit_quat
+from attkit.rigid_body import sinusoid_trajectory
 from attkit.sensors import (
     DisturbanceConfig,
     NoiseConfig,
@@ -21,19 +24,17 @@ DEG = np.pi / 180.0
 
 
 def test_noise_config_degrees_to_radians():
-    cfg = NoiseConfig(enabled=True, attitude_cone_deg=0.01, gyro_sigma_deg_s=0.02,
-                      bias_walk_deg_s2=0.03)
+    cfg = NoiseConfig(attitude_cone_deg=0.01, gyro_sigma_deg_s=0.02, bias_walk_deg_s2=0.03)
     assert cfg.attitude_cone_rad == pytest.approx(0.01 * DEG, rel=1e-15)
     assert cfg.gyro_sigma_rad_s == pytest.approx(0.02 * DEG, rel=1e-15)
     assert cfg.bias_walk_rad_s2 == pytest.approx(0.03 * DEG, rel=1e-15)
 
 
 def test_noise_config_disabled_zeroes_everything():
-    cfg = NoiseConfig(enabled=False, attitude_cone_deg=0.01, gyro_sigma_deg_s=0.02,
-                      bias_walk_deg_s2=0.03)
-    assert cfg.attitude_cone_rad == 0.0
-    assert cfg.gyro_sigma_rad_s == 0.0
-    assert cfg.bias_walk_rad_s2 == 0.0
+    # noise is off when its magnitudes are 0, and each converts to exact +0.0
+    cfg = NoiseConfig(attitude_cone_deg=0.0, gyro_sigma_deg_s=0.0, bias_walk_deg_s2=0.0)
+    for value in (cfg.attitude_cone_rad, cfg.gyro_sigma_rad_s, cfg.bias_walk_rad_s2):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_noise_config_rejects_negative_magnitudes():
@@ -44,12 +45,23 @@ def test_noise_config_rejects_negative_magnitudes():
 
 
 def test_disturbance_torque_phase():
-    cfg = DisturbanceConfig(enabled=True, amplitude_nm=0.02, frequency_rad_s=0.1)
+    cfg = DisturbanceConfig(amplitude_nm=0.02, frequency_rad_s=0.1)
     assert np.allclose(disturbance_torque(cfg, 0.0), [0.02, 0.02, 0.0], atol=1e-18)
     t_quarter = 0.5 * np.pi / 0.1
     assert np.allclose(disturbance_torque(cfg, t_quarter), [0.0, 0.0, -0.02], atol=1e-15)
-    off = DisturbanceConfig(enabled=False)
+    off = DisturbanceConfig(amplitude_nm=0.0)
     assert np.array_equal(disturbance_torque(off, 3.0), np.zeros(3))
+
+
+def test_a_zero_magnitude_gives_exact_positive_zeros():
+    # 0.0 * sin(x) is -0.0 where sin(x) < 0; np.array_equal cannot tell it from
+    # +0.0, but the trace bytes, and so every noise-free run's digest, can.
+    # At phase 4 rad both sin and cos are negative.
+    assert math.sin(4.0) < 0.0 and math.cos(4.0) < 0.0
+    off = disturbance_torque(DisturbanceConfig(amplitude_nm=0.0, frequency_rad_s=0.1), 40.0)
+    rest = sinusoid_trajectory(0.0, 0.01)
+    for value in (*off, *rest.omega_fn(400.0), *rest.omega_dot_fn(400.0)):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def _axis_angle(q):

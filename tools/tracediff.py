@@ -2,8 +2,10 @@
 
     python3 tools/tracediff.py OTHER_CHECKOUT
 
-Runs the four bundled presets at full horizon (``attkit run``) and
-``attkit verify`` with 200 samples on example1..3 and on three jump cases,
+Runs the four bundled presets at full horizon (``attkit run``), example1..3
+again with ``uncertainties=False`` as ``<preset>_noise_free`` (zero noise and
+disturbance magnitudes, so each controller kind also runs noise-free, as only
+fig3 ships), and ``attkit verify`` with 200 samples on example1..3 and on three jump cases,
 each started just outside a jump set at delta = 0.3 (error scalar part
 -0.25) so that its flow check crosses one jump; on the presets as shipped
 the flow checks cross none:
@@ -17,7 +19,7 @@ the flow checks cross none:
 It does so once with this checkout's ``src/`` and once with OTHER_CHECKOUT's,
 each in a fresh interpreter, which loads each preset's trace back through
 that checkout's own ``sim.load_trace``, whatever file layout it writes, and
-dumps its trace attributes and jump events.  For each preset it prints the
+dumps its trace attributes and jump events.  For each preset run it prints the
 max |difference| of every trace attribute, by name, and each attribute that
 only one side has; then whether the jump events, the convergence verdict and
 settling time, the jump count, the bound flags and the ``summary.json``
@@ -53,7 +55,10 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve()
-PRESETS = ("example1", "example2", "example3", "fig3")
+#: preset runs: name -> (preset, keyword arguments of config.preset)
+PRESETS = {name: (name, {}) for name in ("example1", "example2", "example3", "fig3")}
+PRESETS.update({"%s_noise_free" % name: (name, {"uncertainties": False})
+                for name in ("example1", "example2", "example3")})
 _S = -0.25  # the jump cases' starting error scalar part
 _EDGE_Q = [_S, math.sqrt(1.0 - _S * _S), 0.0, 0.0]  # [-0.25, sqrt(0.9375), 0, 0]
 _H_JUMP = {"plant.q0": _EDGE_Q, "plant.omega0_rad_s": [0.8, 0.0, 0.0], "sim.t_final_s": 0.4}
@@ -82,8 +87,8 @@ def dump(out: Path) -> None:
     """Write every run of one checkout (the attkit on sys.path) under out."""
     from attkit import cli, config, sim
 
-    for name in PRESETS:
-        cli.run(config.preset(name), out / name)
+    for name, (preset, kwargs) in PRESETS.items():
+        cli.run(config.preset(preset, **kwargs), out / name)
         trace = sim.load_trace(out / name)
         attrs = [entry[0] for entry in sim._LAYOUT]  # (attribute, ...) on every side
         np.savez(out / name / "attrs.npz", **{a: getattr(trace, a) for a in attrs})
