@@ -211,8 +211,8 @@ def test_each_section_is_checked_once_per_load():
     + [("example1", "noise", SimConfig()), ("example2", "observer", FilterConfig())],
 )
 def test_a_section_slot_must_hold_its_record(name, slot, value):
-    # each raised AttributeError from validate() or from the run, naming no
-    # slot; verify's and sweep's first step wrote into noise and sim first
+    # each raised AttributeError naming no slot: from validate(), from the run,
+    # and for noise and sim from the first step that verify and sweep take
     cfg = preset(name)
     setattr(cfg, slot, value)
     cls = type(getattr(preset(name), slot)).__name__

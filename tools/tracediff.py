@@ -4,8 +4,8 @@
 
 Runs the four bundled presets at full horizon (``attkit run``), example1..3
 again with ``uncertainties=False`` as ``<preset>_noise_free`` (zero noise and
-disturbance magnitudes, so each controller kind also runs noise-free, as only
-fig3 ships), and ``attkit verify`` with 200 samples on example1..3 and on three jump cases,
+disturbance magnitudes; of the presets only fig3 ships noise-free), and
+``attkit verify`` with 200 samples on example1..3 and on three jump cases,
 each started just outside a jump set at delta = 0.3 (error scalar part
 -0.25) so that its flow check crosses one jump; on the presets as shipped
 the flow checks cross none:
