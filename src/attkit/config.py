@@ -22,7 +22,7 @@ from pathlib import Path
 from . import kinds
 from .controllers import ObserverGains, check_logic
 from .quat import unit_or_warn
-from .rigid_body import DesiredTrajectory, Inertia, sinusoid_trajectory
+from .rigid_body import DesiredTrajectory, Inertia, inertia_of, sinusoid_trajectory
 from .sensors import DisturbanceConfig, NoiseConfig
 
 #: annotation aliases with checks of their own: Logic is +1 or -1; Vec3, Quat and
@@ -31,7 +31,7 @@ Logic = int
 Vec3 = Quat = Matrix3 = list
 
 
-@dataclass
+@dataclass(slots=True)
 class PlantConfig:
     inertia_kgm2: Matrix3
     q0: Quat
@@ -39,7 +39,7 @@ class PlantConfig:
     bias0_rad_s: Vec3 = field(default_factory=lambda: [0.0, 0.0, 0.0])
 
 
-@dataclass
+@dataclass(slots=True)
 class TrajectoryConfig:
     amplitude_rad_s: float = 0.01  # 0: rest-to-rest pointing at q_d0
     frequency_rad_s: float = 0.01
@@ -51,7 +51,7 @@ class TrajectoryConfig:
         return traj
 
 
-@dataclass
+@dataclass(slots=True)
 class ControllerConfig:
     kind: str
     k1: float
@@ -74,7 +74,7 @@ class ControllerConfig:
         return gains(**{name: getattr(self, name) for name in names})
 
 
-@dataclass
+@dataclass(slots=True)
 class ObserverConfig:
     mu1: float
     mu2: float
@@ -87,19 +87,19 @@ class ObserverConfig:
         return ObserverGains(self.mu1, self.mu2, self.beta1)
 
 
-@dataclass
+@dataclass(slots=True)
 class FilterConfig:
     h_tilde0: Logic = 1
     q_f0: Quat | None = None  # None: start at the measured initial error
 
 
-@dataclass
+@dataclass(slots=True)
 class SimConfig:
     dt_s: float = 0.01
     t_final_s: float = 100.0
 
 
-@dataclass
+@dataclass(slots=True)
 class ScenarioConfig:
     plant: PlantConfig
     trajectory: TrajectoryConfig
@@ -159,7 +159,7 @@ class ScenarioConfig:
 
     def inertia(self) -> Inertia:
         try:
-            return Inertia(self.plant.inertia_kgm2)
+            return inertia_of(self.plant.inertia_kgm2)
         except ValueError as exc:
             raise ValueError("plant.inertia_kgm2: %s" % exc) from None
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,11 +24,12 @@ from .quat import cross, mat_vec, quat_conj, quat_mul, rotate
 
 
 class Inertia:
-    """Inertia matrix [kg m^2] with cached inverse and norm bounds.
+    """Inertia matrix [kg m^2] with cached inverse and norm bounds; read-only.
 
     matrix and inverse are 3x3 tuples of float rows (np.asarray turns them
     into arrays).  Validates symmetry and positive definiteness at
-    construction.
+    construction.  inertia_of builds one instance per distinct matrix and
+    hands it to every caller, so no attribute can be set once built.
     """
 
     def __init__(self, matrix) -> None:
@@ -40,13 +42,35 @@ class Inertia:
         eigs = np.linalg.eigvalsh(j)
         if eigs[0] <= 0.0:
             raise ValueError("inertia must be positive definite, eigenvalues %s" % eigs)
-        self.matrix = tuple(map(tuple, j.tolist()))
-        self.inverse = tuple(map(tuple, np.linalg.inv(j).tolist()))
-        self.lambda_min = float(eigs[0])
-        self.spectral_norm = float(eigs[-1])
+        fill = super().__setattr__
+        fill("matrix", tuple(map(tuple, j.tolist())))
+        fill("inverse", tuple(map(tuple, np.linalg.inv(j).tolist())))
+        fill("lambda_min", float(eigs[0]))
+        fill("spectral_norm", float(eigs[-1]))
+
+    def __setattr__(self, name, *value) -> None:
+        raise AttributeError("Inertia is read-only; build a new one for another matrix")
+
+    __delattr__ = __setattr__
 
     def __repr__(self) -> str:  # pragma: no cover
         return "Inertia(%s)" % (self.matrix,)
+
+
+def inertia_of(matrix) -> Inertia:
+    """The Inertia of matrix, factorized once per distinct float64 matrix.
+
+    Matrices share an instance only when their float64 bits are equal (0.0
+    and -0.0 do not); the cache keeps the 32 latest.  A bad matrix raises
+    Inertia's ValueError on every call, as nothing is cached for it.
+    """
+    j = np.asarray(matrix, dtype=float)
+    return _inertia_of_bits(j.shape, j.tobytes())
+
+
+@lru_cache(maxsize=32)
+def _inertia_of_bits(shape: tuple, bits: bytes) -> Inertia:
+    return Inertia(np.frombuffer(bits).reshape(shape))
 
 
 @dataclass

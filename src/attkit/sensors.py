@@ -3,8 +3,9 @@
 Noise amounts are configured in degrees (matching how star tracker and gyro
 datasheets quote them) and converted to radians internally.  All draws come
 from the caller's Generator so a scenario's entire random history is fixed by
-one seed.  States and results are float sequences and tuples, as in the
-quat kernels.
+one seed.  A noise-free run has no Generator: on rng=None each sensor model
+returns the truth and draws nothing.  States and results are float sequences
+and tuples, as in the quat kernels.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .quat import ZERO_TOL, cross, dot
 DEG = np.pi / 180.0
 
 
-@dataclass
+@dataclass(slots=True)
 class NoiseConfig:
     """Sensor error magnitudes, nonnegative; a run is noise-free when all three are 0.
 
@@ -45,7 +46,7 @@ class NoiseConfig:
         return self.bias_walk_deg_s2 * DEG
 
 
-@dataclass
+@dataclass(slots=True)
 class DisturbanceConfig:
     """Slow sinusoidal disturbance torque d(t) = A*[cos(ft), cos(ft), -sin(ft)]; A = 0 is off."""
 
@@ -61,16 +62,20 @@ def disturbance_torque(cfg: DisturbanceConfig, t: float) -> tuple:
     return (a * math.cos(p), a * math.cos(p), -(a * math.sin(p)))
 
 
-def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator) -> tuple:
+def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator | None) -> tuple:
     """Star-tracker model: tilt the eigenaxis inside a cone, keep the angle.
 
     The tilt angle is uniform on [0, cone_rad] and the tilt direction uniform
     around the axis.  The rotation angle is unchanged: q0 is kept exactly and
     the vector part keeps its length, so the output has the input's norm (unit
-    to rounding for unit input).  Two variates are always consumed to keep
-    the draw sequence independent of the noise amount; rng.random() draws
-    exactly what rng.uniform() draws, without its argument handling.
+    to rounding for unit input).  Given a Generator, two variates are always
+    consumed, even at cone_rad = 0, so that within a run with noise the draw
+    sequence does not depend on the noise amounts; rng.random() draws exactly
+    what rng.uniform() draws, without its argument handling.  rng=None (a
+    noise-free run) returns q_true and draws nothing.
     """
+    if rng is None:
+        return tuple(q_true)
     tilt = cone_rad * rng.random()
     azimuth = 2.0 * math.pi * rng.random()
     if tilt == 0.0:
@@ -91,16 +96,20 @@ def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator) -> tuple
     )
 
 
-def measure_gyro(w_true, bias, sigma_rad_s: float, rng: np.random.Generator) -> tuple:
-    """Rate gyro model: w + b + v with v zero-mean white, std sigma per axis."""
+def measure_gyro(w_true, bias, sigma_rad_s: float, rng: np.random.Generator | None) -> tuple:
+    """Rate gyro model: w + b + v with v zero-mean white, std sigma per axis; w + b on rng=None."""
     w1, w2, w3 = w_true
     b1, b2, b3 = bias
+    if rng is None:
+        return (w1 + b1, w2 + b2, w3 + b3)
     v1, v2, v3 = rng.standard_normal(3).tolist()
     return (w1 + b1 + sigma_rad_s * v1, w2 + b2 + sigma_rad_s * v2, w3 + b3 + sigma_rad_s * v3)
 
 
-def bias_step(bias, walk_rad_s2: float, dt: float, rng: np.random.Generator) -> tuple:
-    """Advance the gyro bias one step of its random walk: b + w*dt."""
+def bias_step(bias, walk_rad_s2: float, dt: float, rng: np.random.Generator | None) -> tuple:
+    """Advance the gyro bias one step of its random walk: b + w*dt; b itself on rng=None."""
+    if rng is None:
+        return tuple(bias)
     b1, b2, b3 = bias
     n1, n2, n3 = rng.standard_normal(3).tolist()
     return (b1 + walk_rad_s2 * n1 * dt, b2 + walk_rad_s2 * n2 * dt, b3 + walk_rad_s2 * n3 * dt)

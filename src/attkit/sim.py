@@ -2,7 +2,9 @@
 
 Each step does, in order:
 
-1. sample the sensors (measurements are zero-order-held across the step),
+1. sample the sensors (measurements are zero-order-held across the step);
+   a noise-free run, all three noise magnitudes 0, builds no Generator and
+   measures the truth,
 2. apply the kind's jump rule once to the measured error scalars (one
    application always re-enters the flow set) and record a JumpEvent if it fired,
 3. form the commanded torque from measurements only, as feedforward_torque
@@ -11,7 +13,7 @@ Each step does, in order:
    disturbance, desired rate and estimator state,
 5. advance plant + reference + estimator one RK4 step of the continuous flow
    with torque and measurements held, then renormalize the quaternions and
-   advance the gyro-bias random walk.
+   advance the gyro-bias random walk (the bias stays put in a noise-free run).
 
 The state travels through the step as tuples of Python floats: the flow state
 is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each step
@@ -33,6 +35,7 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import analysis, kinds
 from .config import ScenarioConfig
@@ -114,12 +117,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     gains = cfg.controller.build()
     es_gains = cfg.observer.build() if es.observer else gains
     traj = cfg.trajectory.build()
-    rng = np.random.default_rng(cfg.seed)
     dt = cfg.sim.dt_s
     n = int(round(cfg.sim.t_final_s / dt))
     cone = cfg.noise.attitude_cone_rad
     gyro_sig = cfg.noise.gyro_sigma_rad_s
     walk = cfg.noise.bias_walk_rad_s2
+    # one nonzero magnitude keeps every channel's draws, so the others' streams do not shift
+    rng = default_rng(cfg.seed) if cone or gyro_sig or walk else None
     limit = cfg.torque_limit_nm
 
     q = cfg.initial_quat()

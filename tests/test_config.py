@@ -170,11 +170,12 @@ def test_fields_are_checked_against_their_declared_types(path, value, message):
         cfg.validate()
 
 
-@pytest.mark.parametrize(
-    "section, key, value",
-    [("noise", "enabled", False), ("disturbance", "enabled", False),
-     ("trajectory", "kind", "regulation")],
-)
+#: the switches that zero magnitudes replaced: (section, key, an old value)
+_DROPPED_SWITCHES = [("noise", "enabled", False), ("disturbance", "enabled", False),
+                     ("trajectory", "kind", "regulation")]
+
+
+@pytest.mark.parametrize("section, key, value", _DROPPED_SWITCHES)
 def test_a_file_holding_a_dropped_switch_fails_at_load(tmp_path, section, key, value):
     # zero magnitudes are the off state: a file that still switches a channel
     # off is refused, not run with the channel on
@@ -185,6 +186,35 @@ def test_a_file_holding_a_dropped_switch_fails_at_load(tmp_path, section, key, v
     message = "unknown field(s) ['%s'] in section '%s'" % (key, section)
     with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
         load_config(path)
+
+
+@pytest.mark.parametrize("section, key, value", _DROPPED_SWITCHES)
+def test_a_dropped_switch_set_in_python_raises(section, key, value):
+    # the records hold only their declared fields, so the old switch cannot
+    # be set on a built config and silently ignored by the run
+    record = getattr(preset("example1"), section)
+    message = "'%s' object has no attribute '%s'" % (type(record).__name__, key)
+    with pytest.raises(AttributeError, match="^%s$" % re.escape(message)):
+        setattr(record, key, value)
+
+
+def test_presets_share_one_inertia_per_matrix():
+    first = preset("example1").inertia()
+    for name in config.PRESETS:
+        assert preset(name).inertia() is first, name
+    cfg = preset("example1")
+    cfg.plant.inertia_kgm2[0][1] = cfg.plant.inertia_kgm2[1][0] = -0.0  # equal, not the same bits
+    other = cfg.inertia()
+    assert other is not first and other is cfg.inertia()
+    assert np.signbit(other.matrix[0][1]) and not np.signbit(first.matrix[0][1])
+
+
+def test_a_bad_inertia_raises_on_every_call():
+    cfg = preset("example1")
+    cfg.plant.inertia_kgm2[0][1] = 1.0
+    for _ in range(2):  # a failed build leaves nothing cached
+        with pytest.raises(ValueError, match=r"^plant\.inertia_kgm2: inertia must be symmetric$"):
+            cfg.inertia()
 
 
 def test_each_section_is_checked_once_per_load():

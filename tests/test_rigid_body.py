@@ -35,6 +35,17 @@ def test_inertia_validation_and_cached_quantities():
         Inertia(np.diag([15.0, -20.0, 10.0]))  # indefinite
 
 
+@pytest.mark.parametrize("attr", ["matrix", "inverse", "lambda_min", "spectral_norm"])
+def test_inertia_is_read_only(attr):
+    j = Inertia(BENCH_J)
+    before = getattr(j, attr)
+    with pytest.raises(AttributeError, match="^Inertia is read-only"):
+        setattr(j, attr, before)
+    with pytest.raises(AttributeError, match="^Inertia is read-only"):
+        delattr(j, attr)
+    assert getattr(j, attr) == before
+
+
 def test_free_tumble_gyroscopic_rate():
     # w x Jw = [0, 0, -0.6] for w = [0.3, -0.4, 0], J = diag(15, 20, 10)
     wdot = dynamics_rate(Inertia(BENCH_J), np.array([0.3, -0.4, 0.0]), np.zeros(3))

@@ -7,7 +7,7 @@ import zipfile
 import numpy as np
 import pytest
 
-from attkit import analysis, kinds
+from attkit import analysis, kinds, sim
 from attkit.analysis import lyapunov_v1
 from attkit.config import preset
 from attkit.integrate import SimulationError
@@ -331,6 +331,41 @@ def test_initial_logic_value_honored():
     trace = run_scenario(cfg)
     assert trace.h[0] == -1
     assert not any(ev.step == 0 for ev in trace.events)
+
+
+_NOISE = ("attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2")
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "fig3"])
+def test_a_noise_free_run_builds_no_generator(name, monkeypatch):
+    def refuse(seed):
+        raise AssertionError("a noise-free run built a Generator")
+
+    monkeypatch.setattr(sim, "default_rng", refuse)
+    run_scenario(_short(name, 0.5, uncertainties=False))
+
+
+@pytest.mark.parametrize("field", _NOISE)
+def test_any_one_noise_magnitude_builds_a_generator(field, monkeypatch):
+    seeds = []
+
+    def spy(seed):
+        seeds.append(seed)
+        return np.random.default_rng(seed)
+
+    monkeypatch.setattr(sim, "default_rng", spy)
+    cfg = _short("example2", 0.5, uncertainties=False)
+    setattr(cfg.noise, field, 0.01)
+    run_scenario(cfg)
+    assert seeds == [cfg.seed]
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_a_noise_free_run_does_not_depend_on_its_seed(name):
+    a = run_scenario(_short(name, 3.0, uncertainties=False, seed=1))
+    b = run_scenario(_short(name, 3.0, uncertainties=False, seed=2))
+    assert np.array_equal(a.rows, b.rows, equal_nan=True)
+    assert a.events == b.events
 
 
 def test_config_field_set_after_construction_is_validated():

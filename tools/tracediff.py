@@ -4,7 +4,9 @@
 
 Runs the four bundled presets at full horizon (``attkit run``), example1..3
 again with ``uncertainties=False`` as ``<preset>_noise_free`` (zero noise and
-disturbance magnitudes; of the presets only fig3 ships noise-free), and
+disturbance magnitudes; of the presets only fig3 ships noise-free), example1
+with gyro noise alone as ``example1_gyro_only`` (attitude cone and bias walk
+0: a run with one nonzero noise magnitude keeps every draw), and
 ``attkit verify`` with 200 samples on example1..3 and on three jump cases,
 each started just outside a jump set at delta = 0.3 (error scalar part
 -0.25) so that its flow check crosses one jump; on the presets as shipped
@@ -55,10 +57,13 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve()
-#: preset runs: name -> (preset, keyword arguments of config.preset)
-PRESETS = {name: (name, {}) for name in ("example1", "example2", "example3", "fig3")}
-PRESETS.update({"%s_noise_free" % name: (name, {"uncertainties": False})
+#: preset runs: name -> (preset, keyword arguments of config.preset,
+#: {"section.field": value} set on it)
+PRESETS = {name: (name, {}, {}) for name in ("example1", "example2", "example3", "fig3")}
+PRESETS.update({"%s_noise_free" % name: (name, {"uncertainties": False}, {})
                 for name in ("example1", "example2", "example3")})
+PRESETS["example1_gyro_only"] = (
+    "example1", {}, {"noise.attitude_cone_deg": 0.0, "noise.bias_walk_deg_s2": 0.0})
 _S = -0.25  # the jump cases' starting error scalar part
 _EDGE_Q = [_S, math.sqrt(1.0 - _S * _S), 0.0, 0.0]  # [-0.25, sqrt(0.9375), 0, 0]
 _H_JUMP = {"plant.q0": _EDGE_Q, "plant.omega0_rad_s": [0.8, 0.0, 0.0], "sim.t_final_s": 0.4}
@@ -87,19 +92,22 @@ def dump(out: Path) -> None:
     """Write every run of one checkout (the attkit on sys.path) under out."""
     from attkit import cli, config, sim
 
-    for name, (preset, kwargs) in PRESETS.items():
-        cli.run(config.preset(preset, **kwargs), out / name)
+    def build(preset, fields, **kwargs):
+        cfg = config.preset(preset, **kwargs)
+        for path, value in fields.items():
+            section, attr = path.split(".")
+            setattr(getattr(cfg, section), attr, value)
+        return cfg
+
+    for name, (preset, kwargs, fields) in PRESETS.items():
+        cli.run(build(preset, fields, **kwargs), out / name)
         trace = sim.load_trace(out / name)
         attrs = [entry[0] for entry in sim._LAYOUT]  # (attribute, ...) on every side
         np.savez(out / name / "attrs.npz", **{a: getattr(trace, a) for a in attrs})
         events = [list(dataclasses.astuple(ev)) for ev in trace.events]
         (out / name / "events.json").write_text(json.dumps(events) + "\n")
     for name, (preset, fields) in VERIFY.items():
-        cfg = config.preset(preset)
-        for path, value in fields.items():
-            section, attr = path.split(".")
-            setattr(getattr(cfg, section), attr, value)
-        res = cli.verify(cfg, n_samples=VERIFY_SAMPLES)
+        res = cli.verify(build(preset, fields), n_samples=VERIFY_SAMPLES)
         text = json.dumps(res, indent=2, sort_keys=True) + "\n"  # as `attkit verify` prints it
         (out / ("verify_%s.json" % name)).write_text(text)
 
