@@ -35,7 +35,6 @@ from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import analysis, kinds
 from .config import ScenarioConfig
@@ -123,7 +122,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     gyro_sig = cfg.noise.gyro_sigma_rad_s
     walk = cfg.noise.bias_walk_rad_s2
     # one nonzero magnitude keeps every channel's draws, so the others' streams do not shift
-    rng = default_rng(cfg.seed) if cone or gyro_sig or walk else None
+    rng = np.random.default_rng(cfg.seed) if cone or gyro_sig or walk else None
     limit = cfg.torque_limit_nm
 
     q = cfg.initial_quat()

@@ -341,7 +341,7 @@ def test_a_noise_free_run_builds_no_generator(name, monkeypatch):
     def refuse(seed):
         raise AssertionError("a noise-free run built a Generator")
 
-    monkeypatch.setattr(sim, "default_rng", refuse)
+    monkeypatch.setattr(sim.np.random, "default_rng", refuse)
     run_scenario(_short(name, 0.5, uncertainties=False))
 
 
@@ -349,11 +349,11 @@ def test_a_noise_free_run_builds_no_generator(name, monkeypatch):
 def test_any_one_noise_magnitude_builds_a_generator(field, monkeypatch):
     seeds = []
 
-    def spy(seed):
+    def spy(seed, build=np.random.default_rng):
         seeds.append(seed)
-        return np.random.default_rng(seed)
+        return build(seed)
 
-    monkeypatch.setattr(sim, "default_rng", spy)
+    monkeypatch.setattr(sim.np.random, "default_rng", spy)
     cfg = _short("example2", 0.5, uncertainties=False)
     setattr(cfg.noise, field, 0.01)
     run_scenario(cfg)
