@@ -333,9 +333,6 @@ def test_initial_logic_value_honored():
     assert not any(ev.step == 0 for ev in trace.events)
 
 
-_NOISE = ("attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2")
-
-
 @pytest.mark.parametrize("name", ["example1", "example2", "example3", "fig3"])
 def test_a_noise_free_run_builds_no_generator(name, monkeypatch):
     def refuse(seed):
@@ -345,19 +342,27 @@ def test_a_noise_free_run_builds_no_generator(name, monkeypatch):
     run_scenario(_short(name, 0.5, uncertainties=False))
 
 
-@pytest.mark.parametrize("field", _NOISE)
-def test_any_one_noise_magnitude_builds_a_generator(field, monkeypatch):
-    seeds = []
+@pytest.mark.parametrize("field", ["attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2"])
+def test_any_one_noise_magnitude_keeps_every_draw(field, monkeypatch):
+    # one channel on draws for all three, so no channel's stream shifts
+    make, built = np.random.default_rng, []
 
-    def spy(seed, build=np.random.default_rng):
-        seeds.append(seed)
-        return build(seed)
+    def spy(seed):
+        built.append(make(seed))
+        return built[-1]
 
     monkeypatch.setattr(sim.np.random, "default_rng", spy)
     cfg = _short("example2", 0.5, uncertainties=False)
     setattr(cfg.noise, field, 0.01)
     run_scenario(cfg)
-    assert seeds == [cfg.seed]
+    (used,) = built
+    twin = make(cfg.seed)
+    n = int(round(cfg.sim.t_final_s / cfg.sim.dt_s))
+    for i in range(n + 1):  # per step: attitude, gyro and, but on the last, the bias walk
+        twin.random(), twin.random(), twin.standard_normal(3)
+        if i < n:
+            twin.standard_normal(3)
+    assert used.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
