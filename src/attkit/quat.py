@@ -139,14 +139,6 @@ def axis_pow(q_v: Array, alpha: float) -> Array:
     return q_v / np.where(n == 0.0, 1.0, np.power(n, alpha))
 
 
-def chord_len(q0: float) -> float:
-    """Chord distance from a unit quaternion with scalar part q0 to identity.
-
-    ||Q - [1,0,0,0]|| = sqrt((q0-1)^2 + ||q||^2) = sqrt(2(1-q0)) for unit Q.
-    """
-    return math.sqrt(max(2.0 * (1.0 - q0), 0.0))
-
-
 def chord_pow(q, alpha: float, h: int = 1) -> tuple:
     """Vector part of h Q scaled by the chord from h Q to identity raised to -alpha.
 
@@ -157,9 +149,10 @@ def chord_pow(q, alpha: float, h: int = 1) -> tuple:
     q0, q1, q2, q3 = q
     if h < 0:
         q0, q1, q2, q3 = -q0, -q1, -q2, -q3
-    if 1.0 - q0 <= ZERO_TOL:
+    gap = 1.0 - q0  # the chord ||h Q - identity|| is sqrt(2 gap) for unit input
+    if gap <= ZERO_TOL:
         return (0.0, 0.0, 0.0)
-    s = chord_len(q0) ** alpha
+    s = math.sqrt(2.0 * gap) ** alpha
     return (q1 / s, q2 / s, q3 / s)
 
 

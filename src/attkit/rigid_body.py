@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quat import cross, mat_vec, quat_conj, quat_mul, rotate
+from .quat import cross, mat_vec, rotate
 
 
 class Inertia:
@@ -128,15 +128,37 @@ def kinematics_rate(q, w) -> tuple:
 
 
 def dynamics_rate(inertia: Inertia, w, torque) -> tuple:
-    """Euler's equation: wdot = J^-1 (-w x Jw + torque)."""
-    c1, c2, c3 = cross(w, mat_vec(inertia.matrix, w))
+    """Euler's equation: wdot = J^-1 (-w x Jw + torque).
+
+    One frame for J w, the cross product and J^-1: equal bit for bit to
+    mat_vec(inverse, torque - cross(w, mat_vec(matrix, w))).
+    """
+    (a, b, c), (d, e, f), (g, h, k) = inertia.matrix
+    w1, w2, w3 = w
+    j1, j2, j3 = a * w1 + b * w2 + c * w3, d * w1 + e * w2 + f * w3, g * w1 + h * w2 + k * w3
     t1, t2, t3 = torque
-    return mat_vec(inertia.inverse, (t1 - c1, t2 - c2, t3 - c3))
+    r1 = t1 - (w2 * j3 - w3 * j2)
+    r2 = t2 - (w3 * j1 - w1 * j3)
+    r3 = t3 - (w1 * j2 - w2 * j1)
+    (a, b, c), (d, e, f), (g, h, k) = inertia.inverse
+    return (a * r1 + b * r2 + c * r3, d * r1 + e * r2 + f * r3, g * r1 + h * r2 + k * r3)
 
 
 def error_quaternion(q_d, q) -> tuple:
-    """Attitude of the body frame relative to the desired frame: conj(Q_d) * Q."""
-    return quat_mul(quat_conj(q_d), q)
+    """Attitude of the body frame relative to the desired frame: conj(Q_d) * Q.
+
+    The conjugate is folded into the Hamilton product: a - (-x) y is a + x y
+    exactly in IEEE arithmetic, so this equals quat_mul(quat_conj(q_d), q)
+    bit for bit, on floats and on (n,) columns.
+    """
+    w1, x1, y1, z1 = q_d
+    w2, x2, y2, z2 = q
+    return (
+        w1 * w2 + x1 * x2 + y1 * y2 + z1 * z2,
+        w1 * x2 - x1 * w2 - y1 * z2 + z1 * y2,
+        w1 * y2 + x1 * z2 - y1 * w2 - z1 * x2,
+        w1 * z2 - x1 * y2 + y1 * x2 - z1 * w2,
+    )
 
 
 def error_velocity(q_e, w, w_d) -> tuple:

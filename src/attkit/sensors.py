@@ -59,7 +59,8 @@ def disturbance_torque(cfg: DisturbanceConfig, t: float) -> tuple:
         return (0.0, 0.0, 0.0)
     p = cfg.frequency_rad_s * t
     a = cfg.amplitude_nm
-    return (a * math.cos(p), a * math.cos(p), -(a * math.sin(p)))
+    c = a * math.cos(p)
+    return (c, c, -(a * math.sin(p)))
 
 
 def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator | None) -> tuple:
@@ -116,5 +117,7 @@ def bias_step(bias, walk_rad_s2: float, dt: float, rng: np.random.Generator | No
 
 
 def saturate(torque, limit_nm: float) -> tuple:
-    """Componentwise clip of the commanded torque to +-limit_nm (limit_nm > 0)."""
-    return tuple([min(max(u, -limit_nm), limit_nm) for u in torque])
+    """Componentwise clip of the commanded torque to +-limit_nm (limit_nm > 0); NaN passes."""
+    u1, u2, u3 = torque
+    lo = -limit_nm
+    return (min(max(u1, lo), limit_nm), min(max(u2, lo), limit_nm), min(max(u3, lo), limit_nm))

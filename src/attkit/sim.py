@@ -166,9 +166,10 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         # one RK4 flow step with torque and measurements held
         def flow(tt, y):
             d1, d2, d3 = disturbance_torque(cfg.disturbance, tt)
+            w_y = y[4:7]
             return (
-                *kinematics_rate(y[0:4], y[4:7]),
-                *dynamics_rate(inertia, y[4:7], (u1 + d1, u2 + d2, u3 + d3)),
+                *kinematics_rate(y[0:4], w_y),
+                *dynamics_rate(inertia, w_y, (u1 + d1, u2 + d2, u3 + d3)),
                 *kinematics_rate(y[7:11], traj.omega_fn(tt)),
                 *kind.estimator_flow(es_gains, y[11:], h_t, q_m, w_m, q_e_m),
             )

@@ -5,6 +5,7 @@ the nearest double; tests compare against the literals, not the code's own
 output.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -13,7 +14,6 @@ import pytest
 from attkit.quat import (
     axis_pow,
     chord_gap,
-    chord_len,
     chord_potential,
     chord_pow,
     cross,
@@ -174,10 +174,30 @@ def test_axis_pow_and_chord_gap_map_a_column_block_as_its_points():
     assert np.array_equal(got[:, :2], np.zeros((3, 2)))
 
 
-def test_chord_len_endpoints():
-    assert chord_len(1.0) == 0.0
-    assert chord_len(-1.0) == 2.0
-    assert chord_len(0.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+def test_chord_potential_endpoints_at_alpha_one():
+    # at alpha = 1 the potential is the chord ||Q - identity|| = sqrt(2(1 - q0))
+    assert chord_potential(1.0, 1.0) == 0.0
+    assert chord_potential(-1.0, 1.0) == 2.0
+    assert chord_potential(0.0, 1.0) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+
+
+def test_chord_pow_equals_its_composed_chord_bit_for_bit():
+    # the chord as a separate clamped kernel, sqrt(max(2(1 - h q0), 0)), is
+    # what chord_pow forms inline after its guard
+    rng = np.random.default_rng(21)
+    qs = [random_unit_quat(rng) for _ in range(2000)]
+    qs += [from_axis_angle([0.3, -1.0, 0.5], th) for th in (1e-3, 1e-5, 2e-6, 1e-7)]
+    qs += [IDENTITY_QUAT, -IDENTITY_QUAT, np.array([0.0, 1.0, 0.0, 0.0])]
+    for q in qs:
+        alpha = float(rng.uniform(0.0, 1.0))
+        for h in (1, -1):
+            q0, q1, q2, q3 = (h * float(c) for c in q)
+            if 1.0 - q0 <= 1e-12:
+                want = (0.0, 0.0, 0.0)
+            else:
+                s = math.sqrt(max(2.0 * (1.0 - q0), 0.0)) ** alpha
+                want = (q1 / s, q2 / s, q3 / s)
+            assert np.array(chord_pow(q, alpha, h)).tobytes() == np.array(want).tobytes()
 
 
 def test_chord_pow_reference_value_identity_and_exponent_zero():

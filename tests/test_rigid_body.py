@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from attkit.quat import quat_mul, random_unit_quat, rotate
+from attkit.quat import cross, mat_vec, quat_conj, quat_mul, random_unit_quat, rotate
 from attkit.rigid_body import (
     DesiredTrajectory,
     Inertia,
@@ -95,6 +95,44 @@ def test_regulation_trajectory_is_rest():
     assert np.array_equal(traj.omega_fn(12.3), np.zeros(3))
     assert np.array_equal(traj.omega_dot_fn(12.3), np.zeros(3))
     assert traj.omega_bound == traj.omega_dot_bound == 0.0
+
+
+def _bits(values):
+    """The float64 bytes of a float tuple or a tuple of (n,) columns: signed zeros count."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def _with_signed_zeros(rng, shape):
+    """Gaussian entries, about a third of them replaced by +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    pick = rng.integers(0, 6, shape)
+    x[pick == 0] = 0.0
+    x[pick == 1] = -0.0
+    return x
+
+
+def test_error_quaternion_equals_the_conjugate_product_bit_for_bit():
+    rng = np.random.default_rng(16)
+    q_d, q = _with_signed_zeros(rng, (4, 500)), _with_signed_zeros(rng, (4, 500))
+    for a, b in zip(q_d.T, q.T):
+        a, b = tuple(a.tolist()), tuple(b.tolist())
+        assert _bits(error_quaternion(a, b)) == _bits(quat_mul(quat_conj(a), b))
+    columns_d, columns = tuple(q_d), tuple(q)
+    got = error_quaternion(columns_d, columns)
+    assert _bits(got) == _bits(quat_mul(quat_conj(columns_d), columns))
+    assert _bits(got) == _bits(np.transpose([error_quaternion(a, b) for a, b in zip(q_d.T, q.T)]))
+
+
+def test_dynamics_rate_equals_its_composed_form_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        m = rng.standard_normal((3, 3))
+        inertia = Inertia(m @ m.T + 3.0 * np.eye(3))
+        w, torque = _with_signed_zeros(rng, 3).tolist(), _with_signed_zeros(rng, 3).tolist()
+        c1, c2, c3 = cross(w, mat_vec(inertia.matrix, w))
+        t1, t2, t3 = torque
+        want = mat_vec(inertia.inverse, (t1 - c1, t2 - c2, t3 - c3))
+        assert _bits(dynamics_rate(inertia, w, torque)) == _bits(want)
 
 
 def test_error_quaternion_identity_and_composition():
