@@ -46,9 +46,8 @@ class TrajectoryConfig:
     q_d0: Quat = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0])
 
     def build(self) -> DesiredTrajectory:
-        traj = sinusoid_trajectory(self.amplitude_rad_s, self.frequency_rad_s)
-        traj.q_d0 = unit_or_warn(self.q_d0, "trajectory.q_d0")
-        return traj
+        q_d0 = unit_or_warn(self.q_d0, "trajectory.q_d0")
+        return sinusoid_trajectory(self.amplitude_rad_s, self.frequency_rad_s, q_d0)
 
 
 @dataclass(slots=True)

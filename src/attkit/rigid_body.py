@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .quat import cross, mat_vec, rotate
+from .quat import cross, mat_vec, quat_mul, rotate
 
 
 class Inertia:
@@ -75,26 +75,48 @@ def _inertia_of_bits(shape: tuple, bits: bytes) -> Inertia:
 
 @dataclass
 class DesiredTrajectory:
-    """Desired attitude motion: initial quaternion plus rate and acceleration laws.
+    """Desired attitude motion: attitude, rate and acceleration laws of time.
 
-    omega_fn / omega_dot_fn map a time t [s] to the desired angular velocity
-    [rad/s] and its time derivative in the desired frame, each a 3-tuple of
-    floats (any float sequence works).  omega_bound / omega_dot_bound are
-    uniform norm bounds used by the torque-bound checks, both 0 at rest.
+    q_d_fn maps a time t [s] to the desired attitude Q_d(t), a unit
+    quaternion as a 4-tuple of floats.  omega_fn / omega_dot_fn map t to the
+    desired angular velocity w_d [rad/s] and its time derivative in the
+    desired frame, each a 3-tuple of floats (any float sequence works), with
+    Qdot_d = 0.5 Q_d * [0, w_d].  omega_bound / omega_dot_bound are uniform
+    norm bounds used by the torque-bound checks, both 0 at rest.
     """
 
-    q_d0: Sequence[float]
+    q_d_fn: Callable[[float], tuple]
     omega_fn: Callable[[float], tuple]
     omega_dot_fn: Callable[[float], tuple]
     omega_bound: float
     omega_dot_bound: float
 
 
-def sinusoid_trajectory(amplitude: float = 0.01, frequency: float = 0.01) -> DesiredTrajectory:
-    """All-axes sinusoid w_d(t) = amplitude*sin(frequency*t)*[1,1,1] from identity.
+def sinusoid_trajectory(
+    amplitude: float = 0.01, frequency: float = 0.01, q_d0=(1.0, 0.0, 0.0, 0.0)
+) -> DesiredTrajectory:
+    """All-axes sinusoid w_d(t) = amplitude*sin(frequency*t)*[1,1,1] from unit q_d0.
 
-    amplitude = 0 is rest-to-rest pointing, with rates of exact +0.0.
+    The rate turns about the fixed axis [1,1,1]/sqrt(3), so Q_d has a closed
+    form, q_d0 * [cos phi, (sin phi/sqrt(3)) [1,1,1]] with the half angle
+    phi(t) = sqrt(3) amplitude sin^2(frequency t/2)/frequency: the sin^2 form
+    of (1 - cos(frequency t))/2 has no cancellation.  Q_d(0) is q_d0.
+    amplitude = 0 is rest-to-rest pointing at q_d0, with rates of exact +0.0;
+    frequency = 0 also holds q_d0.
     """
+    q_d0 = tuple(map(float, q_d0))
+    root3 = math.sqrt(3.0)
+    if amplitude and frequency:
+        half_f, k = 0.5 * frequency, root3 * amplitude / frequency
+
+        def attitude(t: float) -> tuple:
+            s = math.sin(half_f * t)
+            phi = k * s * s
+            v = math.sin(phi) / root3
+            return quat_mul(q_d0, (math.cos(phi), v, v, v))
+
+    else:
+        attitude = lambda t: q_d0
 
     def omega(t: float) -> tuple:
         s = amplitude * math.sin(frequency * t)
@@ -107,11 +129,11 @@ def sinusoid_trajectory(amplitude: float = 0.01, frequency: float = 0.01) -> Des
     if not amplitude:  # 0.0 * sin(x) is -0.0 where sin(x) < 0
         omega = omega_dot = lambda t: (0.0, 0.0, 0.0)
     return DesiredTrajectory(
-        q_d0=(1.0, 0.0, 0.0, 0.0),
+        q_d_fn=attitude,
         omega_fn=omega,
         omega_dot_fn=omega_dot,
-        omega_bound=abs(amplitude) * math.sqrt(3.0),
-        omega_dot_bound=abs(amplitude * frequency) * math.sqrt(3.0),
+        omega_bound=abs(amplitude) * root3,
+        omega_dot_bound=abs(amplitude * frequency) * root3,
     )
 
 

@@ -2,21 +2,24 @@
 
 Each step does, in order:
 
-1. sample the sensors (measurements are zero-order-held across the step);
+1. read the reference attitude Q_d(t) from the trajectory's closed form and
+   sample the sensors (measurements are zero-order-held across the step);
    a noise-free run, all three noise magnitudes 0, builds no Generator and
    measures the truth,
 2. apply the kind's jump rule once to the measured error scalars (one
    application always re-enters the flow set) and record a JumpEvent if it fired,
 3. form the commanded torque from measurements only, as feedforward_torque
    plus the kind's feedback torque, and clip it to the torque limit,
-4. write its row of the trace: time, plant, reference, logic, bias, torques,
-   disturbance, desired rate and estimator state,
-5. advance plant + reference + estimator one RK4 step of the continuous flow
-   with torque and measurements held, then renormalize the quaternions and
-   advance the gyro-bias random walk (the bias stays put in a noise-free run).
+4. write its row of the trace: time, plant, the Q_d it read, logic, bias,
+   torques, disturbance, desired rate and estimator state,
+5. advance plant + estimator one RK4 step of the continuous flow with torque
+   and measurements held, then renormalize their quaternions and advance the
+   gyro-bias random walk (the bias stays put in a noise-free run).  The
+   reference is not integrated, so it needs no renormalization and no drift
+   guard.
 
 The state travels through the step as tuples of Python floats: the flow state
-is one flat tuple [Q, w, Q_d, est] for integrate.rk4_step, and each step
+is one flat tuple [Q, w, est] for integrate.rk4_step, and each step
 writes its columns once into the trace's preallocated row block.  No step
 reads the truth errors or Lyapunov values, so _record forms them after the
 loop, once, by the same kernels applied to the block's (n,) columns, and
@@ -127,13 +130,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
     q = cfg.initial_quat()
     w = tuple(map(float, cfg.plant.omega0_rad_s))
-    q_d = traj.q_d0
     b = tuple(map(float, cfg.plant.bias0_rad_s))
     h = cfg.controller.h0
 
     events = []
     for i in range(n + 1):
         t = i * dt
+        q_d = traj.q_d_fn(t)
         q_m = measure_attitude(q, cone, rng)
         w_m = measure_gyro(w, b, gyro_sig, rng)
         q_e_m = error_quaternion(q_d, q_m)
@@ -170,14 +173,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             return (
                 *kinematics_rate(y[0:4], w_y),
                 *dynamics_rate(inertia, w_y, (u1 + d1, u2 + d2, u3 + d3)),
-                *kinematics_rate(y[7:11], traj.omega_fn(tt)),
-                *kind.estimator_flow(es_gains, y[11:], h_t, q_m, w_m, q_e_m),
+                *kind.estimator_flow(es_gains, y[7:], h_t, q_m, w_m, q_e_m),
             )
 
-        y = rk4_step(flow, t, (*q, *w, *q_d, *est), dt)
-        q, w, q_d = _renorm(y[0:4], i), y[4:7], _renorm(y[7:11], i)
+        y = rk4_step(flow, t, (*q, *w, *est), dt)
+        q, w = _renorm(y[0:4], i), y[4:7]
         if est:
-            est = (*_renorm(y[11:15], i), *y[15:])
+            est = (*_renorm(y[7:11], i), *y[11:])
         b = bias_step(b, walk, dt, rng)
 
     trace = SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)

@@ -197,10 +197,11 @@ def dual_gap_full_state():
         )
 
     err_flow = analysis.full_state_error_flow(inertia, gains, traj)
-    q_e0 = error_quaternion(traj.q_d0, q0)
+    q_d0 = traj.q_d_fn(0.0)
+    q_e0 = error_quaternion(q_d0, q0)
     w_e0 = error_velocity(q_e0, w0, traj.omega_fn(0.0))
 
-    y = _integrate(absolute, np.concatenate([q0, w0, traj.q_d0]), (slice(0, 4), slice(7, 11)))
+    y = _integrate(absolute, np.concatenate([q0, w0, q_d0]), (slice(0, 4), slice(7, 11)))
     z = _integrate(
         lambda t, yy: err_flow(t, yy, h, 1), np.concatenate([q_e0, w_e0]), (slice(0, 4),)
     )

@@ -239,7 +239,7 @@ def test_remainder_trajectory_coupling_vanishes_under_dilation():
     # constant nonzero desired rate drives them.
     w_d = (0.05, -0.03, 0.02)
     traj = DesiredTrajectory(
-        q_d0=(1.0, 0.0, 0.0, 0.0),
+        q_d_fn=lambda t: (1.0, 0.0, 0.0, 0.0),
         omega_fn=lambda t: w_d,
         omega_dot_fn=lambda t: (0.0, 0.0, 0.0),
         omega_bound=float(np.linalg.norm(w_d)),
@@ -265,7 +265,7 @@ def test_fields_map_a_column_block_as_its_points(system, gains):
     # a constant nonzero desired rate drives the remainders' transport terms
     es = ERROR_SYSTEMS[system]
     w_d = (0.05, -0.03, 0.02)
-    traj = DesiredTrajectory(IDENT, lambda t: w_d, lambda t: (0.0, 0.0, 0.0), 0.07, 0.0)
+    traj = DesiredTrajectory(lambda t: IDENT, lambda t: w_d, lambda t: (0.0, 0.0, 0.0), 0.07, 0.0)
     weights = es.weights(gains)
     rng = np.random.default_rng(4)
     xs = rng.standard_normal((200, weights.r.size)).T
@@ -303,7 +303,7 @@ def test_remainder_is_error_flow_less_reduced_field(system, gains):
     # at 24 % (at most 2.1e-4 for eps >= 1e-3).
     es = ERROR_SYSTEMS[system]
     w_d, w_d_dot = np.array([0.01, -0.02, 0.015]), np.array([1e-3, 2e-3, -1e-3])
-    traj = DesiredTrajectory(IDENT, lambda t: w_d, lambda t: w_d_dot, 0.03, 3e-3)
+    traj = DesiredTrajectory(lambda t: IDENT, lambda t: w_d, lambda t: w_d_dot, 0.03, 3e-3)
     flow = es.flow(gains, INERTIA, traj)
     reduced = es.reduced_field(gains, INERTIA)
     remainder = es.remainder(gains, INERTIA, traj)
@@ -338,7 +338,7 @@ def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monk
     def unreadable(t):
         raise AssertionError("omega_dot_fn read at t = %r" % t)
 
-    seen = DesiredTrajectory(IDENT, lambda t: w_d, lambda t: (1e-3, 2e-3, -1e-3), 0.07, 3e-3)
+    seen = DesiredTrajectory(lambda t: IDENT, lambda t: w_d, lambda t: (1e-3, 2e-3, -1e-3), 0.07, 3e-3)
     blind = replace(seen, omega_dot_fn=unreadable)
     rng = np.random.default_rng(6)
     for system, gains in (("full_state", FS_GAINS), ("attitude_only", OF_GAINS)):

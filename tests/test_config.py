@@ -440,7 +440,7 @@ def test_trajectory_config_build():
     rest = TrajectoryConfig(amplitude_rad_s=0.0, q_d0=[0.0, 1.0, 0.0, 0.0]).build()
     assert rest.omega_bound == rest.omega_dot_bound == 0.0
     assert rest.omega_fn(12.3) == rest.omega_dot_fn(12.3) == (0.0, 0.0, 0.0)
-    assert rest.q_d0 == (0.0, 1.0, 0.0, 0.0)
+    assert rest.q_d_fn(0.0) == rest.q_d_fn(12.3) == (0.0, 1.0, 0.0, 0.0)
 
 
 def test_preset_example1():

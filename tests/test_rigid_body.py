@@ -1,5 +1,7 @@
 """Rigid-body dynamics, trajectory, and tracking-error geometry tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from attkit.rigid_body import (
     kinematics_rate,
     sinusoid_trajectory,
 )
+from attkit.integrate import _renorm
 from attkit.sim import rk4_step
 
 from conftest import from_axis_angle
@@ -75,7 +78,7 @@ def test_kinematics_rate_equals_quaternion_product():
 
 def test_sinusoid_trajectory_values_and_bounds():
     traj = sinusoid_trajectory(0.01, 0.01)
-    assert np.array_equal(traj.q_d0, [1.0, 0.0, 0.0, 0.0])
+    assert traj.q_d_fn(0.0) == (1.0, 0.0, 0.0, 0.0)
     assert np.allclose(traj.omega_fn(0.0), 0.0)
     t_peak = 0.5 * np.pi / 0.01
     assert np.allclose(traj.omega_fn(t_peak), 0.01)
@@ -88,6 +91,64 @@ def test_sinusoid_trajectory_values_and_bounds():
         flipped = sinusoid_trajectory(amplitude, frequency)
         assert flipped.omega_bound == traj.omega_bound > 0.0
         assert flipped.omega_dot_bound == traj.omega_dot_bound > 0.0
+
+
+Q_D0 = tuple((np.array([0.3, -0.5, 0.7, 0.2]) / np.linalg.norm([0.3, -0.5, 0.7, 0.2])).tolist())
+
+
+@pytest.mark.parametrize("amplitude, frequency", [(0.01, 0.01), (-0.3, 0.7), (0.3, -0.7)])
+def test_closed_form_reference_starts_at_q_d0_and_stays_unit(amplitude, frequency):
+    q_d_fn = sinusoid_trajectory(amplitude, frequency, Q_D0).q_d_fn
+    assert q_d_fn(0.0) == Q_D0
+    for t in np.linspace(0.0, 500.0, 2001).tolist():
+        assert abs(math.sqrt(sum(c * c for c in q_d_fn(t))) - 1.0) <= 4.5e-16
+
+
+def test_closed_form_reference_agrees_with_rk4_integration():
+    # the reference the simulator used to carry: RK4 on Qdot_d = 0.5 Q_d * [0, w_d], dt = 1e-3,
+    # renormalized each step; over 200 s (three periods, half angles up to 0.87 rad) the two
+    # differed by at most 2.5e-13
+    traj = sinusoid_trajectory(0.05, 0.1, Q_D0)
+    dt, worst, q_d = 1e-3, 0.0, Q_D0
+
+    def flow(t, q):
+        return kinematics_rate(q, traj.omega_fn(t))
+
+    for i in range(1, 200_001):
+        q_d = _renorm(rk4_step(flow, (i - 1) * dt, q_d, dt), i)
+        if i % 100 == 0:
+            worst = max(worst, np.abs(np.subtract(traj.q_d_fn(i * dt), q_d)).max())
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "amplitude, frequency", [(0.01, 0.01), (0.05, 0.1), (-0.05, 0.1), (0.05, -0.1), (-0.3, -0.7)]
+)
+def test_closed_form_reference_obeys_the_kinematics(amplitude, frequency):
+    traj = sinusoid_trajectory(amplitude, frequency, Q_D0)
+    eps = 1e-4
+    for t in (0.3, 7.0, 12.0, 31.4, 100.0, 250.0):
+        fd = np.subtract(traj.q_d_fn(t + eps), traj.q_d_fn(t - eps)) / (2.0 * eps)
+        want = 0.5 * np.asarray(quat_mul(traj.q_d_fn(t), (0.0, *traj.omega_fn(t))))
+        assert np.allclose(fd, want, rtol=0.0, atol=1e-9), (t, fd, want)
+
+
+def test_closed_form_reference_signs():
+    # w_d(t) is the same for (-a, f) and (a, -f), and its opposite for (-a, -f)
+    a, f = 0.05, 0.1
+    for t in (3.0, 40.0, 77.0):
+        neg_a = sinusoid_trajectory(-a, f, Q_D0).q_d_fn(t)
+        assert np.allclose(sinusoid_trajectory(a, -f, Q_D0).q_d_fn(t), neg_a, rtol=0.0, atol=1e-15)
+        assert np.allclose(sinusoid_trajectory(-a, -f, Q_D0).q_d_fn(t),
+                           sinusoid_trajectory(a, f, Q_D0).q_d_fn(t), rtol=0.0, atol=1e-15)
+        assert not np.allclose(neg_a, sinusoid_trajectory(a, f, Q_D0).q_d_fn(t))
+
+
+@pytest.mark.parametrize("amplitude, frequency", [(0.0, 0.01), (0.01, 0.0), (0.0, 0.0), (-0.0, -0.0)])
+def test_a_zero_amplitude_or_frequency_holds_q_d0(amplitude, frequency):
+    q_d_fn = sinusoid_trajectory(amplitude, frequency, Q_D0).q_d_fn
+    for t in (0.0, 1.0, 123.4, -5.0, 1e6):
+        assert q_d_fn(t) == Q_D0
 
 
 def test_regulation_trajectory_is_rest():
@@ -227,7 +288,7 @@ def test_error_dynamics_matches_absolute_difference():
 
 def test_desired_trajectory_is_plain_container():
     traj = DesiredTrajectory(
-        q_d0=np.array([1.0, 0.0, 0.0, 0.0]),
+        q_d_fn=lambda t: np.array([1.0, 0.0, 0.0, 0.0]),
         omega_fn=lambda t: np.zeros(3),
         omega_dot_fn=lambda t: np.zeros(3),
         omega_bound=0.0,

@@ -342,6 +342,26 @@ def test_a_noise_free_run_builds_no_generator(name, monkeypatch):
     run_scenario(_short(name, 0.5, uncertainties=False))
 
 
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_the_reference_is_read_from_its_closed_form_not_integrated(name, monkeypatch):
+    cfg = _short(name, 2.0)
+    cfg.trajectory.amplitude_rad_s, cfg.trajectory.frequency_rad_s = -0.3, 0.7
+    cfg.trajectory.q_d0 = [0.5, -0.5, 0.5, 0.5]
+    widths = set()
+
+    def step(flow, t, y, dt):
+        widths.add(len(y))
+        return rk4_step(flow, t, y, dt)
+
+    monkeypatch.setattr(sim, "rk4_step", step)
+    trace = run_scenario(cfg)
+    q_d_fn = cfg.trajectory.build().q_d_fn
+    want = [q_d_fn(i * trace.dt) for i in range(len(trace.t))]
+    assert trace.q_d.tobytes() == np.array(want).tobytes()
+    est = np.count_nonzero(~np.isnan(trace.rows[0, sim._OFFSET["q_hat"] : sim._OFFSET["q_e"]]))
+    assert widths == {7 + est}  # [Q, w, est]: no reference state
+
+
 @pytest.mark.parametrize("field", ["attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2"])
 def test_any_one_noise_magnitude_keeps_every_draw(field, monkeypatch):
     # one channel on draws for all three, so no channel's stream shifts

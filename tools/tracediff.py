@@ -23,7 +23,10 @@ each in a fresh interpreter, which loads each preset's trace back through
 that checkout's own ``sim.load_trace``, whatever file layout it writes, and
 dumps its trace attributes and jump events.  For each preset run it prints the
 max |difference| of every trace attribute, by name, and each attribute that
-only one side has; then whether the jump events, the convergence verdict and
+only one side has.  An attribute whose max |d| is finite and nonzero also
+prints the time of its worst row and the number of rows that differ by more
+than 1e-9 (``worst at t = <s> s, <count> rows > 1e-09``), so a difference
+confined to a few rows late in a run reads as such.  Then it prints whether the jump events, the convergence verdict and
 settling time, the jump count, the bound flags and the ``summary.json``
 digest are identical.  For each verify run it prints whether the verdicts
 and jump counts are identical, whether the JSON that ``attkit verify``
@@ -82,6 +85,8 @@ VERIFY = {
     "example3_h_jump": ("example3", _H_JUMP),
 }
 VERIFY_SAMPLES = 200
+#: a preset attribute's rows that differ by more than this are counted
+ROW_TOL = 1e-9
 #: summary entries that must match exactly
 CONVERGENCE_EXACT = ("converged", "settling_time_s", "jump_count")
 BOUND_FLAGS = ("torque_ok", "jump_ok", "gronwall_ok", "jump_count")
@@ -125,6 +130,14 @@ def _max_diff(a, b) -> float:
     return float(np.abs(a[ok] - b[ok]).max()) if ok.any() else 0.0
 
 
+def _worst_row(a, b, t) -> str:
+    """Where two traces' attribute differs: the time of its worst row and how many rows
+    differ by more than ROW_TOL.  a and b have one shape and one NaN pattern."""
+    d = np.abs(np.asarray(a, float) - np.asarray(b, float))
+    d = np.where(np.isnan(d), 0.0, d).reshape(len(d), -1).max(axis=1)
+    return "  worst at t = %.6g s, %d rows > %g" % (t[d.argmax()], (d > ROW_TOL).sum(), ROW_TOL)
+
+
 def _floats(obj) -> list[float]:
     """Every number in a verify result, in a fixed order."""
     if isinstance(obj, dict):
@@ -150,7 +163,8 @@ def compare(mine: Path, other: Path) -> bool:
         for key in a.files:
             if key in b.files:
                 d = _max_diff(a[key], b[key])
-                print("  max |d| %-12s %.3g" % (key, d))
+                where = _worst_row(a[key], b[key], a["t"]) if 0.0 < d < math.inf else ""
+                print("  max |d| %-12s %.3g%s" % (key, d, where))
                 if d > worst[0]:
                     worst = (d, "%s.%s" % (name, key))
                 same &= math.isfinite(d)
