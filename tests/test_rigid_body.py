@@ -133,17 +133,6 @@ def test_closed_form_reference_obeys_the_kinematics(amplitude, frequency):
         assert np.allclose(fd, want, rtol=0.0, atol=1e-9), (t, fd, want)
 
 
-def test_closed_form_reference_signs():
-    # w_d(t) is the same for (-a, f) and (a, -f), and its opposite for (-a, -f)
-    a, f = 0.05, 0.1
-    for t in (3.0, 40.0, 77.0):
-        neg_a = sinusoid_trajectory(-a, f, Q_D0).q_d_fn(t)
-        assert np.allclose(sinusoid_trajectory(a, -f, Q_D0).q_d_fn(t), neg_a, rtol=0.0, atol=1e-15)
-        assert np.allclose(sinusoid_trajectory(-a, -f, Q_D0).q_d_fn(t),
-                           sinusoid_trajectory(a, f, Q_D0).q_d_fn(t), rtol=0.0, atol=1e-15)
-        assert not np.allclose(neg_a, sinusoid_trajectory(a, f, Q_D0).q_d_fn(t))
-
-
 @pytest.mark.parametrize("amplitude, frequency", [(0.0, 0.01), (0.01, 0.0), (0.0, 0.0), (-0.0, -0.0)])
 def test_a_zero_amplitude_or_frequency_holds_q_d0(amplitude, frequency):
     q_d_fn = sinusoid_trajectory(amplitude, frequency, Q_D0).q_d_fn
