@@ -11,12 +11,13 @@ with applications to finite-time stability", MCSS 2005).  ERROR_SYSTEMS
 states, per error system, which gains and exponents these three take.
 
 Each error system's flow splits into a reduced field, homogeneous of negative
-degree, and a remainder field: the flow less the reduced field, its dynamic
-rows built from the error flows' rigid-body kernels.  Both take the chart
-point x (quaternion vector parts, then w_e or b_err) to R^dim, or a (dim, n)
-block of columns to its block of rates, and block b of the remainder is its
-rows 3b..3b+2.  Finite time needs each block to vanish under the dilation
-faster than the reduced field, which perturbation_vanishing_check measures.
+degree (of degree 0 at the linear limit), and a remainder field: the flow
+less the reduced field, its dynamic rows built from the error flows'
+rigid-body kernels.  Both take the chart point x (quaternion vector parts,
+then w_e or b_err) to R^dim, or a (dim, n) block of columns to its block of
+rates, and block b of the remainder is its rows 3b..3b+2.  Finite time needs
+each block to vanish under the dilation faster than the reduced field, which
+perturbation_vanishing_check measures.
 Both fields are written at h = h_tilde = 1: Q -> -Q on a quaternion block
 maps the system at logic value -1 onto this one and commutes with the
 dilation, which scales only the vector part.
@@ -45,6 +46,7 @@ from .controllers import (
     OutputFeedbackGains,
     check_logic,
     check_positive,
+    check_width,
     full_state_torque,
     output_feedback_torque,
 )
@@ -131,7 +133,7 @@ DEFAULT_DEGREE = -0.2
 
 @dataclass(frozen=True)
 class DilationWeights:
-    """Weights r_i > 0 and degree k < 0 of an anisotropic dilation e^r * x."""
+    """Weights r_i > 0 and degree k <= 0 (0 at the linear limit) of a dilation e^r * x."""
 
     r: Array
     k: float
@@ -140,8 +142,8 @@ class DilationWeights:
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
         if np.any(self.r <= 0.0):
             raise ValueError("dilation weights must be positive")
-        if self.k >= 0.0:
-            raise ValueError("homogeneity degree must be negative")
+        if self.k > 0.0:
+            raise ValueError("homogeneity degree must not be positive")
 
     def scale(self, x: Array, eps: float) -> Array:
         """eps^r * x for one point x in R^dim or a (dim, n) block of columns."""
@@ -154,11 +156,14 @@ def dilation_weights(p: float, quat_blocks: int) -> DilationWeights:
 
     The state is quat_blocks chart blocks in R^3, then one rate (or bias)
     block in R^3.  r_q = -2k/(1-p) on the chart blocks and r_w = -(1+p)k/(1-p)
-    on the last block; p in (0, 1) is alpha1 for the full-state loop, beta2
-    for the observer and 2*alpha3 - 1 for the velocity-free loop.
+    on the last block; p in (0, 1] is alpha1 for the full-state loop, beta2
+    for the observer and 2*alpha3 - 1 for the velocity-free loop.  p = 1, the
+    linear limit, is the degree-0 member: the standard dilation r = 1, k = 0.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("homogeneity requires 0 < p < 1, got %r" % p)
+    if not 0.0 < p <= 1.0:
+        raise ValueError("homogeneity requires 0 < p <= 1, got %r" % p)
+    if p == 1.0:
+        return DilationWeights(np.ones(3 * quat_blocks + 3), 0.0)
     k = DEFAULT_DEGREE
     r_q = -2.0 * k / (1.0 - p)
     r_w = -(1.0 + p) * k / (1.0 - p)
@@ -664,8 +669,7 @@ def lyapunov_flow_report(
         delta = gains.delta
     else:
         delta = 0.3 if delta is None else delta
-        if not 0.0 < delta < 1.0:  # so that every jump flips a logic variable
-            raise ValueError("delta must lie in (0, 1), got %r" % delta)
+        check_width("delta", delta)
     check_positive("dt", dt)
     check_positive("t_final", t_final)
     if y.shape != (es.size,):

@@ -121,9 +121,7 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     The flow check starts at analysis.start_state(_first_step(cfg)), so a
     config whose first step fails fails here with the run's message.  The
     flow check runs min(30, sim.t_final_s) at dt = 1e-3; a horizon under
-    analysis.MIN_FLOW_STEPS steps fails naming sim.t_final_s.  Degenerate
-    exponents (alpha1 = 1, beta1 = 1, alpha3 = 1) have no negative
-    homogeneity degree, so those checks report null instead of failing.
+    analysis.MIN_FLOW_STEPS steps fails naming sim.t_final_s.
     """
     if n_samples < 1:  # zero samples would pass the homogeneity check unchecked
         raise ValueError("samples must be at least 1, got %r" % n_samples)
@@ -143,24 +141,19 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     inertia = cfg.inertia()
     traj = cfg.trajectory.build()
 
-    try:
-        weights = es.weights(es_gains)
-    except ValueError:  # exponent at its degenerate limit
-        weights = None
-
-    if weights is None:
-        deviation, homogeneous_ok, monotone = None, None, None
-    else:
-        field = es.reduced_field(es_gains, inertia)
-        deviation = analysis.homogeneity_check(field, weights, n_samples=n_samples)
-        homogeneous_ok = deviation < 1e-9
-        ratios = analysis.perturbation_vanishing_check(
-            es.remainder(es_gains, inertia, traj), weights, es.blocks,
-            n_samples=max(n_samples // 10, 20),
-        )
-        monotone = all(
-            all(a > b for a, b in zip(row, row[1:])) for row in ratios.values()
-        )
+    weights = es.weights(es_gains)
+    deviation = analysis.homogeneity_check(
+        es.reduced_field(es_gains, inertia), weights, n_samples=n_samples
+    )
+    homogeneous_ok = deviation < 1e-9
+    ratios = analysis.perturbation_vanishing_check(
+        es.remainder(es_gains, inertia, traj), weights, es.blocks,
+        n_samples=max(n_samples // 10, 20),
+    )
+    # a block that is exactly zero at every eps (the bias block at beta1 = 1) has vanished
+    monotone = all(
+        not any(row) or all(a > b for a, b in zip(row, row[1:])) for row in ratios.values()
+    )
 
     sigma = es.sigma(es_gains, cfg.controller.delta)
     governing = es.governing
@@ -177,9 +170,8 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     flow_ok = report.flow_excess[governing] <= dt**1.5
     drops_ok = all(d >= sigma - 1e-9 for d in report.jump_drops[governing])
 
-    ok = all(x is not False for x in (homogeneous_ok, monotone, flow_ok, drops_ok))
     return {
-        "ok": bool(ok),
+        "ok": homogeneous_ok and monotone and flow_ok and drops_ok,
         "kind": cfg.controller.kind,
         "homogeneity_deviation": deviation,
         "homogeneity_ok": homogeneous_ok,

@@ -8,7 +8,7 @@ only in its declaration, and every bad field, missing or wrong section, and
 gain or section that the controller kind does not read raises a ValueError
 naming section.field.  Zero is off: a run is noise-free when the noise.*
 magnitudes are 0, disturbance-free at disturbance.amplitude_nm = 0, and
-rest-to-rest at trajectory.amplitude_rad_s = 0.
+rest-to-rest at trajectory.amplitude_rad_s or trajectory.frequency_rad_s = 0.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class PlantConfig:
 
 @dataclass(slots=True)
 class TrajectoryConfig:
-    amplitude_rad_s: float = 0.01  # 0: rest-to-rest pointing at q_d0
+    amplitude_rad_s: float = 0.01  # amplitude or frequency 0: rest-to-rest pointing at q_d0
     frequency_rad_s: float = 0.01
     q_d0: Quat = field(default_factory=lambda: [1.0, 0.0, 0.0, 0.0])
 

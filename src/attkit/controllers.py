@@ -40,13 +40,19 @@ def check_positive(label: str, value) -> None:
         raise ValueError("%s must be positive and finite, got %r" % (label, value))
 
 
+def check_width(label: str, value) -> None:
+    """The one hysteresis-width rule: ValueError unless 0 < value < 1, so every jump flips h."""
+    if not 0.0 < value < 1.0:
+        raise ValueError("%s must lie in (0, 1), got %r" % (label, value))
+
+
 @dataclass(frozen=True)
 class FullStateGains:
     """Gains for the full-state law.
 
     k1, k2 > 0 and finite; attitude exponent alpha1 in (0, 1]; hysteresis delta in (0, 1).
     The velocity exponent alpha2 = 2*alpha1/(1+alpha1) is derived, never set.
-    alpha1 = 1 degenerates to the asymptotic (non-finite-time) hybrid law.
+    alpha1 = 1, the linear limit, is Mayhew et al.'s hybrid feedback (2011), damping saturated.
     """
 
     k1: float
@@ -59,8 +65,7 @@ class FullStateGains:
         check_positive("k2", self.k2)
         if not 0.0 < self.alpha1 <= 1.0:
             raise ValueError("alpha1 must lie in (0, 1], got %r" % self.alpha1)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1), got %r" % self.delta)
+        check_width("delta", self.delta)
 
     @property
     def alpha2(self) -> float:
@@ -109,8 +114,7 @@ class OutputFeedbackGains:
             check_positive(name, getattr(self, name))
         if not 0.5 < self.alpha3 <= 1.0:
             raise ValueError("alpha3 must lie in (1/2, 1], got %r" % self.alpha3)
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must lie in (0, 1), got %r" % self.delta)
+        check_width("delta", self.delta)
 
     @property
     def alpha1(self) -> float:

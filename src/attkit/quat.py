@@ -34,7 +34,8 @@ import numpy as np
 
 Array = np.ndarray
 
-#: vector parts (or chord lengths) below this are treated as exactly zero
+#: chord_pow takes 1 - h q0 at or below this as identity: its dead zone covers chords
+#: sqrt(2(1 - h q0)) below about 1.41e-6.  measure_attitude leaves |q_v| <= it untilted.
 ZERO_TOL = 1e-12
 
 

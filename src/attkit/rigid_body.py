@@ -101,22 +101,21 @@ def sinusoid_trajectory(
     form, q_d0 * [cos phi, (sin phi/sqrt(3)) [1,1,1]] with the half angle
     phi(t) = sqrt(3) amplitude sin^2(frequency t/2)/frequency: the sin^2 form
     of (1 - cos(frequency t))/2 has no cancellation.  Q_d(0) is q_d0.
-    amplitude = 0 is rest-to-rest pointing at q_d0, with rates of exact +0.0;
-    frequency = 0 also holds q_d0.
+    Amplitude or frequency 0 is rest-to-rest pointing at q_d0: rates of exact
+    +0.0 and both bounds 0.
     """
     q_d0 = tuple(map(float, q_d0))
+    if not (amplitude and frequency):
+        rest = lambda t: (0.0, 0.0, 0.0)
+        return DesiredTrajectory(lambda t: q_d0, rest, rest, 0.0, 0.0)
     root3 = math.sqrt(3.0)
-    if amplitude and frequency:
-        half_f, k = 0.5 * frequency, root3 * amplitude / frequency
+    half_f, k = 0.5 * frequency, root3 * amplitude / frequency
 
-        def attitude(t: float) -> tuple:
-            s = math.sin(half_f * t)
-            phi = k * s * s
-            v = math.sin(phi) / root3
-            return quat_mul(q_d0, (math.cos(phi), v, v, v))
-
-    else:
-        attitude = lambda t: q_d0
+    def attitude(t: float) -> tuple:
+        s = math.sin(half_f * t)
+        phi = k * s * s
+        v = math.sin(phi) / root3
+        return quat_mul(q_d0, (math.cos(phi), v, v, v))
 
     def omega(t: float) -> tuple:
         s = amplitude * math.sin(frequency * t)
@@ -126,8 +125,6 @@ def sinusoid_trajectory(
         c = amplitude * frequency * math.cos(frequency * t)
         return (c, c, c)
 
-    if not amplitude:  # 0.0 * sin(x) is -0.0 where sin(x) < 0
-        omega = omega_dot = lambda t: (0.0, 0.0, 0.0)
     return DesiredTrajectory(
         q_d_fn=attitude,
         omega_fn=omega,

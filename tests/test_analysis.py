@@ -168,8 +168,9 @@ def test_dilation_weights_validation():
     assert np.allclose(w.scale(np.array([3.0, 3.0]), 0.5), [1.5, 0.75])
     with pytest.raises(ValueError):
         DilationWeights(np.array([1.0, 0.0]), -0.2)
-    with pytest.raises(ValueError):
-        DilationWeights(np.array([1.0, 2.0]), 0.0)
+    assert DilationWeights(np.array([1.0, 1.0]), 0.0).k == 0.0  # the linear limit's degree
+    with pytest.raises(ValueError, match="must not be positive"):
+        DilationWeights(np.array([1.0, 2.0]), 0.1)
 
 
 def test_scale_takes_a_column_block_row_by_row():
@@ -183,10 +184,14 @@ def test_scale_takes_a_column_block_row_by_row():
 
 
 def test_weight_builders_reject_degenerate_exponents():
-    # p = alpha1 = 1; p = beta2 at beta1 = 0.5 and 1; p = 2*alpha3 - 1 at alpha3 = 1
-    for p, quat_blocks in [(1.0, 1), (0.0, 1), (1.0, 1), (1.0, 2)]:
-        with pytest.raises(ValueError):
-            dilation_weights(p, quat_blocks)
+    # p = beta2 = 0 at beta1 = 0.5 has no dilation, nor does p outside (0, 1]
+    for p in (0.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="0 < p <= 1"):
+            dilation_weights(p, 1)
+    # p = 1 (alpha1 = 1, beta1 = 1, alpha3 = 1) is the standard dilation of degree 0
+    for quat_blocks in (1, 2):
+        weights = dilation_weights(1.0, quat_blocks)
+        assert np.array_equal(weights.r, np.ones(3 * quat_blocks + 3)) and weights.k == 0.0
     assert dilation_weights(FS_GAINS.alpha1, 1).r.size == 6
     assert dilation_weights(OBS_GAINS.beta2, 1).r.size == 6
     assert dilation_weights(OF_GAINS.alpha1, 2).r.size == 9
@@ -453,6 +458,23 @@ def test_bound_checks_regulation(fig3_trace):
     rep = bound_checks(fig3_trace, FS_GAINS, INERTIA, sinusoid_trajectory(0.0))
     assert rep.torque_bound_nm == pytest.approx(5.1, rel=1e-12)  # k1 + k2, no trajectory terms
     assert rep.torque_ok and rep.jump_ok and rep.gronwall_ok
+
+
+@pytest.mark.parametrize("amplitude", [0.01, -0.01])
+def test_a_zero_frequency_is_rest_with_no_rate_budget(amplitude):
+    # amplitude * sin(0) would give rates of -0.0 at a negative amplitude, and the bounds
+    # would budget |amplitude| sqrt(3) for a feedforward the run never applies
+    cfg = preset("example1", uncertainties=False)
+    cfg.trajectory.amplitude_rad_s, cfg.trajectory.frequency_rad_s = amplitude, 0.0
+    cfg.sim.t_final_s = 1.0
+    traj = cfg.trajectory.build()
+    for t in (0.0, 1.0, -3.0, 1e4):
+        assert np.array_equal(np.signbit(traj.omega_fn(t) + traj.omega_dot_fn(t)), [False] * 6)
+        assert traj.omega_fn(t) == traj.omega_dot_fn(t) == (0.0, 0.0, 0.0)
+    assert traj.omega_bound == traj.omega_dot_bound == 0.0
+    rep = bound_checks(run_scenario(cfg), cfg.controller.build(), cfg.inertia(), traj)
+    assert rep.torque_bound_nm == rep.torque_bound_alt_nm == cfg.controller.k1 + cfg.controller.k2
+    assert rep.torque_bound_nm == pytest.approx(5.1, rel=1e-15)
 
 
 def test_bound_checks_zero_jump_budget():

@@ -371,8 +371,13 @@ def test_verify_validates_field_set_after_construction():
         cli.verify(cfg, n_samples=20)
 
 
-def test_verify_degenerate_exponent_reports_null():
-    result = cli.verify(_short("example1", alpha1=1.0), n_samples=200)
-    assert result["homogeneity_ok"] is None
-    assert result["perturbations_monotone"] is None
-    assert result["ok"] is True
+def test_verify_checks_the_linear_limits_at_degree_0():
+    # alpha1 = 1, beta1 = 1 and alpha3 = 1 take the degree-0 dilation; at beta1 = 1 the
+    # observer's bias remainder is exactly zero at every eps, which counts as vanished
+    for name, exponent in (("example1", {"alpha1": 1.0}), ("example2", {"beta1": 1.0}),
+                           ("example3", {"alpha3": 1.0})):
+        result = cli.verify(_short(name, seconds=0.4, **exponent), n_samples=200)
+        assert result["homogeneity_deviation"] <= 1e-9, name
+        assert result["homogeneity_ok"] is True, name
+        assert result["perturbations_monotone"] is True, name
+        assert result["ok"] is True, name

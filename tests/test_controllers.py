@@ -21,7 +21,7 @@ from attkit.controllers import (
     observer_flow_rate,
     output_feedback_torque,
 )
-from attkit.quat import chord_pow, quat_mul, random_unit_quat
+from attkit.quat import ZERO_TOL, chord_pow, quat_mul, random_unit_quat
 from attkit.rigid_body import error_quaternion
 from attkit.sim import run_scenario
 
@@ -121,6 +121,39 @@ def test_full_state_torque_smooth_limit():
     u = full_state_torque(gains, q_e, w_e, 1)
     expected = -1.1 * q_e[1:] - 4.0 * np.array([1.0, -0.5, 0.3])
     assert np.allclose(u, expected, rtol=1e-15)
+
+
+def test_laws_at_the_linear_limits_are_the_linear_hybrid_laws():
+    # alpha1 = 1: -k1 h q_v - k2 clip(w_e, +-1), hybrid feedback with saturated damping;
+    # alpha3 = 1: -k1 h q_v - k2 h~ q_lag,v.  chord_pow(q, 0, h) is h q_v bit for bit
+    # outside its dead zone 1 - h q0 <= ZERO_TOL, and sat_pow(x, 1) is clip(x, -1, 1).
+    fs = FullStateGains(k1=1.1, k2=4.0, alpha1=1.0, delta=0.3)
+    of = OutputFeedbackGains(k1=1.2, k2=2.4, k3=1.1, alpha3=1.0, delta=0.3)
+    rng = np.random.default_rng(26)
+    worst_fs = worst_of = 0.0
+    for _ in range(1000):
+        q_e, q_lag = random_unit_quat(rng), random_unit_quat(rng)
+        w_e = 2.0 * rng.standard_normal(3)
+        h, ht = (int(x) for x in rng.choice([-1, 1], size=2))
+        assert 1.0 - h * q_e[0] > ZERO_TOL and 1.0 - ht * q_lag[0] > ZERO_TOL
+        u = full_state_torque(fs, q_e, w_e, h)
+        linear = -fs.k1 * h * q_e[1:] - fs.k2 * np.clip(w_e, -1.0, 1.0)
+        worst_fs = max(worst_fs, np.abs(u - linear).max())
+        u = output_feedback_torque(of, q_e, q_lag, h, ht)
+        linear = -of.k1 * h * q_e[1:] - of.k2 * ht * q_lag[1:]
+        worst_of = max(worst_of, np.abs(u - linear).max())
+    assert worst_fs == worst_of == 0.0
+
+
+def test_hysteresis_width_rule_is_shared():
+    for value in (0.0, 1.0, -0.3, float("nan")):
+        message = r"^delta must lie in \(0, 1\), got %s$" % re.escape(repr(value))
+        with pytest.raises(ValueError, match=message):
+            replace(FS_GAINS, delta=value)
+        with pytest.raises(ValueError, match=message):
+            replace(OF_GAINS, delta=value)
+        with pytest.raises(ValueError, match=message):
+            lyapunov_flow_report("observer", OBS_GAINS, y0=[1.0] + [0.0] * 6, delta=value)
 
 
 def test_observer_error_composition():

@@ -302,6 +302,21 @@ def test_one_jump_lands_in_flow_set(name):
                     assert jump(h1, ht1, s, s_tilde, delta) == (h1, ht1, False)
 
 
+def test_no_step_crosses_a_hysteresis_band(ex1_clean, ex2_clean, ex3_clean, fig3_trace):
+    # jumps are tested at step boundaries only; a measured jump scalar that moves by far
+    # less than delta per step cannot cross the band h*s in (-delta, 0] unseen.  The
+    # noise-free presets at their shipped dt move at most 0.0083 delta per step.
+    traces = {"example1": ex1_clean[0.6], "example2": ex2_clean, "example3": ex3_clean[0.75],
+              "fig3": fig3_trace}
+    for name, trace in traces.items():
+        delta = preset(name).controller.delta
+        scalars = [trace.q_e[:, 0]]
+        if kinds.get(trace.kind).section is not None:  # the estimator's lag scalar
+            scalars.append(trace.q_est_err[:, 0])
+        for s in scalars:
+            assert np.abs(np.diff(s)).max() < 0.05 * delta, name
+
+
 def test_benchmark_noisy_run_records_one_jump(ex1_noisy):
     trace = ex1_noisy[0.6]
     assert len(trace.events) == 1

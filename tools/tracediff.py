@@ -7,16 +7,19 @@ again with ``uncertainties=False`` as ``<preset>_noise_free`` (zero noise and
 disturbance magnitudes; of the presets only fig3 ships noise-free), example1
 with gyro noise alone as ``example1_gyro_only`` (attitude cone and bias walk
 0: a run with one nonzero noise magnitude keeps every draw), and
-``attkit verify`` with 200 samples on example1..3 and on three jump cases,
+``attkit verify`` with 200 samples on example1..3, on three jump cases,
 each started just outside a jump set at delta = 0.3 (error scalar part
--0.25) so that its flow check crosses one jump; on the presets as shipped
-the flow checks cross none:
+-0.25) so that its flow check crosses one jump (on the presets as shipped
+the flow checks cross none), and on the three linear limits:
 
 * example2_ht_jump: example2 over 2 s from a 0.5 rad/s bias error and an
   estimate at that scalar part (one h_tilde jump, near 0.54 s);
 * example1_h_jump and example3_h_jump: example1 and example3 over 0.4 s
   from plant.q0 at that scalar part, tumbling at 0.8 rad/s about x (one h
-  jump, and one joint jump, whose v1, v3 and v3_matched drops are compared).
+  jump, and one joint jump, whose v1, v3 and v3_matched drops are compared);
+* example1_linear, example2_linear and example3_linear: example1..3 over
+  2 s at controller.alpha1 = 1, observer.beta1 = 1 and controller.alpha3 = 1,
+  where the homogeneity and remainder checks run at degree 0.
 
 It does so once with this checkout's ``src/`` and once with OTHER_CHECKOUT's,
 each in a fresh interpreter, which loads each preset's trace back through
@@ -83,6 +86,9 @@ VERIFY = {
     }),
     "example1_h_jump": ("example1", _H_JUMP),
     "example3_h_jump": ("example3", _H_JUMP),
+    "example1_linear": ("example1", {"controller.alpha1": 1.0, "sim.t_final_s": 2.0}),
+    "example2_linear": ("example2", {"observer.beta1": 1.0, "sim.t_final_s": 2.0}),
+    "example3_linear": ("example3", {"controller.alpha3": 1.0, "sim.t_final_s": 2.0}),
 }
 VERIFY_SAMPLES = 200
 #: a preset attribute's rows that differ by more than this are counted
