@@ -652,10 +652,12 @@ def lyapunov_flow_report(
     state travels as a float tuple; y0's quaternion blocks are normalized once,
     with a warning naming each block that was not unit norm, and after every
     step renormalized under the simulator's drift guard, which raises
-    SimulationError naming the step.  As in run_scenario, the candidates and
-    their closed-form rates are formed once over the recorded run, its states
-    and post-jump logic pairs, and the pre-jump candidates once over the jump
-    rows at their pre-jump pairs; the loop only jumps, records and steps.
+    SimulationError naming the step.  The logic pair held over a step reaches
+    the flow as rk4_step's extra arguments, so no closure is built per step.
+    As in run_scenario, the candidates and their closed-form rates are formed
+    once over the recorded run, its states and post-jump logic pairs, and the
+    pre-jump candidates once over the jump rows at their pre-jump pairs; the
+    loop only jumps, records and steps.
     """
     if kind not in ERROR_SYSTEMS:
         raise ValueError("unknown flow-check kind %r" % kind)
@@ -698,7 +700,7 @@ def lyapunov_flow_report(
         ys[i], logic[i] = y, (h, ht)
         if i == n:
             break
-        y = list(rk4_step(lambda tt, yy: flow(tt, yy, h, ht), i * dt, y, dt))
+        y = list(rk4_step(flow, i * dt, y, dt, h, ht))
         for sl in es.quat_blocks:
             y[sl] = _renorm(y[sl], i)
         y = tuple(y)

@@ -155,7 +155,7 @@ def test_c04d_v2_rate_matches_finite_difference(flow_observer):
         exact_err.append(abs(fd - exact) / abs(exact))
         reported_err.append(abs(fd - reported) / abs(reported))
         for _ in range(200):  # 1 s; the flow is autonomous
-            y = np.asarray(rk4_step(lambda t, yy: flow(t, yy, 1, 1), 0.0, y, dt))
+            y = np.asarray(rk4_step(flow, 0.0, y, dt, 1, 1))
             y[0:4] /= np.linalg.norm(y[0:4])
     assert max(exact_err) <= 1e-4
     assert max(reported_err) > 1e-4
