@@ -50,7 +50,7 @@ from .controllers import (
     full_state_torque,
     output_feedback_torque,
 )
-from .integrate import _renorm, rk4_step
+from .integrate import _renorm, rk4_step, step_count
 from .quat import (
     Array,
     axis_pow,
@@ -416,18 +416,19 @@ def chord_rate(q, h, c: float, a: float, b: float) -> Array:
 # torque across each step, which floors its attainable dissipation accuracy;
 # these flows close the loop continuously in error coordinates so the
 # Lyapunov claims can be checked at integrator precision.  Noise and
-# disturbances are deliberately absent.  Like the simulator's flow, each takes
-# a flat float sequence y and returns a float tuple.  A law returns its
+# disturbances are deliberately absent.  Each is built at the logic pair
+# (h, h_tilde) it holds over a flow interval and, like the simulator's flow,
+# maps t and a flat float sequence y to a float tuple.  A law returns its
 # feedback torque, and error_dynamics_rate states the flow under the
 # feedforward plus that feedback, so no flow forms the feedforward itself.
 
 
 def full_state_error_flow(
-    inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory
+    inertia: Inertia, gains: FullStateGains, trajectory: DesiredTrajectory, h, h_tilde
 ):
-    """(t, y, h, h_tilde) -> ydot for y = [Q_e, w_e], continuous full-state law; reads w_d only."""
+    """Built at (h, h_tilde), (t, y) -> ydot for y = [Q_e, w_e], full-state law; reads w_d only."""
 
-    def flow(t: float, y, h: int, h_tilde: int) -> tuple:
+    def flow(t: float, y) -> tuple:
         q_e, w_e = y[0:4], y[4:7]
         u_fb = full_state_torque(gains, q_e, w_e, h)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
@@ -436,8 +437,8 @@ def full_state_error_flow(
     return flow
 
 
-def observer_error_flow(gains: ObserverGains):
-    """(t, y, h, h_tilde) -> ydot for y = [Q_err, b_err].
+def observer_error_flow(gains: ObserverGains, h, h_tilde):
+    """Built at (h, h_tilde), (t, y) -> ydot for y = [Q_err, b_err].
 
     The estimation error is autonomous: the plant terms cancel and only the
     correction powers drive it,
@@ -450,7 +451,7 @@ def observer_error_flow(gains: ObserverGains):
 
     mu1, mu2 = gains.mu1, gains.mu2
 
-    def flow(t: float, y, h: int, h_tilde: int) -> tuple:
+    def flow(t: float, y) -> tuple:
         q_err = y[0:4]
         b1, b2, b3 = y[4:7]
         a1, a2, a3 = chord_pow(q_err, 1.0 - gains.beta1, h_tilde)
@@ -462,9 +463,9 @@ def observer_error_flow(gains: ObserverGains):
 
 
 def output_feedback_error_flow(
-    inertia: Inertia, gains: OutputFeedbackGains, trajectory: DesiredTrajectory
+    inertia: Inertia, gains: OutputFeedbackGains, trajectory: DesiredTrajectory, h, h_tilde
 ):
-    """(t, y, h, h_tilde) -> ydot for y = [Q_lag, Q_e, w_e], velocity-free law.
+    """Built at (h, h_tilde), (t, y) -> ydot for y = [Q_lag, Q_e, w_e], velocity-free law.
 
     The filter lag obeys Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~
     Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.  Reads
@@ -472,7 +473,7 @@ def output_feedback_error_flow(
     """
     k3 = gains.k3
 
-    def flow(t: float, y, h: int, h_tilde: int) -> tuple:
+    def flow(t: float, y) -> tuple:
         q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
         u_fb = output_feedback_torque(gains, q_e, q_lag, h, h_tilde)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
@@ -527,7 +528,7 @@ class ErrorSystem:
     quat_blocks: tuple[slice, ...]  # unit-quaternion blocks of y
     scalars: tuple[int, int]  # indices in y of the scalars h and h_tilde jump on
     jump: Callable  # jump rule, see attkit.kinds
-    flow: Callable  # (g, j, tr) -> (t, y, h, h_tilde) -> ydot
+    flow: Callable  # (g, j, tr, h, h_tilde) -> the flow held at that pair, (t, y) -> ydot
     coords: Callable  # (q_e, w_e, q_est_err, b_err) -> y
     # (y, h, h_tilde, g, j) -> {candidate: V}, plus v1 where V is built on it; y, h and
     # h_tilde are floats, or (n,) columns giving columns
@@ -564,7 +565,7 @@ ERROR_SYSTEMS = {
     "full_state": ErrorSystem(
         layout="[Q_e, w_e]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
         jump=kinds.jump_h,
-        flow=lambda g, j, tr: full_state_error_flow(j, g, tr),
+        flow=lambda g, j, tr, h, ht: full_state_error_flow(j, g, tr, h, ht),
         coords=lambda q_e, w_e, q_est_err, b_err: (*q_e, *w_e),
         candidates=lambda y, h, ht, g, j: {
             "v1": lyapunov_v1(y[0:4], y[4:7], h, j, g.k1, g.alpha1)
@@ -581,7 +582,7 @@ ERROR_SYSTEMS = {
     "observer": ErrorSystem(
         layout="[Q_err, b_err]", size=7, quat_blocks=(slice(0, 4),), scalars=(0, 0),
         jump=kinds.jump_h_tilde,
-        flow=lambda g, j, tr: observer_error_flow(g),
+        flow=lambda g, j, tr, h, ht: observer_error_flow(g, h, ht),
         coords=lambda q_e, w_e, q_est_err, b_err: (*q_est_err, *b_err),
         # the matched potential exponent 1 + beta2 is spelled 2 * beta1
         candidates=lambda y, h, ht, g, j: {
@@ -608,7 +609,7 @@ ERROR_SYSTEMS = {
         layout="[Q_lag, Q_e, w_e]", size=11, quat_blocks=(slice(0, 4), slice(4, 8)),
         scalars=(4, 0),
         jump=kinds.jump_joint,
-        flow=lambda g, j, tr: output_feedback_error_flow(j, g, tr),
+        flow=lambda g, j, tr, h, ht: output_feedback_error_flow(j, g, tr, h, ht),
         coords=lambda q_e, w_e, q_est_err, b_err: (*q_est_err, *q_e, *w_e),
         candidates=_v3_candidates,
         rates=lambda y, h, ht, g: {
@@ -643,17 +644,20 @@ def lyapunov_flow_report(
 
     kind, a key of ERROR_SYSTEMS ("full_state", "observer", "attitude_only"),
     selects the flow, the state layout, and the candidates measured.  delta is
-    the observer kind's hysteresis width, in (0, 1), 0.3 when None (its gain
-    set carries none); the other kinds use their gains' delta, and a different
-    delta raises ValueError.  dt and t_final must be positive and finite, and
-    y0 finite.
+    the hysteresis width the run jumps at, in (0, 1).  The observer kind needs
+    it (its gain set carries none; the simulator jumps h_tilde at the
+    controller's delta, which cli.verify passes), and ValueError names delta
+    when it is missing.  The other kinds use their gains' delta, and a
+    different delta raises ValueError.  dt and t_final must be positive and
+    finite, and y0 finite; the run takes integrate.step_count(t_final, dt)
+    steps.
     Reference candidates are finite-differenced against the rate they were
     reported to satisfy, matched candidates against their own exact rate.  The
     state travels as a float tuple; y0's quaternion blocks are normalized once,
     with a warning naming each block that was not unit norm, and after every
     step renormalized under the simulator's drift guard, which raises
-    SimulationError naming the step.  The logic pair held over a step reaches
-    the flow as rk4_step's extra arguments, so no closure is built per step.
+    SimulationError naming the step.  The flow is built at the start's logic
+    pair and again after each jump, at the pair it then holds.
     As in run_scenario, the candidates and their closed-form rates are formed
     once over the recorded run, its states and post-jump logic pairs, and the
     pre-jump candidates once over the jump rows at their pre-jump pairs; the
@@ -669,8 +673,9 @@ def lyapunov_flow_report(
         if delta not in (None, gains.delta):
             raise ValueError("delta = %r differs from the gains' delta = %r" % (delta, gains.delta))
         delta = gains.delta
+    elif delta is None:
+        raise ValueError("the observer flow check needs delta, the width h_tilde jumps at")
     else:
-        delta = 0.3 if delta is None else delta
         check_width("delta", delta)
     check_positive("dt", dt)
     check_positive("t_final", t_final)
@@ -678,10 +683,9 @@ def lyapunov_flow_report(
         raise ValueError("%s flow state is %s in R^%d" % (kind, es.layout, es.size))
     if not np.isfinite(y).all():
         raise ValueError("y0 is not finite: %s" % y.tolist())
-    flow = es.flow(gains, inertia, trajectory)
     s, s_tilde = es.scalars
 
-    n = int(round(t_final / dt))
+    n = step_count(t_final, dt, "t_final", "dt")
     if n < MIN_FLOW_STEPS:
         raise ValueError("t_final = %r at dt = %r gives %d steps; the finite-difference checks"
                          " need at least %d" % (t_final, dt, n, MIN_FLOW_STEPS))
@@ -689,6 +693,7 @@ def lyapunov_flow_report(
         y[sl] = unit_or_warn(y[sl], "y0[%d:%d]" % (sl.start, sl.stop))
     y = tuple(y.tolist())
     h, ht = check_logic("h0", h0), check_logic("h_tilde0", h_tilde0)
+    flow = es.flow(gains, inertia, trajectory, h, ht)
     ys, logic = np.empty((n + 1, es.size)), np.empty((n + 1, 2))
     jumps: list[tuple[int, int, int]] = []  # (step, h, h_tilde before the jump)
 
@@ -697,10 +702,11 @@ def lyapunov_flow_report(
         if jumped:
             jumps.append((i, h, ht))
             h, ht = h2, ht2
+            flow = es.flow(gains, inertia, trajectory, h, ht)
         ys[i], logic[i] = y, (h, ht)
         if i == n:
             break
-        y = list(rk4_step(flow, i * dt, y, dt, h, ht))
+        y = list(rk4_step(flow, i * dt, y, dt))
         for sl in es.quat_blocks:
             y[sl] = _renorm(y[sl], i)
         y = tuple(y)

@@ -24,6 +24,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, config, kinds, sim
+from .integrate import step_count
 
 
 def run(cfg: config.ScenarioConfig, out_dir: str | Path) -> dict:
@@ -120,15 +121,16 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
 
     The flow check starts at analysis.start_state(_first_step(cfg)), so a
     config whose first step fails fails here with the run's message.  The
-    flow check runs min(30, sim.t_final_s) at dt = 1e-3; a horizon under
-    analysis.MIN_FLOW_STEPS steps fails naming sim.t_final_s.
+    flow check runs min(30, sim.t_final_s) at dt = 1e-3, in integrate.step_count's
+    whole steps; a horizon under analysis.MIN_FLOW_STEPS steps fails naming
+    sim.t_final_s.
     """
     if n_samples < 1:  # zero samples would pass the homogeneity check unchecked
         raise ValueError("samples must be at least 1, got %r" % n_samples)
     y0, h0, h_tilde0 = analysis.start_state(_first_step(cfg))
     dt = 1e-3
     horizon = min(30.0, cfg.sim.t_final_s)
-    steps = round(horizon / dt)
+    steps = step_count(horizon, dt, "sim.t_final_s", "dt")
     if steps < analysis.MIN_FLOW_STEPS:
         raise ValueError(
             "sim.t_final_s: %r s gives the flow check %d steps of %r s; it needs at least %d"
@@ -162,7 +164,7 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
         y0=y0,
         inertia=inertia, trajectory=traj,
         h0=h0, h_tilde0=h_tilde0, delta=cfg.controller.delta,
-        dt=dt, t_final=horizon,
+        dt=dt, t_final=steps * dt,  # whole steps, so the report does not warn again
     )
     # Configs that start an estimator error-free sit exactly at the fractional
     # powers' Holder point, where one fixed RK4 step carries O(dt^1.5) local

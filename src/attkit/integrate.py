@@ -11,12 +11,13 @@ stage state built as a tuple.  The same step written with list comprehensions
 over zip spends its time in the comprehension frames and the zip iteration,
 not in the arithmetic: outside the flow calls it cost 3.3, 4.2 and 4.8 us per
 step at n = 7, 11 and 14 (Python 3.11, shared 2-core Xeon VM), more than the
-plant's kinematics and dynamics rates together, against 1.7, 2.2 and 2.6 us
+plant's kinematics and dynamics rates together, against 1.2, 1.8 and 2.2 us
 for the rendered step.  Each length is compiled once, on first use, and kept
 in _STEPPERS.  The float operations and their order are the textbook step's,
-so results are bit for bit the same.  Extra arguments to rk4_step reach every
-flow call, so a caller need not build a closure per step, and a rate of the
-wrong length fails to unpack (ValueError) instead of resizing the state.
+so results are bit for bit the same.  The one rate signature is flow(t, y): a
+caller binds whatever the flow holds over a step (the simulator its torque and
+measurements, the flow report its logic pair) when it builds the flow.  A rate
+of the wrong length fails to unpack (ValueError) instead of resizing the state.
 """
 
 from __future__ import annotations
@@ -24,19 +25,20 @@ from __future__ import annotations
 import linecache
 import math
 import re
+import warnings
 
 #: per-step quaternion norm drift above this aborts the run (blown-up dynamics)
 DRIFT_LIMIT = 1e-8
 
 # each [...] is repeated for i = 0..n-1, joined by ", " and closed by ","
 _RK4 = """\
-def rk4_step(flow, t, y, dt, *args):
+def rk4_step(flow, t, y, dt):
     half = 0.5 * dt
     [y{i}] = y
-    [a{i}] = flow(t, y, *args)
-    [b{i}] = flow(t + half, ([y{i} + half * a{i}]), *args)
-    [c{i}] = flow(t + half, ([y{i} + half * b{i}]), *args)
-    [d{i}] = flow(t + dt, ([y{i} + dt * c{i}]), *args)
+    [a{i}] = flow(t, y)
+    [b{i}] = flow(t + half, ([y{i} + half * a{i}]))
+    [c{i}] = flow(t + half, ([y{i} + half * b{i}]))
+    [d{i}] = flow(t + dt, ([y{i} + dt * c{i}]))
     sixth = dt / 6.0
     return ([y{i} + sixth * (a{i} + 2.0 * b{i} + 2.0 * c{i} + d{i})])
 """
@@ -64,14 +66,32 @@ class SimulationError(RuntimeError):
     pass
 
 
-def rk4_step(flow, t: float, y, dt: float, *args) -> tuple:
-    """Classical fourth-order Runge-Kutta step for ydot = flow(t, y, *args).
+def rk4_step(flow, t: float, y, dt: float) -> tuple:
+    """Classical fourth-order Runge-Kutta step for ydot = flow(t, y).
 
     y and flow's values are float sequences of one length n; flow gets y
     itself, then tuples for the three stage states, and the result is a
     tuple.  A rate of another length raises ValueError.
     """
-    return _STEPPERS[len(y)](flow, t, y, dt, *args)
+    return _STEPPERS[len(y)](flow, t, y, dt)
+
+
+def step_count(t_final: float, dt: float, t_label: str, dt_label: str) -> int:
+    """The one step-count rule: round(t_final / dt), the dt steps a run of t_final takes.
+
+    ValueError naming both fields when the ratio overflows; a warning naming
+    t_label and the horizon actually run when t_final is not a whole number of
+    steps, to a relative 1e-9 (so 0.3 s of 0.01 s steps is whole).
+    """
+    ratio = t_final / dt
+    if not math.isfinite(ratio):
+        raise ValueError("%s / %s = %r / %r overflows the step count"
+                         % (t_label, dt_label, t_final, dt))
+    n = round(ratio)
+    if not math.isclose(ratio, n, rel_tol=1e-9):
+        warnings.warn("%s = %r is not a whole number of %s = %r steps; %d steps run to %.12g s"
+                      % (t_label, t_final, dt_label, dt, n, n * dt))
+    return n
 
 
 def _renorm(q, step: int) -> tuple:

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analysis, kinds
 from .config import ScenarioConfig
-from .integrate import _renorm, rk4_step
+from .integrate import _renorm, rk4_step, step_count
 from .quat import Array
 from .rigid_body import (
     dynamics_rate,
@@ -120,7 +120,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     es_gains = cfg.observer.build() if es.observer else gains
     traj = cfg.trajectory.build()
     dt = cfg.sim.dt_s
-    n = int(round(cfg.sim.t_final_s / dt))
+    n = step_count(cfg.sim.t_final_s, dt, "sim.t_final_s", "sim.dt_s")
     cone = cfg.noise.attitude_cone_rad
     gyro_sig = cfg.noise.gyro_sigma_rad_s
     walk = cfg.noise.bias_walk_rad_s2

@@ -128,7 +128,7 @@ def flow_observer():
     """
     y0 = np.concatenate([from_axis_angle([1.0, -2.0, 0.5], 2.0), [0.01, -0.05, 0.02]])
     return analysis.lyapunov_flow_report(
-        "observer", ObserverGains(0.33, 0.12, 0.75), y0=y0, dt=5e-4, t_final=30.0
+        "observer", ObserverGains(0.33, 0.12, 0.75), y0=y0, delta=0.3, dt=5e-4, t_final=30.0
     )
 
 
@@ -138,7 +138,7 @@ def flow_observer_jump():
     q_e0 = np.array([-0.5, 0.5, -0.6, 0.4])
     y0 = np.concatenate([q_e0 / np.linalg.norm(q_e0), [0.01, -0.05, 0.02]])
     return analysis.lyapunov_flow_report(
-        "observer", ObserverGains(0.33, 0.12, 0.75), y0=y0, dt=5e-4, t_final=30.0
+        "observer", ObserverGains(0.33, 0.12, 0.75), y0=y0, delta=0.3, dt=5e-4, t_final=30.0
     )
 
 
@@ -196,15 +196,13 @@ def dual_gap_full_state():
             [kinematics_rate(q, w), dynamics_rate(inertia, w, u), kinematics_rate(q_d, w_d)]
         )
 
-    err_flow = analysis.full_state_error_flow(inertia, gains, traj)
+    err_flow = analysis.full_state_error_flow(inertia, gains, traj, h, 1)
     q_d0 = traj.q_d_fn(0.0)
     q_e0 = error_quaternion(q_d0, q0)
     w_e0 = error_velocity(q_e0, w0, traj.omega_fn(0.0))
 
     y = _integrate(absolute, np.concatenate([q0, w0, q_d0]), (slice(0, 4), slice(7, 11)))
-    z = _integrate(
-        lambda t, yy: err_flow(t, yy, h, 1), np.concatenate([q_e0, w_e0]), (slice(0, 4),)
-    )
+    z = _integrate(err_flow, np.concatenate([q_e0, w_e0]), (slice(0, 4),))
     q_e_end = error_quaternion(y[7:11], y[0:4])
     w_e_end = error_velocity(q_e_end, y[4:7], traj.omega_fn(_N_DUAL * _DT_DUAL))
     return float(max(np.abs(q_e_end - z[0:4]).max(), np.abs(w_e_end - z[4:7]).max()))
@@ -229,13 +227,13 @@ def dual_gap_observer():
         dqh, dbh = observer_flow_rate(obs, q_hat, b_hat, ht, q, w + bias)
         return np.concatenate([dq, dw, dqh, dbh])
 
-    err_flow = analysis.observer_error_flow(obs)
+    err_flow = analysis.observer_error_flow(obs, 1, ht)
     y = _integrate(
         full,
         np.concatenate([q0, w0, q_hat0, np.zeros(3)]),
         (slice(0, 4), slice(7, 11)),
     )
-    z = _integrate(lambda t, yy: err_flow(t, yy, 1, ht), np.concatenate([p, bias]), (slice(0, 4),))
+    z = _integrate(err_flow, np.concatenate([p, bias]), (slice(0, 4),))
     q_err_end = error_quaternion(y[7:11], y[0:4])
     b_err_end = bias - y[11:14]
     return float(max(np.abs(q_err_end - z[0:4]).max(), np.abs(b_err_end - z[4:7]).max()))
@@ -257,7 +255,7 @@ def dual_gap_attitude_only():
         dqf = filter_flow_rate(gains, q_f, ht, q_e)
         return np.concatenate([dq, dw, dqf])
 
-    err_flow = analysis.output_feedback_error_flow(inertia, gains, traj)
+    err_flow = analysis.output_feedback_error_flow(inertia, gains, traj, h, ht)
     q_f0 = IDENTITY_QUAT.copy()  # filter initialized at the desired frame
     lag0 = error_quaternion(q_f0, BENCH_Q_E0)
 
@@ -267,7 +265,7 @@ def dual_gap_attitude_only():
         (slice(0, 4), slice(7, 11)),
     )
     z = _integrate(
-        lambda t, yy: err_flow(t, yy, h, ht),
+        err_flow,
         np.concatenate([lag0, BENCH_Q_E0, BENCH_W_E0]),
         (slice(0, 4), slice(4, 8)),
     )

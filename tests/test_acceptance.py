@@ -139,14 +139,14 @@ def test_c04d_v2_rate_matches_finite_difference(flow_observer):
     # flow vector.
     assert flow_observer.jump_times == ()
     g = OBS_GAINS
-    flow = observer_error_flow(g)
+    flow = observer_error_flow(g, 1, 1)
     v2 = lambda yy: 0.5 * yy[4:7] @ yy[4:7] + potential_term(g.mu2, yy[0], 1.0 + g.beta1)
     y = np.concatenate([from_axis_angle([1.0, -2.0, 0.5], 2.0), [0.01, -0.05, 0.02]])
     dt, eps = 5e-3, 1e-6
     exact_err, reported_err = [], []
     for _ in range(11):
         q_err, b_err = y[0:4], y[4:7]
-        f = np.asarray(flow(0.0, y, 1, 1))
+        f = np.asarray(flow(0.0, y))
         fd = (v2(y + eps * f) - v2(y - eps * f)) / (2.0 * eps)
         k_a = np.asarray(chord_pow(q_err, 1.0 - g.beta1))
         k_b = np.asarray(chord_pow(q_err, 1.0 - g.beta2))
@@ -155,7 +155,7 @@ def test_c04d_v2_rate_matches_finite_difference(flow_observer):
         exact_err.append(abs(fd - exact) / abs(exact))
         reported_err.append(abs(fd - reported) / abs(reported))
         for _ in range(200):  # 1 s; the flow is autonomous
-            y = np.asarray(rk4_step(flow, 0.0, y, dt, 1, 1))
+            y = np.asarray(rk4_step(flow, 0.0, y, dt))
             y[0:4] /= np.linalg.norm(y[0:4])
     assert max(exact_err) <= 1e-4
     assert max(reported_err) > 1e-4

@@ -309,7 +309,7 @@ def test_remainder_is_error_flow_less_reduced_field(system, gains):
     es = ERROR_SYSTEMS[system]
     w_d, w_d_dot = np.array([0.01, -0.02, 0.015]), np.array([1e-3, 2e-3, -1e-3])
     traj = DesiredTrajectory(lambda t: IDENT, lambda t: w_d, lambda t: w_d_dot, 0.03, 3e-3)
-    flow = es.flow(gains, INERTIA, traj)
+    flow = es.flow(gains, INERTIA, traj, 1, 1)
     reduced = es.reduced_field(gains, INERTIA)
     remainder = es.remainder(gains, INERTIA, traj)
     weights = es.weights(gains)
@@ -325,7 +325,7 @@ def test_remainder_is_error_flow_less_reduced_field(system, gains):
             charts = [x[3 * i : 3 * i + 3] for i in range(n_quat)]
             lifted = [np.r_[np.sqrt(1.0 - c @ c), c] for c in charts]
             y = np.concatenate(lifted + [x[3 * n_quat :]])
-            want = np.delete(flow(0.0, y, 1, 1), scalar_rows) - reduced(x)
+            want = np.delete(flow(0.0, y), scalar_rows) - reduced(x)
             got = remainder(x)
             for b in range(len(es.blocks)):
                 rows = slice(3 * b, 3 * b + 3)
@@ -350,9 +350,9 @@ def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monk
         es = ERROR_SYSTEMS[system]
         y = np.concatenate([random_unit_quat(rng) for _ in es.quat_blocks] + [[0.3, -0.4, 0.1]])
         x = 0.2 * rng.standard_normal((es.weights(gains).r.size, 20))
-        want_flow = es.flow(gains, INERTIA, seen)(2.0, tuple(y), 1, -1)
+        want_flow = es.flow(gains, INERTIA, seen, 1, -1)(2.0, tuple(y))
         want_rem = es.remainder(gains, INERTIA, seen)(x)
-        assert es.flow(gains, INERTIA, blind)(2.0, tuple(y), 1, -1) == want_flow, system
+        assert es.flow(gains, INERTIA, blind, 1, -1)(2.0, tuple(y)) == want_flow, system
         assert np.array_equal(es.remainder(gains, INERTIA, blind)(x), want_rem), system
 
         calls = []
@@ -361,11 +361,11 @@ def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monk
             calls.append(1)
             return rotate(q, v)
 
-        flow = es.flow(gains, INERTIA, blind)
+        flow = es.flow(gains, INERTIA, blind, 1, 1)
         with monkeypatch.context() as m:
             m.setattr(rigid_body, "rotate", counted)
             for t in (0.0, 0.5, 1.0):
-                flow(t, tuple(y), 1, 1)
+                flow(t, tuple(y))
         assert len(calls) == 3, (system, len(calls))
 
 
@@ -547,7 +547,7 @@ def test_flow_report_validation():
         lyapunov_flow_report("observer2", OBS_GAINS, y0=np.zeros(7))
     with pytest.raises(ValueError, match=r"t_final = 0\.001 at dt = 0\.001 gives 1 steps"):
         lyapunov_flow_report(
-            "observer", OBS_GAINS, y0=np.concatenate([FLIP_X, ZERO3]), t_final=1e-3
+            "observer", OBS_GAINS, y0=np.concatenate([FLIP_X, ZERO3]), delta=0.3, t_final=1e-3
         )
     with pytest.raises(ValueError, match="full_state flow check needs inertia and trajectory"):
         lyapunov_flow_report("full_state", FS_GAINS, y0=np.concatenate([BENCH_Q_E0, BENCH_W_E0]))
@@ -556,7 +556,7 @@ def test_flow_report_validation():
                          ({"t_final": float("inf")}, "t_final"),
                          ({"t_final": float("nan")}, "t_final")):
         with pytest.raises(ValueError, match=name + " must be positive and finite, got"):
-            lyapunov_flow_report("observer", OBS_GAINS, y0=observer_y0, **kwargs)
+            lyapunov_flow_report("observer", OBS_GAINS, y0=observer_y0, delta=0.3, **kwargs)
     # the rate-feedback systems jump at their gains' delta; another delta is refused
     y0s = {"full_state": np.concatenate([BENCH_Q_E0, BENCH_W_E0]),
            "attitude_only": np.concatenate([BENCH_Q_E0, BENCH_Q_E0, BENCH_W_E0])}
@@ -574,13 +574,14 @@ def test_flow_report_validation():
                 y0[k] = bad
                 with pytest.raises(ValueError, match=r"^y0 is not finite: \["):
                     lyapunov_flow_report(system, gains, y0=y0, inertia=INERTIA,
-                                         trajectory=sinusoid_trajectory(), t_final=0.05)
+                                         trajectory=sinusoid_trajectory(), delta=0.3,
+                                         t_final=0.05)
     # a logic value is the int +1 or -1, as in a config
     for name in ("h0", "h_tilde0"):
         for bad in (True, 1.0):
             with pytest.raises(ValueError, match=r"^%s must be \+1 or -1, got %r$" % (name, bad)):
-                lyapunov_flow_report("observer", OBS_GAINS, y0=observer_y0, t_final=0.05,
-                                     **{name: bad})
+                lyapunov_flow_report("observer", OBS_GAINS, y0=observer_y0, delta=0.3,
+                                     t_final=0.05, **{name: bad})
 
 
 _REST = [1.0, 0.0, 0.0, 0.0]
@@ -600,13 +601,31 @@ _REST = [1.0, 0.0, 0.0, 0.0]
 )
 def test_flow_report_at_equilibrium_selects_no_fd_step(system, gains, y0, amplitude):
     # every rate is 0 at rest, so no step has a relative error: nan, and no 0/0 warning
-    kwargs = {} if amplitude is None else {
+    kwargs = {"delta": 0.3} if amplitude is None else {
         "inertia": INERTIA, "trajectory": sinusoid_trajectory(amplitude)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = analysis.lyapunov_flow_report(system, gains, y0=y0, t_final=0.05, **kwargs)
     assert report.fd_rel_error and all(np.isnan(e) for e in report.fd_rel_error.values())
     assert report.jump_times == ()
+
+
+def test_the_observer_flow_report_needs_its_delta():
+    # the simulator jumps h_tilde at the controller's delta; the report takes no default
+    y0 = [0.9, 0.3, 0.3, 0.1, 0.01, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"^the observer flow check needs delta\b"):
+        analysis.lyapunov_flow_report("observer", OBS_GAINS, y0=y0, t_final=0.05)
+
+
+def test_the_flow_report_step_count_follows_the_one_rule():
+    y0 = [0.9, 0.3, 0.3, 0.1, 0.01, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"^t_final / dt = 30\.0 / 1e-308 overflows"):
+        analysis.lyapunov_flow_report("observer", OBS_GAINS, y0=y0, delta=0.3, dt=1e-308)
+    message = (r"^t_final = 0\.0505 is not a whole number of dt = 0\.001 steps;"
+               r" 50 steps run to 0\.05 s$")
+    with pytest.warns(UserWarning, match=message) as caught:
+        analysis.lyapunov_flow_report("observer", OBS_GAINS, y0=y0, delta=0.3, t_final=0.0505)
+    assert len(caught) == 1
 
 
 @pytest.mark.parametrize("delta", [0.0, -0.95, 1.0, 1.5])
@@ -638,7 +657,8 @@ def test_flow_report_forms_its_candidates_once_over_the_record(name, monkeypatch
     monkeypatch.setitem(ERROR_SYSTEMS, name, replace(es, candidates=candidates))
     gains, y0 = _ONE_JUMP[name]
     rep = analysis.lyapunov_flow_report(
-        name, gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(), t_final=0.3
+        name, gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(), delta=0.3,
+        t_final=0.3,
     )
     assert len(rep.jump_times) == 1
     # two column calls per run: the recorded rows, then the jump rows
@@ -677,7 +697,8 @@ def test_flow_report_forms_its_rates_once_over_the_record(name, monkeypatch):
     monkeypatch.setitem(ERROR_SYSTEMS, name, replace(es, rates=rates))
     gains, y0 = _ONE_JUMP[name]
     rep = analysis.lyapunov_flow_report(
-        name, gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(), t_final=0.3
+        name, gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(), delta=0.3,
+        t_final=0.3,
     )
     assert len(rep.jump_times) == 1
     # one call on the recorded columns per run, and no float call

@@ -1,15 +1,17 @@
 """Command-line front-end tests: artifacts, digests, sweeps, verify."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from attkit import cli
+from attkit import analysis, cli, kinds
 from attkit.analysis import (
     bound_checks,
     convergence_metrics,
@@ -362,6 +364,51 @@ def test_verify_names_sim_t_final_s_when_the_flow_horizon_is_too_short(tmp_path,
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ValueError"
     assert record["message"].startswith("sim.t_final_s: 0.003 s gives the flow check 3 steps")
+
+
+def test_verify_warns_once_when_the_flow_horizon_is_not_whole_steps():
+    cfg = _short("example1", seconds=0.0505)
+    message = (r"^sim\.t_final_s = 0\.0505 is not a whole number of dt = 0\.001 steps;"
+               r" 50 steps run to 0\.05 s$")
+    with pytest.warns(UserWarning, match=message) as caught:
+        cli.verify(cfg, n_samples=20)
+    assert len(caught) == 1
+
+
+_EDGE_Q = [-0.25, math.sqrt(1.0 - 0.0625), 0.0, 0.0]
+_H_JUMP = {"plant.q0": _EDGE_Q, "plant.omega0_rad_s": [0.8, 0.0, 0.0], "sim.t_final_s": 0.4}
+#: tools/tracediff.py's jump cases: preset and fields, each crossing one jump in its flow check
+_JUMP_STARTS = {
+    "example1_h_jump": ("example1", _H_JUMP),
+    "example2_ht_jump": ("example2", {
+        "plant.q0": [1.0, 0.0, 0.0, 0.0], "plant.bias0_rad_s": [0.5, 0.0, 0.0],
+        "observer.q_hat0": _EDGE_Q, "sim.t_final_s": 2.0,
+    }),
+    "example3_h_jump": ("example3", _H_JUMP),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_JUMP_STARTS))
+def test_verify_builds_its_flow_once_per_logic_pair(case, monkeypatch):
+    name, fields = _JUMP_STARTS[case]
+    cfg = preset(name)
+    for path, value in fields.items():
+        section, field = path.split(".")
+        setattr(getattr(cfg, section), field, value)
+    system = kinds.get(cfg.controller.kind).error_system
+    es = analysis.ERROR_SYSTEMS[system]
+    pairs = []
+
+    def flow(g, j, tr, h, ht):
+        pairs.append((h, ht))
+        return es.flow(g, j, tr, h, ht)
+
+    monkeypatch.setitem(analysis.ERROR_SYSTEMS, system, replace(es, flow=flow))
+    result = cli.verify(cfg, n_samples=20)
+    jumps = len(result["jump_drops"][result["governing_candidate"]])
+    assert jumps == 1
+    # the start's pair, then the pair after the jump
+    assert len(pairs) == 1 + jumps and pairs[0] != pairs[1]
 
 
 def test_verify_validates_field_set_after_construction():

@@ -172,7 +172,7 @@ def test_observer_state_validates_logic():
         run_scenario(cfg)
     y0 = np.concatenate([FLIP_X, ZERO3])
     with pytest.raises(ValueError, match="h_tilde0 must be"):
-        lyapunov_flow_report("observer", OBS_GAINS, y0=y0, h_tilde0=0, t_final=0.01)
+        lyapunov_flow_report("observer", OBS_GAINS, y0=y0, delta=0.3, h_tilde0=0, t_final=0.01)
 
 
 def test_observer_flow_rate_reference_values():

@@ -48,17 +48,28 @@ def test_rk4_step_equals_the_textbook_step_bit_for_bit(n, dt):
         assert bits(got) == bits(textbook_rk4(coupled, t, y, dt))
 
 
-def test_rk4_step_on_an_array_state_with_extra_args_equals_the_textbook_step():
-    def flow(t, y, gain, sign):
+def test_rk4_step_on_an_array_state_equals_the_textbook_step():
+    def flow(t, y):
         y = np.asarray(y)
-        return sign * gain * np.roll(y, 1) * np.cos(t * y)
+        return -2.5 * np.roll(y, 1) * np.cos(t * y)
 
     rng = np.random.default_rng(7)
     for dt in (1e-3, -0.02):
         y = rng.normal(size=11)
-        got = rk4_step(flow, 0.4, y, dt, 2.5, -1)
-        want = textbook_rk4(lambda t, yy: flow(t, yy, 2.5, -1), 0.4, y, dt)
-        assert bits(got) == bits(want)
+        assert bits(rk4_step(flow, 0.4, y, dt)) == bits(textbook_rk4(flow, 0.4, y, dt))
+
+
+def test_the_step_calls_its_flow_with_t_and_y_only():
+    calls = []
+
+    def flow(*args):
+        calls.append(len(args))
+        return args[1]
+
+    rk4_step(flow, 0.0, (1.0, 2.0), 0.1)
+    assert calls == [2, 2, 2, 2]
+    with pytest.raises(TypeError):
+        rk4_step(flow, 0.0, (1.0, 2.0), 0.1, 0.5)
 
 
 @pytest.mark.parametrize(
@@ -86,7 +97,7 @@ def test_one_stepper_per_length_built_on_first_use():
     rk4_step(coupled, 0.0, y, 0.1)
     step = integrate._STEPPERS[n]
     rk4_step(coupled, 1.0, y, -0.1)
-    rk4_step(coupled, 1.0, np.array(y, dtype=float), 0.2, 0.5)
+    rk4_step(coupled, 1.0, np.array(y, dtype=float), 0.2)
     assert integrate._STEPPERS[n] is step
 
 

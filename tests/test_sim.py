@@ -32,6 +32,24 @@ def _short(name, seconds, **kwargs):
     return cfg
 
 
+def test_a_step_count_that_overflows_names_both_fields():
+    cfg = preset("example1")
+    cfg.sim.dt_s, cfg.sim.t_final_s = 1e-308, 1e308
+    with pytest.raises(ValueError, match=r"^sim\.t_final_s / sim\.dt_s = 1e\+308 / 1e-308 overflows"):
+        run_scenario(cfg)
+
+
+def test_a_horizon_of_no_whole_steps_warns_with_the_horizon_run():
+    cfg = preset("example1")
+    cfg.sim.dt_s, cfg.sim.t_final_s = 0.3, 1.0
+    message = (r"^sim\.t_final_s = 1\.0 is not a whole number of sim\.dt_s = 0\.3 steps;"
+               r" 3 steps run to 0\.9 s$")
+    with pytest.warns(UserWarning, match=message) as caught:
+        trace = run_scenario(cfg)
+    assert len(caught) == 1
+    assert len(trace.t) == 4 and trace.t[-1] == 3 * 0.3
+
+
 def test_run_scenario_is_bitwise_deterministic():
     cfg = _short("example1", 5.0)
     a = run_scenario(cfg)

@@ -1,6 +1,6 @@
 """Run the benchmark in alternating pairs against another checkout.
 
-    python3 tools/benchpairs.py PARENT_CHECKOUT --workload W [--pairs 5] \
+    python3 tools/benchpairs.py PARENT_CHECKOUT --workload W [--pairs 10] \
         [--seconds 35] --out BENCH_N.json
 
 For seed s = 1..pairs it runs
@@ -30,7 +30,17 @@ It writes ``pairs[W]`` of the --out file, merging into the file if it exists
   ``change_wins`` (the pairs in which the change was better, by the metric's
   ``better`` in BENCHMARK.json).
 
-Standard library only; perfbench/ and BENCHMARK.json are only read.
+The output feeds two rules, read off ``end_to_end``:
+
+* a claimed gain needs the change to win at least 9 of 10 pairs on the
+  claimed metric, with the two medians further apart than the parent's
+  interquartile range (``q3 - q1``);
+* no regression means no end-to-end metric is worse than the parent's by
+  more than its ``bound`` in BENCHMARK.json (``change_over_parent`` at most
+  1 + bound for a lower-is-better metric), and no more failed items.
+
+Hence the default of 10 pairs.  Standard library only; perfbench/ and
+BENCHMARK.json are only read.
 """
 
 from __future__ import annotations
@@ -118,7 +128,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", help="root of the parent checkout")
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--out", required=True, help="JSON file to write pairs[workload] into")
     args = parser.parse_args(argv)
