@@ -50,7 +50,7 @@ from .controllers import (
     full_state_torque,
     output_feedback_torque,
 )
-from .integrate import _renorm, rk4_step, step_count
+from .integrate import _renorm, rk4_step, step_count, step_rows
 from .quat import (
     Array,
     axis_pow,
@@ -70,7 +70,6 @@ from .rigid_body import (
     DesiredTrajectory,
     Inertia,
     error_dynamics_rate,
-    kinematics_rate,
 )
 
 # ---------------------------------------------------------------------------
@@ -417,10 +416,12 @@ def chord_rate(q, h, c: float, a: float, b: float) -> Array:
 # these flows close the loop continuously in error coordinates so the
 # Lyapunov claims can be checked at integrator precision.  Noise and
 # disturbances are deliberately absent.  Each is built at the logic pair
-# (h, h_tilde) it holds over a flow interval and, like the simulator's flow,
-# maps t and a flat float sequence y to a float tuple.  A law returns its
-# feedback torque, and error_dynamics_rate states the flow under the
-# feedforward plus that feedback, so no flow forms the feedforward itself.
+# (h, h_tilde) it holds over a flow interval, reading its gains and exponents
+# there, and, like the simulator's flow, maps t and a flat float sequence y to
+# a float tuple.  A law returns its feedback torque, and error_dynamics_rate
+# states the flow under the feedforward plus that feedback, so no flow forms
+# the feedforward itself.  Their smooth algebra is inline, bit for bit the
+# composed kernels; the laws and chord_pow are called by name, as globals.
 
 
 def full_state_error_flow(
@@ -446,18 +447,25 @@ def observer_error_flow(gains: ObserverGains, h, h_tilde):
       Qdot_err = 0.5 Q_err * [0, -b_err - mu1 chord_pow(h~ Q_err, 1-beta1)]
       bdot_err = mu2 chord_pow(h~ Q_err, 1-beta2),
 
-    which is what makes a standalone flow check of v2 meaningful.
+    which is what makes a standalone flow check of v2 meaningful.  The
+    kinematics rows are kinematics_rate's, inline.
     """
-
     mu1, mu2 = gains.mu1, gains.mu2
+    p1, p2 = 1.0 - gains.beta1, 1.0 - gains.beta2
 
     def flow(t: float, y) -> tuple:
-        q_err = y[0:4]
-        b1, b2, b3 = y[4:7]
-        a1, a2, a3 = chord_pow(q_err, 1.0 - gains.beta1, h_tilde)
-        dq = kinematics_rate(q_err, (-b1 - mu1 * a1, -b2 - mu1 * a2, -b3 - mu1 * a3))
-        c1, c2, c3 = chord_pow(q_err, 1.0 - gains.beta2, h_tilde)
-        return (*dq, mu2 * c1, mu2 * c2, mu2 * c3)
+        q0, q1, q2, q3, b1, b2, b3 = y
+        q_err = (q0, q1, q2, q3)
+        a1, a2, a3 = chord_pow(q_err, p1, h_tilde)
+        w1, w2, w3 = -b1 - mu1 * a1, -b2 - mu1 * a2, -b3 - mu1 * a3
+        c1, c2, c3 = chord_pow(q_err, p2, h_tilde)
+        return (
+            0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
+            0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
+            0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
+            0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
+            mu2 * c1, mu2 * c2, mu2 * c3,
+        )
 
     return flow
 
@@ -468,19 +476,26 @@ def output_feedback_error_flow(
     """Built at (h, h_tilde), (t, y) -> ydot for y = [Q_lag, Q_e, w_e], velocity-free law.
 
     The filter lag obeys Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~
-    Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.  Reads
-    w_d only.
+    Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.  Its
+    rows are kinematics_rate's, inline.  Reads w_d only.
     """
-    k3 = gains.k3
+    k3, p3 = gains.k3, 1.0 - gains.alpha3
 
     def flow(t: float, y) -> tuple:
         q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
         u_fb = output_feedback_torque(gains, q_e, q_lag, h, h_tilde)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
+        l0, l1, l2, l3 = q_lag
         e1, e2, e3 = w_e
-        c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
-        dlag = kinematics_rate(q_lag, (e1 - k3 * c1, e2 - k3 * c2, e3 - k3 * c3))
-        return dlag + dq + dw
+        c1, c2, c3 = chord_pow(q_lag, p3, h_tilde)
+        w1, w2, w3 = e1 - k3 * c1, e2 - k3 * c2, e3 - k3 * c3
+        return (
+            0.5 * (-l1 * w1 - l2 * w2 - l3 * w3),
+            0.5 * (l0 * w1 + l2 * w3 - l3 * w2),
+            0.5 * (l0 * w2 - l1 * w3 + l3 * w1),
+            0.5 * (l0 * w3 + l1 * w2 - l2 * w1),
+            *dq, *dw,
+        )
 
     return flow
 
@@ -694,7 +709,7 @@ def lyapunov_flow_report(
     y = tuple(y.tolist())
     h, ht = check_logic("h0", h0), check_logic("h_tilde0", h_tilde0)
     flow = es.flow(gains, inertia, trajectory, h, ht)
-    ys, logic = np.empty((n + 1, es.size)), np.empty((n + 1, 2))
+    ys, logic = step_rows(n, es.size, "t_final", "dt"), step_rows(n, 2, "t_final", "dt")
     jumps: list[tuple[int, int, int]] = []  # (step, h, h_tilde before the jump)
 
     for i in range(n + 1):

@@ -18,6 +18,8 @@ so results are bit for bit the same.  The one rate signature is flow(t, y): a
 caller binds whatever the flow holds over a step (the simulator its torque and
 measurements, the flow report its logic pair) when it builds the flow.  A rate
 of the wrong length fails to unpack (ValueError) instead of resizing the state.
+step_count turns a horizon into steps and step_rows allocates their record,
+each naming the caller's fields when it refuses.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import linecache
 import math
 import re
 import warnings
+
+import numpy as np
 
 #: per-step quaternion norm drift above this aborts the run (blown-up dynamics)
 DRIFT_LIMIT = 1e-8
@@ -92,6 +96,19 @@ def step_count(t_final: float, dt: float, t_label: str, dt_label: str) -> int:
         warnings.warn("%s = %r is not a whole number of %s = %r steps; %d steps run to %.12g s"
                       % (t_label, t_final, dt_label, dt, n, n * dt))
     return n
+
+
+def step_rows(n: int, width: int, t_label: str, dt_label: str) -> np.ndarray:
+    """An empty (n + 1, width) block, one row per recorded step of an n-step run.
+
+    ValueError naming both fields and n when NumPy refuses the block (a
+    ValueError past its largest index, a MemoryError past what it can get).
+    """
+    try:
+        return np.empty((n + 1, width))
+    except (ValueError, MemoryError) as err:
+        raise ValueError("%s / %s gives %.6g steps, too many to record: %s"
+                         % (t_label, dt_label, n, err)) from None
 
 
 def _renorm(q, step: int) -> tuple:

@@ -16,7 +16,8 @@ outweighs the arithmetic, so the laws take floats.  Callers that need vector
 arithmetic wrap the result with np.asarray.  quat_mul, quat_conj, rotate,
 mat_vec and dot also take tuples of (n,) columns, one point per entry, and
 return columns equal to the float results bit for bit.  chord_pow and sat_pow
-take floats only, so that the simulator's step pays no type test.  The
+take floats only, so that the simulator's step pays no type test; sat_pow is
+comparisons around one power, passes NaN and maps -0.0 to +0.0.  The
 certificate rates are formed once over a recorded run, so analysis.chord_rate
 and analysis.v1_flow_rate take (n,) columns only: the one through
 chord_pow_columns, the other by mapping sat_pow entry by entry.
@@ -121,8 +122,16 @@ def sgn_pow(x, alpha: float):
 
 
 def sat_pow(x: float, alpha: float) -> float:
-    """Saturated signed power sgn(x)*min(|x|^alpha, 1) of one float."""
-    return math.copysign(min(abs(x) ** alpha, 1.0), x) if x else 0.0
+    """Saturated signed power sgn(x)*min(|x|^alpha, 1) of one float, for alpha in (0, 1].
+
+    Comparisons around one power: +0.0 at +-0.0, NaN as it came, and bit for bit
+    copysign(min(abs(x) ** alpha, 1.0), x) if x else 0.0 on that exponent domain.
+    """
+    if x > 0.0:
+        return x ** alpha if x < 1.0 else 1.0
+    if x < 0.0:
+        return -((-x) ** alpha) if x > -1.0 else -1.0
+    return 0.0 if x == 0.0 else x
 
 
 def axis_pow(q_v: Array, alpha: float) -> Array:

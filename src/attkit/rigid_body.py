@@ -8,7 +8,8 @@ frame.  The error flow is stated under feedforward_torque plus feedback, where
 the desired acceleration cancels; only the simulator's plant reads it.
 
 The rate and error kernels take float sequences and return float tuples, as
-the quat kernels do.
+the quat kernels do.  dynamics_rate and error_dynamics_rate each form their
+algebra in one frame, bit for bit the composed kernels their docstrings name.
 """
 
 from __future__ import annotations
@@ -205,11 +206,33 @@ def error_dynamics_rate(inertia: Inertia, q_e, w_e, w_d, u_fb) -> tuple[tuple, t
     wdot_e = J^-1 (w_d_body x J w_d_body - w x Jw + u_fb) + w_e x w_d_body,
     w_d_body = R(Q_e) w_d, w = w_e + w_d_body: the feedforward's J R(Q_e) wdot_d
     cancels exactly (Wen & Kreutz-Delgado, IEEE TAC 1991), so wdot_d is not read.
+    Formed in one frame: bit for bit, on floats and on (n,) columns, kinematics_rate(q_e,
+    w_e) and dynamics_rate(inertia, w_e + d, cross(d, J d) + u_fb) + cross(w_e, d) for
+    d = rotate(q_e, w_d), J d = mat_vec(inertia.matrix, d).
     """
-    w_d_body = d1, d2, d3 = rotate(q_e, w_d)
+    q0, q1, q2, q3 = q_e
     e1, e2, e3 = w_e
-    f1, f2, f3 = cross(w_d_body, mat_vec(inertia.matrix, w_d_body))
+    v1, v2, v3 = w_d
+    s = q0 * q0 - (q1 * q1 + q2 * q2 + q3 * q3)
+    qv, c0 = 2.0 * (q1 * v1 + q2 * v2 + q3 * v3), 2.0 * q0
+    d1 = s * v1 + qv * q1 - c0 * (q2 * v3 - q3 * v2)
+    d2 = s * v2 + qv * q2 - c0 * (q3 * v1 - q1 * v3)
+    d3 = s * v3 + qv * q3 - c0 * (q1 * v2 - q2 * v1)
+    (a, b, c), (d, e, f), (g, h, k) = inertia.matrix
+    j1, j2, j3 = a * d1 + b * d2 + c * d3, d * d1 + e * d2 + f * d3, g * d1 + h * d2 + k * d3
     u1, u2, u3 = u_fb
-    a1, a2, a3 = dynamics_rate(inertia, (e1 + d1, e2 + d2, e3 + d3), (f1 + u1, f2 + u2, f3 + u3))
-    c1, c2, c3 = cross(w_e, w_d_body)
-    return kinematics_rate(q_e, w_e), (a1 + c1, a2 + c2, a3 + c3)
+    t1, t2, t3 = (d2 * j3 - d3 * j2) + u1, (d3 * j1 - d1 * j3) + u2, (d1 * j2 - d2 * j1) + u3
+    w1, w2, w3 = e1 + d1, e2 + d2, e3 + d3
+    j1, j2, j3 = a * w1 + b * w2 + c * w3, d * w1 + e * w2 + f * w3, g * w1 + h * w2 + k * w3
+    r1, r2, r3 = t1 - (w2 * j3 - w3 * j2), t2 - (w3 * j1 - w1 * j3), t3 - (w1 * j2 - w2 * j1)
+    (a, b, c), (d, e, f), (g, h, k) = inertia.inverse
+    return (
+        0.5 * (-q1 * e1 - q2 * e2 - q3 * e3),
+        0.5 * (q0 * e1 + q2 * e3 - q3 * e2),
+        0.5 * (q0 * e2 - q1 * e3 + q3 * e1),
+        0.5 * (q0 * e3 + q1 * e2 - q2 * e1),
+    ), (
+        a * r1 + b * r2 + c * r3 + (e2 * d3 - e3 * d2),
+        d * r1 + e * r2 + f * r3 + (e3 * d1 - e1 * d3),
+        g * r1 + h * r2 + k * r3 + (e1 * d2 - e2 * d1),
+    )

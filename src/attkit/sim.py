@@ -41,7 +41,7 @@ import numpy as np
 
 from . import analysis, kinds
 from .config import ScenarioConfig
-from .integrate import _renorm, rk4_step, step_count
+from .integrate import _renorm, rk4_step, step_count, step_rows
 from .quat import Array
 from .rigid_body import (
     dynamics_rate,
@@ -143,7 +143,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         if i == 0:
             est, h_t = kind.start(cfg, q_m, q_e_m)
             stepped = _OFFSET["q_hat"] + len(est)
-            rows = np.empty((n + 1, _WIDTH))
+            rows = step_rows(n, _WIDTH, "sim.t_final_s", "sim.dt_s")
             rows[:, stepped : _OFFSET["q_e"]] = _NAN  # estimator columns the kind lacks
 
         w_d = traj.omega_fn(t)

@@ -2,8 +2,9 @@
 
 Everything here is deterministic but costs real simulation time, so each
 artifact is built once per session and shared read-only across test modules.
-Test modules import the quaternion helpers IDENTITY_QUAT and from_axis_angle
-from here (`from conftest import ...`); the package itself needs neither.
+Test modules import the quaternion helpers IDENTITY_QUAT and from_axis_angle,
+and composed_error_dynamics_rate, from here (`from conftest import ...`); the
+package itself needs none of them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from attkit.controllers import (
     observer_flow_rate,
     output_feedback_torque,
 )
-from attkit.quat import ZERO_TOL, quat_conj, quat_mul
+from attkit.quat import ZERO_TOL, cross, mat_vec, quat_conj, quat_mul, rotate
 from attkit.rigid_body import (
     Inertia,
     dynamics_rate,
@@ -48,6 +49,17 @@ def from_axis_angle(axis, angle: float) -> np.ndarray:
         raise ValueError("rotation axis must be nonzero")
     half = 0.5 * angle
     return np.concatenate(([np.cos(half)], (np.sin(half) / norm) * axis))
+
+
+def composed_error_dynamics_rate(inertia, q_e, w_e, w_d, u_fb):
+    """The kernel calls error_dynamics_rate replaced: the reference for its bits."""
+    w_d_body = d1, d2, d3 = rotate(q_e, w_d)
+    e1, e2, e3 = w_e
+    f1, f2, f3 = cross(w_d_body, mat_vec(inertia.matrix, w_d_body))
+    u1, u2, u3 = u_fb
+    a1, a2, a3 = dynamics_rate(inertia, (e1 + d1, e2 + d2, e3 + d3), (f1 + u1, f2 + u2, f3 + u3))
+    c1, c2, c3 = cross(w_e, w_d_body)
+    return kinematics_rate(q_e, w_e), (a1 + c1, a2 + c2, a3 + c3)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,14 @@ from attkit.analysis import (
     v1_flow_rate,
 )
 from attkit.config import preset
-from attkit.controllers import FullStateGains, ObserverGains, OutputFeedbackGains
+from attkit.controllers import (
+    FullStateGains,
+    ObserverGains,
+    OutputFeedbackGains,
+    full_state_torque,
+    output_feedback_torque,
+)
+from attkit.integrate import rk4_step
 from attkit.quat import (
     ZERO_TOL,
     chord_potential,
@@ -44,11 +51,12 @@ from attkit.quat import (
     chord_pow_columns,
     dot,
     random_unit_quat,
-    rotate,
     sat_pow,
 )
-from attkit.rigid_body import DesiredTrajectory, Inertia, sinusoid_trajectory
+from attkit.rigid_body import DesiredTrajectory, Inertia, kinematics_rate, sinusoid_trajectory
 from attkit.sim import run_scenario
+
+from conftest import composed_error_dynamics_rate
 
 BENCH_J = [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
 BENCH_Q_E0 = np.array([0.0, 0.6, -0.8, 0.0])
@@ -337,7 +345,8 @@ def test_remainder_is_error_flow_less_reduced_field(system, gains):
 def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monkeypatch):
     # the feedforward's J R(Q_e) wdot_d cancels in the error flow, so a trajectory
     # whose acceleration cannot be read gives the same flows and remainders, and
-    # each flow evaluation rotates w_d into the body frame once
+    # each flow evaluation rotates w_d into the body frame once: inside its one
+    # error_dynamics_rate call, inline, with no rotate call
     w_d = (0.05, -0.03, 0.02)
 
     def unreadable(t):
@@ -355,18 +364,24 @@ def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monk
         assert es.flow(gains, INERTIA, blind, 1, -1)(2.0, tuple(y)) == want_flow, system
         assert np.array_equal(es.remainder(gains, INERTIA, blind)(x), want_rem), system
 
-        calls = []
+        calls = {"rotate": 0, "error_dynamics_rate": 0}
 
-        def counted(q, v):
-            calls.append(1)
-            return rotate(q, v)
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return call
 
         flow = es.flow(gains, INERTIA, blind, 1, 1)
         with monkeypatch.context() as m:
-            m.setattr(rigid_body, "rotate", counted)
+            m.setattr(rigid_body, "rotate", counted(rigid_body, "rotate"))
+            m.setattr(analysis, "error_dynamics_rate", counted(analysis, "error_dynamics_rate"))
             for t in (0.0, 0.5, 1.0):
                 flow(t, tuple(y))
-        assert len(calls) == 3, (system, len(calls))
+        assert calls == {"rotate": 0, "error_dynamics_rate": 3}, system
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +768,89 @@ def test_column_rates_match_the_float_calls_at_the_edges():
     want = [-k2 * (w1 * sat_pow(w1, p) + w2 * sat_pow(w2, p) + w3 * sat_pow(w3, p))
             for w1, w2, w3 in rows]
     assert got.shape == (len(rows),) and _same_bits(got, want)
+
+
+def _composed_flow(name, g, j, tr, h, ht):
+    """Each error flow as it was composed of kernel calls: the reference for its bits."""
+    if name == "observer":
+        def flow(t, y):
+            q_err = y[0:4]
+            b1, b2, b3 = y[4:7]
+            a1, a2, a3 = chord_pow(q_err, 1.0 - g.beta1, ht)
+            dq = kinematics_rate(q_err, (-b1 - g.mu1 * a1, -b2 - g.mu1 * a2, -b3 - g.mu1 * a3))
+            c1, c2, c3 = chord_pow(q_err, 1.0 - g.beta2, ht)
+            return (*dq, g.mu2 * c1, g.mu2 * c2, g.mu2 * c3)
+    elif name == "full_state":
+        def flow(t, y):
+            q_e, w_e = y[0:4], y[4:7]
+            u_fb = full_state_torque(g, q_e, w_e, h)
+            dq, dw = composed_error_dynamics_rate(j, q_e, w_e, tr.omega_fn(t), u_fb)
+            return dq + dw
+    else:
+        def flow(t, y):
+            q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
+            u_fb = output_feedback_torque(g, q_e, q_lag, h, ht)
+            dq, dw = composed_error_dynamics_rate(j, q_e, w_e, tr.omega_fn(t), u_fb)
+            e1, e2, e3 = w_e
+            c1, c2, c3 = chord_pow(q_lag, 1.0 - g.alpha3, ht)
+            dlag = kinematics_rate(q_lag, (e1 - g.k3 * c1, e2 - g.k3 * c2, e3 - g.k3 * c3))
+            return dlag + dq + dw
+    return flow
+
+
+def test_error_flows_equal_their_composed_forms_bit_for_bit():
+    # quaternion rows as test_column_rates_match_the_float_calls_at_the_edges builds them:
+    # q0 = +-1 and 1 -+ q0 on both sides of chord_pow's identity guard, then two interior rows
+    near = 1.0 - ZERO_TOL
+    q0s = [1.0, np.nextafter(near, 0.0), near, np.nextafter(near, 2.0), 0.3, -0.7]
+    q0s += [-x for x in q0s]
+    quats = [(x, *(np.sqrt(max(1.0 - x * x, 0.0)) * np.array([0.6, -0.8, 0.0])).tolist())
+             for x in q0s]
+    vecs = [(0.0, -0.0, 1.5), (-1.5, 1e-300, -1e-300), (0.3, -0.7, 0.2)]
+    inertia = Inertia([[15.0, 0.5, -0.3], [0.5, 20.0, 0.2], [-0.3, 0.2, 10.0]])
+    tr = sinusoid_trajectory(0.05, 0.3)
+    states = {
+        "full_state": [(*q, *w) for q in quats for w in vecs],
+        "observer": [(*q, *b) for q in quats for b in vecs],
+        "attitude_only": [(*ql, *q, *w) for ql in quats for q in quats[::3] for w in vecs],
+    }
+    gains = {"full_state": FS_GAINS, "observer": OBS_GAINS, "attitude_only": OF_GAINS}
+    for name, ys in states.items():
+        for h, ht in itertools.product((1, -1), repeat=2):
+            args = (gains[name], inertia, tr, h, ht)
+            flow, want = ERROR_SYSTEMS[name].flow(*args), _composed_flow(name, *args)
+            for y in ys:
+                assert _same_bits(flow(0.37, y), want(0.37, y)), (name, h, ht, y)
+
+
+@pytest.mark.parametrize("name, want", [
+    ("full_state", (4, 4, 0, 0)),
+    ("observer", (0, 0, 0, 8)),
+    ("attitude_only", (4, 0, 4, 4)),
+])
+def test_one_step_of_each_error_flow_calls_its_kernels_by_name(name, want, monkeypatch):
+    # every call goes through the analysis module's globals, which perfbench hooks; the
+    # flow is built first, so that a kernel it captured when built escapes the count
+    gains, y0 = _ONE_JUMP[name]
+    flow = ERROR_SYSTEMS[name].flow(gains, INERTIA, sinusoid_trajectory(), 1, 1)
+    kernels = ("error_dynamics_rate", "full_state_torque", "output_feedback_torque", "chord_pow")
+    calls = dict.fromkeys(kernels, 0)
+    for kernel in kernels:
+        def counted(*args, _kernel=kernel, _real=getattr(analysis, kernel)):
+            calls[_kernel] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(analysis, kernel, counted)
+    rk4_step(flow, 0.0, tuple(y0), 1e-3)
+    assert tuple(calls[k] for k in kernels) == want
+
+
+def test_a_flow_report_too_long_to_record_names_both_fields():
+    # 1e300 steps overflow NumPy's index before any memory is asked for
+    y0 = [0.9, 0.3, 0.3, 0.1, 0.01, 0.0, 0.0]
+    with pytest.raises(ValueError, match=r"^t_final / dt gives 1e\+300 steps, too many to record"):
+        analysis.lyapunov_flow_report("observer", OBS_GAINS, y0=y0, delta=0.3, dt=1.0,
+                                      t_final=1e300)
 
 
 def test_flow_report_warns_when_it_normalizes_y0():

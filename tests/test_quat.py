@@ -145,6 +145,25 @@ def test_sat_pow():
     assert np.allclose([sat_pow(x, 1.0) for x in (2.0, -0.4, 0.3)], [1.0, -0.4, 0.3])
 
 
+def test_sat_pow_equals_the_copysign_form_bit_for_bit():
+    def copysign_form(x, alpha):  # the expression sat_pow's comparisons replaced
+        return math.copysign(min(abs(x) ** alpha, 1.0), x) if x else 0.0
+
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    xs = [0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0, math.inf, -math.inf, math.nan, -math.nan]
+    xs += [float(np.nextafter(one, to)) for one in (1.0, -1.0) for to in (0.0, 2.0 * one)]
+    rng = np.random.default_rng(20)
+    xs += (rng.standard_normal(10_000) * 10.0 ** rng.uniform(-8.0, 1.0, 10_000)).tolist()
+    for alpha in (1e-3, 0.5, 2.0 / 3.0, 0.75, 1.0):
+        for x in xs:
+            assert bits(sat_pow(x, alpha)) == bits(copysign_form(x, alpha)), (x, alpha)
+        assert bits(sat_pow(-0.0, alpha)) == bits(0.0)
+        for nan in (math.nan, -math.nan):
+            assert bits(sat_pow(nan, alpha)) == bits(nan)
+
+
 def test_axis_pow_reference_value_and_origin():
     q = np.array([0.9539392014169456, 0.3, 0.0, 0.0])
     assert axis_pow(q[1:], 0.5)[0] == pytest.approx(AXIS_POW_03, rel=1e-15)

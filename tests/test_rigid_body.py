@@ -20,7 +20,7 @@ from attkit.rigid_body import (
 from attkit.integrate import _renorm
 from attkit.sim import rk4_step
 
-from conftest import from_axis_angle
+from conftest import composed_error_dynamics_rate, from_axis_angle
 
 BENCH_J = np.diag([15.0, 20.0, 10.0])
 
@@ -183,6 +183,25 @@ def test_dynamics_rate_equals_its_composed_form_bit_for_bit():
         t1, t2, t3 = torque
         want = mat_vec(inertia.inverse, (t1 - c1, t2 - c2, t3 - c3))
         assert _bits(dynamics_rate(inertia, w, torque)) == _bits(want)
+
+
+def test_error_dynamics_rate_equals_its_composed_form_bit_for_bit():
+    rng = np.random.default_rng(18)
+    for _ in range(200):
+        m = rng.standard_normal((3, 3))
+        inertia = Inertia(m @ m.T + 3.0 * np.eye(3))
+        args = [_with_signed_zeros(rng, k).tolist() for k in (4, 3, 3, 3)]
+        dq, dw = error_dynamics_rate(inertia, *args)
+        want_q, want_w = composed_error_dynamics_rate(inertia, *args)
+        assert _bits(dq) == _bits(want_q) and _bits(dw) == _bits(want_w)
+    # (n,) columns as the remainders hand them: blocks for Q_e, w_e and u_fb, floats for w_d
+    q_e, w_e, u_fb = (_with_signed_zeros(rng, (k, 300)) for k in (4, 3, 3))
+    w_d = _with_signed_zeros(rng, 3).tolist()
+    dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, u_fb)
+    want_q, want_w = composed_error_dynamics_rate(inertia, q_e, w_e, w_d, u_fb)
+    assert _bits(dq) == _bits(want_q) and _bits(dw) == _bits(want_w)
+    points = [error_dynamics_rate(inertia, a, b, w_d, c) for a, b, c in zip(q_e.T, w_e.T, u_fb.T)]
+    assert _bits(dw) == _bits(np.transpose([p for _, p in points]))
 
 
 def test_error_quaternion_identity_and_composition():

@@ -39,6 +39,15 @@ def test_a_step_count_that_overflows_names_both_fields():
         run_scenario(cfg)
 
 
+def test_a_step_count_too_large_to_record_names_both_fields():
+    # 1e300 steps overflow NumPy's index before any memory is asked for
+    cfg = preset("fig3")
+    cfg.sim.dt_s, cfg.sim.t_final_s = 1.0, 1e300
+    message = r"^sim\.t_final_s / sim\.dt_s gives 1e\+300 steps, too many to record"
+    with pytest.raises(ValueError, match=message):
+        run_scenario(cfg)
+
+
 def test_a_horizon_of_no_whole_steps_warns_with_the_horizon_run():
     cfg = preset("example1")
     cfg.sim.dt_s, cfg.sim.t_final_s = 0.3, 1.0

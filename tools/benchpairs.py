@@ -28,16 +28,21 @@ It writes ``pairs[W]`` of the --out file, merging into the file if it exists
   values in seed order (null for a run that printed no result), their median
   and quartiles, ``change_over_parent`` (the ratio of the medians) and
   ``change_wins`` (the pairs in which the change was better, by the metric's
-  ``better`` in BENCHMARK.json).
+  ``better`` in BENCHMARK.json);
+* ``verdict``: the two rules below, applied to ``end_to_end`` and the item
+  counts.  Per metric, ``gain`` and ``within_bound`` (null where a median or
+  the bound is missing), and ``failed_items_rose``.  One line per workload
+  on stderr states them.
 
-The output feeds two rules, read off ``end_to_end``:
+The two rules:
 
-* a claimed gain needs the change to win at least 9 of 10 pairs on the
-  claimed metric, with the two medians further apart than the parent's
-  interquartile range (``q3 - q1``);
+* a claimed gain needs the change to win at least ceil(0.9 * pairs) pairs
+  (9 of 10) on the claimed metric, with the change's median better than the
+  parent's by more than the parent's interquartile range (``q3 - q1``);
 * no regression means no end-to-end metric is worse than the parent's by
   more than its ``bound`` in BENCHMARK.json (``change_over_parent`` at most
-  1 + bound for a lower-is-better metric), and no more failed items.
+  1 + bound for a lower-is-better metric, at least 1 - bound for a
+  higher-is-better one), and no more failed items.
 
 Hence the default of 10 pairs.  Standard library only; perfbench/ and
 BENCHMARK.json are only read.
@@ -121,7 +126,42 @@ def summarize(workload: str, runs: dict, end_to_end: list) -> dict:
         entry["change_wins"] = wins
         entry["unit"] = metric["unit"]
         out["end_to_end"][name] = entry
+    out["verdict"] = verdict(out, end_to_end)
     return out
+
+
+def verdict(pairs: dict, end_to_end: list) -> dict:
+    """The gain and no-regression rules applied to a summarize() result."""
+    need = -(-9 * len(pairs["seeds"]) // 10)  # ceil(0.9 * pairs) in integers
+    metrics = {}
+    for metric in end_to_end:
+        entry = pairs["end_to_end"][metric["name"]]
+        lower = metric["better"] == "lower"
+        med_c, parent = entry["change"]["median"], entry["parent"]
+        ratio, bound = entry["change_over_parent"], metric.get("bound")
+        gain = None
+        if med_c is not None and parent["median"] is not None:
+            better_by = parent["median"] - med_c if lower else med_c - parent["median"]
+            gain = entry["change_wins"] >= need and better_by > parent["q3"] - parent["q1"]
+        within = None
+        if ratio is not None and bound is not None:
+            within = ratio <= 1.0 + bound if lower else ratio >= 1.0 - bound
+        metrics[metric["name"]] = {"gain": gain, "within_bound": within}
+    rose = pairs["failed"]["change"] > pairs["failed"]["parent"]
+    return {"metrics": metrics, "failed_items_rose": rose}
+
+
+def verdict_line(pairs: dict) -> str:
+    """One line stating a workload's verdict, e.g. "verify: gain wall_s; over bound none; ..."."""
+    v = pairs["verdict"]
+
+    def names(test) -> str:
+        return ", ".join(nm for nm, m in v["metrics"].items() if test(m)) or "none"
+
+    return "%s: gain %s; over bound %s; no verdict %s; failed items rose: %s" % (
+        pairs["workload"], names(lambda m: m["gain"]),
+        names(lambda m: m["within_bound"] is False),
+        names(lambda m: m["within_bound"] is None), v["failed_items_rose"])
 
 
 def main(argv=None) -> int:
@@ -157,6 +197,7 @@ def main(argv=None) -> int:
     data = json.loads(out.read_text()) if out.exists() else {}
     pairs = summarize(args.workload, runs, end_to_end)
     pairs["checkouts"] = {"change": os.path.relpath(ROOT), "parent": os.path.relpath(parent)}
+    print(verdict_line(pairs), file=sys.stderr, flush=True)
     data.setdefault("pairs", {})[args.workload] = pairs
     out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     return 0 if all(_clean(r) for side in runs.values() for r in side) else 1
