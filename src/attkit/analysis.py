@@ -448,7 +448,7 @@ def observer_error_flow(gains: ObserverGains, h, h_tilde):
       bdot_err = mu2 chord_pow(h~ Q_err, 1-beta2),
 
     which is what makes a standalone flow check of v2 meaningful.  The
-    kinematics rows are kinematics_rate's, inline.
+    kinematics rows, 0.5 * [-q.w, q0 w + q x w], are inline.
     """
     mu1, mu2 = gains.mu1, gains.mu2
     p1, p2 = 1.0 - gains.beta1, 1.0 - gains.beta2
@@ -477,7 +477,7 @@ def output_feedback_error_flow(
 
     The filter lag obeys Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~
     Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.  Its
-    rows are kinematics_rate's, inline.  Reads w_d only.
+    kinematics rows are inline, as in observer_error_flow.  Reads w_d only.
     """
     k3, p3 = gains.k3, 1.0 - gains.alpha3
 

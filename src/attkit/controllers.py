@@ -9,13 +9,21 @@ select which antipode of an error quaternion they stabilize; attkit.kinds
 states how those values jump.
 
 Controllers only ever see measured quantities.  Truth states never enter any
-function in this module.  Like the quat and rigid_body kernels, the laws and
-estimator flows take float sequences and return float tuples.
+function in this module.  Like the quat and rigid_body kernels, the laws take
+float sequences and return float tuples.  The estimator flows are builders
+with the signature of a kind's estimator_flow, (gains, h_tilde, q_meas,
+w_meas, q_e_meas) -> rate(y): they read the gains and hold the measurements
+once per step, and rate maps the simulator's flow state y = [Q, w, est] to
+the rates of est, its error quaternion, conjugate rotation and kinematics
+formed in one frame.  The laws and the flows call chord_pow and sat_pow by
+name, so each nonsmooth map has one statement.
 
 full_state_torque      velocity + attitude feedback, finite time for alpha1 < 1;
                        with a bias observer's rate estimate it is the
                        certainty-equivalence law of the biased-gyro kind
 output_feedback_torque velocity-free law fed by an auxiliary attitude filter
+observer_flow          finite-time observer of attitude and gyro bias
+filter_flow            attitude filter that feeds the velocity-free law
 """
 
 from __future__ import annotations
@@ -23,8 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quat import chord_pow, quat_conj, rotate, sat_pow
-from .rigid_body import error_quaternion, kinematics_rate
+from .quat import chord_pow, sat_pow
 
 
 def check_logic(label: str, h) -> int:
@@ -134,41 +141,87 @@ def full_state_torque(gains: FullStateGains, q_e, w_e, h: int) -> tuple:
     )
 
 
-def observer_flow_rate(
-    gains: ObserverGains, q_hat, b_hat, h_tilde: int, q_meas, w_meas
-) -> tuple[tuple, tuple]:
-    """Continuous observer dynamics (Qdot_hat, bdot_hat) given held measurements.
+def observer_flow(gains: ObserverGains, h_tilde: int, q_meas, w_meas, q_e_meas):
+    """Built at held measurements, y -> (Qdot_hat, bdot_hat) as one tuple; y[7:] = [Q_hat, b_hat].
 
     The attitude estimate integrates the bias-corrected rate plus a fractional
-    power of the estimation error, re-expressed in the estimate frame; the
-    bias estimate integrates the complementary correction:
+    power of the estimation error Q_err = conj(Q_hat) * Q_meas, re-expressed in
+    the estimate frame; the bias estimate integrates the complementary correction:
 
       Qdot_hat = 0.5 Q_hat * [0, R(Q_err)^T (w_meas - b_hat + mu1*chord_pow(h~ Q_err, 1-beta1))]
       bdot_hat = -mu2 * chord_pow(h~ Q_err, 1-beta2)
+
+    q_e_meas is not read.
     """
     mu1, mu2 = gains.mu1, gains.mu2
-    q_err = error_quaternion(q_hat, q_meas)
-    a1, a2, a3 = chord_pow(q_err, 1.0 - gains.beta1, h_tilde)
-    m1, m2, m3 = w_meas
-    b1, b2, b3 = b_hat
-    corr = (m1 - b1 + mu1 * a1, m2 - b2 + mu1 * a2, m3 - b3 + mu1 * a3)
-    q_hat_dot = kinematics_rate(q_hat, rotate(quat_conj(q_err), corr))
-    c1, c2, c3 = chord_pow(q_err, 1.0 - gains.beta2, h_tilde)
-    return q_hat_dot, (-mu2 * c1, -mu2 * c2, -mu2 * c3)
+    p1, p2 = 1.0 - gains.beta1, 1.0 - gains.beta2
+    m0, m1, m2, m3 = q_meas
+    v1, v2, v3 = w_meas
+
+    def rate(y) -> tuple:
+        q0, q1, q2, q3, b1, b2, b3 = y[7:]
+        q_err = e0, e1, e2, e3 = (
+            q0 * m0 + q1 * m1 + q2 * m2 + q3 * m3,
+            q0 * m1 - q1 * m0 - q2 * m3 + q3 * m2,
+            q0 * m2 + q1 * m3 - q2 * m0 - q3 * m1,
+            q0 * m3 - q1 * m2 + q2 * m1 - q3 * m0,
+        )
+        a1, a2, a3 = chord_pow(q_err, p1, h_tilde)
+        c1, c2, c3 = v1 - b1 + mu1 * a1, v2 - b2 + mu1 * a2, v3 - b3 + mu1 * a3
+        n1, n2, n3 = -e1, -e2, -e3  # R(Q_err)^T is R(conj(Q_err))
+        s = e0 * e0 - (n1 * n1 + n2 * n2 + n3 * n3)
+        d, c = 2.0 * (n1 * c1 + n2 * c2 + n3 * c3), 2.0 * e0
+        r1 = s * c1 + d * n1 - c * (n2 * c3 - n3 * c2)
+        r2 = s * c2 + d * n2 - c * (n3 * c1 - n1 * c3)
+        r3 = s * c3 + d * n3 - c * (n1 * c2 - n2 * c1)
+        g1, g2, g3 = chord_pow(q_err, p2, h_tilde)
+        return (
+            0.5 * (-q1 * r1 - q2 * r2 - q3 * r3),
+            0.5 * (q0 * r1 + q2 * r3 - q3 * r2),
+            0.5 * (q0 * r2 - q1 * r3 + q3 * r1),
+            0.5 * (q0 * r3 + q1 * r2 - q2 * r1),
+            -mu2 * g1, -mu2 * g2, -mu2 * g3,
+        )
+
+    return rate
 
 
-def filter_flow_rate(gains: OutputFeedbackGains, q_f, h_tilde: int, q_e_meas) -> tuple:
-    """Attitude filter driven only by the measured error quaternion.
+def filter_flow(gains: OutputFeedbackGains, h_tilde: int, q_meas, w_meas, q_e_meas):
+    """Built at held measurements, y -> Qdot_f for y[7:] = Q_f: a filter driven only by Q_e.
 
     Qdot_f = 0.5 Q_f * [0, k3 R(Q_lag)^T chord_pow(h~ Q_lag, 1-alpha3)], where
     Q_lag = conj(Q_f) * Q_e.  The lag quaternion then obeys
     Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~ Q_lag, 1-alpha3)], which
-    is how the filter recovers rate information without a gyro.
+    is how the filter recovers rate information without a gyro.  q_meas and
+    w_meas are not read.
     """
-    k3 = gains.k3
-    q_lag = error_quaternion(q_f, q_e_meas)
-    c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
-    return kinematics_rate(q_f, rotate(quat_conj(q_lag), (k3 * c1, k3 * c2, k3 * c3)))
+    k3, p3 = gains.k3, 1.0 - gains.alpha3
+    m0, m1, m2, m3 = q_e_meas
+
+    def rate(y) -> tuple:
+        f0, f1, f2, f3 = y[7:]
+        q_lag = e0, e1, e2, e3 = (
+            f0 * m0 + f1 * m1 + f2 * m2 + f3 * m3,
+            f0 * m1 - f1 * m0 - f2 * m3 + f3 * m2,
+            f0 * m2 + f1 * m3 - f2 * m0 - f3 * m1,
+            f0 * m3 - f1 * m2 + f2 * m1 - f3 * m0,
+        )
+        a1, a2, a3 = chord_pow(q_lag, p3, h_tilde)
+        c1, c2, c3 = k3 * a1, k3 * a2, k3 * a3
+        n1, n2, n3 = -e1, -e2, -e3  # R(Q_lag)^T is R(conj(Q_lag))
+        s = e0 * e0 - (n1 * n1 + n2 * n2 + n3 * n3)
+        d, c = 2.0 * (n1 * c1 + n2 * c2 + n3 * c3), 2.0 * e0
+        r1 = s * c1 + d * n1 - c * (n2 * c3 - n3 * c2)
+        r2 = s * c2 + d * n2 - c * (n3 * c1 - n1 * c3)
+        r3 = s * c3 + d * n3 - c * (n1 * c2 - n2 * c1)
+        return (
+            0.5 * (-f1 * r1 - f2 * r2 - f3 * r3),
+            0.5 * (f0 * r1 + f2 * r3 - f3 * r2),
+            0.5 * (f0 * r2 - f1 * r3 + f3 * r1),
+            0.5 * (f0 * r3 + f1 * r2 - f2 * r1),
+        )
+
+    return rate
 
 
 def output_feedback_torque(gains: OutputFeedbackGains, q_e, q_lag, h: int, h_tilde: int) -> tuple:

@@ -11,7 +11,9 @@ Estimators keep their quaternion in est[0:4]; the simulator records est in
 the trace's q_hat and b_hat columns, NaN past its length.  Every callable
 takes float sequences and returns float tuples; lag also takes tuples of (n,)
 columns, as the simulator's record hands them, and returns columns (NaN
-floats for the full-state law, which has no estimator).
+floats for the full-state law, which has no estimator).  estimator_flow is a
+builder: the simulator calls it once per step at the held measurements, and
+the rate it returns reads est from the tail of the flow state [Q, w, est].
 
 All three laws share one hysteresis mechanism.  A logic variable h in
 {-1, +1} selects which antipode of an error quaternion is stabilized; it
@@ -35,9 +37,9 @@ from typing import Callable
 from .controllers import (
     FullStateGains,
     OutputFeedbackGains,
-    filter_flow_rate,
+    filter_flow,
     full_state_torque,
-    observer_flow_rate,
+    observer_flow,
     output_feedback_torque,
 )
 from .quat import unit_or_warn
@@ -99,17 +101,20 @@ def _observer_start(cfg, q_m, q_e_m):
     return est, oc.h_tilde0
 
 
-def _observer_flow(g, est, h_tilde, q_m, w_m, q_e_m):
-    """Rates of the observer state [Q_hat, b_hat] as one tuple."""
-    q_hat_dot, b_hat_dot = observer_flow_rate(g, est[0:4], est[4:7], h_tilde, q_m, w_m)
-    return q_hat_dot + b_hat_dot
-
-
 def _bias_corrected(w_m, b_hat):
     """The measured rate less the bias estimate."""
     m1, m2, m3 = w_m
     b1, b2, b3 = b_hat
     return (m1 - b1, m2 - b2, m3 - b3)
+
+
+def _no_estimator_flow(g, h_tilde, q_m, w_m, q_e_m):
+    """The full-state law carries no estimator: its rate has no rows."""
+    return _no_rates
+
+
+def _no_rates(y):
+    return ()
 
 
 def _filter_start(cfg, q_m, q_e_m):
@@ -129,7 +134,9 @@ class ControllerKind:
     lag: Callable  # (est, q, q_e) -> estimator error quaternion, NaN without one
     jump: Callable  # jump rule (module docstring)
     torque: Callable  # (g, q_e, w_meas, w_d, est, q_lag, h, h_tilde) -> feedback torque
-    estimator_flow: Callable  # (g, est, h_tilde, q_meas, w_meas, q_e_meas) -> rates of est
+    # (g, h_tilde, q_meas, w_meas, q_e_meas) -> rate(y), built once per step at the held
+    # measurements: y = [Q, w, est] -> the rates of est, read from y[7:]
+    estimator_flow: Callable
     # (p, p_alt): the law's torque bound k1 + k2 + (w1^p + w2)||J|| and its companion
     torque_bounds: tuple[int, int]
 
@@ -143,7 +150,7 @@ KINDS = {
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: full_state_torque(
             g, q_e, error_velocity(q_e, w_m, w_d), h
         ),
-        estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: (),
+        estimator_flow=_no_estimator_flow,
         torque_bounds=(2, 1),
     ),
     # certainty equivalence: the full-state law fed w_meas - b_hat
@@ -155,7 +162,7 @@ KINDS = {
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: full_state_torque(
             g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d), h
         ),
-        estimator_flow=_observer_flow,
+        estimator_flow=observer_flow,
         torque_bounds=(2, 1),
     ),
     "attitude_only": ControllerKind(
@@ -166,9 +173,7 @@ KINDS = {
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: output_feedback_torque(
             g, q_e, q_lag, h, ht
         ),
-        estimator_flow=lambda g, est, ht, q_m, w_m, q_e_m: filter_flow_rate(
-            g, est[0:4], ht, q_e_m
-        ),
+        estimator_flow=filter_flow,
         torque_bounds=(1, 2),
     ),
 }

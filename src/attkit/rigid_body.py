@@ -7,9 +7,11 @@ in the desired frame and R(Q_e) maps desired-frame coordinates into the body
 frame.  The error flow is stated under feedforward_torque plus feedback, where
 the desired acceleration cancels; only the simulator's plant reads it.
 
-The rate and error kernels take float sequences and return float tuples, as
-the quat kernels do.  dynamics_rate and error_dynamics_rate each form their
-algebra in one frame, bit for bit the composed kernels their docstrings name.
+The error kernels take float sequences and return float tuples, as the quat
+kernels do.  error_dynamics_rate forms its algebra in one frame, bit for bit
+the composition of quat kernels its docstring names.  The plant's own rates,
+the kinematics and Euler's equation, are formed in the simulator's flow
+(sim._plant_flow), in one frame too.
 """
 
 from __future__ import annotations
@@ -135,35 +137,6 @@ def sinusoid_trajectory(
     )
 
 
-def kinematics_rate(q, w) -> tuple:
-    """Qdot = 0.5 * Q * [0, w] = 0.5 * [-q.w, E(q) w]."""
-    q0, q1, q2, q3 = q
-    w1, w2, w3 = w
-    return (
-        0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
-        0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
-        0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
-        0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
-    )
-
-
-def dynamics_rate(inertia: Inertia, w, torque) -> tuple:
-    """Euler's equation: wdot = J^-1 (-w x Jw + torque).
-
-    One frame for J w, the cross product and J^-1: equal bit for bit to
-    mat_vec(inverse, torque - cross(w, mat_vec(matrix, w))).
-    """
-    (a, b, c), (d, e, f), (g, h, k) = inertia.matrix
-    w1, w2, w3 = w
-    j1, j2, j3 = a * w1 + b * w2 + c * w3, d * w1 + e * w2 + f * w3, g * w1 + h * w2 + k * w3
-    t1, t2, t3 = torque
-    r1 = t1 - (w2 * j3 - w3 * j2)
-    r2 = t2 - (w3 * j1 - w1 * j3)
-    r3 = t3 - (w1 * j2 - w2 * j1)
-    (a, b, c), (d, e, f), (g, h, k) = inertia.inverse
-    return (a * r1 + b * r2 + c * r3, d * r1 + e * r2 + f * r3, g * r1 + h * r2 + k * r3)
-
-
 def error_quaternion(q_d, q) -> tuple:
     """Attitude of the body frame relative to the desired frame: conj(Q_d) * Q.
 
@@ -206,9 +179,10 @@ def error_dynamics_rate(inertia: Inertia, q_e, w_e, w_d, u_fb) -> tuple[tuple, t
     wdot_e = J^-1 (w_d_body x J w_d_body - w x Jw + u_fb) + w_e x w_d_body,
     w_d_body = R(Q_e) w_d, w = w_e + w_d_body: the feedforward's J R(Q_e) wdot_d
     cancels exactly (Wen & Kreutz-Delgado, IEEE TAC 1991), so wdot_d is not read.
-    Formed in one frame: bit for bit, on floats and on (n,) columns, kinematics_rate(q_e,
-    w_e) and dynamics_rate(inertia, w_e + d, cross(d, J d) + u_fb) + cross(w_e, d) for
-    d = rotate(q_e, w_d), J d = mat_vec(inertia.matrix, d).
+    Formed in one frame: bit for bit, on floats and on (n,) columns, the kinematics
+    rows 0.5 * [-q.w_e, q0 w_e + q x w_e] and mat_vec(inertia.inverse, t - cross(w,
+    J w)) + cross(w_e, d) for d = rotate(q_e, w_d), w = w_e + d, t = cross(d, J d) +
+    u_fb and J v = mat_vec(inertia.matrix, v), as the tests compose them.
     """
     q0, q1, q2, q3 = q_e
     e1, e2, e3 = w_e

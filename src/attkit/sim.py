@@ -16,11 +16,14 @@ Each step does, in order:
    and measurements held, then renormalize their quaternions and advance the
    gyro-bias random walk (the bias stays put in a noise-free run).  The
    reference is not integrated, so it needs no renormalization and no drift
-   guard.
+   guard.  The flow is built per step from the run's _plant_flow and the
+   rate the kind's estimator_flow builds at the held measurements and
+   h_tilde; each forms its rows in one frame.
 
 The state travels through the step as tuples of Python floats: the flow state
-is one flat tuple [Q, w, est] for integrate.rk4_step, and each step
-writes its columns once into the trace's preallocated row block.  No step
+is one flat tuple y = [Q, w, est] for integrate.rk4_step, the plant's rows
+read from y[0:7] and the estimator's from y[7:], and each step writes its
+columns once into the trace's preallocated row block.  No step
 reads the truth errors or Lyapunov values, so _record forms them after the
 loop, once, by the same kernels applied to the block's (n,) columns, and
 writes them into the same rows.  save_trace stores it, and the jump events.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, field
 from itertools import accumulate
+from math import cos, sin
 from pathlib import Path
 
 import numpy as np
@@ -43,13 +47,7 @@ from . import analysis, kinds
 from .config import ScenarioConfig
 from .integrate import _renorm, rk4_step, step_count, step_rows
 from .quat import Array
-from .rigid_body import (
-    dynamics_rate,
-    error_quaternion,
-    error_velocity,
-    feedforward_torque,
-    kinematics_rate,
-)
+from .rigid_body import error_quaternion, error_velocity, feedforward_torque
 from .sensors import bias_step, disturbance_torque, measure_attitude, measure_gyro, saturate
 
 
@@ -127,6 +125,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     # one nonzero magnitude keeps every channel's draws, so the others' streams do not shift
     rng = np.random.default_rng(cfg.seed) if cone or gyro_sig or walk else None
     limit = cfg.torque_limit_nm
+    held = _plant_flow(inertia, cfg.disturbance)
 
     q = cfg.initial_quat()
     w = tuple(map(float, cfg.plant.omega0_rad_s))
@@ -167,15 +166,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
             break
 
         # one RK4 flow step with torque and measurements held
-        def flow(tt, y):
-            d1, d2, d3 = disturbance_torque(cfg.disturbance, tt)
-            w_y = y[4:7]
-            return (
-                *kinematics_rate(y[0:4], w_y),
-                *dynamics_rate(inertia, w_y, (u1 + d1, u2 + d2, u3 + d3)),
-                *kind.estimator_flow(es_gains, y[7:], h_t, q_m, w_m, q_e_m),
-            )
-
+        flow = held(u1, u2, u3, kind.estimator_flow(es_gains, h_t, q_m, w_m, q_e_m))
         y = rk4_step(flow, t, (*q, *w, *est), dt)
         q, w = _renorm(y[0:4], i), y[4:7]
         if est:
@@ -185,6 +176,51 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     trace = SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)
     _record(trace, kind, es, gains, es_gains, inertia)
     return trace
+
+
+def _plant_flow(inertia, disturbance):
+    """Built once per run, held(u1, u2, u3, est_rate) -> flow(t, y) for y = [Q, w, est].
+
+    flow holds the applied torque u and the estimator's rate est_rate over a
+    step.  Its rows are the kinematics Qdot = 0.5 Q * [0, w] and Euler's
+    equation wdot = J^-1 (-w x Jw + u + d(t)), d(t) disturbance_torque's
+    rows, formed in one frame from the inertia's entries and the
+    disturbance's amplitude and frequency, read here once; then est_rate(y).
+    Bit for bit the kinematics, disturbance_torque and Euler's equation as the
+    tests compose them, u + 0.0 at amplitude 0 included.
+    """
+    (j11, j12, j13), (j21, j22, j23), (j31, j32, j33) = inertia.matrix
+    (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = inertia.inverse
+    amp, freq = disturbance.amplitude_nm, disturbance.frequency_rad_s
+
+    def held(u1, u2, u3, est_rate):
+        def flow(t, y):
+            q0, q1, q2, q3, w1, w2, w3 = y[0], y[1], y[2], y[3], y[4], y[5], y[6]
+            if amp:
+                p = freq * t
+                d1 = d2 = amp * cos(p)
+                d3 = -(amp * sin(p))
+            else:
+                d1 = d2 = d3 = 0.0
+            m1 = j11 * w1 + j12 * w2 + j13 * w3
+            m2 = j21 * w1 + j22 * w2 + j23 * w3
+            m3 = j31 * w1 + j32 * w2 + j33 * w3
+            r1 = u1 + d1 - (w2 * m3 - w3 * m2)
+            r2 = u2 + d2 - (w3 * m1 - w1 * m3)
+            r3 = u3 + d3 - (w1 * m2 - w2 * m1)
+            return (
+                0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
+                0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
+                0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
+                0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
+                k11 * r1 + k12 * r2 + k13 * r3,
+                k21 * r1 + k22 * r2 + k23 * r3,
+                k31 * r1 + k32 * r2 + k33 * r3,
+            ) + est_rate(y)
+
+        return flow
+
+    return held
 
 
 def _record(trace: SimTrace, kind, es, gains, es_gains, inertia) -> None:

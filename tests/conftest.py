@@ -3,8 +3,9 @@
 Everything here is deterministic but costs real simulation time, so each
 artifact is built once per session and shared read-only across test modules.
 Test modules import the quaternion helpers IDENTITY_QUAT and from_axis_angle,
-and composed_error_dynamics_rate, from here (`from conftest import ...`); the
-package itself needs none of them.
+the bit-pattern helpers bits and with_signed_zeros, and the composed references
+below, from here (`from conftest import ...`); the package itself needs none of
+them.
 """
 
 from __future__ import annotations
@@ -17,22 +18,19 @@ from attkit.controllers import (
     FullStateGains,
     ObserverGains,
     OutputFeedbackGains,
-    filter_flow_rate,
     full_state_torque,
-    observer_flow_rate,
     output_feedback_torque,
 )
-from attkit.quat import ZERO_TOL, cross, mat_vec, quat_conj, quat_mul, rotate
+from attkit.quat import ZERO_TOL, chord_pow, cross, mat_vec, quat_conj, quat_mul, rotate
 from attkit.rigid_body import (
     Inertia,
-    dynamics_rate,
     error_dynamics_rate,
     error_quaternion,
     error_velocity,
     feedforward_torque,
-    kinematics_rate,
     sinusoid_trajectory,
 )
+from attkit.sensors import disturbance_torque
 
 BENCH_J = [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
 BENCH_Q_E0 = np.array([0.0, 0.6, -0.8, 0.0])
@@ -49,6 +47,93 @@ def from_axis_angle(axis, angle: float) -> np.ndarray:
         raise ValueError("rotation axis must be nonzero")
     half = 0.5 * angle
     return np.concatenate(([np.cos(half)], (np.sin(half) / norm) * axis))
+
+
+def bits(values):
+    """The float64 bytes of a float tuple or a tuple of (n,) columns: signed zeros count."""
+    return np.array(values, dtype=float).tobytes()
+
+
+def with_signed_zeros(rng, shape):
+    """Gaussian entries, about a third of them replaced by +0.0 or -0.0."""
+    x = rng.standard_normal(shape)
+    pick = rng.integers(0, 6, shape)
+    x[pick == 0] = 0.0
+    x[pick == 1] = -0.0
+    return x
+
+
+# ---------------------------------------------------------------------------
+# Composed references.  The package forms these rates in one frame
+# (rigid_body.error_dynamics_rate, sim._plant_flow, controllers.observer_flow
+# and filter_flow); tests pin each frame to its composition here, bit for bit.
+
+
+def kinematics_rate(q, w):
+    """Qdot = 0.5 * Q * [0, w] = 0.5 * [-q.w, E(q) w]."""
+    q0, q1, q2, q3 = q
+    w1, w2, w3 = w
+    return (
+        0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
+        0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
+        0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
+        0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
+    )
+
+
+def dynamics_rate(inertia, w, torque):
+    """Euler's equation: wdot = J^-1 (-w x Jw + torque)."""
+    c1, c2, c3 = cross(w, mat_vec(inertia.matrix, w))
+    t1, t2, t3 = torque
+    return mat_vec(inertia.inverse, (t1 - c1, t2 - c2, t3 - c3))
+
+
+def composed_plant_flow(inertia, disturbance):
+    """sim._plant_flow from the kernels: held(u1, u2, u3, est_rate) -> flow(t, y)."""
+
+    def held(u1, u2, u3, est_rate):
+        def flow(t, y):
+            d1, d2, d3 = disturbance_torque(disturbance, t)
+            w = y[4:7]
+            torque = (u1 + d1, u2 + d2, u3 + d3)
+            return (*kinematics_rate(y[0:4], w), *dynamics_rate(inertia, w, torque), *est_rate(y))
+
+        return flow
+
+    return held
+
+
+def observer_flow_rate(gains, q_hat, b_hat, h_tilde, q_meas, w_meas):
+    """The observer's rates (Qdot_hat, bdot_hat) from the kernels: controllers.observer_flow."""
+    mu1, mu2 = gains.mu1, gains.mu2
+    q_err = error_quaternion(q_hat, q_meas)
+    a1, a2, a3 = chord_pow(q_err, 1.0 - gains.beta1, h_tilde)
+    m1, m2, m3 = w_meas
+    b1, b2, b3 = b_hat
+    corr = (m1 - b1 + mu1 * a1, m2 - b2 + mu1 * a2, m3 - b3 + mu1 * a3)
+    q_hat_dot = kinematics_rate(q_hat, rotate(quat_conj(q_err), corr))
+    c1, c2, c3 = chord_pow(q_err, 1.0 - gains.beta2, h_tilde)
+    return q_hat_dot, (-mu2 * c1, -mu2 * c2, -mu2 * c3)
+
+
+def filter_flow_rate(gains, q_f, h_tilde, q_e_meas):
+    """The attitude filter's rate Qdot_f from the kernels: controllers.filter_flow."""
+    k3 = gains.k3
+    q_lag = error_quaternion(q_f, q_e_meas)
+    c1, c2, c3 = chord_pow(q_lag, 1.0 - gains.alpha3, h_tilde)
+    return kinematics_rate(q_f, rotate(quat_conj(q_lag), (k3 * c1, k3 * c2, k3 * c3)))
+
+
+#: each kind's estimator_flow from the kernels, y = [Q, w, est]
+COMPOSED_ESTIMATOR_FLOWS = {
+    "full_state": lambda g, ht, q_m, w_m, q_e_m: lambda y: (),
+    "biased_gyro": lambda g, ht, q_m, w_m, q_e_m: lambda y: sum(
+        observer_flow_rate(g, y[7:11], y[11:14], ht, q_m, w_m), ()
+    ),
+    "attitude_only": lambda g, ht, q_m, w_m, q_e_m: lambda y: filter_flow_rate(
+        g, y[7:11], ht, q_e_m
+    ),
+}
 
 
 def composed_error_dynamics_rate(inertia, q_e, w_e, w_d, u_fb):

@@ -53,10 +53,10 @@ from attkit.quat import (
     random_unit_quat,
     sat_pow,
 )
-from attkit.rigid_body import DesiredTrajectory, Inertia, kinematics_rate, sinusoid_trajectory
+from attkit.rigid_body import DesiredTrajectory, Inertia, sinusoid_trajectory
 from attkit.sim import run_scenario
 
-from conftest import composed_error_dynamics_rate
+from conftest import composed_error_dynamics_rate, kinematics_rate
 
 BENCH_J = [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
 BENCH_Q_E0 = np.array([0.0, 0.6, -0.8, 0.0])

@@ -16,16 +16,23 @@ from attkit.controllers import (
     FullStateGains,
     ObserverGains,
     OutputFeedbackGains,
-    filter_flow_rate,
+    filter_flow,
     full_state_torque,
-    observer_flow_rate,
+    observer_flow,
     output_feedback_torque,
 )
 from attkit.quat import ZERO_TOL, chord_pow, quat_mul, random_unit_quat
 from attkit.rigid_body import error_quaternion
 from attkit.sim import run_scenario
 
-from conftest import IDENTITY_QUAT
+from conftest import (
+    IDENTITY_QUAT,
+    bits,
+    filter_flow_rate,
+    from_axis_angle,
+    observer_flow_rate,
+    with_signed_zeros,
+)
 
 FS_GAINS = FullStateGains(k1=1.1, k2=4.0, alpha1=0.6, delta=0.3)
 OBS_GAINS = ObserverGains(mu1=0.33, mu2=0.12, beta1=0.75)
@@ -175,19 +182,22 @@ def test_observer_state_validates_logic():
         lyapunov_flow_report("observer", OBS_GAINS, y0=y0, delta=0.3, h_tilde0=0, t_final=0.01)
 
 
+#: the plant's rows [Q, w] of the simulator state y = [Q, w, est]; the estimator rates skip them
+PLANT = (0.0,) * 7
+
+
 def test_observer_flow_rate_reference_values():
-    q_hat_dot, b_hat_dot = observer_flow_rate(OBS_GAINS, IDENTITY_QUAT, ZERO3, 1, FLIP_X, ZERO3)
-    assert np.allclose(q_hat_dot, [0.0, OBS_ATT_RATE, 0.0, 0.0], rtol=1e-15, atol=0.0)
-    assert np.allclose(b_hat_dot, [-OBS_BIAS_RATE, 0.0, 0.0], rtol=1e-15, atol=0.0)
+    rate = observer_flow(OBS_GAINS, 1, FLIP_X, ZERO3, None)((*PLANT, *IDENTITY_QUAT, *ZERO3))
+    assert np.allclose(rate[:4], [0.0, OBS_ATT_RATE, 0.0, 0.0], rtol=1e-15, atol=0.0)
+    assert np.allclose(rate[4:], [-OBS_BIAS_RATE, 0.0, 0.0], rtol=1e-15, atol=0.0)
 
 
 def test_observer_flow_preserves_estimate_norm():
     rng = np.random.default_rng(23)
     for _ in range(10):
         q_hat, b_hat = random_unit_quat(rng), rng.standard_normal(3) * 0.05
-        q_hat_dot, _ = observer_flow_rate(
-            OBS_GAINS, q_hat, b_hat, 1, random_unit_quat(rng), rng.standard_normal(3) * 0.1
-        )
+        q_m, w_m = random_unit_quat(rng), rng.standard_normal(3) * 0.1
+        q_hat_dot = observer_flow(OBS_GAINS, 1, q_m, w_m, None)((*PLANT, *q_hat, *b_hat))[:4]
         assert q_hat @ q_hat_dot == pytest.approx(0.0, abs=1e-14)
 
 
@@ -195,24 +205,53 @@ def test_filter_error_and_identity_equilibrium():
     rng = np.random.default_rng(24)
     q_e = random_unit_quat(rng)
     assert np.allclose(error_quaternion(q_e, q_e), [1.0, 0.0, 0.0, 0.0], atol=1e-14)
-    assert np.allclose(filter_flow_rate(OF_GAINS, q_e, 1, q_e), 0.0, atol=1e-14)
+    assert np.allclose(filter_flow(OF_GAINS, 1, None, None, q_e)((*PLANT, *q_e)), 0.0, atol=1e-14)
 
 
 def test_filter_flow_preserves_norm():
     rng = np.random.default_rng(25)
     for _ in range(10):
         q_f = random_unit_quat(rng)
-        rate = filter_flow_rate(OF_GAINS, q_f, 1, random_unit_quat(rng))
+        rate = filter_flow(OF_GAINS, 1, None, None, random_unit_quat(rng))((*PLANT, *q_f))
         assert q_f @ rate == pytest.approx(0.0, abs=1e-14)
 
 
 def test_filter_lag_rate_matches_torque_exponent():
     # The filter correction uses chord_pow with the filter exponent alpha3,
     # not the torque exponent alpha1 = 2*alpha3 - 1.
-    rate = filter_flow_rate(OF_GAINS, IDENTITY_QUAT, 1, FLIP_X)
+    rate = filter_flow(OF_GAINS, 1, None, None, FLIP_X)((*PLANT, *IDENTITY_QUAT))
     expected = 0.5 * 1.1 * np.asarray(chord_pow(FLIP_X, 1.0 - 0.75))
     assert np.allclose(rate[1:], expected, rtol=1e-14)
     assert rate[0] == 0.0
+
+
+def _estimator_points(rng):
+    """(estimate, measurement) quaternion pairs: Gaussian with signed zeros, then unit pairs
+    whose error scalar part lies within about 1e-12 of +1, either side of chord_pow's guard."""
+    pairs = [tuple(with_signed_zeros(rng, 4).tolist() for _ in range(2)) for _ in range(200)]
+    for half_angle in np.geomspace(5e-7, 3e-6, 40):
+        m = tuple(random_unit_quat(rng).tolist())
+        turn = from_axis_angle(rng.standard_normal(3), 2.0 * half_angle)
+        pairs.append((tuple(map(float, quat_mul(m, turn))), m))
+    return pairs
+
+
+@pytest.mark.parametrize("h_tilde", [1, -1])
+def test_estimator_rates_equal_the_composed_flows_bit_for_bit(h_tilde):
+    rng = np.random.default_rng(26)
+    guarded = set()
+    linear = (replace(OBS_GAINS, beta1=1.0), replace(OF_GAINS, alpha3=1.0))
+    for obs, of in ((OBS_GAINS, OF_GAINS), linear):
+        for est, meas in _estimator_points(rng):
+            est = tuple(h_tilde * c for c in est)  # the error scalar part nears h~
+            plant, b_hat, w_m = (tuple(with_signed_zeros(rng, k).tolist()) for k in (7, 3, 3))
+            got = observer_flow(obs, h_tilde, meas, w_m, None)((*plant, *est, *b_hat))
+            want = sum(observer_flow_rate(obs, est, b_hat, h_tilde, meas, w_m), ())
+            assert bits(got) == bits(want)
+            got = filter_flow(of, h_tilde, None, None, meas)((*plant, *est))
+            assert bits(got) == bits(filter_flow_rate(of, est, h_tilde, meas))
+            guarded.add(chord_pow(error_quaternion(est, meas), 0.25, h_tilde) == (0.0, 0.0, 0.0))
+    assert guarded == {True, False}
 
 
 def test_output_feedback_torque_reference_value():

@@ -5,22 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from attkit.quat import cross, mat_vec, quat_conj, quat_mul, random_unit_quat, rotate
+from attkit.quat import quat_conj, quat_mul, random_unit_quat, rotate
 from attkit.rigid_body import (
     DesiredTrajectory,
     Inertia,
-    dynamics_rate,
     error_dynamics_rate,
     error_quaternion,
     error_velocity,
     feedforward_torque,
-    kinematics_rate,
     sinusoid_trajectory,
 )
 from attkit.integrate import _renorm
 from attkit.sim import rk4_step
 
-from conftest import composed_error_dynamics_rate, from_axis_angle
+from conftest import (
+    bits,
+    composed_error_dynamics_rate,
+    dynamics_rate,
+    from_axis_angle,
+    kinematics_rate,
+    with_signed_zeros,
+)
 
 BENCH_J = np.diag([15.0, 20.0, 10.0])
 
@@ -147,42 +152,16 @@ def test_regulation_trajectory_is_rest():
     assert traj.omega_bound == traj.omega_dot_bound == 0.0
 
 
-def _bits(values):
-    """The float64 bytes of a float tuple or a tuple of (n,) columns: signed zeros count."""
-    return np.array(values, dtype=float).tobytes()
-
-
-def _with_signed_zeros(rng, shape):
-    """Gaussian entries, about a third of them replaced by +0.0 or -0.0."""
-    x = rng.standard_normal(shape)
-    pick = rng.integers(0, 6, shape)
-    x[pick == 0] = 0.0
-    x[pick == 1] = -0.0
-    return x
-
-
 def test_error_quaternion_equals_the_conjugate_product_bit_for_bit():
     rng = np.random.default_rng(16)
-    q_d, q = _with_signed_zeros(rng, (4, 500)), _with_signed_zeros(rng, (4, 500))
+    q_d, q = with_signed_zeros(rng, (4, 500)), with_signed_zeros(rng, (4, 500))
     for a, b in zip(q_d.T, q.T):
         a, b = tuple(a.tolist()), tuple(b.tolist())
-        assert _bits(error_quaternion(a, b)) == _bits(quat_mul(quat_conj(a), b))
+        assert bits(error_quaternion(a, b)) == bits(quat_mul(quat_conj(a), b))
     columns_d, columns = tuple(q_d), tuple(q)
     got = error_quaternion(columns_d, columns)
-    assert _bits(got) == _bits(quat_mul(quat_conj(columns_d), columns))
-    assert _bits(got) == _bits(np.transpose([error_quaternion(a, b) for a, b in zip(q_d.T, q.T)]))
-
-
-def test_dynamics_rate_equals_its_composed_form_bit_for_bit():
-    rng = np.random.default_rng(17)
-    for _ in range(200):
-        m = rng.standard_normal((3, 3))
-        inertia = Inertia(m @ m.T + 3.0 * np.eye(3))
-        w, torque = _with_signed_zeros(rng, 3).tolist(), _with_signed_zeros(rng, 3).tolist()
-        c1, c2, c3 = cross(w, mat_vec(inertia.matrix, w))
-        t1, t2, t3 = torque
-        want = mat_vec(inertia.inverse, (t1 - c1, t2 - c2, t3 - c3))
-        assert _bits(dynamics_rate(inertia, w, torque)) == _bits(want)
+    assert bits(got) == bits(quat_mul(quat_conj(columns_d), columns))
+    assert bits(got) == bits(np.transpose([error_quaternion(a, b) for a, b in zip(q_d.T, q.T)]))
 
 
 def test_error_dynamics_rate_equals_its_composed_form_bit_for_bit():
@@ -190,18 +169,18 @@ def test_error_dynamics_rate_equals_its_composed_form_bit_for_bit():
     for _ in range(200):
         m = rng.standard_normal((3, 3))
         inertia = Inertia(m @ m.T + 3.0 * np.eye(3))
-        args = [_with_signed_zeros(rng, k).tolist() for k in (4, 3, 3, 3)]
+        args = [with_signed_zeros(rng, k).tolist() for k in (4, 3, 3, 3)]
         dq, dw = error_dynamics_rate(inertia, *args)
         want_q, want_w = composed_error_dynamics_rate(inertia, *args)
-        assert _bits(dq) == _bits(want_q) and _bits(dw) == _bits(want_w)
+        assert bits(dq) == bits(want_q) and bits(dw) == bits(want_w)
     # (n,) columns as the remainders hand them: blocks for Q_e, w_e and u_fb, floats for w_d
-    q_e, w_e, u_fb = (_with_signed_zeros(rng, (k, 300)) for k in (4, 3, 3))
-    w_d = _with_signed_zeros(rng, 3).tolist()
+    q_e, w_e, u_fb = (with_signed_zeros(rng, (k, 300)) for k in (4, 3, 3))
+    w_d = with_signed_zeros(rng, 3).tolist()
     dq, dw = error_dynamics_rate(inertia, q_e, w_e, w_d, u_fb)
     want_q, want_w = composed_error_dynamics_rate(inertia, q_e, w_e, w_d, u_fb)
-    assert _bits(dq) == _bits(want_q) and _bits(dw) == _bits(want_w)
+    assert bits(dq) == bits(want_q) and bits(dw) == bits(want_w)
     points = [error_dynamics_rate(inertia, a, b, w_d, c) for a, b, c in zip(q_e.T, w_e.T, u_fb.T)]
-    assert _bits(dw) == _bits(np.transpose([p for _, p in points]))
+    assert bits(dw) == bits(np.transpose([p for _, p in points]))
 
 
 def test_error_quaternion_identity_and_composition():

@@ -7,11 +7,12 @@ import zipfile
 import numpy as np
 import pytest
 
-from attkit import analysis, kinds, sim
+from attkit import analysis, controllers, kinds, sim
 from attkit.analysis import lyapunov_v1
 from attkit.config import preset
 from attkit.integrate import SimulationError
-from attkit.rigid_body import error_quaternion, error_velocity, feedforward_torque
+from attkit.rigid_body import Inertia, error_quaternion, error_velocity, feedforward_torque
+from attkit.sensors import DisturbanceConfig
 from attkit.sim import (
     _LAYOUT,
     SimTrace,
@@ -21,6 +22,8 @@ from attkit.sim import (
     run_scenario,
     save_trace,
 )
+
+from conftest import COMPOSED_ESTIMATOR_FLOWS, bits, composed_plant_flow, with_signed_zeros
 
 _ARRAY_FIELDS = [attr for attr, _ in _LAYOUT]
 _V_ATTRS = ("v1", "v2", "v2m", "v3", "v3m")
@@ -202,6 +205,82 @@ def test_record_equals_the_float_kernels_row_by_row(name, monkeypatch):
             want[attr].append(v.get(cand, np.nan))
     for attr, rows in want.items():
         assert np.array_equal(getattr(trace, attr), rows, equal_nan=True), attr
+
+
+def _est_rate(y):
+    return tuple(2.0 * c for c in y[7:])
+
+
+def test_plant_flow_equals_the_composed_kernels_bit_for_bit():
+    # random inertias, states and held torques with signed zeros, disturbance off and on;
+    # at amplitude 0 a -0.0 torque must still become u + 0.0 = +0.0
+    rng = np.random.default_rng(17)
+    for i in range(200):
+        m = rng.standard_normal((3, 3))
+        inertia = Inertia(m @ m.T + 3.0 * np.eye(3))
+        dist = DisturbanceConfig(amplitude_nm=(0.0, 0.02, -1.5)[i % 3], frequency_rad_s=0.1 + i)
+        u = with_signed_zeros(rng, 3).tolist()
+        y = tuple(with_signed_zeros(rng, 7 + (0, 4, 7)[i % 3]).tolist())
+        t = float(rng.uniform(-50.0, 50.0))
+        got = sim._plant_flow(inertia, dist)(*u, _est_rate)(t, y)
+        assert bits(got) == bits(composed_plant_flow(inertia, dist)(*u, _est_rate)(t, y))
+    # at rest under a diagonal J, only u + 0.0 turns a held -0.0 torque into +0.0 rates
+    inertia, off = Inertia(np.diag([15.0, 20.0, 10.0])), DisturbanceConfig(amplitude_nm=0.0)
+    y, u = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)
+    got = sim._plant_flow(inertia, off)(*u, _est_rate)(2.0, y)
+    assert bits(got) == bits(composed_plant_flow(inertia, off)(*u, _est_rate)(2.0, y))
+    assert bits(got[4:]) == bits((0.0, 0.0, 0.0))
+
+
+def _settings(name):
+    """1 s of the preset as shipped, noise-free, and with its disturbance alone."""
+    shipped, quiet, disturbed = (_short(name, 1.0, uncertainties=u) for u in (True, False, False))
+    disturbed.disturbance = shipped.disturbance
+    return shipped, quiet, disturbed
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_a_run_steps_as_the_composed_kernels_bit_for_bit(name, monkeypatch):
+    for cfg in _settings(name):
+        trace = run_scenario(cfg)
+        kind = cfg.controller.kind
+        flows = COMPOSED_ESTIMATOR_FLOWS[kind]
+        with monkeypatch.context() as m:
+            m.setattr(sim, "_plant_flow", composed_plant_flow)
+            m.setitem(kinds.KINDS, kind, dataclasses.replace(kinds.get(kind), estimator_flow=flows))
+            want = run_scenario(cfg)
+        assert trace.rows.tobytes() == want.rows.tobytes() and trace.events == want.events
+
+
+@pytest.mark.parametrize(
+    "name, flow_chords, law_chords",
+    [("example1", 0, 1), ("example2", 8, 1), ("example3", 4, 2)],
+)
+def test_one_step_calls_each_nonsmooth_map_by_name(name, flow_chords, law_chords, monkeypatch):
+    # one step makes the estimator rate's chord_pow calls once per RK4 stage and the law's
+    # once, all through controllers' global, in one rk4_step call: no rate restates chord_pow
+    calls = {"chord_pow": 0, "rk4_step": 0}
+
+    def counted(module, attr):
+        real = getattr(module, attr)
+
+        def call(*args):
+            calls[attr] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, attr, call)
+
+    counted(controllers, "chord_pow")
+    counted(sim, "rk4_step")
+    per_run = []
+    for steps in (1, 2):
+        cfg = preset(name, uncertainties=False)
+        cfg.sim.t_final_s = steps * cfg.sim.dt_s
+        run_scenario(cfg)
+        per_run.append(dict(calls))
+        calls.update(chord_pow=0, rk4_step=0)
+    one_step = {k: per_run[1][k] - per_run[0][k] for k in calls}
+    assert one_step == {"chord_pow": flow_chords + law_chords, "rk4_step": 1}
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
