@@ -5,10 +5,12 @@ into the control loop.
 
 Every certificate is a quadratic term plus potential_term, the gain-weighted
 chord potential (2g/a) pot(h q0, a).  Their closed-form flow rates share one
-form, chord_rate, and each reduced closed loop is homogeneous under one
-dilation family, dilation_weights (Bhat & Bernstein, "Geometric homogeneity
-with applications to finite-time stability", MCSS 2005).  ERROR_SYSTEMS
-states, per error system, which gains and exponents these three take.
+form, chord_rate, and each reduced closed loop with exponent p in (0, 1] is
+homogeneous under one dilation, dilation_weights: weight 1 on the quaternion
+charts, (1+p)/2 on the rate or bias block, degree (p-1)/2, the standard
+dilation at p = 1 (Bhat & Bernstein, "Geometric homogeneity with
+applications to finite-time stability", MCSS 2005).  ERROR_SYSTEMS states,
+per error system, which gains and exponents these three take.
 
 Each error system's flow splits into a reduced field, homogeneous of negative
 degree (of degree 0 at the linear limit), and a remainder field: the flow
@@ -127,9 +129,6 @@ def min_joint_jump_decrease(gains: OutputFeedbackGains, delta: float) -> float:
 # ---------------------------------------------------------------------------
 # Homogeneity of the reduced (chart) vector fields
 
-DEFAULT_DEGREE = -0.2
-
-
 @dataclass(frozen=True)
 class DilationWeights:
     """Weights r_i > 0 and degree k <= 0 (0 at the linear limit) of a dilation e^r * x."""
@@ -151,22 +150,20 @@ class DilationWeights:
 
 
 def dilation_weights(p: float, quat_blocks: int) -> DilationWeights:
-    """Dilation of degree k = DEFAULT_DEGREE for a reduced loop with exponent p.
+    """Dilation of degree k = (p-1)/2 for a reduced loop with exponent p.
 
     The state is quat_blocks chart blocks in R^3, then one rate (or bias)
-    block in R^3.  r_q = -2k/(1-p) on the chart blocks and r_w = -(1+p)k/(1-p)
-    on the last block; p in (0, 1] is alpha1 for the full-state loop, beta2
-    for the observer and 2*alpha3 - 1 for the velocity-free loop.  p = 1, the
-    linear limit, is the degree-0 member: the standard dilation r = 1, k = 0.
+    block in R^3: r = 1 on the chart blocks and r = (1+p)/2 on the last
+    block, Bhat & Bernstein's double-integrator weights (IEEE TAC 1998)
+    halved so that the chart weight is 1.  p in (0, 1] is alpha1 for the
+    full-state loop, beta2 for the observer and 2*alpha3 - 1 for the
+    velocity-free loop; p = 1, the linear limit, gives the standard dilation
+    r = 1, k = 0.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError("homogeneity requires 0 < p <= 1, got %r" % p)
-    if p == 1.0:
-        return DilationWeights(np.ones(3 * quat_blocks + 3), 0.0)
-    k = DEFAULT_DEGREE
-    r_q = -2.0 * k / (1.0 - p)
-    r_w = -(1.0 + p) * k / (1.0 - p)
-    return DilationWeights(np.array([r_q] * (3 * quat_blocks) + [r_w] * 3), k)
+    return DilationWeights(np.array([1.0] * (3 * quat_blocks) + [0.5 * (1.0 + p)] * 3),
+                           0.5 * (p - 1.0))
 
 
 def full_state_reduced_field(inertia: Inertia, gains: FullStateGains):
@@ -212,7 +209,7 @@ def output_feedback_reduced_field(inertia: Inertia, gains: OutputFeedbackGains):
 
 
 #: dilation factors at which homogeneity_check compares f(eps^r x) with eps^(r+k) f(x)
-HOMOGENEITY_EPS = (1e-3, 1e-2, 1e-1, 0.5, 1.0, 2.0)
+HOMOGENEITY_EPS = (1e-3, 1e-2, 1e-1, 0.5, 2.0)
 
 
 def homogeneity_check(field, weights: DilationWeights, n_samples: int = 10_000) -> float:

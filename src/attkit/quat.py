@@ -140,8 +140,8 @@ def axis_pow(q_v: Array, alpha: float) -> Array:
     q_v is a 3-vector or a (3, n) block mapped column by column.  For
     0 <= alpha < 1 this is continuous on the unit sphere and vanishes only at
     the two attitude equilibria +-[1, 0, 0, 0].  Only an exact zero is
-    special-cased: dilations put chart points far below ZERO_TOL, and the
-    power is well defined there.
+    special-cased: the power is well defined at any nonzero q_v, however near
+    identity the dilation checks take it, with no dead zone like chord_pow's.
     """
     q_v = np.asarray(q_v, dtype=float)
     n = np.sqrt((q_v * q_v).sum(axis=0))

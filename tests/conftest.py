@@ -10,6 +10,8 @@ them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,23 @@ def composed_error_dynamics_rate(inertia, q_e, w_e, w_d, u_fb):
     a1, a2, a3 = dynamics_rate(inertia, (e1 + d1, e2 + d2, e3 + d3), (f1 + u1, f2 + u2, f3 + u3))
     c1, c2, c3 = cross(w_e, w_d_body)
     return kinematics_rate(q_e, w_e), (a1 + c1, a2 + c2, a3 + c3)
+
+
+def stable_chord_pow(q, alpha: float, h: int = 1) -> tuple:
+    """chord_pow with no dead zone, for unit q: the reference near identity.
+
+    1 - h q0 is formed as ||q_v||^2 / (1 + h q0) where h q0 > 0, so it keeps
+    its digits where the subtraction rounds to zero, and the result is zero
+    only at exact identity.
+    """
+    q0, q1, q2, q3 = q
+    if h < 0:
+        q0, q1, q2, q3 = -q0, -q1, -q2, -q3
+    gap = (q1 * q1 + q2 * q2 + q3 * q3) / (1.0 + q0) if q0 > 0.0 else 1.0 - q0
+    if gap == 0.0:
+        return (0.0, 0.0, 0.0)
+    s = math.sqrt(2.0 * gap) ** alpha
+    return (q1 / s, q2 / s, q3 / s)
 
 
 # ---------------------------------------------------------------------------

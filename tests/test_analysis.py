@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from attkit import analysis, rigid_body
+from attkit import analysis, controllers, rigid_body
 from attkit.analysis import (
     ERROR_SYSTEMS,
     DilationWeights,
@@ -56,7 +56,7 @@ from attkit.quat import (
 from attkit.rigid_body import DesiredTrajectory, Inertia, sinusoid_trajectory
 from attkit.sim import run_scenario
 
-from conftest import composed_error_dynamics_rate, kinematics_rate
+from conftest import composed_error_dynamics_rate, kinematics_rate, stable_chord_pow
 
 BENCH_J = [[15.0, 0.0, 0.0], [0.0, 20.0, 0.0], [0.0, 0.0, 10.0]]
 BENCH_Q_E0 = np.array([0.0, 0.6, -0.8, 0.0])
@@ -250,23 +250,46 @@ def test_remainder_trajectory_coupling_vanishes_under_dilation():
     # At t = 0 the sinusoid's rate is zero, which leaves the remainder's
     # trajectory-coupling terms (gyroscopic transport of w_d) unexercised; a
     # constant nonzero desired rate drives them.
-    w_d = (0.05, -0.03, 0.02)
-    traj = DesiredTrajectory(
-        q_d_fn=lambda t: (1.0, 0.0, 0.0, 0.0),
-        omega_fn=lambda t: w_d,
-        omega_dot_fn=lambda t: (0.0, 0.0, 0.0),
-        omega_bound=float(np.linalg.norm(w_d)),
-        omega_dot_bound=0.0,
-    )
+    def held(w_d):
+        return DesiredTrajectory(
+            q_d_fn=lambda t: (1.0, 0.0, 0.0, 0.0),
+            omega_fn=lambda t: w_d,
+            omega_dot_fn=lambda t: (0.0, 0.0, 0.0),
+            omega_bound=float(np.linalg.norm(w_d)),
+            omega_dot_bound=0.0,
+        )
+
     for system, gains in (("full_state", FS_GAINS), ("attitude_only", OF_GAINS)):
         es = ERROR_SYSTEMS[system]
-        report = perturbation_vanishing_check(
-            es.remainder(gains, INERTIA, traj), es.weights(gains), es.blocks
+        report, still = (
+            perturbation_vanishing_check(es.remainder(gains, INERTIA, traj), es.weights(gains),
+                                         es.blocks)
+            for traj in (held((0.05, -0.03, 0.02)), held((0.0, 0.0, 0.0)))
         )
         for name, ratios in report.items():
             assert all(a > b for a, b in zip(ratios, ratios[1:])), (system, name, ratios)
-        # the coupling is what the dynamic block now carries at eps = 0.1
-        assert report["dynamic"][0] > 0.05, (system, report["dynamic"])
+        # the coupling is what the dynamic block carries beyond the w_d = 0
+        # remainder at every eps, and what dominates it as eps -> 0
+        coupled, bare = report["dynamic"], still["dynamic"]
+        assert all(c > b for c, b in zip(coupled, bare)), (system, coupled, bare)
+        assert coupled[-1] >= 100.0 * bare[-1], (system, coupled, bare)
+
+
+@pytest.mark.parametrize(
+    "system, gains, exponent",
+    [("full_state", FS_GAINS, "alpha1"), ("attitude_only", OF_GAINS, "alpha3")],
+)
+def test_perturbation_ratios_are_continuous_at_the_linear_limit(system, gains, exponent):
+    # one dilation for every exponent: just below p = 1 each block's ratios
+    # are the standard dilation's, with no branch between them
+    es = ERROR_SYSTEMS[system]
+    traj = sinusoid_trajectory()
+    at, near = (
+        perturbation_vanishing_check(es.remainder(g, INERTIA, traj), es.weights(g), es.blocks)
+        for g in (replace(gains, **{exponent: p}) for p in (1.0, 1.0 - 1e-6))
+    )
+    for name in es.blocks:
+        assert near[name] == pytest.approx(at[name], rel=1e-6), (name, near[name], at[name])
 
 
 @pytest.mark.parametrize(
@@ -307,13 +330,15 @@ def test_kinematic_remainder_decays_fast():
     "system, gains",
     [("full_state", FS_GAINS), ("observer", OBS_GAINS), ("attitude_only", OF_GAINS)],
 )
-def test_remainder_is_error_flow_less_reduced_field(system, gains):
+def test_remainder_is_error_flow_less_reduced_field(monkeypatch, system, gains):
     # Lift x at h = h_tilde = 1, take the error flow's vector-part rows and
     # subtract the reduced field; a nonzero desired rate and acceleration at
-    # t = 0 exercise the gyroscopic and transport terms.  eps = 1e-4 is left
-    # out: there chord_pow's 1 - q0, formed by subtraction, has lost most of
-    # its digits, and the flow's own error puts the observer's bias-block gap
-    # at 24 % (at most 2.1e-4 for eps >= 1e-3).
+    # t = 0 exercise the gyroscopic and transport terms.  The flows take
+    # stable_chord_pow for chord_pow: near identity chord_pow forms 1 - q0 by
+    # subtraction, which loses its digits there (the observer's bias-block gap
+    # reads 2e-3 at eps = 1e-3), while the remainder's chord_gap keeps them.
+    monkeypatch.setattr(analysis, "chord_pow", stable_chord_pow)
+    monkeypatch.setattr(controllers, "chord_pow", stable_chord_pow)
     es = ERROR_SYSTEMS[system]
     w_d, w_d_dot = np.array([0.01, -0.02, 0.015]), np.array([1e-3, 2e-3, -1e-3])
     traj = DesiredTrajectory(lambda t: IDENT, lambda t: w_d, lambda t: w_d_dot, 0.03, 3e-3)
@@ -326,7 +351,7 @@ def test_remainder_is_error_flow_less_reduced_field(system, gains):
     rng = np.random.default_rng(5)
     xs = rng.standard_normal((50, weights.r.size)).T
     xs /= np.linalg.norm(xs, axis=0)
-    for eps in (1e-1, 1e-2, 1e-3):
+    for eps in analysis.REMAINDER_EPS:
         gap = np.zeros(len(es.blocks))
         size = np.zeros(len(es.blocks))
         for x in weights.scale(xs, eps).T:
@@ -339,7 +364,7 @@ def test_remainder_is_error_flow_less_reduced_field(system, gains):
                 rows = slice(3 * b, 3 * b + 3)
                 gap[b] = max(gap[b], np.linalg.norm(got[rows] - want[rows]))
                 size[b] = max(size[b], np.linalg.norm(got[rows]))
-        assert np.all(gap <= 1e-3 * size), (eps, dict(zip(es.blocks, gap / size)))
+        assert np.all(gap <= 1e-6 * size), (eps, dict(zip(es.blocks, gap / size)))
 
 
 def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monkeypatch):

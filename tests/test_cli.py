@@ -335,13 +335,17 @@ def test_verify_fails_where_the_first_step_fails():
 
 
 @pytest.mark.parametrize(
-    "name, exponent", [("example1", {"alpha1": 0.9}), ("example2", {"beta1": 0.95}),
-                       ("example3", {"alpha3": 0.95})],
+    "name, exponent",
+    [("example1", {"alpha1": 0.9}), ("example2", {"beta1": 0.95}), ("example3", {"alpha3": 0.95}),
+     ("example1", {"alpha1": 0.99}), ("example1", {"alpha1": 0.999}),
+     ("example1", {"alpha1": 0.9999}), ("example2", {"beta1": 0.995}),
+     ("example2", {"beta1": 0.9995}), ("example3", {"alpha3": 0.995}),
+     ("example3", {"alpha3": 0.9995})],
 )
 def test_verify_passes_at_high_exponents(name, exponent):
-    # at p near 1 the dilation puts chart points below 1e-12 at eps = 1e-3,
-    # where axis_pow must still be a power and chord_gap must not round
-    # 1 - q0 to zero
+    # near p = 1 the dilation is all but the standard one (chart weight 1,
+    # degree (p-1)/2), so chart points sit at eps times the samples and every
+    # remainder block falls about tenfold per decade of eps, never to 0
     result = cli.verify(_short(name, seconds=0.4, **exponent), n_samples=200)
     assert result["homogeneity_ok"] is True
     assert result["perturbations_monotone"] is True
