@@ -12,11 +12,13 @@ Controllers only ever see measured quantities.  Truth states never enter any
 function in this module.  Like the quat and rigid_body kernels, the laws take
 float sequences and return float tuples.  The estimator flows are builders
 with the signature of a kind's estimator_flow, (gains, h_tilde, q_meas,
-w_meas, q_e_meas) -> rate(y): they read the gains and hold the measurements
-once per step, and rate maps the simulator's flow state y = [Q, w, est] to
-the rates of est, its error quaternion, conjugate rotation and kinematics
-formed in one frame.  The laws and the flows call chord_pow and sat_pow by
-name, so each nonsmooth map has one statement.
+w_meas, q_e_meas) -> flow(t, est): they read the gains and hold the
+measurements once per step, and flow maps the estimator's own state est to
+its rates, the flow(t, y) signature of every flow integrate.rk4_step steps.
+Each forms its error quaternion with rigid_body.error_quaternion and the
+conjugate rotation with rotate(quat_conj(.), .); only the kinematics rows
+are inline.  The laws and the flows call chord_pow and sat_pow by name, so
+each nonsmooth map has one statement.
 
 full_state_torque      velocity + attitude feedback, finite time for alpha1 < 1;
                        with a bias observer's rate estimate it is the
@@ -31,7 +33,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quat import chord_pow, sat_pow
+from .quat import chord_pow, quat_conj, rotate, sat_pow
+from .rigid_body import error_quaternion
 
 
 def check_logic(label: str, h) -> int:
@@ -60,6 +63,8 @@ class FullStateGains:
     k1, k2 > 0 and finite; attitude exponent alpha1 in (0, 1]; hysteresis delta in (0, 1).
     The velocity exponent alpha2 = 2*alpha1/(1+alpha1) is derived, never set.
     alpha1 = 1, the linear limit, is Mayhew et al.'s hybrid feedback (2011), damping saturated.
+    The low end stalls with example1's gains: noise-free at its dt and horizon,
+    alpha1 = 0.3 and 0.1 never settle, the last 10 % of the run at error 0.19 and 0.98.
     """
 
     k1: float
@@ -84,7 +89,9 @@ class ObserverGains:
     """Gains for the biased-rate observer: mu1, mu2 > 0 and finite, beta1 in (1/2, 1].
 
     beta2 = 2*beta1 - 1 is derived.  beta1 = 1 reduces the correction terms to
-    plain vector parts (the exponential-observer limit).
+    plain vector parts (the exponential-observer limit).  The low end still
+    settles with example2's gains: noise-free at its dt and horizon, beta1 =
+    0.51 settles at 42.92 s, the last 10 % of the run at error 1.7e-4.
     """
 
     mu1: float
@@ -107,7 +114,9 @@ class OutputFeedbackGains:
     """Gains for the velocity-free law: k1, k2, k3 > 0 and finite, alpha3 in (1/2, 1].
 
     The torque exponent alpha1 = 2*alpha3 - 1 is derived from the filter
-    exponent alpha3; delta is the shared hysteresis width.
+    exponent alpha3; delta is the shared hysteresis width.  The low end stalls
+    with example3's gains: noise-free at its dt and horizon, alpha3 = 0.55
+    never settles, the last 10 % of the run at error 0.088.
     """
 
     k1: float
@@ -142,7 +151,7 @@ def full_state_torque(gains: FullStateGains, q_e, w_e, h: int) -> tuple:
 
 
 def observer_flow(gains: ObserverGains, h_tilde: int, q_meas, w_meas, q_e_meas):
-    """Built at held measurements, y -> (Qdot_hat, bdot_hat) as one tuple; y[7:] = [Q_hat, b_hat].
+    """Built at held measurements, flow(t, est) -> (Qdot_hat, bdot_hat) for est = [Q_hat, b_hat].
 
     The attitude estimate integrates the bias-corrected rate plus a fractional
     power of the estimation error Q_err = conj(Q_hat) * Q_meas, re-expressed in
@@ -151,29 +160,18 @@ def observer_flow(gains: ObserverGains, h_tilde: int, q_meas, w_meas, q_e_meas):
       Qdot_hat = 0.5 Q_hat * [0, R(Q_err)^T (w_meas - b_hat + mu1*chord_pow(h~ Q_err, 1-beta1))]
       bdot_hat = -mu2 * chord_pow(h~ Q_err, 1-beta2)
 
-    q_e_meas is not read.
+    t and q_e_meas are not read.
     """
     mu1, mu2 = gains.mu1, gains.mu2
     p1, p2 = 1.0 - gains.beta1, 1.0 - gains.beta2
-    m0, m1, m2, m3 = q_meas
     v1, v2, v3 = w_meas
 
-    def rate(y) -> tuple:
-        q0, q1, q2, q3, b1, b2, b3 = y[7:]
-        q_err = e0, e1, e2, e3 = (
-            q0 * m0 + q1 * m1 + q2 * m2 + q3 * m3,
-            q0 * m1 - q1 * m0 - q2 * m3 + q3 * m2,
-            q0 * m2 + q1 * m3 - q2 * m0 - q3 * m1,
-            q0 * m3 - q1 * m2 + q2 * m1 - q3 * m0,
-        )
+    def flow(t, est) -> tuple:
+        q0, q1, q2, q3, b1, b2, b3 = est
+        q_err = error_quaternion(est[0:4], q_meas)
         a1, a2, a3 = chord_pow(q_err, p1, h_tilde)
-        c1, c2, c3 = v1 - b1 + mu1 * a1, v2 - b2 + mu1 * a2, v3 - b3 + mu1 * a3
-        n1, n2, n3 = -e1, -e2, -e3  # R(Q_err)^T is R(conj(Q_err))
-        s = e0 * e0 - (n1 * n1 + n2 * n2 + n3 * n3)
-        d, c = 2.0 * (n1 * c1 + n2 * c2 + n3 * c3), 2.0 * e0
-        r1 = s * c1 + d * n1 - c * (n2 * c3 - n3 * c2)
-        r2 = s * c2 + d * n2 - c * (n3 * c1 - n1 * c3)
-        r3 = s * c3 + d * n3 - c * (n1 * c2 - n2 * c1)
+        corr = (v1 - b1 + mu1 * a1, v2 - b2 + mu1 * a2, v3 - b3 + mu1 * a3)
+        r1, r2, r3 = rotate(quat_conj(q_err), corr)
         g1, g2, g3 = chord_pow(q_err, p2, h_tilde)
         return (
             0.5 * (-q1 * r1 - q2 * r2 - q3 * r3),
@@ -183,37 +181,25 @@ def observer_flow(gains: ObserverGains, h_tilde: int, q_meas, w_meas, q_e_meas):
             -mu2 * g1, -mu2 * g2, -mu2 * g3,
         )
 
-    return rate
+    return flow
 
 
 def filter_flow(gains: OutputFeedbackGains, h_tilde: int, q_meas, w_meas, q_e_meas):
-    """Built at held measurements, y -> Qdot_f for y[7:] = Q_f: a filter driven only by Q_e.
+    """Built at held measurements, flow(t, est) -> Qdot_f for est = Q_f: a filter driven only by Q_e.
 
     Qdot_f = 0.5 Q_f * [0, k3 R(Q_lag)^T chord_pow(h~ Q_lag, 1-alpha3)], where
     Q_lag = conj(Q_f) * Q_e.  The lag quaternion then obeys
     Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~ Q_lag, 1-alpha3)], which
-    is how the filter recovers rate information without a gyro.  q_meas and
-    w_meas are not read.
+    is how the filter recovers rate information without a gyro.  t, q_meas
+    and w_meas are not read.
     """
     k3, p3 = gains.k3, 1.0 - gains.alpha3
-    m0, m1, m2, m3 = q_e_meas
 
-    def rate(y) -> tuple:
-        f0, f1, f2, f3 = y[7:]
-        q_lag = e0, e1, e2, e3 = (
-            f0 * m0 + f1 * m1 + f2 * m2 + f3 * m3,
-            f0 * m1 - f1 * m0 - f2 * m3 + f3 * m2,
-            f0 * m2 + f1 * m3 - f2 * m0 - f3 * m1,
-            f0 * m3 - f1 * m2 + f2 * m1 - f3 * m0,
-        )
+    def flow(t, est) -> tuple:
+        f0, f1, f2, f3 = est
+        q_lag = error_quaternion(est, q_e_meas)
         a1, a2, a3 = chord_pow(q_lag, p3, h_tilde)
-        c1, c2, c3 = k3 * a1, k3 * a2, k3 * a3
-        n1, n2, n3 = -e1, -e2, -e3  # R(Q_lag)^T is R(conj(Q_lag))
-        s = e0 * e0 - (n1 * n1 + n2 * n2 + n3 * n3)
-        d, c = 2.0 * (n1 * c1 + n2 * c2 + n3 * c3), 2.0 * e0
-        r1 = s * c1 + d * n1 - c * (n2 * c3 - n3 * c2)
-        r2 = s * c2 + d * n2 - c * (n3 * c1 - n1 * c3)
-        r3 = s * c3 + d * n3 - c * (n1 * c2 - n2 * c1)
+        r1, r2, r3 = rotate(quat_conj(q_lag), (k3 * a1, k3 * a2, k3 * a3))
         return (
             0.5 * (-f1 * r1 - f2 * r2 - f3 * r3),
             0.5 * (f0 * r1 + f2 * r3 - f3 * r2),
@@ -221,7 +207,7 @@ def filter_flow(gains: OutputFeedbackGains, h_tilde: int, q_meas, w_meas, q_e_me
             0.5 * (f0 * r3 + f1 * r2 - f2 * r1),
         )
 
-    return rate
+    return flow
 
 
 def output_feedback_torque(gains: OutputFeedbackGains, q_e, q_lag, h: int, h_tilde: int) -> tuple:

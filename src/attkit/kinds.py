@@ -13,7 +13,8 @@ takes float sequences and returns float tuples; lag also takes tuples of (n,)
 columns, as the simulator's record hands them, and returns columns (NaN
 floats for the full-state law, which has no estimator).  estimator_flow is a
 builder: the simulator calls it once per step at the held measurements, and
-the rate it returns reads est from the tail of the flow state [Q, w, est].
+steps est on the flow(t, est) it returns, apart from the plant; the
+full-state law, with no est to step, carries none.
 
 All three laws share one hysteresis mechanism.  A logic variable h in
 {-1, +1} selects which antipode of an error quaternion is stabilized; it
@@ -108,15 +109,6 @@ def _bias_corrected(w_m, b_hat):
     return (m1 - b1, m2 - b2, m3 - b3)
 
 
-def _no_estimator_flow(g, h_tilde, q_m, w_m, q_e_m):
-    """The full-state law carries no estimator: its rate has no rows."""
-    return _no_rates
-
-
-def _no_rates(y):
-    return ()
-
-
 def _filter_start(cfg, q_m, q_e_m):
     fc = cfg.filter
     q_f = _start_quat(fc.q_f0, q_e_m, "filter.q_f0")
@@ -134,9 +126,9 @@ class ControllerKind:
     lag: Callable  # (est, q, q_e) -> estimator error quaternion, NaN without one
     jump: Callable  # jump rule (module docstring)
     torque: Callable  # (g, q_e, w_meas, w_d, est, q_lag, h, h_tilde) -> feedback torque
-    # (g, h_tilde, q_meas, w_meas, q_e_meas) -> rate(y), built once per step at the held
-    # measurements: y = [Q, w, est] -> the rates of est, read from y[7:]
-    estimator_flow: Callable
+    # (g, h_tilde, q_meas, w_meas, q_e_meas) -> flow(t, est), built once per step at the
+    # held measurements; None for a kind with no estimator state
+    estimator_flow: Callable | None
     # (p, p_alt): the law's torque bound k1 + k2 + (w1^p + w2)||J|| and its companion
     torque_bounds: tuple[int, int]
 
@@ -150,7 +142,7 @@ KINDS = {
         torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: full_state_torque(
             g, q_e, error_velocity(q_e, w_m, w_d), h
         ),
-        estimator_flow=_no_estimator_flow,
+        estimator_flow=None,
         torque_bounds=(2, 1),
     ),
     # certainty equivalence: the full-state law fed w_meas - b_hat

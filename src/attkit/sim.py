@@ -12,18 +12,21 @@ Each step does, in order:
    plus the kind's feedback torque, and clip it to the torque limit,
 4. write its row of the trace: time, plant, the Q_d it read, logic, bias,
    torques, disturbance, desired rate and estimator state,
-5. advance plant + estimator one RK4 step of the continuous flow with torque
-   and measurements held, then renormalize their quaternions and advance the
+5. advance the plant one RK4 step of its flow with the torque held, then
+   the estimator, if the kind has one, one RK4 step of its own flow with the
+   measurements held; renormalize both quaternions and advance the
    gyro-bias random walk (the bias stays put in a noise-free run).  The
-   reference is not integrated, so it needs no renormalization and no drift
-   guard.  The flow is built per step from the run's _plant_flow and the
-   rate the kind's estimator_flow builds at the held measurements and
-   h_tilde; each forms its rows in one frame.
+   estimator never reads the plant state over a step, nor the plant the
+   estimator's, so the two steps are the joint step [Q, w, est] split into
+   its blocks, bit for bit.  The plant's flow comes from the run's
+   _plant_flow at the held torque, the estimator's from the kind's
+   estimator_flow at the held measurements and h_tilde.  The reference is
+   not integrated, so it needs no renormalization and no drift guard.
 
-The state travels through the step as tuples of Python floats: the flow state
-is one flat tuple y = [Q, w, est] for integrate.rk4_step, the plant's rows
-read from y[0:7] and the estimator's from y[7:], and each step writes its
-columns once into the trace's preallocated row block.  No step
+The state travels through the step as tuples of Python floats: the plant
+state y = [Q, w] and the estimator state est, one flat tuple each for
+integrate.rk4_step, and each step writes its columns once into the trace's
+preallocated row block.  No step
 reads the truth errors or Lyapunov values, so _record forms them after the
 loop, once, by the same kernels applied to the block's (n,) columns, and
 writes them into the same rows.  save_trace stores it, and the jump events.
@@ -165,12 +168,13 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         if i == n:
             break
 
-        # one RK4 flow step with torque and measurements held
-        flow = held(u1, u2, u3, kind.estimator_flow(es_gains, h_t, q_m, w_m, q_e_m))
-        y = rk4_step(flow, t, (*q, *w, *est), dt)
+        # one RK4 step of the plant with the torque held, one of the estimator with
+        # the measurements held
+        y = rk4_step(held(u1, u2, u3), t, (*q, *w), dt)
         q, w = _renorm(y[0:4], i), y[4:7]
         if est:
-            est = (*_renorm(y[7:11], i), *y[11:])
+            est = rk4_step(kind.estimator_flow(es_gains, h_t, q_m, w_m, q_e_m), t, est, dt)
+            est = (*_renorm(est[0:4], i), *est[4:])
         b = bias_step(b, walk, dt, rng)
 
     trace = SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)
@@ -179,13 +183,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 
 
 def _plant_flow(inertia, disturbance):
-    """Built once per run, held(u1, u2, u3, est_rate) -> flow(t, y) for y = [Q, w, est].
+    """Built once per run, held(u1, u2, u3) -> flow(t, y) for the plant state y = [Q, w].
 
-    flow holds the applied torque u and the estimator's rate est_rate over a
-    step.  Its rows are the kinematics Qdot = 0.5 Q * [0, w] and Euler's
-    equation wdot = J^-1 (-w x Jw + u + d(t)), d(t) disturbance_torque's
-    rows, formed in one frame from the inertia's entries and the
-    disturbance's amplitude and frequency, read here once; then est_rate(y).
+    flow holds the applied torque u over a step.  Its rows are the kinematics
+    Qdot = 0.5 Q * [0, w] and Euler's equation wdot = J^-1 (-w x Jw + u + d(t)),
+    d(t) disturbance_torque's rows, formed in one frame from the inertia's
+    entries and the disturbance's amplitude and frequency, read here once.
     Bit for bit the kinematics, disturbance_torque and Euler's equation as the
     tests compose them, u + 0.0 at amplitude 0 included.
     """
@@ -193,9 +196,9 @@ def _plant_flow(inertia, disturbance):
     (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = inertia.inverse
     amp, freq = disturbance.amplitude_nm, disturbance.frequency_rad_s
 
-    def held(u1, u2, u3, est_rate):
+    def held(u1, u2, u3):
         def flow(t, y):
-            q0, q1, q2, q3, w1, w2, w3 = y[0], y[1], y[2], y[3], y[4], y[5], y[6]
+            q0, q1, q2, q3, w1, w2, w3 = y
             if amp:
                 p = freq * t
                 d1 = d2 = amp * cos(p)
@@ -216,7 +219,7 @@ def _plant_flow(inertia, disturbance):
                 k11 * r1 + k12 * r2 + k13 * r3,
                 k21 * r1 + k22 * r2 + k23 * r3,
                 k31 * r1 + k32 * r2 + k33 * r3,
-            ) + est_rate(y)
+            )
 
         return flow
 

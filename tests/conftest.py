@@ -67,8 +67,9 @@ def with_signed_zeros(rng, shape):
 
 # ---------------------------------------------------------------------------
 # Composed references.  The package forms these rates in one frame
-# (rigid_body.error_dynamics_rate, sim._plant_flow, controllers.observer_flow
-# and filter_flow); tests pin each frame to its composition here, bit for bit.
+# (rigid_body.error_dynamics_rate, sim._plant_flow), or with the kinematics rows
+# inline beside kernel calls (controllers.observer_flow and filter_flow); tests
+# pin each to its composition here, bit for bit.
 
 
 def kinematics_rate(q, w):
@@ -91,14 +92,14 @@ def dynamics_rate(inertia, w, torque):
 
 
 def composed_plant_flow(inertia, disturbance):
-    """sim._plant_flow from the kernels: held(u1, u2, u3, est_rate) -> flow(t, y)."""
+    """sim._plant_flow from the kernels: held(u1, u2, u3) -> flow(t, y), y = [Q, w]."""
 
-    def held(u1, u2, u3, est_rate):
+    def held(u1, u2, u3):
         def flow(t, y):
             d1, d2, d3 = disturbance_torque(disturbance, t)
             w = y[4:7]
             torque = (u1 + d1, u2 + d2, u3 + d3)
-            return (*kinematics_rate(y[0:4], w), *dynamics_rate(inertia, w, torque), *est_rate(y))
+            return (*kinematics_rate(y[0:4], w), *dynamics_rate(inertia, w, torque))
 
         return flow
 
@@ -126,14 +127,14 @@ def filter_flow_rate(gains, q_f, h_tilde, q_e_meas):
     return kinematics_rate(q_f, rotate(quat_conj(q_lag), (k3 * c1, k3 * c2, k3 * c3)))
 
 
-#: each kind's estimator_flow from the kernels, y = [Q, w, est]
+#: each kind's estimator_flow from the kernels, flow(t, est); None where the kind has none
 COMPOSED_ESTIMATOR_FLOWS = {
-    "full_state": lambda g, ht, q_m, w_m, q_e_m: lambda y: (),
-    "biased_gyro": lambda g, ht, q_m, w_m, q_e_m: lambda y: sum(
-        observer_flow_rate(g, y[7:11], y[11:14], ht, q_m, w_m), ()
+    "full_state": None,
+    "biased_gyro": lambda g, ht, q_m, w_m, q_e_m: lambda t, est: sum(
+        observer_flow_rate(g, est[0:4], est[4:7], ht, q_m, w_m), ()
     ),
-    "attitude_only": lambda g, ht, q_m, w_m, q_e_m: lambda y: filter_flow_rate(
-        g, y[7:11], ht, q_e_m
+    "attitude_only": lambda g, ht, q_m, w_m, q_e_m: lambda t, est: filter_flow_rate(
+        g, est, ht, q_e_m
     ),
 }
 

@@ -352,6 +352,40 @@ def test_verify_passes_at_high_exponents(name, exponent):
     assert result["ok"] is True
 
 
+@pytest.mark.parametrize("alpha3", [0.65, 0.6, 0.55, 0.501])
+def test_verify_passes_at_low_alpha3(alpha3):
+    # the low end of alpha3's range: the first RK4 step from the error-free filter start
+    # lets v3_matched rise by O(dt^(1+alpha1)), alpha1 = 2*alpha3 - 1, which the flow
+    # allowance dt^(2+2k) follows; a fixed dt^1.5 would refuse every alpha3 here
+    result = cli.verify(_short("example3", seconds=0.4, alpha3=alpha3), n_samples=200)
+    assert result["flow_ok"] is True
+    assert result["ok"] is True
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3"])
+def test_verify_fails_a_governing_candidate_that_rises(name, monkeypatch):
+    # a test double whose governing candidate is negated, so its V rises along the flow.
+    # The observer's v2_matched falls by at most about 3e-5 per 1 ms step at the shipped
+    # mu1 and mu2, inside the dt^1.5 allowance, so its double starts from an attitude
+    # estimate error at ten times those gains
+    cfg = _short(name, seconds=0.4)
+    if name == "example2":
+        cfg.observer.q_hat0 = [0.9, 0.3, -0.3, 0.1]
+        cfg.observer.mu1, cfg.observer.mu2 = 10.0 * cfg.observer.mu1, 10.0 * cfg.observer.mu2
+    system = kinds.get(cfg.controller.kind).error_system
+    es = analysis.ERROR_SYSTEMS[system]
+
+    def candidates(*args):
+        v = es.candidates(*args)
+        v[es.governing] = -v[es.governing]
+        return v
+
+    monkeypatch.setitem(analysis.ERROR_SYSTEMS, system, replace(es, candidates=candidates))
+    result = cli.verify(cfg, n_samples=20)
+    assert result["flow_ok"] is False
+    assert result["ok"] is False
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_verify_rejects_samples_below_one(tmp_path, capsys, samples):
     path = save_config(_short("example1"), tmp_path / "cfg.json")

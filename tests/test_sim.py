@@ -207,10 +207,6 @@ def test_record_equals_the_float_kernels_row_by_row(name, monkeypatch):
         assert np.array_equal(getattr(trace, attr), rows, equal_nan=True), attr
 
 
-def _est_rate(y):
-    return tuple(2.0 * c for c in y[7:])
-
-
 def test_plant_flow_equals_the_composed_kernels_bit_for_bit():
     # random inertias, states and held torques with signed zeros, disturbance off and on;
     # at amplitude 0 a -0.0 torque must still become u + 0.0 = +0.0
@@ -220,16 +216,43 @@ def test_plant_flow_equals_the_composed_kernels_bit_for_bit():
         inertia = Inertia(m @ m.T + 3.0 * np.eye(3))
         dist = DisturbanceConfig(amplitude_nm=(0.0, 0.02, -1.5)[i % 3], frequency_rad_s=0.1 + i)
         u = with_signed_zeros(rng, 3).tolist()
-        y = tuple(with_signed_zeros(rng, 7 + (0, 4, 7)[i % 3]).tolist())
+        y = tuple(with_signed_zeros(rng, 7).tolist())
         t = float(rng.uniform(-50.0, 50.0))
-        got = sim._plant_flow(inertia, dist)(*u, _est_rate)(t, y)
-        assert bits(got) == bits(composed_plant_flow(inertia, dist)(*u, _est_rate)(t, y))
+        got = sim._plant_flow(inertia, dist)(*u)(t, y)
+        assert bits(got) == bits(composed_plant_flow(inertia, dist)(*u)(t, y))
     # at rest under a diagonal J, only u + 0.0 turns a held -0.0 torque into +0.0 rates
     inertia, off = Inertia(np.diag([15.0, 20.0, 10.0])), DisturbanceConfig(amplitude_nm=0.0)
     y, u = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0), (-0.0, -0.0, -0.0)
-    got = sim._plant_flow(inertia, off)(*u, _est_rate)(2.0, y)
-    assert bits(got) == bits(composed_plant_flow(inertia, off)(*u, _est_rate)(2.0, y))
+    got = sim._plant_flow(inertia, off)(*u)(2.0, y)
+    assert bits(got) == bits(composed_plant_flow(inertia, off)(*u)(2.0, y))
     assert bits(got[4:]) == bits((0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("name, n_est", [("example1", 0), ("example2", 7), ("example3", 4)])
+def test_the_split_step_equals_one_joint_step_bit_for_bit(name, n_est):
+    # the estimator reads only held measurements and the plant never reads est, so RK4 on
+    # [Q, w, est] repeats every float operation of the plant step and the estimator step
+    cfg = preset(name)
+    kind = kinds.get(cfg.controller.kind)
+    es = analysis.ERROR_SYSTEMS[kind.error_system]
+    gains = cfg.observer.build() if es.observer else cfg.controller.build()
+    inertia = cfg.inertia()
+    plant = sim._plant_flow(inertia, cfg.disturbance)
+    composed = composed_plant_flow(inertia, cfg.disturbance)
+    build = COMPOSED_ESTIMATOR_FLOWS[cfg.controller.kind]
+    rng = np.random.default_rng(31)
+    for i in range(100):
+        u, w_m = (with_signed_zeros(rng, 3).tolist() for _ in range(2))
+        q_m, q_e_m = (with_signed_zeros(rng, 4).tolist() for _ in range(2))
+        y, est = (tuple(with_signed_zeros(rng, k).tolist()) for k in (7, n_est))
+        h_t = (1, -1)[i % 2]
+        t, dt = float(rng.uniform(0.0, 100.0)), float(rng.uniform(1e-4, 0.1))
+        got, rates = rk4_step(plant(*u), t, y, dt), lambda t, e: ()
+        if est:
+            got += rk4_step(kind.estimator_flow(gains, h_t, q_m, w_m, q_e_m), t, est, dt)
+            rates = build(gains, h_t, q_m, w_m, q_e_m)
+        joint = lambda t, z: (*composed(*u)(t, z[0:7]), *rates(t, z[7:]))
+        assert bits(got) == bits(rk4_step(joint, t, (*y, *est), dt))
 
 
 def _settings(name):
@@ -257,8 +280,9 @@ def test_a_run_steps_as_the_composed_kernels_bit_for_bit(name, monkeypatch):
     [("example1", 0, 1), ("example2", 8, 1), ("example3", 4, 2)],
 )
 def test_one_step_calls_each_nonsmooth_map_by_name(name, flow_chords, law_chords, monkeypatch):
-    # one step makes the estimator rate's chord_pow calls once per RK4 stage and the law's
-    # once, all through controllers' global, in one rk4_step call: no rate restates chord_pow
+    # one step makes the estimator flow's chord_pow calls once per RK4 stage and the law's
+    # once, all through controllers' global: no flow restates chord_pow.  It steps the
+    # plant in one rk4_step call and the estimator, where the kind has one, in another
     calls = {"chord_pow": 0, "rk4_step": 0}
 
     def counted(module, attr):
@@ -280,7 +304,8 @@ def test_one_step_calls_each_nonsmooth_map_by_name(name, flow_chords, law_chords
         per_run.append(dict(calls))
         calls.update(chord_pow=0, rk4_step=0)
     one_step = {k: per_run[1][k] - per_run[0][k] for k in calls}
-    assert one_step == {"chord_pow": flow_chords + law_chords, "rk4_step": 1}
+    steps = 1 + (kinds.get(preset(name).controller.kind).estimator_flow is not None)
+    assert one_step == {"chord_pow": flow_chords + law_chords, "rk4_step": steps}
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
@@ -480,7 +505,7 @@ def test_the_reference_is_read_from_its_closed_form_not_integrated(name, monkeyp
     want = [q_d_fn(i * trace.dt) for i in range(len(trace.t))]
     assert trace.q_d.tobytes() == np.array(want).tobytes()
     est = np.count_nonzero(~np.isnan(trace.rows[0, sim._OFFSET["q_hat"] : sim._OFFSET["q_e"]]))
-    assert widths == {7 + est}  # [Q, w, est]: no reference state
+    assert widths == ({7, est} if est else {7})  # [Q, w], then est: no reference state
 
 
 @pytest.mark.parametrize("field", ["attitude_cone_deg", "gyro_sigma_deg_s", "bias_walk_deg_s2"])

@@ -10,7 +10,8 @@ with gyro noise alone as ``example1_gyro_only`` (attitude cone and bias walk
 ``attkit verify`` with 200 samples on example1..3, on three jump cases,
 each started just outside a jump set at delta = 0.3 (error scalar part
 -0.25) so that its flow check crosses one jump (on the presets as shipped
-the flow checks cross none), and on the three linear limits:
+the flow checks cross none), on the three linear limits and on one low
+exponent:
 
 * example2_ht_jump: example2 over 2 s from a 0.5 rad/s bias error and an
   estimate at that scalar part (one h_tilde jump, near 0.54 s);
@@ -19,7 +20,10 @@ the flow checks cross none), and on the three linear limits:
   jump, and one joint jump, whose v1, v3 and v3_matched drops are compared);
 * example1_linear, example2_linear and example3_linear: example1..3 over
   2 s at controller.alpha1 = 1, observer.beta1 = 1 and controller.alpha3 = 1,
-  where the homogeneity and remainder checks run at degree 0.
+  where the homogeneity and remainder checks run at degree 0;
+* example3_low_alpha3: example3 over 0.4 s at controller.alpha3 = 0.55, near
+  the low end of its range, where the first step's rise of v3_matched takes
+  about half of verify's flow allowance dt^(1+alpha1).
 
 It does so once with this checkout's ``src/`` and once with OTHER_CHECKOUT's,
 each in a fresh interpreter, which loads each preset's trace back through
@@ -89,6 +93,7 @@ VERIFY = {
     "example1_linear": ("example1", {"controller.alpha1": 1.0, "sim.t_final_s": 2.0}),
     "example2_linear": ("example2", {"observer.beta1": 1.0, "sim.t_final_s": 2.0}),
     "example3_linear": ("example3", {"controller.alpha3": 1.0, "sim.t_final_s": 2.0}),
+    "example3_low_alpha3": ("example3", {"controller.alpha3": 0.55, "sim.t_final_s": 0.4}),
 }
 VERIFY_SAMPLES = 200
 #: a preset attribute's rows that differ by more than this are counted
