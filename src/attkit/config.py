@@ -131,6 +131,10 @@ class ScenarioConfig:
             value = getattr(self.noise, name)
             if value < 0.0:
                 raise ValueError("noise.%s must be nonnegative, got %r" % (name, value))
+        if self.noise.attitude_cone_deg > 180.0:
+            raise ValueError("noise.attitude_cone_deg must be at most 180, got %r: a half-angle"
+                             " past 180 degrees wraps the cone around the sphere"
+                             % (self.noise.attitude_cone_deg,))
         kind = self.controller.kind
         if kind not in kinds.KINDS:
             *names, last = map(repr, kinds.KINDS)

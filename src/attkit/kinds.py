@@ -44,7 +44,7 @@ from .controllers import (
     output_feedback_torque,
 )
 from .quat import unit_or_warn
-from .rigid_body import error_quaternion, error_velocity
+from .rigid_body import error_quaternion
 
 _NAN4 = (float("nan"),) * 4
 
@@ -102,11 +102,11 @@ def _observer_start(cfg, q_m, q_e_m):
     return est, oc.h_tilde0
 
 
-def _bias_corrected(w_m, b_hat):
-    """The measured rate less the bias estimate."""
-    m1, m2, m3 = w_m
-    b1, b2, b3 = b_hat
-    return (m1 - b1, m2 - b2, m3 - b3)
+def _less(a, b):
+    """a - b componentwise, error_velocity's w - R(Q_e) w_d in its float order."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return (a1 - b1, a2 - b2, a3 - b3)
 
 
 def _filter_start(cfg, q_m, q_e_m):
@@ -125,7 +125,9 @@ class ControllerKind:
     start: Callable  # (cfg, q_meas, q_e_meas) -> (est, h_tilde)
     lag: Callable  # (est, q, q_e) -> estimator error quaternion, NaN without one
     jump: Callable  # jump rule (module docstring)
-    torque: Callable  # (g, q_e, w_meas, w_d, est, q_lag, h, h_tilde) -> feedback torque
+    # (g, q_e, w_meas, w_d_body, est, q_lag, h, h_tilde) -> feedback torque, w_d_body the
+    # desired rate rotated into the body frame, R(q_e) w_d, once per step by the simulator
+    torque: Callable
     # (g, h_tilde, q_meas, w_meas, q_e_meas) -> flow(t, est), built once per step at the
     # held measurements; None for a kind with no estimator state
     estimator_flow: Callable | None
@@ -139,8 +141,8 @@ KINDS = {
         start=lambda cfg, q_m, q_e_m: ((), 1),
         lag=lambda est, q, q_e: _NAN4,
         jump=jump_h,
-        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: full_state_torque(
-            g, q_e, error_velocity(q_e, w_m, w_d), h
+        torque=lambda g, q_e, w_m, w_d_body, est, q_lag, h, ht: full_state_torque(
+            g, q_e, _less(w_m, w_d_body), h
         ),
         estimator_flow=None,
         torque_bounds=(2, 1),
@@ -151,8 +153,8 @@ KINDS = {
         start=_observer_start,
         lag=lambda est, q, q_e: error_quaternion(est[0:4], q),
         jump=jump_each,
-        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: full_state_torque(
-            g, q_e, error_velocity(q_e, _bias_corrected(w_m, est[4:7]), w_d), h
+        torque=lambda g, q_e, w_m, w_d_body, est, q_lag, h, ht: full_state_torque(
+            g, q_e, _less(_less(w_m, est[4:7]), w_d_body), h
         ),
         estimator_flow=observer_flow,
         torque_bounds=(2, 1),
@@ -162,7 +164,7 @@ KINDS = {
         start=_filter_start,
         lag=lambda est, q, q_e: error_quaternion(est[0:4], q_e),
         jump=jump_joint,
-        torque=lambda g, q_e, w_m, w_d, est, q_lag, h, ht: output_feedback_torque(
+        torque=lambda g, q_e, w_m, w_d_body, est, q_lag, h, ht: output_feedback_torque(
             g, q_e, q_lag, h, ht
         ),
         estimator_flow=filter_flow,

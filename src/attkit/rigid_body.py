@@ -161,12 +161,14 @@ def error_velocity(q_e, w, w_d) -> tuple:
     return (w1 - d1, w2 - d2, w3 - d3)
 
 
-def feedforward_torque(inertia: Inertia, q_e, w_d, w_d_dot) -> tuple:
+def feedforward_torque(inertia: Inertia, q_e, w_d_body, w_d_dot) -> tuple:
     """Torque that renders (Q_e, w_e) = (identity, 0) invariant.
 
-    u_d = w_d_body x J w_d_body + J R(Q_e) wdot_d.
+    u_d = w_d_body x J w_d_body + J R(Q_e) wdot_d, with w_d_body = R(Q_e) w_d
+    the desired rate in the body frame, which the caller forms once per step
+    and also subtracts from the measured rate for the feedback; wdot_d is in
+    the desired frame.
     """
-    w_d_body = rotate(q_e, w_d)
     c1, c2, c3 = cross(w_d_body, mat_vec(inertia.matrix, w_d_body))
     a1, a2, a3 = mat_vec(inertia.matrix, rotate(q_e, w_d_dot))
     return (c1 + a1, c2 + a2, c3 + a3)

@@ -1,11 +1,14 @@
 """Measurement models, disturbance torque, and actuator saturation.
 
 Noise amounts are configured in degrees (matching how star tracker and gyro
-datasheets quote them) and converted to radians internally.  All draws come
-from the caller's Generator so a scenario's entire random history is fixed by
-one seed.  A noise-free run has no Generator: on rng=None each sensor model
-returns the truth and draws nothing.  States and results are float sequences
-and tuples, as in the quat kernels.
+datasheets quote them) and converted to radians internally.  Each sensor
+model is a pure function of the state and of the variates it is handed: it
+draws nothing itself.  The simulator draws them from one Generator per run,
+seeded by the scenario, so a scenario's entire random history is fixed by
+one seed and its draw order is stated in one place (sim.run_scenario).
+Variates of None mean noise-free: the model returns the truth (the bias
+stays put).  States, variates and results are float sequences and tuples,
+as in the quat kernels.
 """
 
 from __future__ import annotations
@@ -63,22 +66,23 @@ def disturbance_torque(cfg: DisturbanceConfig, t: float) -> tuple:
     return (c, c, -(a * math.sin(p)))
 
 
-def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator | None) -> tuple:
+def measure_attitude(q_true, cone_rad: float, uniforms) -> tuple:
     """Star-tracker model: tilt the eigenaxis inside a cone, keep the angle.
 
-    The tilt angle is uniform on [0, cone_rad] and the tilt direction uniform
-    around the axis.  The rotation angle is unchanged: q0 is kept exactly and
-    the vector part keeps its length, so the output has the input's norm (unit
-    to rounding for unit input).  Given a Generator, two variates are always
-    consumed, even at cone_rad = 0, so that within a run with noise the draw
-    sequence does not depend on the noise amounts; rng.random() draws exactly
-    what rng.uniform() draws, without its argument handling.  rng=None (a
-    noise-free run) returns q_true and draws nothing.
+    uniforms = (u1, u2), two variates uniform on [0, 1): the tilt angle is
+    cone_rad * u1 and the tilt direction 2 pi u2 around the axis.  The
+    rotation angle is unchanged: q0 is kept exactly and the vector part keeps
+    its length, so the output has the input's norm (unit to rounding for unit
+    input).  A run with noise hands two variates every step, even at
+    cone_rad = 0 or at the identity, so its draw sequence does not depend on
+    the noise amounts or the state.  uniforms=None (a noise-free run) returns
+    q_true.
     """
-    if rng is None:
+    if uniforms is None:
         return tuple(q_true)
-    tilt = cone_rad * rng.random()
-    azimuth = 2.0 * math.pi * rng.random()
+    u1, u2 = uniforms
+    tilt = cone_rad * u1
+    azimuth = 2.0 * math.pi * u2
     if tilt == 0.0:
         return tuple(q_true)
     q0, q1, q2, q3 = q_true
@@ -97,27 +101,41 @@ def measure_attitude(q_true, cone_rad: float, rng: np.random.Generator | None) -
     )
 
 
-def measure_gyro(w_true, bias, sigma_rad_s: float, rng: np.random.Generator | None) -> tuple:
-    """Rate gyro model: w + b + v with v zero-mean white, std sigma per axis; w + b on rng=None."""
+def measure_gyro(w_true, bias, sigma_rad_s: float, normals) -> tuple:
+    """Rate gyro model: w + b + sigma * normals, white noise of std sigma per axis.
+
+    normals holds three standard normal variates; normals=None returns w + b.
+    """
     w1, w2, w3 = w_true
     b1, b2, b3 = bias
-    if rng is None:
+    if normals is None:
         return (w1 + b1, w2 + b2, w3 + b3)
-    v1, v2, v3 = rng.standard_normal(3).tolist()
+    v1, v2, v3 = normals
     return (w1 + b1 + sigma_rad_s * v1, w2 + b2 + sigma_rad_s * v2, w3 + b3 + sigma_rad_s * v3)
 
 
-def bias_step(bias, walk_rad_s2: float, dt: float, rng: np.random.Generator | None) -> tuple:
-    """Advance the gyro bias one step of its random walk: b + w*dt; b itself on rng=None."""
-    if rng is None:
+def bias_step(bias, walk_rad_s2: float, dt: float, normals) -> tuple:
+    """Advance the gyro bias one step of its random walk: b + walk * normals * dt.
+
+    normals holds three standard normal variates; normals=None returns b itself.
+    """
+    if normals is None:
         return tuple(bias)
     b1, b2, b3 = bias
-    n1, n2, n3 = rng.standard_normal(3).tolist()
+    n1, n2, n3 = normals
     return (b1 + walk_rad_s2 * n1 * dt, b2 + walk_rad_s2 * n2 * dt, b3 + walk_rad_s2 * n3 * dt)
 
 
 def saturate(torque, limit_nm: float) -> tuple:
-    """Componentwise clip of the commanded torque to +-limit_nm (limit_nm > 0); NaN passes."""
+    """Componentwise clip of the commanded torque to +-limit_nm (limit_nm > 0).
+
+    By comparisons, bit for bit min(max(u, -limit_nm), limit_nm) without its
+    six builtin calls: NaN passes and a zero keeps its sign.
+    """
     u1, u2, u3 = torque
     lo = -limit_nm
-    return (min(max(u1, lo), limit_nm), min(max(u2, lo), limit_nm), min(max(u3, lo), limit_nm))
+    return (
+        lo if u1 < lo else limit_nm if u1 > limit_nm else u1,
+        lo if u2 < lo else limit_nm if u2 > limit_nm else u2,
+        lo if u3 < lo else limit_nm if u3 > limit_nm else u3,
+    )

@@ -3,25 +3,33 @@
 Each step does, in order:
 
 1. read the reference attitude Q_d(t) from the trajectory's closed form and
-   sample the sensors (measurements are zero-order-held across the step);
-   a noise-free run, all three noise magnitudes 0, builds no Generator and
-   measures the truth,
+   sample the sensors (measurements are zero-order-held across the step).
+   A run with noise draws each step's variates from its one Generator in two
+   calls, in this order: rng.random(2), the star tracker's two uniforms, then
+   rng.standard_normal(6), the gyro's three normals and then the bias walk's
+   three, which step 5 applies.  The last row measures but does not step, so
+   it draws standard_normal(3), the gyro's alone.  Each channel draws even at
+   magnitude 0, so no channel's stream shifts with another's magnitude.  A
+   noise-free run, all three magnitudes 0, builds no Generator, draws nothing
+   and measures the truth,
 2. apply the kind's jump rule once to the measured error scalars (one
    application always re-enters the flow set) and record a JumpEvent if it fired,
 3. form the commanded torque from measurements only, as feedforward_torque
-   plus the kind's feedback torque, and clip it to the torque limit,
+   plus the kind's feedback torque, and clip it to the torque limit; the
+   desired rate is rotated into the body frame once, for both,
 4. write its row of the trace: time, plant, the Q_d it read, logic, bias,
    torques, disturbance, desired rate and estimator state,
 5. advance the plant one RK4 step of its flow with the torque held, then
    the estimator, if the kind has one, one RK4 step of its own flow with the
    measurements held; renormalize both quaternions and advance the
-   gyro-bias random walk (the bias stays put in a noise-free run).  The
-   estimator never reads the plant state over a step, nor the plant the
-   estimator's, so the two steps are the joint step [Q, w, est] split into
-   its blocks, bit for bit.  The plant's flow comes from the run's
-   _plant_flow at the held torque, the estimator's from the kind's
-   estimator_flow at the held measurements and h_tilde.  The reference is
-   not integrated, so it needs no renormalization and no drift guard.
+   gyro-bias random walk on the last three normals step 1 drew (the bias
+   stays put in a noise-free run).  The estimator never reads the plant
+   state over a step, nor the plant the estimator's, so the two steps are
+   the joint step [Q, w, est] split into its blocks, bit for bit.  The
+   plant's flow comes from the run's _plant_flow at the held torque, the
+   estimator's from the kind's estimator_flow at the held measurements and
+   h_tilde.  The reference is not integrated, so it needs no
+   renormalization and no drift guard.
 
 The state travels through the step as tuples of Python floats: the plant
 state y = [Q, w] and the estimator state est, one flat tuple each for
@@ -49,7 +57,7 @@ import numpy as np
 from . import analysis, kinds
 from .config import ScenarioConfig
 from .integrate import _renorm, rk4_step, step_count, step_rows
-from .quat import Array
+from .quat import Array, rotate
 from .rigid_body import error_quaternion, error_velocity, feedforward_torque
 from .sensors import bias_step, disturbance_torque, measure_attitude, measure_gyro, saturate
 
@@ -125,8 +133,8 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     cone = cfg.noise.attitude_cone_rad
     gyro_sig = cfg.noise.gyro_sigma_rad_s
     walk = cfg.noise.bias_walk_rad_s2
-    # one nonzero magnitude keeps every channel's draws, so the others' streams do not shift
     rng = np.random.default_rng(cfg.seed) if cone or gyro_sig or walk else None
+    uniforms = gyro_normals = walk_normals = None  # noise-free: no variates
     limit = cfg.torque_limit_nm
     held = _plant_flow(inertia, cfg.disturbance)
 
@@ -139,8 +147,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
     for i in range(n + 1):
         t = i * dt
         q_d = traj.q_d_fn(t)
-        q_m = measure_attitude(q, cone, rng)
-        w_m = measure_gyro(w, b, gyro_sig, rng)
+        if rng is not None:  # the draw order of the module docstring's step 1
+            uniforms = rng.random(2).tolist()
+            normals = rng.standard_normal(6 if i < n else 3).tolist()
+            gyro_normals, walk_normals = normals[0:3], normals[3:6]
+        q_m = measure_attitude(q, cone, uniforms)
+        w_m = measure_gyro(w, b, gyro_sig, gyro_normals)
         q_e_m = error_quaternion(q_d, q_m)
         if i == 0:
             est, h_t = kind.start(cfg, q_m, q_e_m)
@@ -156,8 +168,9 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         if jumped:
             events.append(JumpEvent(i, t, h_pre, h, ht_pre, h_t))
 
-        f1, f2, f3 = feedforward_torque(inertia, q_e_m, w_d, traj.omega_dot_fn(t))
-        fb1, fb2, fb3 = kind.torque(gains, q_e_m, w_m, w_d, est, q_lag_m, h, h_t)
+        w_d_body = rotate(q_e_m, w_d)
+        f1, f2, f3 = feedforward_torque(inertia, q_e_m, w_d_body, traj.omega_dot_fn(t))
+        fb1, fb2, fb3 = kind.torque(gains, q_e_m, w_m, w_d_body, est, q_lag_m, h, h_t)
         u_cmd = (f1 + fb1, f2 + fb2, f3 + fb3)
         u1, u2, u3 = u_app = saturate(u_cmd, limit)
         d = disturbance_torque(cfg.disturbance, t)
@@ -175,7 +188,7 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
         if est:
             est = rk4_step(kind.estimator_flow(es_gains, h_t, q_m, w_m, q_e_m), t, est, dt)
             est = (*_renorm(est[0:4], i), *est[4:])
-        b = bias_step(b, walk, dt, rng)
+        b = bias_step(b, walk, dt, walk_normals)
 
     trace = SimTrace(cfg.name, cfg.controller.kind, dt, rows, events)
     _record(trace, kind, es, gains, es_gains, inertia)

@@ -68,8 +68,14 @@ def with_signed_zeros(rng, shape):
 # ---------------------------------------------------------------------------
 # Composed references.  The package forms these rates in one frame
 # (rigid_body.error_dynamics_rate, sim._plant_flow), or with the kinematics rows
-# inline beside kernel calls (controllers.observer_flow and filter_flow); tests
-# pin each to its composition here, bit for bit.
+# inline beside kernel calls (controllers.observer_flow and filter_flow), and
+# clips by comparisons (sensors.saturate); tests pin each to its composition
+# here, bit for bit.
+
+
+def composed_saturate(torque, limit_nm):
+    """sensors.saturate from the builtins: min(max(u, -limit_nm), limit_nm) per axis."""
+    return tuple(min(max(u, -limit_nm), limit_nm) for u in torque)
 
 
 def kinematics_rate(q, w):
@@ -307,7 +313,7 @@ def dual_gap_full_state():
         w_d = traj.omega_fn(t)
         q_e = error_quaternion(q_d, q)
         w_e = error_velocity(q_e, w, w_d)
-        u_ff = feedforward_torque(inertia, q_e, w_d, traj.omega_dot_fn(t))
+        u_ff = feedforward_torque(inertia, q_e, rotate(q_e, w_d), traj.omega_dot_fn(t))
         u = np.add(u_ff, full_state_torque(gains, q_e, w_e, h))
         return np.concatenate(
             [kinematics_rate(q, w), dynamics_rate(inertia, w, u), kinematics_rate(q_d, w_d)]

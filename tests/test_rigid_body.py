@@ -267,7 +267,7 @@ def test_error_dynamics_matches_absolute_difference():
 
     q_e0, w_e0 = error_state(y0, t0)
     w_d, w_d_dot = traj.omega_fn(t0), traj.omega_dot_fn(t0)
-    u_fb = u - feedforward_torque(inertia, q_e0, w_d, w_d_dot)
+    u_fb = u - feedforward_torque(inertia, q_e0, rotate(q_e0, w_d), w_d_dot)
     dq, dw = error_dynamics_rate(inertia, q_e0, w_e0, w_d, u_fb)
     assert np.allclose(fd_dq, dq, atol=1e-8)
     assert np.allclose(fd_dw, dw, atol=1e-8)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from attkit import sim
 from attkit.config import preset
 from attkit.quat import random_unit_quat
 from attkit.rigid_body import sinusoid_trajectory
@@ -18,7 +19,7 @@ from attkit.sensors import (
     saturate,
 )
 
-from conftest import from_axis_angle
+from conftest import bits, composed_saturate, from_axis_angle
 
 DEG = np.pi / 180.0
 
@@ -41,6 +42,16 @@ def test_noise_config_rejects_negative_magnitudes():
     cfg = preset("example1")  # ScenarioConfig.validate checks the section's ranges
     cfg.noise.gyro_sigma_deg_s = -0.01
     with pytest.raises(ValueError, match=r"^noise\.gyro_sigma_deg_s must be nonnegative"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("cone", [180.5, 360.0, 1e300])
+def test_noise_config_rejects_a_cone_past_180_degrees(cone):
+    cfg = preset("example1")
+    cfg.noise.attitude_cone_deg = 180.0  # the whole sphere is still a cone
+    cfg.validate()
+    cfg.noise.attitude_cone_deg = cone
+    with pytest.raises(ValueError, match=r"^noise\.attitude_cone_deg must be at most 180, got "):
         cfg.validate()
 
 
@@ -88,7 +99,7 @@ def test_measure_attitude_preserves_angle_and_unit_norm():
     q_true = from_axis_angle([0.3, -1.0, 0.5], 1.2)
     axis_true, angle_true = _axis_angle(q_true)
     for _ in range(50):
-        q_m = measure_attitude(q_true, cone, rng)
+        q_m = measure_attitude(q_true, cone, rng.random(2).tolist())
         assert np.linalg.norm(q_m) == pytest.approx(1.0, abs=1e-15)
         axis_m, angle_m = _axis_angle(q_m)
         assert angle_m == pytest.approx(angle_true, abs=1e-12)
@@ -110,7 +121,7 @@ def test_measure_attitude_matches_axis_angle_construction():
         seed = int(rng.integers(2**32))
         twin = np.random.default_rng(seed)
         tilt, azimuth = cone * twin.random(), 2.0 * np.pi * twin.random()
-        q_m = measure_attitude(q_true, cone, np.random.default_rng(seed))
+        q_m = measure_attitude(q_true, cone, np.random.default_rng(seed).random(2).tolist())
         reference = _axis_angle_measurement(q_true, tilt, azimuth)
         assert q_m[0] == q_true[0]
         assert np.max(np.abs(np.subtract(q_m, reference))) <= 1e-14
@@ -120,34 +131,57 @@ def test_measure_attitude_matches_axis_angle_construction():
 def test_measure_attitude_zero_cone_is_exact_copy():
     rng = np.random.default_rng(31)
     q_true = from_axis_angle([0.3, -1.0, 0.5], 1.2)
-    q_m = measure_attitude(q_true, 0.0, rng)
+    q_m = measure_attitude(q_true, 0.0, rng.random(2).tolist())
     assert np.array_equal(q_m, q_true)
     assert q_m is not q_true
 
 
 def test_measure_attitude_identity_passes_through():
     rng = np.random.default_rng(32)
-    q_m = measure_attitude(np.array([1.0, 0.0, 0.0, 0.0]), 0.5 * DEG, rng)
+    q_m = measure_attitude(np.array([1.0, 0.0, 0.0, 0.0]), 0.5 * DEG, rng.random(2).tolist())
     assert np.array_equal(q_m, [1.0, 0.0, 0.0, 0.0])
 
 
-def test_measure_attitude_draw_count_is_state_independent():
-    # The identity short-circuit and the generic path each take exactly two
-    # random() draws, so downstream draws stay seed-reproducible.
-    for q_true in (np.array([1.0, 0.0, 0.0, 0.0]), from_axis_angle([0.3, -1.0, 0.5], 1.2)):
-        rng_a = np.random.default_rng(33)
-        rng_b = np.random.default_rng(33)
-        measure_attitude(q_true, 0.5 * DEG, rng_a)
-        rng_b.random()
-        rng_b.random()
-        assert rng_a.standard_normal() == rng_b.standard_normal()
+class _Recorded:
+    """A Generator that records the method and size of each draw it serves."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def random(self, size):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", size))
+        return self.rng.standard_normal(size)
+
+
+def test_measure_attitude_draw_count_is_state_independent(monkeypatch):
+    # Each step draws the star tracker's two uniforms in one call, then the six normals
+    # of the gyro and the bias walk in another; the last row, which does not step, draws
+    # the gyro's three.  At the identity short-circuit as on the generic path, with the
+    # cone on or at 0, so downstream draws stay seed-reproducible.
+    make = np.random.default_rng
+    identity = [1.0, 0.0, 0.0, 0.0]
+    generic = from_axis_angle([0.3, -1.0, 0.5], 1.2).tolist()
+    for q0, cone in ((identity, 0.5), (generic, 0.5), (identity, 0.0)):
+        calls = []
+        monkeypatch.setattr(sim.np.random, "default_rng", lambda seed: _Recorded(make(seed), calls))
+        cfg = preset("example2")
+        cfg.sim.t_final_s = 0.2
+        cfg.plant.q0, cfg.noise.attitude_cone_deg = q0, cone
+        sim.run_scenario(cfg)
+        n = round(cfg.sim.t_final_s / cfg.sim.dt_s)
+        step = [("random", 2), ("standard_normal", 6)]
+        assert calls == step * n + [("random", 2), ("standard_normal", 3)]
 
 
 def test_measure_gyro_exact_without_noise():
     rng = np.random.default_rng(34)
     w = np.array([0.3, -0.4, 0.0])
     b = np.array([0.01, -0.05, 0.02])
-    assert np.array_equal(measure_gyro(w, b, 0.0, rng), w + b)
+    assert np.array_equal(measure_gyro(w, b, 0.0, rng.standard_normal(3).tolist()), w + b)
 
 
 def test_measure_gyro_noise_statistics():
@@ -155,7 +189,9 @@ def test_measure_gyro_noise_statistics():
     sigma = 0.02
     w = np.zeros(3)
     b = np.zeros(3)
-    draws = np.array([measure_gyro(w, b, sigma, rng) for _ in range(4000)])
+    draws = np.array(
+        [measure_gyro(w, b, sigma, rng.standard_normal(3).tolist()) for _ in range(4000)]
+    )
     assert abs(draws.mean()) < 5.0 * sigma / np.sqrt(draws.size)
     assert draws.std() == pytest.approx(sigma, rel=0.05)
 
@@ -163,7 +199,7 @@ def test_measure_gyro_noise_statistics():
 def test_bias_step_zero_walk_is_identity():
     rng = np.random.default_rng(36)
     b = np.array([0.01, -0.05, 0.02])
-    assert np.array_equal(bias_step(b, 0.0, 0.01, rng), b)
+    assert np.array_equal(bias_step(b, 0.0, 0.01, rng.standard_normal(3).tolist()), b)
 
 
 def test_bias_walk_terminal_spread():
@@ -174,7 +210,7 @@ def test_bias_walk_terminal_spread():
     for k in range(400):
         b = np.zeros(3)
         for _ in range(n_steps):
-            b = bias_step(b, walk, dt, rng)
+            b = bias_step(b, walk, dt, rng.standard_normal(3).tolist())
         finals[k] = b
     target = walk * np.sqrt(dt * (dt * n_steps))
     assert finals.std() == pytest.approx(target, rel=0.10)
@@ -184,3 +220,15 @@ def test_saturate_clips_componentwise():
     u = np.array([6.0, -7.5, 1.0])
     assert np.array_equal(saturate(u, 5.0), [5.0, -5.0, 1.0])
     assert np.array_equal(saturate(u, 10.0), u)
+
+
+@pytest.mark.parametrize("limit", [5.0, 0.1, 5e-324, 1.7e308])
+def test_saturate_equals_the_composed_clip_bit_for_bit(limit):
+    # NaN, signed zeros, infinities, the limits themselves and their float neighbours
+    edges = [math.nan, 0.0, -0.0, math.inf, -math.inf, limit, -limit]
+    for edge in (limit, -limit):
+        edges += [math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]
+    edges += np.random.default_rng(39).standard_normal(20).tolist()
+    for u in edges:
+        torque = (u, -u, u)
+        assert bits(saturate(torque, limit)) == bits(composed_saturate(torque, limit)), torque

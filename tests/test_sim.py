@@ -11,6 +11,7 @@ from attkit import analysis, controllers, kinds, sim
 from attkit.analysis import lyapunov_v1
 from attkit.config import preset
 from attkit.integrate import SimulationError
+from attkit.quat import rotate
 from attkit.rigid_body import Inertia, error_quaternion, error_velocity, feedforward_torque
 from attkit.sensors import DisturbanceConfig
 from attkit.sim import (
@@ -317,9 +318,8 @@ def test_commanded_torque_is_feedforward_plus_the_kinds_feedback(name, monkeypat
 
     def feedforward(trace):
         return [
-            feedforward_torque(inertia, tuple(q_e.tolist()), tuple(w_d.tolist()),
-                               traj.omega_dot_fn(float(t)))
-            for q_e, w_d, t in zip(trace.q_e, trace.w_d, trace.t)
+            feedforward_torque(inertia, q_e, rotate(q_e, w_d), traj.omega_dot_fn(t))
+            for q_e, w_d, t in zip(trace.q_e.tolist(), trace.w_d.tolist(), trace.t.tolist())
         ]
 
     def zero(*args):
@@ -529,6 +529,47 @@ def test_any_one_noise_magnitude_keeps_every_draw(field, monkeypatch):
         if i < n:
             twin.standard_normal(3)
     assert used.bit_generator.state == twin.bit_generator.state
+
+
+class _SwappedNormals:
+    """A Generator whose six-normal draws come with the gyro's and the walk's halves swapped."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size):
+        return self.rng.random(size)
+
+    def standard_normal(self, size):
+        normals = self.rng.standard_normal(size)
+        return np.concatenate([normals[3:], normals[:3]]) if size == 6 else normals
+
+
+def _walked_bias(cfg):
+    """The b column rebuilt from a twin Generator: the walk on normals[3:6] of each step."""
+    twin, walk, dt = np.random.default_rng(cfg.seed), cfg.noise.bias_walk_rad_s2, cfg.sim.dt_s
+    b = tuple(cfg.plant.bias0_rad_s)
+    column = [b]
+    for _ in range(round(cfg.sim.t_final_s / dt)):
+        twin.random(2)
+        normals = twin.standard_normal(6).tolist()
+        b = tuple(bj + walk * nj * dt for bj, nj in zip(b, normals[3:6]))
+        column.append(b)
+    return column
+
+
+@pytest.mark.parametrize("walk_only", [False, True], ids=["shipped", "walk_only"])
+def test_each_channel_reads_its_own_normals(walk_only, monkeypatch):
+    # as shipped, and with the walk the run's only noise: the bias walks on the last three
+    # of each step's six normals, and a double whose gyro and walk swap halves is caught
+    cfg = _short("example2", 0.5)
+    if walk_only:
+        cfg.noise.attitude_cone_deg = cfg.noise.gyro_sigma_deg_s = 0.0
+    want = bits(_walked_bias(cfg))
+    assert bits(run_scenario(cfg).b) == want
+    make = np.random.default_rng
+    monkeypatch.setattr(sim.np.random, "default_rng", lambda seed: _SwappedNormals(make(seed)))
+    assert bits(run_scenario(cfg).b) != want
 
 
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
