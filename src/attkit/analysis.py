@@ -72,6 +72,7 @@ from .rigid_body import (
     DesiredTrajectory,
     Inertia,
     error_dynamics_rate,
+    kinematics_rate,
 )
 
 # ---------------------------------------------------------------------------
@@ -417,8 +418,8 @@ def chord_rate(q, h, c: float, a: float, b: float) -> Array:
 # there, and, like the simulator's flow, maps t and a flat float sequence y to
 # a float tuple.  A law returns its feedback torque, and error_dynamics_rate
 # states the flow under the feedforward plus that feedback, so no flow forms
-# the feedforward itself.  Their smooth algebra is inline, bit for bit the
-# composed kernels; the laws and chord_pow are called by name, as globals.
+# the feedforward itself.  Their quaternion rows are rigid_body.kinematics_rate;
+# it, the laws and chord_pow are called by name, as globals.
 
 
 def full_state_error_flow(
@@ -444,8 +445,7 @@ def observer_error_flow(gains: ObserverGains, h, h_tilde):
       Qdot_err = 0.5 Q_err * [0, -b_err - mu1 chord_pow(h~ Q_err, 1-beta1)]
       bdot_err = mu2 chord_pow(h~ Q_err, 1-beta2),
 
-    which is what makes a standalone flow check of v2 meaningful.  The
-    kinematics rows, 0.5 * [-q.w, q0 w + q x w], are inline.
+    which is what makes a standalone flow check of v2 meaningful.
     """
     mu1, mu2 = gains.mu1, gains.mu2
     p1, p2 = 1.0 - gains.beta1, 1.0 - gains.beta2
@@ -454,14 +454,9 @@ def observer_error_flow(gains: ObserverGains, h, h_tilde):
         q0, q1, q2, q3, b1, b2, b3 = y
         q_err = (q0, q1, q2, q3)
         a1, a2, a3 = chord_pow(q_err, p1, h_tilde)
-        w1, w2, w3 = -b1 - mu1 * a1, -b2 - mu1 * a2, -b3 - mu1 * a3
         c1, c2, c3 = chord_pow(q_err, p2, h_tilde)
-        return (
-            0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
-            0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
-            0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
-            0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
-            mu2 * c1, mu2 * c2, mu2 * c3,
+        return kinematics_rate(q_err, (-b1 - mu1 * a1, -b2 - mu1 * a2, -b3 - mu1 * a3)) + (
+            mu2 * c1, mu2 * c2, mu2 * c3
         )
 
     return flow
@@ -473,8 +468,8 @@ def output_feedback_error_flow(
     """Built at (h, h_tilde), (t, y) -> ydot for y = [Q_lag, Q_e, w_e], velocity-free law.
 
     The filter lag obeys Qdot_lag = 0.5 Q_lag * [0, w_e - k3 chord_pow(h~
-    Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.  Its
-    kinematics rows are inline, as in observer_error_flow.  Reads w_d only.
+    Q_lag, 1-alpha3)]: it tracks the true error rate it cannot measure.
+    Reads w_d only.
     """
     k3, p3 = gains.k3, 1.0 - gains.alpha3
 
@@ -482,17 +477,9 @@ def output_feedback_error_flow(
         q_lag, q_e, w_e = y[0:4], y[4:8], y[8:11]
         u_fb = output_feedback_torque(gains, q_e, q_lag, h, h_tilde)
         dq, dw = error_dynamics_rate(inertia, q_e, w_e, trajectory.omega_fn(t), u_fb)
-        l0, l1, l2, l3 = q_lag
         e1, e2, e3 = w_e
         c1, c2, c3 = chord_pow(q_lag, p3, h_tilde)
-        w1, w2, w3 = e1 - k3 * c1, e2 - k3 * c2, e3 - k3 * c3
-        return (
-            0.5 * (-l1 * w1 - l2 * w2 - l3 * w3),
-            0.5 * (l0 * w1 + l2 * w3 - l3 * w2),
-            0.5 * (l0 * w2 - l1 * w3 + l3 * w1),
-            0.5 * (l0 * w3 + l1 * w2 - l2 * w1),
-            *dq, *dw,
-        )
+        return kinematics_rate(q_lag, (e1 - k3 * c1, e2 - k3 * c2, e3 - k3 * c3)) + dq + dw
 
     return flow
 
@@ -511,6 +498,9 @@ class FlowCheckReport:
 
     flow_excess  max over flow steps of dV - FLOW_STEP_TOL*(1 + V); <= 0 means
                  the per-step decrease condition held with tolerance to spare
+    flow_climb   max over flow steps of V less the lowest V reached before it
+                 since the last jump; an exact flow's certified candidate never
+                 climbs, while a fixed step at a Holder point can (see cli.verify)
     max_rate     max over flow steps of dV/dt; positive for a candidate that
                  genuinely grows somewhere along the flow
     jump_drops   V_pre - V_post at each logic jump, in event order
@@ -522,6 +512,7 @@ class FlowCheckReport:
 
     jump_times: tuple[float, ...]
     flow_excess: dict[str, float]
+    flow_climb: dict[str, float]
     max_rate: dict[str, float]
     jump_drops: dict[str, tuple[float, ...]]
     fd_rel_error: dict[str, float]
@@ -740,10 +731,15 @@ def lyapunov_flow_report(
     for k in jump_steps:
         fd_ok[max(k - 2, 0) : min(k + 1, n) + 1] = False
 
-    flow_excess, max_rate, fd_rel = {}, {}, {}
+    # rows from one jump to the next, the rows each climb is measured within
+    edges = [0, *(k for k in jump_steps if k), n + 1]
+
+    flow_excess, flow_climb, max_rate, fd_rel = {}, {}, {}, {}
     for nm in names:
         dv = np.diff(v[nm])
         flow_excess[nm] = float((dv - FLOW_STEP_TOL * (1.0 + v[nm][:-1]))[flow_step].max())
+        low = np.concatenate([np.minimum.accumulate(v[nm][a:b]) for a, b in zip(edges, edges[1:])])
+        flow_climb[nm] = float((v[nm][1:] - low[:-1])[flow_step].max())
         max_rate[nm] = float(dv[flow_step].max() / dt)
         fd = (v[nm][2:] - v[nm][:-2]) / (2.0 * dt)
         r_mid = rate[nm][1:n]
@@ -759,6 +755,7 @@ def lyapunov_flow_report(
     return FlowCheckReport(
         jump_times=tuple(k * dt for k in jump_steps),
         flow_excess=flow_excess,
+        flow_climb=flow_climb,
         max_rate=max_rate,
         jump_drops=drops,
         fd_rel_error=fd_rel,

@@ -170,7 +170,11 @@ def verify(cfg: config.ScenarioConfig, n_samples: int = 2000) -> dict:
     # powers' Holder point, where the first fixed RK4 step lets the candidate
     # rise by O(dt^(1+p)), p the dilation's exponent, though the exact flow is
     # monotone: dt^(2+2k) with the degree k = (p-1)/2, at every p in (0, 1].
-    flow_ok = report.flow_excess[governing] <= dt ** (2.0 + 2.0 * weights.k)
+    # An estimator error that has arrived chatters about that point, rising by
+    # less on isolated steps.  So the allowance bounds the climb above the
+    # lowest value reached, not one step's rise: a candidate that keeps rising,
+    # by however little per step, fails once it has climbed one step's rise.
+    flow_ok = report.flow_climb[governing] <= dt ** (2.0 + 2.0 * weights.k)
     drops_ok = all(d >= sigma - 1e-9 for d in report.jump_drops[governing])
 
     return {

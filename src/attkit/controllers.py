@@ -15,10 +15,10 @@ with the signature of a kind's estimator_flow, (gains, h_tilde, q_meas,
 w_meas, q_e_meas) -> flow(t, est): they read the gains and hold the
 measurements once per step, and flow maps the estimator's own state est to
 its rates, the flow(t, y) signature of every flow integrate.rk4_step steps.
-Each forms its error quaternion with rigid_body.error_quaternion and the
-conjugate rotation with rotate(quat_conj(.), .); only the kinematics rows
-are inline.  The laws and the flows call chord_pow and sat_pow by name, so
-each nonsmooth map has one statement.
+Each forms its error quaternion with rigid_body.error_quaternion, the
+conjugate rotation with rotate(quat_conj(.), .) and its quaternion rows with
+rigid_body.kinematics_rate.  The laws and the flows call chord_pow and
+sat_pow by name, so each nonsmooth map has one statement.
 
 full_state_torque      velocity + attitude feedback, finite time for alpha1 < 1;
                        with a bias observer's rate estimate it is the
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .quat import chord_pow, quat_conj, rotate, sat_pow
-from .rigid_body import error_quaternion
+from .rigid_body import error_quaternion, kinematics_rate
 
 
 def check_logic(label: str, h) -> int:
@@ -168,17 +168,13 @@ def observer_flow(gains: ObserverGains, h_tilde: int, q_meas, w_meas, q_e_meas):
 
     def flow(t, est) -> tuple:
         q0, q1, q2, q3, b1, b2, b3 = est
-        q_err = error_quaternion(est[0:4], q_meas)
+        q_hat = (q0, q1, q2, q3)
+        q_err = error_quaternion(q_hat, q_meas)
         a1, a2, a3 = chord_pow(q_err, p1, h_tilde)
         corr = (v1 - b1 + mu1 * a1, v2 - b2 + mu1 * a2, v3 - b3 + mu1 * a3)
-        r1, r2, r3 = rotate(quat_conj(q_err), corr)
         g1, g2, g3 = chord_pow(q_err, p2, h_tilde)
-        return (
-            0.5 * (-q1 * r1 - q2 * r2 - q3 * r3),
-            0.5 * (q0 * r1 + q2 * r3 - q3 * r2),
-            0.5 * (q0 * r2 - q1 * r3 + q3 * r1),
-            0.5 * (q0 * r3 + q1 * r2 - q2 * r1),
-            -mu2 * g1, -mu2 * g2, -mu2 * g3,
+        return kinematics_rate(q_hat, rotate(quat_conj(q_err), corr)) + (
+            -mu2 * g1, -mu2 * g2, -mu2 * g3
         )
 
     return flow
@@ -196,16 +192,9 @@ def filter_flow(gains: OutputFeedbackGains, h_tilde: int, q_meas, w_meas, q_e_me
     k3, p3 = gains.k3, 1.0 - gains.alpha3
 
     def flow(t, est) -> tuple:
-        f0, f1, f2, f3 = est
         q_lag = error_quaternion(est, q_e_meas)
         a1, a2, a3 = chord_pow(q_lag, p3, h_tilde)
-        r1, r2, r3 = rotate(quat_conj(q_lag), (k3 * a1, k3 * a2, k3 * a3))
-        return (
-            0.5 * (-f1 * r1 - f2 * r2 - f3 * r3),
-            0.5 * (f0 * r1 + f2 * r3 - f3 * r2),
-            0.5 * (f0 * r2 - f1 * r3 + f3 * r1),
-            0.5 * (f0 * r3 + f1 * r2 - f2 * r1),
-        )
+        return kinematics_rate(est, rotate(quat_conj(q_lag), (k3 * a1, k3 * a2, k3 * a3)))
 
     return flow
 

@@ -7,11 +7,12 @@ in the desired frame and R(Q_e) maps desired-frame coordinates into the body
 frame.  The error flow is stated under feedforward_torque plus feedback, where
 the desired acceleration cancels; only the simulator's plant reads it.
 
-The error kernels take float sequences and return float tuples, as the quat
-kernels do.  error_dynamics_rate forms its algebra in one frame, bit for bit
-the composition of quat kernels its docstring names.  The plant's own rates,
-the kinematics and Euler's equation, are formed in the simulator's flow
-(sim._plant_flow), in one frame too.
+The kernels take float sequences and return float tuples, as the quat
+kernels do.  kinematics_rate states Qdot = 0.5 Q * [0, w] once: the plant's
+flow (sim._plant_flow), the estimator flows (attkit.controllers), the error
+flows (attkit.analysis) and error_dynamics_rate all call it.
+error_dynamics_rate and sim._plant_flow each form Euler's equation in one
+frame, bit for bit the composition of quat kernels their docstrings name.
 """
 
 from __future__ import annotations
@@ -137,6 +138,18 @@ def sinusoid_trajectory(
     )
 
 
+def kinematics_rate(q, w) -> tuple:
+    """Qdot = 0.5 Q * [0, w] = 0.5 * [-q.w, q0 w + q x w], on floats or (n,) columns."""
+    q0, q1, q2, q3 = q
+    w1, w2, w3 = w
+    return (
+        0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
+        0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
+        0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
+        0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
+    )
+
+
 def error_quaternion(q_d, q) -> tuple:
     """Attitude of the body frame relative to the desired frame: conj(Q_d) * Q.
 
@@ -181,19 +194,14 @@ def error_dynamics_rate(inertia: Inertia, q_e, w_e, w_d, u_fb) -> tuple[tuple, t
     wdot_e = J^-1 (w_d_body x J w_d_body - w x Jw + u_fb) + w_e x w_d_body,
     w_d_body = R(Q_e) w_d, w = w_e + w_d_body: the feedforward's J R(Q_e) wdot_d
     cancels exactly (Wen & Kreutz-Delgado, IEEE TAC 1991), so wdot_d is not read.
-    Formed in one frame: bit for bit, on floats and on (n,) columns, the kinematics
-    rows 0.5 * [-q.w_e, q0 w_e + q x w_e] and mat_vec(inertia.inverse, t - cross(w,
-    J w)) + cross(w_e, d) for d = rotate(q_e, w_d), w = w_e + d, t = cross(d, J d) +
-    u_fb and J v = mat_vec(inertia.matrix, v), as the tests compose them.
+    Euler's equation is formed in one frame beside the kinematics_rate and
+    rotate calls: bit for bit, on floats and on (n,) columns,
+    mat_vec(inertia.inverse, t - cross(w, J w)) + cross(w_e, d) for d =
+    rotate(q_e, w_d), w = w_e + d, t = cross(d, J d) + u_fb and J v =
+    mat_vec(inertia.matrix, v), as the tests compose them.
     """
-    q0, q1, q2, q3 = q_e
     e1, e2, e3 = w_e
-    v1, v2, v3 = w_d
-    s = q0 * q0 - (q1 * q1 + q2 * q2 + q3 * q3)
-    qv, c0 = 2.0 * (q1 * v1 + q2 * v2 + q3 * v3), 2.0 * q0
-    d1 = s * v1 + qv * q1 - c0 * (q2 * v3 - q3 * v2)
-    d2 = s * v2 + qv * q2 - c0 * (q3 * v1 - q1 * v3)
-    d3 = s * v3 + qv * q3 - c0 * (q1 * v2 - q2 * v1)
+    d1, d2, d3 = rotate(q_e, w_d)
     (a, b, c), (d, e, f), (g, h, k) = inertia.matrix
     j1, j2, j3 = a * d1 + b * d2 + c * d3, d * d1 + e * d2 + f * d3, g * d1 + h * d2 + k * d3
     u1, u2, u3 = u_fb
@@ -202,12 +210,7 @@ def error_dynamics_rate(inertia: Inertia, q_e, w_e, w_d, u_fb) -> tuple[tuple, t
     j1, j2, j3 = a * w1 + b * w2 + c * w3, d * w1 + e * w2 + f * w3, g * w1 + h * w2 + k * w3
     r1, r2, r3 = t1 - (w2 * j3 - w3 * j2), t2 - (w3 * j1 - w1 * j3), t3 - (w1 * j2 - w2 * j1)
     (a, b, c), (d, e, f), (g, h, k) = inertia.inverse
-    return (
-        0.5 * (-q1 * e1 - q2 * e2 - q3 * e3),
-        0.5 * (q0 * e1 + q2 * e3 - q3 * e2),
-        0.5 * (q0 * e2 - q1 * e3 + q3 * e1),
-        0.5 * (q0 * e3 + q1 * e2 - q2 * e1),
-    ), (
+    return kinematics_rate(q_e, w_e), (
         a * r1 + b * r2 + c * r3 + (e2 * d3 - e3 * d2),
         d * r1 + e * r2 + f * r3 + (e3 * d1 - e1 * d3),
         g * r1 + h * r2 + k * r3 + (e1 * d2 - e2 * d1),

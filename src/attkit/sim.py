@@ -28,7 +28,8 @@ Each step does, in order:
    the joint step [Q, w, est] split into its blocks, bit for bit.  The
    plant's flow comes from the run's _plant_flow at the held torque, the
    estimator's from the kind's estimator_flow at the held measurements and
-   h_tilde.  The reference is not integrated, so it needs no
+   h_tilde; both take their quaternion rows from rigid_body.kinematics_rate.
+   The reference is not integrated, so it needs no
    renormalization and no drift guard.
 
 The state travels through the step as tuples of Python floats: the plant
@@ -58,7 +59,7 @@ from . import analysis, kinds
 from .config import ScenarioConfig
 from .integrate import _renorm, rk4_step, step_count, step_rows
 from .quat import Array, rotate
-from .rigid_body import error_quaternion, error_velocity, feedforward_torque
+from .rigid_body import error_quaternion, error_velocity, feedforward_torque, kinematics_rate
 from .sensors import bias_step, disturbance_torque, measure_attitude, measure_gyro, saturate
 
 
@@ -198,12 +199,12 @@ def run_scenario(cfg: ScenarioConfig) -> SimTrace:
 def _plant_flow(inertia, disturbance):
     """Built once per run, held(u1, u2, u3) -> flow(t, y) for the plant state y = [Q, w].
 
-    flow holds the applied torque u over a step.  Its rows are the kinematics
-    Qdot = 0.5 Q * [0, w] and Euler's equation wdot = J^-1 (-w x Jw + u + d(t)),
-    d(t) disturbance_torque's rows, formed in one frame from the inertia's
-    entries and the disturbance's amplitude and frequency, read here once.
-    Bit for bit the kinematics, disturbance_torque and Euler's equation as the
-    tests compose them, u + 0.0 at amplitude 0 included.
+    flow holds the applied torque u over a step.  Its rows are
+    rigid_body.kinematics_rate, then Euler's equation wdot = J^-1 (-w x Jw + u
+    + d(t)), d(t) disturbance_torque's rows, formed in one frame from the
+    inertia's entries and the disturbance's amplitude and frequency, read here
+    once.  Bit for bit disturbance_torque and Euler's equation as the tests
+    compose them, u + 0.0 at amplitude 0 included.
     """
     (j11, j12, j13), (j21, j22, j23), (j31, j32, j33) = inertia.matrix
     (k11, k12, k13), (k21, k22, k23), (k31, k32, k33) = inertia.inverse
@@ -224,11 +225,7 @@ def _plant_flow(inertia, disturbance):
             r1 = u1 + d1 - (w2 * m3 - w3 * m2)
             r2 = u2 + d2 - (w3 * m1 - w1 * m3)
             r3 = u3 + d3 - (w1 * m2 - w2 * m1)
-            return (
-                0.5 * (-q1 * w1 - q2 * w2 - q3 * w3),
-                0.5 * (q0 * w1 + q2 * w3 - q3 * w2),
-                0.5 * (q0 * w2 - q1 * w3 + q3 * w1),
-                0.5 * (q0 * w3 + q1 * w2 - q2 * w1),
+            return kinematics_rate((q0, q1, q2, q3), (w1, w2, w3)) + (
                 k11 * r1 + k12 * r2 + k13 * r3,
                 k21 * r1 + k22 * r2 + k23 * r3,
                 k31 * r1 + k32 * r2 + k33 * r3,

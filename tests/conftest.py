@@ -66,11 +66,12 @@ def with_signed_zeros(rng, shape):
 
 
 # ---------------------------------------------------------------------------
-# Composed references.  The package forms these rates in one frame
-# (rigid_body.error_dynamics_rate, sim._plant_flow), or with the kinematics rows
-# inline beside kernel calls (controllers.observer_flow and filter_flow), and
-# clips by comparisons (sensors.saturate); tests pin each to its composition
-# here, bit for bit.
+# Composed references.  The package forms Euler's equation in one frame
+# (rigid_body.error_dynamics_rate, sim._plant_flow), takes every quaternion
+# flow's rows from its one kernel, rigid_body.kinematics_rate, and clips by
+# comparisons (sensors.saturate); tests pin each to its composition here, bit
+# for bit.  kinematics_rate here is a copy kept apart from the package's, so
+# that a change to the package's rows shows in every pin.
 
 
 def composed_saturate(torque, limit_nm):

@@ -370,8 +370,8 @@ def test_remainder_is_error_flow_less_reduced_field(monkeypatch, system, gains):
 def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monkeypatch):
     # the feedforward's J R(Q_e) wdot_d cancels in the error flow, so a trajectory
     # whose acceleration cannot be read gives the same flows and remainders, and
-    # each flow evaluation rotates w_d into the body frame once: inside its one
-    # error_dynamics_rate call, inline, with no rotate call
+    # each flow evaluation rotates w_d into the body frame once: one rotate call,
+    # inside its one error_dynamics_rate call
     w_d = (0.05, -0.03, 0.02)
 
     def unreadable(t):
@@ -406,7 +406,7 @@ def test_error_flows_close_the_feedforward_without_the_desired_acceleration(monk
             m.setattr(analysis, "error_dynamics_rate", counted(analysis, "error_dynamics_rate"))
             for t in (0.0, 0.5, 1.0):
                 flow(t, tuple(y))
-        assert calls == {"rotate": 0, "error_dynamics_rate": 3}, system
+        assert calls == {"rotate": 3, "error_dynamics_rate": 3}, system
 
 
 # ---------------------------------------------------------------------------
@@ -725,6 +725,32 @@ def test_flow_report_forms_its_candidates_once_over_the_record(name, monkeypatch
         assert drops == (want_pre[nm] - want[k][nm],), nm
 
 
+def test_flow_climb_adds_up_small_rises_and_restarts_at_each_jump(monkeypatch):
+    # v1 stubbed: falling to the jump, up at it, then rising by 1e-9 per step, under the
+    # per-step tolerance, so flow_excess stays negative while flow_climb adds the rises
+    # up from the jump row, not from the lower values before it
+    es = ERROR_SYSTEMS["full_state"]
+
+    def candidates(y, h, ht, g, j):
+        v = es.candidates(y, h, ht, g, j)
+        if np.size(h) > 1:
+            k = int(np.argmax(h != h[0]))
+            i = np.arange(np.size(h))
+            v["v1"] = np.where(i < k, 1.0 - 1e-3 * i, 2.0 + 1e-9 * (i - k))
+        return v
+
+    monkeypatch.setitem(ERROR_SYSTEMS, "full_state", replace(es, candidates=candidates))
+    gains, y0 = _ONE_JUMP["full_state"]
+    rep = analysis.lyapunov_flow_report(
+        "full_state", gains, y0=y0, inertia=INERTIA, trajectory=sinusoid_trajectory(),
+        t_final=0.3,
+    )
+    k = round(rep.jump_times[0] / 1e-3)
+    assert 0 < k < 300
+    assert rep.flow_excess["v1"] < 0.0
+    assert rep.flow_climb["v1"] == pytest.approx((300 - k) * 1e-9, rel=1e-6)
+
+
 @pytest.mark.parametrize("name", sorted(_ONE_JUMP))
 def test_flow_report_forms_its_rates_once_over_the_record(name, monkeypatch):
     es = ERROR_SYSTEMS[name]
@@ -868,6 +894,27 @@ def test_one_step_of_each_error_flow_calls_its_kernels_by_name(name, want, monke
         monkeypatch.setattr(analysis, kernel, counted)
     rk4_step(flow, 0.0, tuple(y0), 1e-3)
     assert tuple(calls[k] for k in kernels) == want
+
+
+@pytest.mark.parametrize("name, per_eval", [
+    ("full_state", {"analysis": 0, "rigid_body": 1}),
+    ("observer", {"analysis": 1, "rigid_body": 0}),
+    ("attitude_only", {"analysis": 1, "rigid_body": 1}),
+])
+def test_each_error_flow_evaluation_calls_kinematics_rate(name, per_eval, monkeypatch):
+    # the quaternion rows come from rigid_body.kinematics_rate, through each caller's
+    # global: error_dynamics_rate's Q_e rows and the observer's and filter lag's rows
+    gains, y0 = _ONE_JUMP[name]
+    flow = ERROR_SYSTEMS[name].flow(gains, INERTIA, sinusoid_trajectory(), 1, 1)
+    calls = dict.fromkeys(per_eval, 0)
+    for module in (analysis, rigid_body):
+        def counted(*args, _key=module.__name__.rsplit(".", 1)[1], _real=module.kinematics_rate):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, "kinematics_rate", counted)
+    rk4_step(flow, 0.0, tuple(y0), 1e-3)
+    assert calls == {k: 4 * n for k, n in per_eval.items()}
 
 
 def test_a_flow_report_too_long_to_record_names_both_fields():

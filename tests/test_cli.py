@@ -362,16 +362,32 @@ def test_verify_passes_at_low_alpha3(alpha3):
     assert result["ok"] is True
 
 
+@pytest.mark.parametrize("name, field, value", [
+    ("example2", "observer.beta1", 0.51), ("example2", "observer.beta1", 0.6),
+    ("example3", "controller.alpha3", 0.501),
+])
+def test_verify_passes_where_an_arrived_estimator_chatters(name, field, value):
+    # over the shipped 30 s flow check the estimator error arrives at its Holder point
+    # and the fixed step lets the governing candidate rise there on isolated later steps
+    # (by up to about 1.2e-6 at beta1 = 0.51); the climb above the lowest value reached
+    # stays within the first step's allowance
+    cfg = preset(name)
+    section, attr = field.split(".")
+    setattr(getattr(cfg, section), attr, value)
+    result = cli.verify(cfg, n_samples=20)
+    assert result["flow_ok"] is True
+    assert result["ok"] is True
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_verify_fails_a_governing_candidate_that_rises(name, monkeypatch):
     # a test double whose governing candidate is negated, so its V rises along the flow.
     # The observer's v2_matched falls by at most about 3e-5 per 1 ms step at the shipped
-    # mu1 and mu2, inside the dt^1.5 allowance, so its double starts from an attitude
-    # estimate error at ten times those gains
+    # mu1 and mu2, inside the dt^1.5 allowance, so its double rises by less than that per
+    # step and fails on its climb over the run; it starts from an attitude estimate error
     cfg = _short(name, seconds=0.4)
     if name == "example2":
         cfg.observer.q_hat0 = [0.9, 0.3, -0.3, 0.1]
-        cfg.observer.mu1, cfg.observer.mu2 = 10.0 * cfg.observer.mu1, 10.0 * cfg.observer.mu2
     system = kinds.get(cfg.controller.kind).error_system
     es = analysis.ERROR_SYSTEMS[system]
 

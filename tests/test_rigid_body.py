@@ -13,6 +13,7 @@ from attkit.rigid_body import (
     error_quaternion,
     error_velocity,
     feedforward_torque,
+    kinematics_rate,
     sinusoid_trajectory,
 )
 from attkit.integrate import _renorm
@@ -23,7 +24,7 @@ from conftest import (
     composed_error_dynamics_rate,
     dynamics_rate,
     from_axis_angle,
-    kinematics_rate,
+    kinematics_rate as reference_kinematics_rate,
     with_signed_zeros,
 )
 
@@ -79,6 +80,17 @@ def test_kinematics_rate_equals_quaternion_product():
     for _ in range(200):
         q, w = random_unit_quat(rng), rng.standard_normal(3)
         assert np.array_equal(kinematics_rate(q, w), 0.5 * np.asarray(quat_mul(q, np.concatenate(([0.0], w)))))
+
+
+def test_kinematics_rate_takes_columns_and_equals_its_reference_bit_for_bit():
+    # on (n,) columns each entry is the float call's, and both are the reference's bits
+    rng = np.random.default_rng(16)
+    q, w = with_signed_zeros(rng, (4, 50)), with_signed_zeros(rng, (3, 50))
+    columns = kinematics_rate(tuple(q), tuple(w))
+    assert all(isinstance(c, np.ndarray) and c.shape == (50,) for c in columns)
+    floats = [kinematics_rate(q[:, i].tolist(), w[:, i].tolist()) for i in range(50)]
+    assert bits(columns) == bits(np.transpose(floats))
+    assert bits(floats) == bits([reference_kinematics_rate(q[:, i], w[:, i]) for i in range(50)])
 
 
 def test_sinusoid_trajectory_values_and_bounds():

@@ -309,6 +309,28 @@ def test_one_step_calls_each_nonsmooth_map_by_name(name, flow_chords, law_chords
     assert one_step == {"chord_pow": flow_chords + law_chords, "rk4_step": steps}
 
 
+@pytest.mark.parametrize("name, estimator_calls", [("example1", 0), ("example2", 4), ("example3", 4)])
+def test_one_step_calls_kinematics_rate_once_per_rk4_stage(name, estimator_calls, monkeypatch):
+    # the plant's flow and the estimator's each take their quaternion rows from
+    # rigid_body.kinematics_rate, through sim's and controllers' globals, once per stage
+    calls = {"sim": 0, "controllers": 0}
+    for module in (sim, controllers):
+        def counted(*args, _key=module.__name__.rsplit(".", 1)[1], _real=module.kinematics_rate):
+            calls[_key] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, "kinematics_rate", counted)
+    per_run = []
+    for steps in (1, 2):
+        cfg = preset(name, uncertainties=False)
+        cfg.sim.t_final_s = steps * cfg.sim.dt_s
+        run_scenario(cfg)
+        per_run.append(dict(calls))
+        calls.update(sim=0, controllers=0)
+    one_step = {k: per_run[1][k] - per_run[0][k] for k in calls}
+    assert one_step == {"sim": 4, "controllers": estimator_calls}
+
+
 @pytest.mark.parametrize("name", ["example1", "example2", "example3"])
 def test_commanded_torque_is_feedforward_plus_the_kinds_feedback(name, monkeypatch):
     # noise-free, so each step's measured error quaternion is the recorded q_e
